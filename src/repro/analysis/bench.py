@@ -9,7 +9,8 @@ bracket the design space:
     direct-write and exclusive-read included) over per-PE working sets
     sized to hit ~99% of the time — the regime the paper's benchmarks
     run in (their Table 2 hit ratios are 93-97%) and the regime the
-    inlined hit paths in :mod:`repro.core.replay` target.
+    inlined hit paths of the generated kernel
+    (:mod:`repro.core.protocol.codegen`) target.
 ``random``
     A uniform random stream (~27% hit ratio): stresses the miss/bus
     path, where dispatch overhead is a small fraction of the work.
@@ -30,11 +31,6 @@ hosts.  On a host with a single usable CPU the serial/parallel
 comparison is meaningless and is recorded as the explicit marker
 ``"parallel_speedup": "skipped"`` — the pooled path still runs once so
 its bit-identity with serial stays checked.
-
-The ``kernels`` section compares the interpreted dispatch-table replay
-kernel against the generated (:mod:`repro.core.protocol.codegen`)
-kernel on the hot workload, asserting bit-identical counters before
-reporting the speedup.
 
 Baselines were measured at the pre-rewrite commit (the growth seed) with
 this same methodology, interleaved with the post-rewrite runs on one
@@ -106,17 +102,14 @@ def measure_replay(
     buffer: TraceBuffer,
     config: Optional[SimulationConfig] = None,
     repeats: int = 5,
-    kernel: Optional[str] = None,
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
 ) -> Tuple[float, SystemStats]:
     """Best-of-*repeats* replay throughput in refs per CPU-second.
 
-    *kernel* pins the replay kernel (``"interpreted"``/``"generated"``)
-    for the kernel-comparison section; ``None`` is the production
-    ``"auto"`` selection.  ``mode="lazypim"`` measures the speculative
-    batch-coherence engine instead of the per-access path.
+    ``mode="lazypim"`` measures the speculative batch-coherence engine
+    instead of the per-access path.
     """
     best = float("inf")
     stats = None
@@ -125,7 +118,6 @@ def measure_replay(
         stats = replay(
             buffer,
             config,
-            kernel=kernel,
             mode=mode,
             batch_refs=batch_refs,
             signature_bits=signature_bits,
@@ -255,51 +247,6 @@ def bench_sweep(
     return section
 
 
-def bench_kernels(
-    buffer: TraceBuffer,
-    repeats: int = 3,
-    config: Optional[SimulationConfig] = None,
-) -> dict:
-    """Interpreted vs generated replay kernel on the same trace.
-
-    Counters are asserted bit-identical before any rate is reported —
-    a fast kernel that disagrees with the reference interpretation is
-    a bug, not a speedup.  When the generated kernel cannot run (no
-    numpy), the section records ``"skipped"`` instead of a rate.
-    """
-    if config is None:
-        config = SimulationConfig()
-    interp_rate, interp_stats = measure_replay(
-        buffer, config, repeats=repeats, kernel="interpreted"
-    )
-    section: dict = {
-        "workload": "hot",
-        "refs": len(buffer),
-        "repeats": repeats,
-        "protocol": config.protocol,
-        "interconnect": config.interconnect,
-        "interpreted_refs_per_sec": round(interp_rate),
-    }
-    try:
-        generated_rate, generated_stats = measure_replay(
-            buffer, config, repeats=repeats, kernel="generated"
-        )
-    except RuntimeError:
-        section["generated_refs_per_sec"] = "skipped"
-        section["skip_reason"] = "generated kernel unavailable (no numpy)"
-        return section
-    if interp_stats.as_dict() != generated_stats.as_dict():
-        raise AssertionError(
-            "generated kernel diverged from the interpreted reference"
-        )
-    section["generated_refs_per_sec"] = round(generated_rate)
-    section["speedup"] = (
-        round(generated_rate / interp_rate, 2) if interp_rate > 0 else None
-    )
-    section["results_identical"] = True
-    return section
-
-
 def bench_clustered(
     buffer: TraceBuffer,
     n_clusters: int = 2,
@@ -313,7 +260,7 @@ def bench_clustered(
     The serial side drives :class:`~repro.cluster.system.
     ClusteredSystem` one reference at a time in global trace order (the
     path an execution-driven run takes); the parallel side shards the
-    trace per cluster and runs each shard through the inlined fast
+    trace per cluster and runs each shard through the generated
     kernel, fanned out to the process pool when the host has the CPUs
     for it (``jobs=None`` uses one worker per CPU, capped at the
     cluster count — on a single-CPU host the shards run in-process,
@@ -389,8 +336,8 @@ def run_bench(
     --assert-overhead``).
 
     ``mode="lazypim"`` measures the per-workload throughput section
-    through the speculative batch-coherence engine.  The kernel, sweep
-    and cluster sections always run pessimistically (their identity
+    through the speculative batch-coherence engine.  The sweep and
+    cluster sections always run pessimistically (their identity
     cross-checks compare against paths speculation does not share), and
     the recorded-baseline / no-sink comparisons are suppressed — a
     speculative rate is not comparable with a per-access baseline.
@@ -462,11 +409,6 @@ def run_bench(
             entry["batch_commits"] = stats.batch_commits
             entry["batch_rollbacks"] = stats.batch_rollbacks
         report["workloads"][name] = entry
-
-    logger.info("comparing replay kernels on the hot workload")
-    report["kernels"] = bench_kernels(
-        workloads["hot"], repeats=repeats, config=base_config
-    )
 
     logger.info("timing the sweep (persistent pool, up to %d jobs)", jobs)
     report["sweep"] = bench_sweep(
@@ -545,21 +487,6 @@ def format_report(report: dict) -> str:
             f"  {name:>7}: {entry['refs_per_sec']:>10,} refs/sec, "
             f"hit ratio {entry['hit_ratio']:.4f}{speedup}"
         )
-    kernels = report.get("kernels")
-    if kernels:
-        if kernels.get("generated_refs_per_sec") == "skipped":
-            lines.append(
-                f"  kernels: interpreted "
-                f"{kernels['interpreted_refs_per_sec']:,} refs/sec; "
-                f"generated skipped ({kernels.get('skip_reason', '')})"
-            )
-        else:
-            lines.append(
-                f"  kernels: interpreted "
-                f"{kernels['interpreted_refs_per_sec']:,} refs/sec, "
-                f"generated {kernels['generated_refs_per_sec']:,} refs/sec "
-                f"({kernels['speedup']:.2f}x, results identical)"
-            )
     sweep = report["sweep"]
     if sweep.get("parallel_speedup") == "skipped":
         lines.append(

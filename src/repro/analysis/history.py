@@ -78,7 +78,7 @@ def _report_sections(report: dict) -> Dict[str, float]:
     """Flatten a bench report's comparable rates into named sections.
 
     Only positive numeric rates survive — ``"skipped"`` markers and
-    nulls (single-CPU hosts, missing numpy) drop out, so a record never
+    nulls (single-CPU hosts) drop out, so a record never
     claims a rate the host could not measure.
     """
     sections: Dict[str, float] = {}
@@ -90,11 +90,6 @@ def _report_sections(report: dict) -> Dict[str, float]:
 
     for workload, entry in report.get("workloads", {}).items():
         keep(f"workload.{workload}.refs_per_sec", entry.get("refs_per_sec"))
-    kernels = report.get("kernels") or {}
-    keep("kernels.interpreted_refs_per_sec",
-         kernels.get("interpreted_refs_per_sec"))
-    keep("kernels.generated_refs_per_sec",
-         kernels.get("generated_refs_per_sec"))
     sweep = report.get("sweep") or {}
     keep("sweep.parallel_speedup", sweep.get("parallel_speedup"))
     cluster = report.get("cluster") or {}

@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Union
 from repro.cluster.replay import replay_shard, split_trace
 from repro.cluster.system import ClusterStats
 from repro.core.config import SimulationConfig
-from repro.core.replay import replay
+from repro.core.replay import ReplayBlockedError, replay
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.obs.log import get_logger
@@ -65,13 +65,6 @@ _worker_queue = None
 _worker_chunk: int = DEFAULT_CHUNK_REFS
 _worker_interval: float = DEFAULT_INTERVAL_SECONDS
 _worker_points_done: int = 0
-#: Replay-kernel selection pinned at pool construction and shipped to
-#: every worker through the initializer.  Workers must NOT read
-#: ``REPRO_REPLAY_KERNEL`` themselves: a pool respawned after a
-#: :class:`SweepWorkerError` can start its workers in an environment
-#: that has changed since the original pool was built, and sweep
-#: results have to be a pure function of the pool's construction.
-_worker_kernel: Optional[str] = None
 
 
 def _init_worker(
@@ -79,20 +72,17 @@ def _init_worker(
     queue=None,
     chunk_refs: int = DEFAULT_CHUNK_REFS,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-    kernel: Optional[str] = None,
 ) -> None:
     global _worker_trace, _worker_queue, _worker_chunk, _worker_interval
-    global _worker_kernel
     _worker_trace = read_trace(trace_path)
     _worker_queue = queue
     _worker_chunk = chunk_refs
     _worker_interval = interval_seconds
-    _worker_kernel = kernel
 
 
 def _replay_one(config: SimulationConfig) -> SystemStats:
     assert _worker_trace is not None, "worker initializer did not run"
-    return replay(_worker_trace, config, kernel=_worker_kernel or "auto")
+    return replay(_worker_trace, config)
 
 
 def _put_heartbeat(record: dict) -> None:
@@ -113,15 +103,15 @@ def _replay_point(
 
     Identical counters to a single :func:`~repro.core.replay.replay`
     call — every deferred kernel fold settles per call, and the system
-    carries all state across segments (the same mechanism as the
-    windowed kernel tier, which the tests assert).  Between chunks the
-    worker emits a heartbeat when :data:`_worker_interval` has elapsed,
-    plus a final ``done`` record when the point completes.
+    carries all state across segments (the same mechanism as
+    :func:`repro.obs.windows.windowed_replay`, which the tests assert).
+    Between chunks the worker emits a heartbeat when
+    :data:`_worker_interval` has elapsed, plus a final ``done`` record
+    when the point completes.
     """
     global _worker_points_done
-    kernel = _worker_kernel or "auto"
     if _worker_queue is None:
-        return replay(trace, config, kernel=kernel)
+        return replay(trace, config)
     worker = os.getpid()
     system = PIMCacheSystem(config, trace.n_pes)
     stats = system.stats
@@ -134,7 +124,10 @@ def _replay_point(
     done = 0
     for start in range(0, total, _worker_chunk):
         done = min(start + _worker_chunk, total)
-        replay(trace.slice(start, done), system=system, kernel=kernel)
+        try:
+            replay(trace.slice(start, done), system=system)
+        except ReplayBlockedError as error:
+            raise error.at(start) from None
         now = time.perf_counter()
         if now - mark_time < _worker_interval and done < total:
             continue
@@ -203,8 +196,7 @@ class SweepWorkerError(RuntimeError):
     process vanished; this wraps it with what the caller needs to act —
     how many configs were in flight, and that the pool has already
     respawned its workers (:meth:`SweepPool.respawn`) so a retried
-    :meth:`SweepPool.map` runs with the construction-time kernel
-    selection and is bit-identical to an undisturbed sweep.
+    :meth:`SweepPool.map` is bit-identical to an undisturbed sweep.
     Sweeps that must survive worker death mid-*point* belong on the
     checkpointing job service (``repro serve``), which retries from the
     last checkpoint; this error's message points there.
@@ -251,21 +243,11 @@ class SweepPool:
         trace: Union[TraceBuffer, str, Path],
         jobs: Optional[int] = None,
         telemetry: Optional[SweepTelemetry] = None,
-        kernel: Optional[str] = None,
     ):
         if jobs is None:
             jobs = default_jobs()
         self.jobs = max(1, jobs)
         self.telemetry = telemetry
-        # Pin the replay-kernel selection now: workers (original AND
-        # respawned — see :meth:`respawn`) get it through the pool
-        # initializer instead of reading ``REPRO_REPLAY_KERNEL`` from
-        # whatever environment they happen to start in later.
-        self.kernel = (
-            kernel
-            if kernel is not None
-            else os.environ.get("REPRO_REPLAY_KERNEL")
-        )
         self._tmp_path: Optional[str] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._trace: Optional[TraceBuffer] = None
@@ -292,7 +274,6 @@ class SweepPool:
                 telemetry.queue,
                 telemetry.chunk_refs,
                 telemetry.interval_seconds,
-                self.kernel,
             )
         else:
             self._initargs = (
@@ -300,7 +281,6 @@ class SweepPool:
                 None,
                 DEFAULT_CHUNK_REFS,
                 DEFAULT_INTERVAL_SECONDS,
-                self.kernel,
             )
         self._pool = self._spawn_pool()
 
@@ -317,12 +297,9 @@ class SweepPool:
 
         The replacement workers initialize from the pool's
         construction-time state — same trace file, same telemetry
-        queue, same pinned kernel selection — so a retried
-        :meth:`map` is bit-identical to what the dead pool would have
-        produced.  (Reading ``REPRO_REPLAY_KERNEL`` at respawn time
-        instead used to let an environment change between the original
-        spawn and the retry silently switch kernels mid-sweep.)
-        Serial pools have no workers and need no respawn.
+        queue — so a retried :meth:`map` is bit-identical to what the
+        dead pool would have produced.  Serial pools have no workers and
+        need no respawn.
         """
         if self._initargs is None:
             return
@@ -367,24 +344,19 @@ class SweepPool:
             except BrokenProcessPool as error:
                 # Replace the dead workers before surfacing the error:
                 # a caller that catches SweepWorkerError and retries
-                # map() gets a working pool with the construction-time
-                # kernel selection, not a stale broken executor.
+                # map() gets a working pool, not a stale broken
+                # executor.
                 self.respawn()
                 raise SweepWorkerError(self.jobs, len(configs)) from error
         assert self._trace is not None
-        kernel = self.kernel or "auto"
         if self.telemetry is None:
-            return [
-                replay(self._trace, config, kernel=kernel)
-                for config in configs
-            ]
+            return [replay(self._trace, config) for config in configs]
         # Serial mode streams heartbeats too — same records, emitted
         # from the parent process itself through the module globals.
-        global _worker_queue, _worker_chunk, _worker_interval, _worker_kernel
+        global _worker_queue, _worker_chunk, _worker_interval
         _worker_queue = self.telemetry.queue
         _worker_chunk = self.telemetry.chunk_refs
         _worker_interval = self.telemetry.interval_seconds
-        _worker_kernel = self.kernel
         try:
             return [
                 _replay_point(self._trace, config, index)
@@ -392,7 +364,6 @@ class SweepPool:
             ]
         finally:
             _worker_queue = None
-            _worker_kernel = None
 
     def close(self) -> None:
         """Shut the workers down and delete the pool's temp trace file."""
@@ -511,10 +482,7 @@ def run_sweep_report(
 
 def _replay_cluster_task(task):
     """Pool task: replay one cluster's shard."""
-    shard, config, pes_per_cluster, cluster_index, kernel = task
-    return replay_shard(
-        shard, config, pes_per_cluster, cluster_index, kernel=kernel
-    )
+    return replay_shard(*task)
 
 
 def run_clustered(
@@ -527,7 +495,7 @@ def run_clustered(
 
     The trace splits into one shard per cluster
     (:func:`repro.cluster.replay.split_trace`); each shard replays
-    through the inlined fast kernel in its own worker process.  The
+    through :func:`repro.core.replay.replay` in its own worker process.  The
     merge is deterministic by construction: clusters share no state, so
     each shard's result is a pure function of (shard, config,
     cluster index), and results are folded in cluster-index order
@@ -549,13 +517,9 @@ def run_clustered(
     logger.info(
         "clustered replay: %d clusters across %d workers", n_clusters, jobs
     )
-    # Resolve the kernel selection in the parent, exactly once: worker
-    # processes must not consult their own environment (same rule as
-    # :class:`SweepPool`).
-    kernel = os.environ.get("REPRO_REPLAY_KERNEL") or "auto"
     if jobs <= 1 or n_clusters == 1:
         results = [
-            replay_shard(shard, config, pes_per_cluster, index, kernel=kernel)
+            replay_shard(shard, config, pes_per_cluster, index)
             for index, shard in enumerate(shards)
         ]
     else:
@@ -565,7 +529,7 @@ def run_clustered(
         # milliseconds for typical traces) rather than through a
         # temp-file hand-off.
         tasks = [
-            (shard, config, pes_per_cluster, index, kernel)
+            (shard, config, pes_per_cluster, index)
             for index, shard in enumerate(shards)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -386,7 +386,6 @@ def cmd_serve(args) -> int:
                 chunk_refs=args.chunk,
                 checkpoint_every=args.checkpoint_every,
                 max_retries=args.max_retries,
-                kernel=None if args.kernel == "auto" else args.kernel,
                 seed=args.seed,
                 mode=None if args.mode == "pessimistic" else args.mode,
                 batch_refs=args.batch_refs,
@@ -646,7 +645,7 @@ def cmd_metrics(args) -> int:
         clustered = run_clustered(buffer, config, n_pes=pes, jobs=1)
         stats, network = clustered.stats, clustered.network
     else:
-        stats = replay(buffer, config, n_pes=pes, kernel=args.kernel)
+        stats = replay(buffer, config, n_pes=pes)
         network = None
     wall = time_module.perf_counter() - started
     ledger = cycle_ledger(stats, network=network)
@@ -656,7 +655,6 @@ def cmd_metrics(args) -> int:
             registry,
             source=name,
             protocol=config.protocol,
-            kernel=args.kernel,
         )
         path = write_openmetrics(registry, args.openmetrics)
         print(f"openmetrics written: {path}")
@@ -669,7 +667,7 @@ def cmd_metrics(args) -> int:
                 wall_seconds=round(wall, 3),
                 command="metrics",
                 extra={"kind": "metrics", "source": name, "refs": len(buffer),
-                       "n_pes": pes, "kernel": args.kernel},
+                       "n_pes": pes},
             ),
         )
         validate_metrics(record)
@@ -681,7 +679,7 @@ def cmd_metrics(args) -> int:
             print(text)
         return 0
     print(f"cycle ledger for {name} ({len(buffer):,} refs, {pes} PEs, "
-          f"{config.protocol}, kernel={args.kernel})")
+          f"{config.protocol})")
     print(format_ledger(ledger))
     return 0
 
@@ -1086,9 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--max-retries", type=int, default=2,
                         help="worker deaths tolerated before the job "
                              "fails (default 2)")
-    submit.add_argument("--kernel", default="auto",
-                        choices=["auto", "generated", "interpreted"],
-                        help="replay kernel (default auto)")
     submit.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the provenance manifest")
     _add_cache_options(submit)
@@ -1232,10 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser.add_argument("--pes", type=int, default=8,
                                 help="PE count (with --trace, 0 means "
                                      "the trace's own)")
-    metrics_parser.add_argument("--kernel", default="auto",
-                                choices=["auto", "generated", "interpreted"],
-                                help="replay kernel (default auto; ignored "
-                                     "with --clusters > 1)")
     metrics_parser.add_argument("--json", action="store_true",
                                 help="emit the schema-validated "
                                      "repro.obs/metrics/v1 JSON instead of "

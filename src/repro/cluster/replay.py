@@ -6,9 +6,9 @@ Two serial paths with identical counters:
   reference at a time in trace order — the ordering-faithful reference
   path (and the serial baseline the clustered benchmark measures).
 * :func:`replay_clustered` splits the trace into per-cluster shards
-  (:func:`split_trace`) and runs each shard through the inlined fast
-  kernel of :func:`repro.core.replay.replay` with a caller-built
-  :class:`~repro.cluster.system.ClusterCacheSystem`.
+  (:func:`split_trace`) and runs each shard through
+  :func:`repro.core.replay.replay` (the generated kernel) with a
+  caller-built :class:`~repro.cluster.system.ClusterCacheSystem`.
 
 They agree bit-for-bit because clusters share no mutable state: a
 cluster's counters are a function of its own PEs' references *in their
@@ -22,18 +22,14 @@ cluster-index order regardless of completion order).
 from __future__ import annotations
 
 from array import array
-from itertools import compress
 from typing import List, Optional
+
+import numpy as np
 
 from repro.cluster.system import ClusterCacheSystem, ClusterStats, ClusteredSystem
 from repro.core.config import SimulationConfig
 from repro.core.replay import replay, replay_access_driven
 from repro.trace.buffer import TraceBuffer
-
-try:  # optional: vectorizes the split when the host has it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 
 def split_trace(
@@ -47,33 +43,20 @@ def split_trace(
 
     The split is on the parallel fast path (it runs once per clustered
     replay, over the full trace), so it avoids a per-reference Python
-    loop.  With numpy available the columns are filtered with boolean
-    masks over zero-copy views of the column arrays; otherwise the PE
-    column — a signed-byte array — is viewed as ``bytes`` and two
-    256-entry :meth:`bytes.translate` tables turn it into a 0/1
-    membership mask and a cluster-local renumbering at C speed, with
-    :func:`itertools.compress` selecting each column.  Both paths
-    produce identical shards (a regression test holds them together).
+    loop: the columns are filtered with numpy boolean masks over
+    zero-copy views of the column arrays.
     """
     if n_pes % n_clusters != 0:
         raise ValueError(
             f"n_pes ({n_pes}) must divide evenly into {n_clusters} clusters"
         )
     pes_per_cluster = n_pes // n_clusters
-    if _np is not None:
-        return _split_trace_numpy(buffer, pes_per_cluster, n_clusters)
-    return _split_trace_compress(buffer, pes_per_cluster, n_clusters)
-
-
-def _split_trace_numpy(
-    buffer: TraceBuffer, pes_per_cluster: int, n_clusters: int
-) -> List[TraceBuffer]:
     pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
-    pe = _np.frombuffer(pe_col, dtype=_np.int8)
-    op = _np.frombuffer(op_col, dtype=_np.int8)
-    area = _np.frombuffer(area_col, dtype=_np.int8)
-    addr = _np.frombuffer(addr_col, dtype=_np.int64)
-    flags = _np.frombuffer(flags_col, dtype=_np.int8)
+    pe = np.frombuffer(pe_col, dtype=np.int8)
+    op = np.frombuffer(op_col, dtype=np.int8)
+    area = np.frombuffer(area_col, dtype=np.int8)
+    addr = np.frombuffer(addr_col, dtype=np.int64)
+    flags = np.frombuffer(flags_col, dtype=np.int8)
     shards = []
     for cluster in range(n_clusters):
         lo = cluster * pes_per_cluster
@@ -88,56 +71,29 @@ def _split_trace_numpy(
     return shards
 
 
-def _split_trace_compress(
-    buffer: TraceBuffer, pes_per_cluster: int, n_clusters: int
-) -> List[TraceBuffer]:
-    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
-    pe_bytes = pe_col.tobytes()
-    shards = []
-    for cluster in range(n_clusters):
-        lo = cluster * pes_per_cluster
-        hi = lo + pes_per_cluster
-        member = bytes(1 if lo <= p < hi else 0 for p in range(256))
-        renumber = bytes(p - lo if lo <= p < hi else 0 for p in range(256))
-        mask = pe_bytes.translate(member)
-        shard = TraceBuffer(pes_per_cluster)
-        shard._pe = array("b", compress(pe_bytes.translate(renumber), mask))
-        shard._op = array("b", compress(op_col, mask))
-        shard._area = array("b", compress(area_col, mask))
-        shard._addr = array("q", compress(addr_col, mask))
-        shard._flags = array("b", compress(flags_col, mask))
-        shards.append(shard)
-    return shards
-
-
 def replay_shard(
     shard: TraceBuffer,
     config: SimulationConfig,
     pes_per_cluster: int,
     cluster_index: int,
-    kernel: Optional[str] = None,
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
 ) -> "tuple[SystemStats, NetworkStats]":
-    """Replay one cluster's shard through the fast kernel.
+    """Replay one cluster's shard through :func:`repro.core.replay.replay`.
 
     Returns ``(stats, network_stats)`` — both picklable, so this is
     also the unit of work :func:`repro.analysis.parallel.run_clustered`
-    ships to pool workers.  *kernel* is forwarded to
-    :func:`repro.core.replay.replay` (``None`` is the production
-    ``"auto"`` selection; tests pin ``"interpreted"`` vs
-    ``"generated"`` to hold the two loops identical on shards too).
-    *mode* selects the coherence execution mode per shard: under
-    ``"lazypim"`` each cluster runs its own independent speculative
-    batch engine over its shard — speculation is a per-bus mechanism,
-    so per-cluster batching is the faithful clustered composition.
+    ships to pool workers.  *mode* selects the coherence execution
+    mode per shard: under ``"lazypim"`` each cluster runs its own
+    independent speculative batch engine over its shard — speculation
+    is a per-bus mechanism, so per-cluster batching is the faithful
+    clustered composition.
     """
     system = ClusterCacheSystem(config, pes_per_cluster, cluster_index)
     stats = replay(
         shard,
         system=system,
-        kernel=kernel,
         mode=mode,
         batch_refs=batch_refs,
         signature_bits=signature_bits,
@@ -149,12 +105,11 @@ def replay_clustered(
     buffer: TraceBuffer,
     config: Optional[SimulationConfig] = None,
     n_pes: Optional[int] = None,
-    kernel: Optional[str] = None,
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
 ) -> ClusterStats:
-    """Serial per-cluster fast-kernel replay with deterministic merge."""
+    """Serial per-cluster shard replay with deterministic merge."""
     if config is None:
         config = SimulationConfig()
     pes = n_pes if n_pes is not None else buffer.n_pes
@@ -169,7 +124,6 @@ def replay_clustered(
             config,
             pes_per_cluster,
             cluster_index,
-            kernel=kernel,
             mode=mode,
             batch_refs=batch_refs,
             signature_bits=signature_bits,

@@ -8,7 +8,7 @@ accesses to blocks homed in *another* cluster charge the inter-cluster
 network.  The wrapper diffs ``pattern_counts`` across the handler call —
 the same counters every replay path maintains — so the charge is
 identical whether the access came through :meth:`access`, the windowed
-observer, or the inlined fast replay kernel (which bypasses wrappers
+observer, or the generated replay kernel (which bypasses wrappers
 only for bus-free cache hits, and a hit never generates a pattern).
 
 :class:`ClusteredSystem` partitions ``n_pes`` PEs contiguously into the

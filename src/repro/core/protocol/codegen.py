@@ -1,13 +1,15 @@
 """Compile a :class:`ProtocolSpec` into a specialized replay kernel.
 
-The interpreted fast kernel in :mod:`repro.core.replay` pays three costs
-on *every* reference: a dispatch-table double subscript, a chain of
-handler-identity tests to recognize the inlinable hit shapes, and a
-silent-store table lookup on write hits.  All three are decidable
-*before* the loop — the first two from the dispatch table (fixed for the
-whole replay), the third from the protocol spec (fixed at registration).
-This module therefore emits, per registered spec, a straight-line Python
-replay loop with those decisions already taken:
+This is the production replay loop (:func:`repro.core.replay.replay`
+calls it for every pessimistic replay).  A per-reference loop over the
+system's dispatch table would pay three costs on *every* reference: a
+double subscript, a chain of handler-identity tests to recognize the
+inlinable hit shapes, and a silent-store table lookup on write hits.
+All three are decidable *before* the loop — the first two from the
+dispatch table (fixed for the whole replay), the third from the
+protocol spec (fixed at registration).  This module therefore emits,
+per registered spec, a straight-line Python replay loop with those
+decisions already taken:
 
 * every ``(op, area)`` dispatch cell is classified **once** by handler
   identity into a *kind* (plain-read, silent-store, direct-write,
@@ -26,9 +28,9 @@ replay loop with those decisions already taken:
 * the spec's silent-store table is compiled into an ``is``-test chain on
   the line's state (hottest state first) instead of a tuple subscript;
 * read-purge hits, and exclusive-read hits on a block's last word, are
-  bus-free in the interpreted path too (read, purge, one cycle); they
-  are classified ``KIND_PURGE`` and handled inline instead of paying a
-  handler dispatch;
+  bus-free (read, purge, one cycle); they are classified
+  ``KIND_PURGE`` and handled inline instead of paying a handler
+  dispatch;
 * consecutive read-family references by the same PE to the same block
   are *conflict-free runs*: no other PE intervenes and a read miss
   always allocates, so only the head of the run can change any state
@@ -46,8 +48,8 @@ packed keys depend only on the trace buffer, the block geometry and the
 cell classification, all of which are shared across the repeated replays
 of a parameter sweep or benchmark, so every replay after the first
 starts straight at the loop.  Trace code validation (op/area ranges)
-happens inside preprocessing with numpy instead of the interpreted
-path's Python scan, raising the same ``ValueError``.
+happens inside preprocessing, raising the same ``ValueError`` as the
+per-access loop.
 
 Timing stays bit-exact.  ``_bus`` starts every transaction at
 ``max(pe_clock + 1, bus_free_at)``, so the requester's clock must
@@ -57,6 +59,11 @@ kernel precomputes a per-PE running count of fast-kind references
 deferred hits (``prefix[i]`` minus its fallbacks so far) into the live
 clock before dispatching.  Only the requester's clock is ever read by a
 handler, so other PEs' credits can stay deferred until the end.
+LRU stamps come from one kernel-wide counter instead of the per-cache
+``_tick`` counters: replacement only compares stamps within one cache,
+and a counter strictly increasing across all touches preserves every
+within-cache order.  It is synced into the requester's ``_tick`` around
+each handler call.
 
 The flat mirror dict is kept exact by :class:`~repro.core.cache.Cache`
 itself: while a generated kernel runs, each cache carries a ``_mirror``
@@ -67,38 +74,31 @@ purges) are visible to the next probe.
 The pluggable interconnect needs no kernel specialization: every cycle
 a backend charges lives behind the handlers' ``system._bus`` binding
 (:mod:`repro.core.interconnect`), which the slow path reaches through
-the same dispatch table the interpreted kernel uses, and the only
-residency change the fast paths make without a handler — the inline
-read-purge — notifies the home-node directory through the same
-``system._drop_holder`` hook the interpreted path calls.  A generated
-kernel is therefore bit-identical to the interpreted one under either
-backend, which the differential oracle checks on every fuzz case.
+the dispatch table exactly as :meth:`PIMCacheSystem.access` does, and
+the only residency change the fast paths make without a handler — the
+inline read-purge — notifies the home-node directory through the
+``system._drop_holder`` hook the purge handler calls.  A generated
+kernel is therefore bit-identical to the per-access loop under either
+backend, which the goldens and the differential oracle check.
 
 Kernels are emitted as Python source, ``compile()``d once at
-registration, and cached by spec name (:func:`get_kernel`).  The module
-itself needs no numpy — the kernel receives the module as an argument —
-so registration works on hosts without it; :func:`available` is the
-run-eligibility gate.  A kernel returns ``None`` when a (system, trace)
-pair falls outside its envelope (packed keys would exceed
-:data:`MAX_KEY_BITS`, negative addresses, out-of-range PEs, data
-tracking, no caches); the caller then falls back to the interpreted
-kernel, which stays authoritative as the differential oracle's
-reference.
+registration, and cached by spec name (:func:`get_kernel`).  A kernel
+returns ``None`` when a (system, trace) pair falls outside its envelope
+(packed keys would exceed :data:`MAX_KEY_BITS`, negative addresses,
+out-of-range PEs, data tracking, no caches); the caller then falls back
+to :func:`repro.core.replay.replay_access_driven`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.states import CacheState
 from repro.trace.events import Area, Op
 
-__all__ = ["available", "get_kernel", "kernel_source"]
-
-try:  # pragma: no cover - exercised implicitly by every replay
-    import numpy as np_module
-except ImportError:  # pragma: no cover - numpy-less hosts
-    np_module = None
+__all__ = ["get_kernel", "kernel_source"]
 
 N_OPS = len(Op)
 N_AREAS = len(Area)
@@ -145,20 +145,15 @@ _CACHE: Dict[str, Tuple[object, Callable]] = {}
 _PREP_CACHE: Optional[Tuple[object, int, tuple, tuple]] = None
 
 
-def available() -> bool:
-    """True when generated kernels can actually run (numpy present)."""
-    return np_module is not None
-
-
-def _preprocess(buffer, np, shift, block_mask, n_pes, kinds):
+def _preprocess(buffer, shift, block_mask, n_pes, kinds):
     """Pack *buffer* into per-reference keys plus bulk-fold tables.
 
     Returns ``(keys, prefix, total_cells, total_pe, refs_pairs,
     pe_shift, tag_shift, remap, blocks_by_id, flat_size)``, or ``None``
     when the trace is outside the generated kernel's envelope.  Raises
-    ``ValueError`` for op/area codes out of range, mirroring
-    ``repro.core.replay._validate_codes``.  Results are cached across
-    calls with the same buffer and parameters (see :data:`_PREP_CACHE`).
+    ``ValueError`` for op/area codes out of range, as the per-access
+    loop does.  Results are cached across calls with the same buffer
+    and parameters (see :data:`_PREP_CACHE`).
     """
     global _PREP_CACHE
     n = len(buffer)
@@ -315,19 +310,18 @@ def kernel_source(spec) -> str:
         aliases = _state_aliases(spec)
     else:
         # Pure write-through family: no hit state absorbs a store, so
-        # no write fast path is emitted and W/DW cells classify slow —
-        # exactly the interpreted kernel's write_h = dw_h = None case.
+        # no write fast path is emitted and W/DW cells classify slow.
         classify = "    write_h = dw_h = None"
         w_branch = ""
         aliases = ""
     return f'''\
-def _kernel(system, buffer, np):
+def _kernel(system, buffer):
     """Generated replay kernel for the {spec.name!r} protocol.
 
     Compiled by repro.core.protocol.codegen at registration; returns
     the system's stats, or None when this (system, trace) pair is
     outside the kernel's envelope and the caller must fall back to
-    the interpreted kernel.
+    the per-access loop.
     """
     from repro.core.replay import ReplayBlockedError
 
@@ -339,8 +333,8 @@ def _kernel(system, buffer, np):
     if len(buffer) == 0:
         return stats
 
-    # Classify every dispatch cell by handler identity — the per-
-    # reference tests of the interpreted kernel, performed once.
+    # Classify every dispatch cell by handler identity, once per
+    # replay instead of once per reference.
     table = system._op_table
     read_h = table[0][0]
     er_h = next(
@@ -369,7 +363,7 @@ def _kernel(system, buffer, np):
 
     shift = system._block_shift
     prep = _preprocess(
-        buffer, np, shift, system._block_mask, n_pes, tuple(kinds)
+        buffer, shift, system._block_mask, n_pes, tuple(kinds)
     )
     if prep is None:
         return None

@@ -14,7 +14,6 @@ the system re-enacts the LH response and UL broadcast from it.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from typing import Iterable, Optional
 
 from repro.core.config import SimulationConfig
@@ -22,16 +21,7 @@ from repro.core.protocol import codegen
 from repro.core.stats import SystemStats
 from repro.core.system import BLOCKED, N_AREAS, N_OPS, PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import AREA_NAMES, OP_NAMES, Op
-
-try:  # pragma: no cover - numpy is an optional dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less hosts
-    _np = None
-
-#: Replay kernel choices accepted by :func:`replay` (and the
-#: ``REPRO_REPLAY_KERNEL`` environment override).
-KERNELS = ("auto", "generated", "interpreted")
+from repro.trace.events import AREA_NAMES, OP_NAMES
 
 #: Default check period (in references) for ``REPRO_CHECK_INVARIANTS=1``.
 DEFAULT_INVARIANT_INTERVAL = 4096
@@ -57,6 +47,13 @@ class ReplayBlockedError(RuntimeError):
             f"{OP_NAMES[op]} {AREA_NAMES[area]}[{address:#x}] hit a "
             "remotely held lock; captured traces serialize lock "
             "conflicts, so this trace was hand-built or corrupted"
+        )
+
+    def at(self, offset: int) -> "ReplayBlockedError":
+        """The same reference, indexed *offset* further along the trace:
+        drivers that replay a slice re-raise with the slice's start."""
+        return ReplayBlockedError(
+            self.index + offset, self.pe, self.op, self.area, self.address
         )
 
 
@@ -85,15 +82,6 @@ def invariant_check_interval(
     return max(1, period)
 
 
-def _validate_codes(buffer: TraceBuffer) -> None:
-    _, op_col, area_col, _, _ = buffer.columns()
-    if len(buffer) and not (
-        0 <= min(op_col) <= max(op_col) < N_OPS
-        and 0 <= min(area_col) <= max(area_col) < N_AREAS
-    ):
-        raise ValueError("trace contains an out-of-range op or area code")
-
-
 def replay_access_driven(
     buffer: TraceBuffer,
     system,
@@ -103,9 +91,10 @@ def replay_access_driven(
 ) -> SystemStats:
     """Drive *buffer* through ``system.access`` one reference at a time.
 
-    The slow, exact replay loop: per-access dispatch with full
+    The reference replay loop: per-access dispatch with full
     bookkeeping, raising :class:`ReplayBlockedError` with the trace
-    position of a blocked reference, and running
+    position of a blocked reference (and ``ValueError`` up front for an
+    out-of-range op or area code), and running
     ``system.check_invariants()`` every *check_invariants_every*
     references (and once more at the end).  *system* is anything with
     the access-system surface (``access``, ``check_invariants``,
@@ -125,6 +114,11 @@ def replay_access_driven(
     """
     access = system.access
     pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
+    if len(buffer) and not (
+        0 <= min(op_col) <= max(op_col) < N_OPS
+        and 0 <= min(area_col) <= max(area_col) < N_AREAS
+    ):
+        raise ValueError("trace contains an out-of-range op or area code")
     index = -1
     for index, (pe, op, area, addr, flags) in enumerate(
         zip(pe_col, op_col, area_col, addr_col, flags_col)
@@ -142,93 +136,45 @@ def replay_access_driven(
     return system.stats
 
 
-def _replay_checked(
-    system: PIMCacheSystem,
-    buffer: TraceBuffer,
-    check_every: Optional[int] = None,
-) -> SystemStats:
-    return replay_access_driven(
-        buffer, system, check_invariants_every=check_every
-    )
-
-
-def _blocked_error(
-    buffer: TraceBuffer,
-    config: SimulationConfig,
-    n_pes: int,
-    pe: int,
-    op: int,
-    area: int,
-    addr: int,
-) -> ReplayBlockedError:
-    """Locate the trace index of a BLOCKED reference.
-
-    The fast kernel tracks no index (an extra counter would tax every
-    reference of every healthy replay for the benefit of an
-    impossible-by-construction error path).  Replay is deterministic,
-    so a second pass over a fresh system with the indexed loop blocks
-    at the same reference and yields the exact position.
-    """
-    try:
-        _replay_checked(PIMCacheSystem(config, n_pes), buffer)
-    except ReplayBlockedError as error:
-        return error
-    return ReplayBlockedError(-1, pe, op, area, addr)  # pragma: no cover
-
-
 def replay(
     buffer: TraceBuffer,
     config: Optional[SimulationConfig] = None,
     n_pes: Optional[int] = None,
     check_invariants_every: Optional[int] = None,
     system: Optional[PIMCacheSystem] = None,
-    kernel: Optional[str] = None,
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
 ) -> SystemStats:
     """Replay *buffer* against a fresh cache system and return its stats.
 
-    ``check_invariants_every`` (or the ``REPRO_CHECK_INVARIANTS``
-    environment toggle — see :func:`invariant_check_interval`) switches
-    to the checked per-access loop and validates the coherence
-    invariants every N references.
+    The loop is the protocol's generated kernel
+    (:mod:`repro.core.protocol.codegen`).  Where that kernel declines
+    the (system, trace) pair — data tracking, or PEs and addresses
+    outside its packed-key envelope — the per-access
+    :func:`replay_access_driven` runs instead; it is also the
+    differential oracle's reference.  ``check_invariants_every`` (or
+    the ``REPRO_CHECK_INVARIANTS`` environment toggle — see
+    :func:`invariant_check_interval`) selects the per-access loop too,
+    validating the coherence invariants every N references.
 
     *mode* selects the coherence execution mode: ``"pessimistic"``
-    (default) is the paper's per-access protocol below;
+    (default) is the paper's per-access protocol;
     ``"lazypim"`` delegates to
     :func:`repro.core.speculative.replay_speculative` — speculative
     batches of *batch_refs* references with *signature_bits*-wide
-    conflict signatures, settled in bulk or rolled back.  Both kernels,
-    the interconnect backends and the invariant toggle behave
-    identically in either mode.
-
-    *kernel* picks the replay loop (``REPRO_REPLAY_KERNEL`` is the
-    environment-level equivalent; the explicit argument wins):
-
-    * ``"auto"`` (default) — the protocol's generated kernel
-      (:mod:`repro.core.protocol.codegen`) when it can run, else the
-      interpreted dispatch-table loop below;
-    * ``"generated"`` — as auto, but raises if numpy is missing
-      instead of silently interpreting (a kernel can still decline a
-      trace outside its envelope — huge addresses, >255 PEs, data
-      tracking — and fall back);
-    * ``"interpreted"`` — always the dispatch-table loop; this is the
-      differential oracle's reference path.
-
-    The checked per-access loop ignores *kernel*: invariant checking
-    needs per-reference control.
+    conflict signatures, settled in bulk or rolled back.  The
+    interconnect backends and the invariant toggle behave identically
+    in either mode.
 
     *system* replays into a caller-built system instead of a fresh
-    ``PIMCacheSystem(config, n_pes)`` — the hook the clustered fast
-    path uses to run per-cluster shards through this same inlined
-    kernel (a :class:`~repro.cluster.system.ClusterCacheSystem` keeps
-    its network-charging handler wrappers; both fast kernels only
-    bypass them for bus-free cache hits, which never cross the
-    network).  A provided system overrides *config*/*n_pes*; blocked
-    references then raise without the trace-index second pass (the
-    caller owns system construction, so the diagnostic replay cannot
-    be rebuilt here).
+    ``PIMCacheSystem(config, n_pes)`` and overrides *config*/*n_pes* —
+    the hook segment drivers (streaming, windowed metrics, speculative
+    batches) use to carry one live system across slices, and the
+    clustered path uses to run per-cluster shards (a
+    :class:`~repro.cluster.system.ClusterCacheSystem` keeps its
+    network-charging handler wrappers; the kernel only bypasses them
+    for bus-free cache hits, which never cross the network).
     """
     if mode is not None and mode not in ("pessimistic", "lazypim"):
         raise ValueError(
@@ -248,7 +194,6 @@ def replay(
             n_pes=n_pes,
             check_invariants_every=check_invariants_every,
             system=system,
-            kernel=kernel,
             batch_refs=(
                 batch_refs if batch_refs is not None else DEFAULT_BATCH_REFS
             ),
@@ -257,198 +202,21 @@ def replay(
                 else DEFAULT_SIGNATURE_BITS
             ),
         )
-    caller_system = system
-    if caller_system is not None:
-        config = caller_system.config
-        pes = caller_system.n_pes
-    else:
+    if system is None:
         if config is None:
             config = SimulationConfig()
-        pes = n_pes if n_pes is not None else buffer.n_pes
+        system = PIMCacheSystem(
+            config, n_pes if n_pes is not None else buffer.n_pes
+        )
     if check_invariants_every is None:
         check_invariants_every = invariant_check_interval()
-    if check_invariants_every:
-        _validate_codes(buffer)
-        return _replay_checked(
-            caller_system if caller_system is not None
-            else PIMCacheSystem(config, pes),
-            buffer,
-            check_invariants_every,
-        )
-    if kernel is None:
-        kernel = os.environ.get("REPRO_REPLAY_KERNEL") or "auto"
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown replay kernel {kernel!r}; choose from {KERNELS}"
-        )
-    system = (
-        caller_system if caller_system is not None
-        else PIMCacheSystem(config, pes)
+    if not check_invariants_every:
+        stats = codegen.get_kernel(system.protocol_spec)(system, buffer)
+        if stats is not None:
+            return stats
+    return replay_access_driven(
+        buffer, system, check_invariants_every=check_invariants_every
     )
-    if kernel != "interpreted":
-        if _np is not None:
-            # The generated kernel validates op/area codes during its
-            # (cached) numpy preprocessing, raising the same ValueError
-            # as _validate_codes; no separate Python scan needed.
-            generated = codegen.get_kernel(system.protocol_spec)
-            stats = generated(system, buffer, _np)
-            if stats is not None:
-                return stats
-        elif kernel == "generated":
-            raise RuntimeError(
-                "kernel='generated' requires numpy, which is not installed"
-            )
-    _validate_codes(buffer)
-    # Hot loop: dispatch straight off the system's handler table instead
-    # of going through :meth:`PIMCacheSystem.access`, folding the
-    # per-reference bookkeeping into the loop.  Two access() duties are
-    # restructured wholesale rather than mirrored per reference:
-    #
-    # * ``stats.refs[area][op]`` is a pure histogram of the trace (a
-    #   blocked reference raises instead of retrying), so it is tallied
-    #   once after the loop via ``Counter`` at C speed;
-    # * ``_waiting`` can only gain entries when a handler reports
-    #   BLOCKED, which raises here, so the busy-wait clearing in
-    #   ``access`` has nothing to clear and is dropped.
-    #
-    # Any other change to ``access`` needs a matching change here.
-    table = system._op_table
-    waiting = system._waiting
-    shift = system._block_shift
-    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
-    caches = system.caches
-    if caches and not system.track_data:
-        # The bus-free hit paths carry the bulk of every workload, so
-        # they are inlined here — probe + LRU touch + counters, exactly
-        # as in the corresponding handlers — to skip the handler call:
-        #
-        # * ``_read`` hits (and any op the dispatch table demoted to R),
-        # * ``_exclusive_read`` hits on a non-last word,
-        # * ``_write``/``_direct_write`` hits on an EM/EC block (the
-        #   demoted-DW counter included), copyback protocols only.
-        #
-        # Everything else — all misses, shared-state writes, the
-        # read-then-purge of an ER on a block's last word, write-through
-        # stores — falls through to the dispatch table.
-        # Per-PE probe methods are bound once (the ``_lines`` dicts are
-        # never rebound, only mutated in place).
-        #
-        # LRU stamps come from one shared local counter instead of the
-        # per-cache ``_tick``s: replacement only compares stamps within
-        # a single cache, and a counter that is strictly increasing
-        # across *all* touch events preserves every within-cache touch
-        # order, so victim selection is unchanged.  The counter is
-        # synced into ``cache._tick`` before each handler call (the
-        # handler stamps through lookup()/insert() on the requesting
-        # PE's cache only) and read back after, keeping it above every
-        # stamp already issued.
-        probes = [cache._lines.get for cache in caches]
-        gtick = max(cache._tick for cache in caches)
-        # Plain-R hits are tallied into a flat local list (one subscript
-        # instead of two) and folded into the hit matrix after the loop —
-        # a histogram, so addition commutes.  PE cycles must NOT be
-        # deferred the same way: ``_bus`` starts every bus transaction at
-        # ``max(pe_clock + 1, bus_free_at)``, so a hit cycle missing from
-        # the live clock would shift subsequent miss timing.
-        r_hits = [0] * N_AREAS
-        # Non-R inlined hits (ER non-last-word, silent W/DW) also cost
-        # exactly one bus-free cycle each; counted flat and folded into
-        # ``hit_service_cycles`` with the plain-R total after the loop.
-        other_hits = 0
-        hits = system._hits
-        pe_cycles = system._pe_cycles
-        block_mask = system._block_mask
-        stats = system.stats
-        # Handler handles must come from the table: ``system._read``
-        # would create a fresh bound-method object that is equal to but
-        # not identical with the table cells.  A ``None`` handle simply
-        # never matches (``handler is None`` cannot fire).
-        read_h = table[Op.R][0]
-        er_h = next((h for h in table[Op.ER] if h is not read_h), None)
-        # The spec's silent-store table drives the inlined write hits: a
-        # state whose entry is non-None absorbs the store with zero bus
-        # cycles.  A protocol with no silent states (the write-through
-        # family) disables the write fast path outright so writes skip
-        # the extra cache probe.
-        silent_next = system._store_silent_next
-        if not any(state is not None for state in silent_next):
-            write_h = dw_h = None
-        else:
-            write_h = table[Op.W][0]
-            dw_h = next((h for h in table[Op.DW] if h is not write_h), None)
-        for pe, op, area, addr, flags in zip(
-            pe_col, op_col, area_col, addr_col, flags_col
-        ):
-            block = addr >> shift
-            # ``op == 0`` (plain R, every table cell is ``read_h``)
-            # short-cuts both the double table subscript and the handler
-            # identity test for the most common op.
-            if op == 0:
-                line = probes[pe](block)
-                if line is not None:
-                    gtick += 1
-                    line.lru = gtick
-                    r_hits[area] += 1
-                    pe_cycles[pe] += 1
-                    continue
-                handler = read_h
-            else:
-                handler = table[op][area]
-                if handler is read_h or (
-                    handler is er_h and (addr & block_mask) != block_mask
-                ):
-                    line = probes[pe](block)
-                    if line is not None:
-                        gtick += 1
-                        line.lru = gtick
-                        hits[area][op] += 1
-                        pe_cycles[pe] += 1
-                        other_hits += 1
-                        continue
-                elif handler is dw_h or handler is write_h:
-                    line = probes[pe](block)
-                    if line is not None:
-                        next_state = silent_next[line.state]
-                        if next_state is not None:
-                            if handler is dw_h:
-                                stats.dw_demotions += 1
-                            gtick += 1
-                            line.lru = gtick
-                            line.state = next_state
-                            hits[area][op] += 1
-                            pe_cycles[pe] += 1
-                            other_hits += 1
-                            continue
-            cache = caches[pe]
-            cache._tick = gtick
-            result = handler(pe, op, area, addr, block, 0, flags)
-            gtick = cache._tick
-            if result[0] == BLOCKED:
-                if caller_system is not None:
-                    raise ReplayBlockedError(-1, pe, op, area, addr)
-                raise _blocked_error(buffer, config, pes, pe, op, area, addr)
-            if waiting:  # pragma: no cover - see note above
-                waiting.pop(pe, None)
-        for cache in caches:
-            cache._tick = gtick
-        for area, count in enumerate(r_hits):
-            hits[area][0] += count
-        stats.hit_service_cycles += sum(r_hits) + other_hits
-    else:
-        for pe, op, area, addr, flags in zip(
-            pe_col, op_col, area_col, addr_col, flags_col
-        ):
-            result = table[op][area](pe, op, area, addr, addr >> shift, 0, flags)
-            if result[0] == BLOCKED:
-                if caller_system is not None:
-                    raise ReplayBlockedError(-1, pe, op, area, addr)
-                raise _blocked_error(buffer, config, pes, pe, op, area, addr)
-            if waiting:  # pragma: no cover - see note above
-                waiting.pop(pe, None)
-    refs = system.stats.refs
-    for (area, op), count in Counter(zip(area_col, op_col)).items():
-        refs[area][op] += count
-    return system.stats
 
 
 def replay_many(

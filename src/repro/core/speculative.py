@@ -42,16 +42,17 @@ only the *pricing*:
   write-throughs) and the lock protocol's block-less broadcast rounds
   are never elided — speculation amortizes coherence *control*, not
   data movement or lock liveness.
-* **Rollback.**  A conflicting batch snapshots the full simulator state
-  (:func:`repro.serve.checkpoint.snapshot`) before the attempt, runs the
-  attempt anyway (the machinery under test), rewinds in place
-  (:func:`repro.serve.checkpoint.restore_into`) and re-executes the
-  batch pessimistically.  Rollbacks must be invisible in final state —
-  the differential oracle (:mod:`repro.verify.oracle`) replays the
-  speculative path against flat memory to enforce exactly that.  The
-  attempt's wasted local work is not charged (its counters are rewound
-  with the rest of the state); the rollback penalty that *is* modeled is
-  the pessimistic re-execution plus the ``batch_rollbacks`` count.
+* **Rollback.**  Signatures are a pure function of the trace, so a
+  conflicting batch is known to conflict before it runs.  LazyPIM's
+  hardware learns of the conflict only at commit, executes the doomed
+  attempt and rolls it back; here the attempt could not change the
+  final state (the rollback would erase it), so it is skipped.  A
+  conflicting batch counts one ``batch_rollbacks`` and executes
+  pessimistically — the modeled rollback penalty is that per-access
+  re-execution.  The attempt's wasted local work is not charged.  The
+  differential oracle (:mod:`repro.verify.oracle`) replays the
+  speculative path against flat memory, so rollbacks stay invisible in
+  final state.
 
 Batch boundaries: every ``batch_refs`` references, with lock-directory
 operations (``LR``/``UW``/``U``, and any flagged contended reference)
@@ -253,7 +254,6 @@ class SpeculativeDriver:
         system,
         batch_refs: int = DEFAULT_BATCH_REFS,
         signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        kernel: Optional[str] = None,
         values: Optional[Callable[[int], int]] = None,
         on_result: Optional[Callable] = None,
         check_every: Optional[int] = None,
@@ -274,7 +274,6 @@ class SpeculativeDriver:
         self.system = system
         self.batch_refs = batch_refs
         self.signature_bits = signature_bits
-        self.kernel = kernel
         self.values = values
         self.on_result = on_result
         self._check_every = check_every or 0
@@ -334,16 +333,17 @@ class SpeculativeDriver:
         segment = self._pending.slice(start, stop)
         base = self._base + start
         if not speculative:
-            self._drive(segment, base, observed=True, deferred=False)
+            self._drive(segment, base)
         else:
             read_sigs, write_sigs = batch_signatures(
                 segment, 0, len(segment), system.n_pes,
                 system._block_shift, self.signature_bits,
             )
             if signatures_conflict(read_sigs, write_sigs):
-                self._rollback_and_replay(segment, base)
+                system.stats.batch_rollbacks += 1
+                self._drive(segment, base)
             else:
-                self._attempt(segment, base, observed=True)
+                self._attempt(segment, base)
                 self._settle()
                 system.stats.batch_commits += 1
         self.refs_done += stop - start
@@ -353,20 +353,7 @@ class SpeculativeDriver:
                 self._checked = due
                 system.check_invariants()
 
-    def _rollback_and_replay(self, segment: TraceBuffer, base: int) -> None:
-        from repro.serve.checkpoint import restore_into, snapshot
-
-        system = self.system
-        state = snapshot(system)
-        # The doomed attempt still runs: the rollback machinery is the
-        # thing under test, and real hardware only learns of the
-        # conflict at commit time.
-        self._attempt(segment, base, observed=False)
-        restore_into(system, state)
-        system.stats.batch_rollbacks += 1
-        self._drive(segment, base, observed=True, deferred=False)
-
-    def _attempt(self, segment: TraceBuffer, base: int, observed: bool) -> None:
+    def _attempt(self, segment: TraceBuffer, base: int) -> None:
         system = self.system
         recorder = _DeferredBus()
         saved_bus = system._bus
@@ -375,24 +362,20 @@ class SpeculativeDriver:
         if saved_dir is not None:
             system._dir = _DeferredNotes(saved_dir, recorder.touched)
         try:
-            self._drive(segment, base, observed=observed, deferred=True)
+            self._drive(segment, base)
         finally:
             system._bus = saved_bus
             system._dir = saved_dir
         self._log = recorder.log
         self._touched = recorder.touched
 
-    def _drive(
-        self, segment: TraceBuffer, base: int, observed: bool, deferred: bool
-    ) -> None:
-        """Execute a segment through the chosen replay loop.
+    def _drive(self, segment: TraceBuffer, base: int) -> None:
+        """Execute a segment through the replay loop.
 
         With oracle hooks installed the per-access loop runs (global
-        indices reconstructed from *base*); ``observed=False`` keeps
-        ``on_result`` quiet during a doomed attempt, whose results the
-        rollback erases.  ``deferred`` only affects which loop is legal:
-        invariant checking stays off inside an attempt (the directory's
-        entry table is resynchronized at settlement, not before).
+        indices reconstructed from *base*).  Invariant checking stays
+        off inside the segment: the directory's entry table is
+        resynchronized at settlement, not before.
         """
         values = self.values
         on_result = self.on_result
@@ -404,22 +387,24 @@ class SpeculativeDriver:
             if result[0] == BLOCKED:
                 raise ReplayBlockedError(base, pe, op, area, addr)
             return
-        if values is not None or on_result is not None:
+        try:
+            if values is None and on_result is None:
+                replay(segment, system=self.system, check_invariants_every=0)
+                return
             vfn = None
             if values is not None:
                 vfn = lambda i, _b=base: values(_b + i)  # noqa: E731
             rfn = None
-            if on_result is not None and observed:
+            if on_result is not None:
                 rfn = (
                     lambda i, pe, op, area, addr, result, _b=base:
                     on_result(_b + i, pe, op, area, addr, result)
                 )
-            replay_access_driven(segment, self.system, values=vfn, on_result=rfn)
-        else:
-            replay(
-                segment, system=self.system, kernel=self.kernel,
-                check_invariants_every=0,
+            replay_access_driven(
+                segment, self.system, values=vfn, on_result=rfn
             )
+        except ReplayBlockedError as error:
+            raise error.at(base) from None
 
     # -- commit ----------------------------------------------------------
 
@@ -478,7 +463,6 @@ def replay_speculative(
     n_pes: Optional[int] = None,
     check_invariants_every: Optional[int] = None,
     system: Optional[PIMCacheSystem] = None,
-    kernel: Optional[str] = None,
     batch_refs: int = DEFAULT_BATCH_REFS,
     signature_bits: int = DEFAULT_SIGNATURE_BITS,
     values: Optional[Callable[[int], int]] = None,
@@ -487,7 +471,7 @@ def replay_speculative(
 ) -> SystemStats:
     """Replay *buffer* under speculative batch coherence.
 
-    Mirrors :func:`repro.core.replay.replay` (same config/system/kernel
+    Mirrors :func:`repro.core.replay.replay` (same config/system
     seams, same invariant toggle) plus the oracle hooks of
     :func:`~repro.core.replay.replay_access_driven` and the two batch
     knobs.  ``batch_refs <= 1`` short-circuits to the pessimistic path
@@ -512,14 +496,13 @@ def replay_speculative(
                 check_invariants_every=check_invariants_every,
             )
         return replay(
-            buffer, system=system, kernel=kernel,
+            buffer, system=system,
             check_invariants_every=check_invariants_every or 0,
         )
     driver = SpeculativeDriver(
         system,
         batch_refs=batch_refs,
         signature_bits=signature_bits,
-        kernel=kernel,
         values=values,
         on_result=on_result,
         check_every=check_invariants_every,

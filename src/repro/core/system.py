@@ -174,7 +174,7 @@ class PIMCacheSystem:
         #: Dirty data consumed by FI / an RP transfer copies back to memory.
         self._fi_copyback = spec.fetch_inval_copyback
         #: Next state of a silent (zero-bus) store hit, or None where the
-        #: store needs the bus.  Replay's fast kernel inlines from this.
+        #: store needs the bus.
         self._store_silent_next = spec.silent_store_next()
         store = [spec.store[s] for s in CacheState]
         #: Per-state: this store writes one word through to shared memory.
@@ -215,8 +215,8 @@ class PIMCacheSystem:
         # signature ``(pe, sop, area, address, block, value, flags)``.
         honours = config.opts.honours
         # Bind each handler exactly once: every ``self._read`` access
-        # creates a *new* bound-method object, and replay's inlined fast
-        # path identifies handlers by identity (``handler is read``), so
+        # creates a *new* bound-method object, and the generated replay
+        # kernel classifies handlers by identity (``h is read_h``), so
         # all table cells for one handler must share one object.
         read, write = self._read, self._write
         direct_write, exclusive_read = self._direct_write, self._exclusive_read
@@ -289,11 +289,11 @@ class PIMCacheSystem:
         :class:`repro.obs.probe.ProtocolProbe` for the contract); the
         handlers themselves are untouched, so detaching restores the
         exact uninstrumented table and a system that never attaches a
-        probe pays nothing.  Note the replay fast path in
-        :mod:`repro.core.replay` inlines cache hits past the dispatch
-        table — observed replays must drive :meth:`access` (as
-        :func:`repro.obs.windows.windowed_replay` does) so the probe
-        sees every reference.
+        probe pays nothing.  Note the generated replay kernel
+        (:mod:`repro.core.protocol.codegen`) inlines cache hits past the
+        dispatch table — observed replays must drive :meth:`access` (as
+        :func:`repro.obs.windows.windowed_replay` does with a probe) so
+        the probe sees every reference.
         """
         if self._probe is not None:
             raise RuntimeError("a probe is already attached; detach it first")

@@ -355,13 +355,6 @@ def validate_bench(record: Mapping) -> Mapping:
         ratio = _require(entry, sub, "hit_ratio", (int, float))
         if not 0.0 <= float(ratio) <= 1.0:
             raise SchemaError(f"{sub}.hit_ratio: {ratio} outside [0, 1]")
-    kernels = record.get("kernels")
-    if kernels is not None:
-        sub = f"{where}.kernels"
-        if not isinstance(kernels, Mapping):
-            raise SchemaError(f"{sub}: expected an object")
-        _require_rate(kernels, sub, "interpreted_refs_per_sec")
-        _require_rate(kernels, sub, "generated_refs_per_sec")
     sweep = record.get("sweep")
     if sweep is not None:
         sub = f"{where}.sweep"
@@ -575,10 +568,8 @@ def validate_job(record: Mapping) -> Mapping:
     retries = _require(record, where, "retries", int)
     if isinstance(retries, bool) or retries < 0:
         raise SchemaError(f"{where}.retries: expected a non-negative int")
-    kernel = _require(record, where, "kernel", None)
-    if kernel is not None and not isinstance(kernel, str):
-        raise SchemaError(f"{where}.kernel: expected str or null")
     # Optional speculative-mode fields (absent in pre-mode ledgers).
+    # Older ledgers also carry a ``kernel`` field, which is ignored.
     mode = record.get("mode")
     if mode is not None and mode not in ("pessimistic", "lazypim"):
         raise SchemaError(f"{where}.mode: unknown mode {mode!r}")

@@ -14,16 +14,14 @@ not a multiple (it is never empty — a trace ending exactly on a window
 boundary produces no trailing empty record).  The sum of every additive
 field over all windows equals the end-of-run aggregate.
 
-By default this is a diagnosis path: it drives
-:meth:`PIMCacheSystem.access` directly (counter-for-counter identical
-to :func:`repro.core.replay.replay`, which the tests assert) and leaves
-the no-sink replay kernel untouched.  Passing ``kernel=`` instead
-segments the trace at window boundaries and replays each segment
-through the production replay kernels (``"auto"``/``"generated"``/
-``"interpreted"``), so time-series metrics no longer force the slowest
-path: every deferred counter fold settles per :func:`~repro.core.
-replay.replay` call, which makes the segmented run — and therefore
-every window record — counter-identical to the per-access loop.
+The loop is chosen from what the caller asks for.  A probe or periodic
+invariant checks need per-reference control, so they drive
+:meth:`PIMCacheSystem.access` one reference at a time.  Otherwise the
+trace is segmented at window boundaries and each segment replays
+through :func:`repro.core.replay.replay` into one persistent system:
+every deferred counter fold settles per call, so the segmented run —
+and therefore every window record — is counter-identical to the
+per-access loop (the tests assert it).
 """
 
 from __future__ import annotations
@@ -143,7 +141,6 @@ def windowed_replay(
     window: int = 4096,
     probe=None,
     check_invariants_every: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[SystemStats, List[Window]]:
     """Replay *buffer*, returning ``(stats, windows)``.
 
@@ -153,14 +150,11 @@ def windowed_replay(
     *check_invariants_every* references (the ``REPRO_CHECK_INVARIANTS``
     debug mode).
 
-    *kernel* (``"auto"``/``"generated"``/``"interpreted"``) replays
-    window-sized trace segments through :func:`repro.core.replay.
-    replay` instead of the per-access loop — the fast tier, counter-
-    identical by construction (see the module docstring).  With a
-    *kernel*, invariant checks run at window boundaries rather than
-    every N references, and a probe observes only what the chosen
-    kernel's handler calls emit (the fast kernels bypass the probe for
-    bus-free hits).
+    With neither a probe nor invariant checks, window-sized segments
+    replay through :func:`repro.core.replay.replay` (see the module
+    docstring).  A blocked reference raises
+    :class:`~repro.core.replay.ReplayBlockedError` with its trace index
+    on either path.
     """
     if config is None:
         config = SimulationConfig()
@@ -168,13 +162,14 @@ def windowed_replay(
     if probe is not None:
         system.attach_probe(probe)
     metrics = WindowedMetrics(system.stats, window)
-    if kernel is not None:
+    if probe is None and not check_invariants_every:
         for start in range(0, len(buffer), window):
             segment = buffer.slice(start, min(start + window, len(buffer)))
-            kernel_replay(segment, system=system, kernel=kernel)
+            try:
+                kernel_replay(segment, system=system)
+            except ReplayBlockedError as error:
+                raise error.at(start) from None
             metrics.close_window()
-            if check_invariants_every:
-                system.check_invariants()
         return system.stats, metrics.windows
     access = system.access
     pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()

@@ -131,7 +131,6 @@ class JobStore:
         chunk_refs: int = DEFAULT_CHUNK_REFS,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        kernel: Optional[str] = None,
         seed: Optional[int] = None,
         mode: Optional[str] = None,
         batch_refs: Optional[int] = None,
@@ -170,7 +169,6 @@ class JobStore:
             "checkpoint_every": checkpoint_every,
             "retries": 0,
             "max_retries": max_retries,
-            "kernel": kernel,
             "mode": mode,
             "batch_refs": batch_refs,
             "signature_bits": signature_bits,
@@ -275,7 +273,6 @@ def _job_worker(root: str, job_id: str) -> None:
     config = config_from_dict(record["manifest"]["config"])
     trace_path = store.trace_path(record["trace"])
     checkpoint_every = record["checkpoint_every"]
-    kernel = record["kernel"]
 
     kill_after = None
     if record["retries"] == 0:
@@ -359,7 +356,6 @@ def _job_worker(root: str, job_id: str) -> None:
         chunks(),
         config=config,
         n_pes=record["n_pes"],
-        kernel=kernel,
         system=system,
         on_chunk=on_chunk,
         mode=record.get("mode"),

@@ -3,9 +3,9 @@
 The identity this module rides on: ``replay()`` with a persistent
 ``system=`` argument is *sequentially composable* — replaying a trace
 chunk-by-chunk into one system produces bit-identical counters to one
-in-memory replay, for both kernels (the interpreted loop seeds its LRU
-clock from the caches and broadcasts it back after every segment; the
-generated kernel's windowed tier already replays in segments).  For
+in-memory replay (the generated kernel seeds its LRU clock from the
+caches and writes it back after every call, and settles every deferred
+counter fold before returning).  For
 clustered systems the ``split_trace`` determinism argument
 (docs/CLUSTER.md) composes with chunking: splitting each chunk and
 replaying every shard into its cluster's persistent system is the same
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import replay
+from repro.core.replay import ReplayBlockedError, replay
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.cluster.replay import split_trace
@@ -72,7 +72,6 @@ def replay_stream(
     config: Optional[SimulationConfig] = None,
     n_pes: Optional[int] = None,
     chunk_refs: int = DEFAULT_CHUNK_REFS,
-    kernel: Optional[str] = None,
     system=None,
     on_chunk: Optional[Callable[[int, int, object], None]] = None,
     mode: Optional[str] = None,
@@ -88,7 +87,9 @@ def replay_stream(
     *system* lets a caller resume a restored checkpoint (it must match
     the config's shape); *on_chunk* is called after every chunk with
     ``(chunk_index, refs_done, system)`` — the hook the job service
-    checkpoints and heartbeats from.
+    checkpoints and heartbeats from.  On a flat system a blocked
+    reference raises :class:`~repro.core.replay.ReplayBlockedError`
+    with its index in the whole stream.
 
     ``mode="lazypim"`` streams speculatively: each chunk runs as a
     closed sequence of speculative batches (chunk boundaries force a
@@ -115,14 +116,18 @@ def replay_stream(
                 system = ClusteredSystem(config, n_pes)
             else:
                 system = PIMCacheSystem(config, n_pes)
-        _replay_chunk(
-            system,
-            chunk,
-            kernel,
-            mode=mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
+        try:
+            _replay_chunk(
+                system,
+                chunk,
+                mode=mode,
+                batch_refs=batch_refs,
+                signature_bits=signature_bits,
+            )
+        except ReplayBlockedError as error:
+            if isinstance(system, ClusteredSystem):
+                raise  # indexed within its cluster's shard
+            raise error.at(refs_done) from None
         refs_done += len(chunk)
         if on_chunk is not None:
             on_chunk(index, refs_done, system)
@@ -141,7 +146,6 @@ def replay_stream(
 def _replay_chunk(
     system,
     chunk: TraceBuffer,
-    kernel: Optional[str],
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
@@ -154,7 +158,6 @@ def _replay_chunk(
                 replay(
                     shard,
                     system=sub,
-                    kernel=kernel,
                     mode=mode,
                     batch_refs=batch_refs,
                     signature_bits=signature_bits,
@@ -163,7 +166,6 @@ def _replay_chunk(
     replay(
         chunk,
         system=system,
-        kernel=kernel,
         mode=mode,
         batch_refs=batch_refs,
         signature_bits=signature_bits,

@@ -8,7 +8,7 @@ Two independent oracles over the same table-driven protocol machinery:
   dirty-copy durability, lock-directory consistency) and
   shortest-path counterexample traces.
 * :mod:`repro.verify.oracle` — differential fuzzing of every replay
-  path (per-access system, inlined fast kernel, sharded and interleaved
+  path (per-access system, generated kernel, sharded and interleaved
   cluster replay) against a flat-memory reference model, with automatic
   trace shrinking on divergence.
 """

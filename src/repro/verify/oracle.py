@@ -10,11 +10,11 @@ standards:
   predicts, on the per-access system (``track_data=True``) and, for
   multi-cluster configurations, on the interleaved clustered system
   with one flat memory per cluster (clusters share nothing);
-* **counters** — the interpreted fast kernel, the generated
-  (:mod:`repro.core.protocol.codegen`) kernel where available, the
-  checked per-access loop, the sharded cluster replay and the
-  interleaved cluster replay must produce bit-identical statistics
-  (which also pins down that ``track_data`` is counter-neutral).
+* **counters** — the generated (:mod:`repro.core.protocol.codegen`)
+  replay kernel, a checkpointed mid-run resume, the checked
+  per-access loop, the sharded cluster replay and the interleaved
+  cluster replay must produce bit-identical statistics (which also
+  pins down that ``track_data`` is counter-neutral).
 
 Any mismatch raises :class:`Divergence`; the fuzz driver then shrinks
 the trace with :func:`~repro.verify.shrink.shrink_trace` until the
@@ -33,7 +33,7 @@ from repro.core.config import (
     OptimizationConfig,
     SimulationConfig,
 )
-from repro.core.protocol import codegen, protocol_names
+from repro.core.protocol import protocol_names
 from repro.core.replay import ReplayBlockedError, replay, replay_access_driven
 from repro.core.speculative import (
     DEFAULT_BATCH_REFS,
@@ -133,9 +133,9 @@ def run_case(
     """Run one trace through every execution path; raise on divergence.
 
     Paths exercised: (1) per-access ``PIMCacheSystem`` with data
-    tracking and the flat-memory value check, (2) the interpreted fast
-    kernel, plus the generated (``codegen``) kernel when numpy is
-    available, (2c) a snapshot/restore mid-run resume that must equal
+    tracking and the flat-memory value check, (2) the generated
+    (``codegen``) replay kernel, (2c) a snapshot/restore mid-run
+    resume that must equal
     the uninterrupted run in both counters and full machine state,
     (3) the checked per-access loop with periodic
     ``check_invariants()``, and (4) for each cluster count the sharded
@@ -158,34 +158,18 @@ def run_case(
     flat = flat_stats.as_dict()
     refs += len(trace)
 
-    # (2) Interpreted fast kernel, no data tracking: counters must be
-    # identical.  Pinned explicitly — "auto" would pick the generated
-    # kernel and silently stop covering the interpreted path.  The
-    # system is kept: the checkpoint pass (2c) compares full machine
-    # state against this uninterrupted run.
+    # (2) Generated kernel, no data tracking: counters must be
+    # identical.  The system is kept: the checkpoint pass (2c) compares
+    # full machine state against this uninterrupted run.
     fast_system = PIMCacheSystem(base, n_pes)
-    fast = replay(trace, system=fast_system, kernel="interpreted").as_dict()
+    fast = replay(trace, system=fast_system).as_dict()
     refs += len(trace)
     if fast != flat:
         raise Divergence(
             "kernel-stats",
-            "fast kernel disagrees with the per-access system: "
+            "generated kernel disagrees with the per-access system: "
             + _dict_diff("kernel", fast, "access", flat),
         )
-
-    # (2b) Generated kernel: the compiled straight-line loop must match
-    # the same reference bit for bit.
-    if codegen.available():
-        generated = replay(
-            trace, base, n_pes=n_pes, kernel="generated"
-        ).as_dict()
-        refs += len(trace)
-        if generated != flat:
-            raise Divergence(
-                "generated-stats",
-                "generated kernel disagrees with the per-access system: "
-                + _dict_diff("generated", generated, "access", flat),
-            )
 
     # (2c) Checkpoint identity: replay a prefix, snapshot through a
     # JSON round trip (exactly what crossing a process boundary does),
@@ -200,13 +184,11 @@ def run_case(
 
         mid = len(trace) // 2
         prefix_system = PIMCacheSystem(base, n_pes)
-        replay(trace.slice(0, mid), system=prefix_system, kernel="interpreted")
+        replay(trace.slice(0, mid), system=prefix_system)
         checkpoint = json.loads(json.dumps(snapshot(prefix_system)))
         resumed_system = restore(checkpoint)
         resumed = replay(
-            trace.slice(mid, len(trace)),
-            system=resumed_system,
-            kernel="interpreted",
+            trace.slice(mid, len(trace)), system=resumed_system
         ).as_dict()
         refs += len(trace)
         if resumed != flat:
@@ -302,17 +284,18 @@ def run_lazypim_case(
     The ``mode="lazypim"`` counterpart of :func:`run_case`.  Paths
     exercised: (1) the per-access speculative driver with data tracking
     and the flat-memory value check — every read inside every batch
-    (including the doomed attempt's pessimistic replay) must match the
-    flat model, which is exactly the "rollbacks are invisible" oracle;
-    (1b) final-memory identity against a pessimistic replay after a
-    full writeback; (2/2b) interpreted and generated kernels driving
-    the batches, counter-identical; (2c) chunked feeding through
+    (including a rolled-back batch's pessimistic re-execution) must
+    match the flat model, which is exactly the "rollbacks are
+    invisible" oracle; (1b) final-memory identity against a
+    pessimistic replay after a full writeback; (2) the generated
+    kernel driving the batches, counter-identical; (2c) chunked
+    feeding through
     :class:`~repro.core.speculative.SpeculativeDriver` split mid-trace
     (the ``repro serve`` streaming seam) must reproduce the monolithic
     batch boundaries bit for bit; (3) the checked loop with the
     invariant battery at batch boundaries; (4) sharded clustered replay
-    per cluster count, interpreted vs generated, with a per-shard value
-    pass for multi-cluster runs (speculation is per-bus, so each
+    per cluster count, with a per-shard value pass for multi-cluster
+    runs (speculation is per-bus, so each
     cluster batches independently; there is no interleaved speculative
     path).  With *require_rollback* the case additionally fails unless
     at least one batch actually rolled back — the forced-conflict fuzz
@@ -358,45 +341,24 @@ def run_lazypim_case(
             "replay's after writeback — a rollback leaked state",
         )
 
-    # (2) Interpreted kernel driving the batches: counters must be
+    # (2) Generated kernel driving the batches: counters must be
     # identical to the per-access driver.
-    interpreted = replay(
+    generated = replay(
         trace,
         base,
         n_pes=n_pes,
-        kernel="interpreted",
         mode="lazypim",
         batch_refs=batch_refs,
         signature_bits=signature_bits,
     ).as_dict()
     refs += len(trace)
-    if interpreted != flat:
+    if generated != flat:
         raise Divergence(
             "lazypim-kernel",
-            "speculative interpreted kernel disagrees with the "
+            "speculative generated kernel disagrees with the "
             "per-access driver: "
-            + _dict_diff("kernel", interpreted, "access", flat),
+            + _dict_diff("kernel", generated, "access", flat),
         )
-
-    # (2b) Generated kernel driving the batches.
-    if codegen.available():
-        generated = replay(
-            trace,
-            base,
-            n_pes=n_pes,
-            kernel="generated",
-            mode="lazypim",
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        ).as_dict()
-        refs += len(trace)
-        if generated != flat:
-            raise Divergence(
-                "lazypim-generated",
-                "speculative generated kernel disagrees with the "
-                "per-access driver: "
-                + _dict_diff("generated", generated, "access", flat),
-            )
 
     # (2c) Chunk-boundary independence: feeding the trace in two pieces
     # must reproduce the monolithic batch segmentation (this is the
@@ -449,7 +411,6 @@ def run_lazypim_case(
             trace,
             clustered_config,
             n_pes=n_pes,
-            kernel="interpreted",
             mode="lazypim",
             batch_refs=batch_refs,
             signature_bits=signature_bits,
@@ -463,27 +424,6 @@ def run_lazypim_case(
                 + _dict_diff("clustered", sharded.stats.as_dict(),
                              "flat", flat),
             )
-        if codegen.available():
-            sharded_generated = replay_clustered(
-                trace,
-                clustered_config,
-                n_pes=n_pes,
-                kernel="generated",
-                mode="lazypim",
-                batch_refs=batch_refs,
-                signature_bits=signature_bits,
-            )
-            refs += len(trace)
-            if sharded_generated.as_dict() != sharded.as_dict():
-                raise Divergence(
-                    "lazypim-cluster",
-                    f"K={n_clusters} speculative sharded replay differs "
-                    "between kernels: "
-                    + _dict_diff(
-                        "generated", sharded_generated.as_dict(),
-                        "interpreted", sharded.as_dict(),
-                    ),
-                )
         if n_clusters > 1:
             # Per-shard value pass: clusters share nothing, so each
             # shard is a closed trace with its own flat memory (and its

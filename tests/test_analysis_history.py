@@ -40,6 +40,8 @@ def sample_report(rate: float = 1_000_000.0) -> dict:
                 "hit_ratio": 0.5,
             },
         },
+        # Reports written before the bench lost its kernel comparison
+        # still carry this section; it is not a comparable rate.
         "kernels": {
             "interpreted_refs_per_sec": rate / 2,
             "generated_refs_per_sec": "skipped",
@@ -74,7 +76,6 @@ def test_history_record_keeps_only_positive_numeric_sections():
     assert set(record["sections"]) == {
         "workload.hot.refs_per_sec",
         "workload.random.refs_per_sec",
-        "kernels.interpreted_refs_per_sec",
         "cluster.refs_per_sec_serial",
     }
     assert record["quick"] is True
@@ -176,6 +177,20 @@ def test_quick_and_full_histories_do_not_mix():
     comparison = compare_to_history(scaled_record(0.5), [full])
     assert comparison["baseline_records"] == 0
     assert comparison["regressed"] is False
+
+
+def test_history_with_legacy_kernel_sections_still_compares():
+    # Older history records carry ``kernels.*`` sections that fresh
+    # records no longer produce: they load, and the shared sections
+    # compare as usual.
+    legacy = scaled_record()
+    legacy["sections"]["kernels.interpreted_refs_per_sec"] = 500_000.0
+    legacy["sections"]["kernels.generated_refs_per_sec"] = 900_000.0
+    validate_bench_history(legacy)
+    comparison = compare_to_history(scaled_record(0.8), [legacy])
+    assert not any(name.startswith("kernels.")
+                   for name in comparison["sections"])
+    assert comparison["sections"]["workload.hot.refs_per_sec"]["regressed"]
 
 
 def test_baseline_is_the_same_host_median():

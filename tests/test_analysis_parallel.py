@@ -266,22 +266,6 @@ class TestBenchSections:
         assert isinstance(section["parallel_speedup"], float)
         assert section["results_identical"] is True
 
-    def test_kernels_section_shape(self):
-        import repro.analysis.bench as bench
-        from repro.core.protocol import codegen
-
-        trace = generate_random_trace(2000, n_pes=2, seed=11)
-        section = bench.bench_kernels(trace, repeats=1)
-        assert section["refs"] == len(trace)
-        assert section["interpreted_refs_per_sec"] > 0
-        if codegen.available():
-            assert section["generated_refs_per_sec"] > 0
-            assert section["results_identical"] is True
-            assert section["speedup"] > 0
-        else:
-            assert section["generated_refs_per_sec"] == "skipped"
-            assert "skip_reason" in section
-
 
 class TestNoSinkOverhead:
     def test_comparison_intersects_workloads(self):

@@ -5,7 +5,7 @@ The identity gates mirror ``test_protocol_identity``:
 1. **Golden identity** — a ``ClusteredSystem`` with one cluster must
    reproduce ``tests/golden/protocol_stats.json`` bit-for-bit through
    both clustered replay paths (interleaved per-access and sharded
-   fast-kernel), for every pre-refactor protocol.
+   generated-kernel), for every pre-refactor protocol.
 2. **Property identity** — for every *registered* protocol, randomized
    traces replayed through the K=1 clustered paths match a bare
    ``PIMCacheSystem`` replay on every counter (hypothesis).
@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.parallel import run_clustered
 from repro.cluster.network import ClusterNetwork, NetworkStats
 from repro.cluster.replay import (
-    _split_trace_compress,
     replay_clustered,
     replay_interleaved,
     replay_shard,
@@ -212,14 +211,6 @@ class TestSplitTrace:
     def test_rejects_uneven_partition(self):
         with pytest.raises(ValueError, match="divide evenly"):
             split_trace(self._trace(), 4, 3)
-
-    def test_fallback_path_identical(self):
-        trace = generate_random_trace(3_000, n_pes=4, seed=77)
-        fast = split_trace(trace, 4, 2)
-        slow = _split_trace_compress(trace, 2, 2)
-        for left, right in zip(fast, slow):
-            assert left.n_pes == right.n_pes
-            assert left.columns() == right.columns()
 
     def test_empty_trace(self):
         shards = split_trace(TraceBuffer(n_pes=4), 4, 2)

@@ -12,8 +12,8 @@ Three families:
    identity holds), entries resynchronized and ``check_invariants``
    clean throughout.
 3. **Path identity** — the generated kernel, the checked loop and the
-   K=2 clustered replays agree bit-for-bit with the interpreted
-   reference under the directory backend, for every registered
+   K=2 clustered replays agree bit-for-bit with the per-access
+   reference loop under the directory backend, for every registered
    protocol (the same gates the bus backend answers to).
 """
 
@@ -39,6 +39,7 @@ from repro.core.system import PIMCacheSystem
 from repro.obs.metrics import cycle_ledger
 from repro.trace.events import Area, Op
 from repro.trace.synthetic import generate_contract_trace
+from tests.replay_loops import replay_through
 
 HEAP = Area.HEAP
 
@@ -207,8 +208,8 @@ def test_invariants_hold_along_a_contract_trace():
 def test_generated_kernel_matches_interpreted(protocol):
     config = SimulationConfig(protocol=protocol, interconnect="directory")
     trace = generate_contract_trace(3_000, n_pes=4, seed=13)
-    interpreted = replay(trace, config, kernel="interpreted")
-    generated = replay(trace, config, kernel="generated")
+    interpreted = replay_through("interpreted", trace, config)
+    generated = replay(trace, config)
     assert interpreted.as_dict() == generated.as_dict()
     assert interpreted.directory_transactions > 0
 

@@ -9,6 +9,9 @@ from repro.core.replay import (
     invariant_check_interval,
     replay,
 )
+from repro.core.system import PIMCacheSystem
+from repro.obs.windows import windowed_replay
+from repro.serve.stream import replay_stream
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import AREA_BASE, Area, Op
 from repro.trace.synthetic import generate_random_trace
@@ -101,6 +104,48 @@ def test_checked_loop_blocked_error_carries_trace_position():
     with pytest.raises(ReplayBlockedError) as info:
         replay(blocking_trace(), SimulationConfig(), check_invariants_every=1)
     assert info.value.index == 1
+
+
+def late_blocking_trace():
+    """130 unrelated reads, then PE0 locks a word and PE1 reads its
+    block: the blocked reference is index 131, past several slices of
+    every segment driver below and inside a multi-reference slice."""
+    buffer = TraceBuffer(n_pes=2)
+    address = AREA_BASE[Area.HEAP]
+    for i in range(130):
+        buffer.append(i % 2, Op.R, Area.HEAP, address + 64 + 4 * i)
+    buffer.append(0, Op.LR, Area.HEAP, address)
+    buffer.append(1, Op.R, Area.HEAP, address)
+    for i in range(20):
+        buffer.append(0, Op.R, Area.HEAP, address + 64 + 4 * i)
+    return buffer
+
+
+@pytest.mark.parametrize(
+    "driver",
+    {
+        "replay": lambda trace: replay(trace, SimulationConfig()),
+        "replay_system": lambda trace: replay(
+            trace, system=PIMCacheSystem(SimulationConfig(), 2)
+        ),
+        "replay_stream": lambda trace: replay_stream(
+            trace, SimulationConfig(), chunk_refs=64
+        ),
+        "windowed": lambda trace: windowed_replay(
+            trace, SimulationConfig(), window=64
+        ),
+        "lazypim": lambda trace: replay(
+            trace, SimulationConfig(), mode="lazypim", batch_refs=16
+        ),
+    }.items(),
+    ids=lambda item: item[0],
+)
+def test_segment_drivers_report_the_global_blocked_index(driver):
+    _, run = driver
+    with pytest.raises(ReplayBlockedError) as info:
+        run(late_blocking_trace())
+    assert info.value.index == 131
+    assert info.value.pe == 1
 
 
 def test_machine_run_with_invariant_checking(monkeypatch):

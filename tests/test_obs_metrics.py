@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.parallel import run_clustered
 from repro.core.config import CacheConfig, SimulationConfig
-from repro.core.protocol import codegen, protocol_names
+from repro.core.protocol import protocol_names
 from repro.core.replay import replay
 from repro.obs.metrics import (
     COUNTER_PID,
@@ -29,12 +29,7 @@ from repro.trace.synthetic import (
     generate_aurora_trace,
     generate_random_trace,
 )
-
-requires_numpy = pytest.mark.skipif(
-    not codegen.available(), reason="generated kernels need numpy"
-)
-
-KERNELS = ["interpreted"] + (["generated"] if codegen.available() else [])
+from tests.replay_loops import LOOPS, replay_through
 
 
 def locky_trace(n_pes: int = 4) -> TraceBuffer:
@@ -127,18 +122,18 @@ def test_escaped_labels_render_and_round_trip():
 
 
 @pytest.mark.parametrize("protocol", sorted(protocol_names()))
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", LOOPS)
 def test_ledger_identity_every_protocol_and_kernel(protocol, kernel):
     trace = generate_random_trace(6000, n_pes=4, seed=13)
-    stats = replay(trace, SimulationConfig(protocol=protocol), kernel=kernel)
+    stats = replay_through(kernel, trace, SimulationConfig(protocol=protocol))
     ledger = cycle_ledger(stats)
     assert ledger.attributed_total == ledger.pe_cycles_total
     assert sum(ledger.entries.values()) == ledger.pe_cycles_total
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", LOOPS)
 def test_ledger_identity_with_lock_contention(kernel):
-    stats = replay(locky_trace(), SimulationConfig(), kernel=kernel)
+    stats = replay_through(kernel, locky_trace(), SimulationConfig())
     ledger = cycle_ledger(stats)
     assert ledger.attributed_total == ledger.pe_cycles_total
 
@@ -152,9 +147,8 @@ def test_ledger_identity_with_lock_contention(kernel):
 def test_ledger_identity_random_traces(seed, n_pes, n_sets):
     trace = generate_random_trace(1500, n_pes=n_pes, seed=seed)
     config = SimulationConfig(cache=CacheConfig(n_sets=n_sets))
-    for kernel in KERNELS:
-        ledger = cycle_ledger(replay(trace, config, kernel=kernel))
-        assert ledger.attributed_total == ledger.pe_cycles_total
+    ledger = cycle_ledger(replay(trace, config))
+    assert ledger.attributed_total == ledger.pe_cycles_total
 
 
 def test_ledger_identity_clustered_includes_network_stall():

@@ -1,11 +1,12 @@
 """The generated replay kernels (repro.core.protocol.codegen).
 
 The heavy identity artillery — goldens and the hypothesis cross-path
-property, both parametrized over kernels — lives in
+property, both parametrized over the two replay loops — lives in
 ``test_protocol_identity.py``.  This file covers the codegen machinery
 itself: source emission and caching, the envelope/fallback contract,
 both mirror schemes (dense list and raw-key dict), run collapsing,
-warm-system reuse, and error parity with the interpreted path.
+warm-system reuse, and error parity with the per-access loop (the
+``interpreted`` loop of ``tests/replay_loops.py``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import AREA_BASE, Area, Op
 from repro.trace.synthetic import generate_random_trace
-
-requires_numpy = pytest.mark.skipif(
-    not codegen.available(), reason="generated kernels need numpy"
-)
+from tests.replay_loops import replay_through
 
 
 # ---------------------------------------------------------------------------
@@ -65,53 +63,47 @@ class TestKernelSource:
 
 # ---------------------------------------------------------------------------
 # Envelope: out-of-envelope (system, trace) pairs decline, and the
-# replay() caller falls back to the interpreted kernel.
+# replay() caller falls back to the per-access loop.
 
 
-@requires_numpy
 class TestEnvelope:
     def test_track_data_declines(self):
-        import numpy
-
         config = SimulationConfig(track_data=True)
         system = PIMCacheSystem(config, 2)
         kernel = codegen.get_kernel(system.protocol_spec)
         buffer = generate_random_trace(50, n_pes=2, seed=1)
-        assert kernel(system, buffer, numpy) is None
+        assert kernel(system, buffer) is None
 
     def test_track_data_replay_falls_back_and_matches(self):
         buffer = generate_random_trace(800, n_pes=2, seed=2)
         tracked = SimulationConfig(track_data=True)
         plain = SimulationConfig()
-        generated = replay(buffer, tracked, n_pes=2, kernel="generated")
-        interpreted = replay(buffer, plain, n_pes=2, kernel="interpreted")
+        generated = replay(buffer, tracked, n_pes=2)
+        interpreted = replay_through("interpreted", buffer, plain, n_pes=2)
         assert generated.as_dict() == interpreted.as_dict()
 
     def test_negative_address_declines_but_replay_agrees(self):
-        import numpy
-
         buffer = generate_random_trace(400, n_pes=2, seed=3)
         buffer._addr[7] = -buffer._addr[7]
         system = PIMCacheSystem(SimulationConfig(), 2)
         kernel = codegen.get_kernel(system.protocol_spec)
-        assert kernel(system, buffer, numpy) is None
-        generated = replay(buffer, SimulationConfig(), n_pes=2,
-                           kernel="generated")
-        interpreted = replay(buffer, SimulationConfig(), n_pes=2,
-                             kernel="interpreted")
+        assert kernel(system, buffer) is None
+        generated = replay(buffer, SimulationConfig(), n_pes=2)
+        interpreted = replay_through(
+            "interpreted", buffer, SimulationConfig(), n_pes=2
+        )
         assert generated.as_dict() == interpreted.as_dict()
 
     def test_out_of_range_op_raises_like_interpreted(self):
         buffer = generate_random_trace(100, n_pes=2, seed=4)
         buffer._op[3] = 10  # >= N_OPS
         with pytest.raises(ValueError, match="out-of-range op or area"):
-            replay(buffer, SimulationConfig(), n_pes=2, kernel="generated")
+            replay(buffer, SimulationConfig(), n_pes=2)
         with pytest.raises(ValueError, match="out-of-range op or area"):
-            replay(buffer, SimulationConfig(), n_pes=2, kernel="interpreted")
+            replay_through("interpreted", buffer, SimulationConfig(), n_pes=2)
 
     def test_empty_trace_returns_zero_stats(self):
-        stats = replay(TraceBuffer(2), SimulationConfig(), n_pes=2,
-                       kernel="generated")
+        stats = replay(TraceBuffer(2), SimulationConfig(), n_pes=2)
         assert stats.total_refs == 0
 
 
@@ -120,13 +112,12 @@ class TestEnvelope:
 # blocked references.
 
 
-@requires_numpy
 class TestGeneratedBehavior:
     def test_dense_scheme_matches_interpreted(self):
         buffer = generate_random_trace(5_000, n_pes=4, seed=5)
         config = SimulationConfig()
-        generated = replay(buffer, config, n_pes=4, kernel="generated")
-        interpreted = replay(buffer, config, n_pes=4, kernel="interpreted")
+        generated = replay(buffer, config, n_pes=4)
+        interpreted = replay_through("interpreted", buffer, config, n_pes=4)
         assert generated.as_dict() == interpreted.as_dict()
         # The random trace's working set is small: preprocessing must
         # have taken the dense-renumbered flat-list mirror.
@@ -143,16 +134,17 @@ class TestGeneratedBehavior:
             for i in range(n_blocks):
                 buffer.append(i % n_pes, Op.R, Area.HEAP, base + 4 * i)
         config = SimulationConfig()
-        generated = replay(buffer, config, n_pes=n_pes, kernel="generated")
+        generated = replay(buffer, config, n_pes=n_pes)
         assert codegen._PREP_CACHE is not None
         assert codegen._PREP_CACHE[3][9] is None  # dict scheme took over
-        interpreted = replay(buffer, config, n_pes=n_pes,
-                             kernel="interpreted")
+        interpreted = replay_through(
+            "interpreted", buffer, config, n_pes=n_pes
+        )
         assert generated.as_dict() == interpreted.as_dict()
 
     def test_conflict_free_runs_collapse_and_match(self):
         # One PE hammering one block: the tails must collapse to DUP
-        # keys, and the bulk-folded counters must equal the interpreted
+        # keys, and the bulk-folded counters must equal the per-access
         # reference exactly.
         buffer = TraceBuffer(n_pes=2)
         base = AREA_BASE[Area.HEAP]
@@ -161,12 +153,12 @@ class TestGeneratedBehavior:
                 buffer.append(0, Op.R, Area.HEAP, base + 4 * block)
         buffer.append(1, Op.W, Area.HEAP, base)  # break the last run
         config = SimulationConfig()
-        generated = replay(buffer, config, n_pes=2, kernel="generated")
+        generated = replay(buffer, config, n_pes=2)
         payload = codegen._PREP_CACHE[3]
         keys, tag_shift = payload[0], payload[6]
         dup_tag = codegen.KIND_DUP << tag_shift
         assert sum(1 for k in keys if k >= dup_tag) > 200
-        interpreted = replay(buffer, config, n_pes=2, kernel="interpreted")
+        interpreted = replay_through("interpreted", buffer, config, n_pes=2)
         assert generated.as_dict() == interpreted.as_dict()
 
     @pytest.mark.parametrize("protocol", protocol_names())
@@ -178,17 +170,16 @@ class TestGeneratedBehavior:
         first = generate_random_trace(1_500, n_pes=3, seed=6)
         second = generate_random_trace(1_500, n_pes=3, seed=7)
 
-        def run(kernel):
+        def run(loop):
             system = PIMCacheSystem(config, 3)
-            replay(first, system=system, kernel=kernel)
-            return replay(second, system=system, kernel=kernel)
+            replay_through(loop, first, system=system)
+            return replay_through(loop, second, system=system)
 
         assert run("generated").as_dict() == run("interpreted").as_dict()
 
     def test_mirror_detached_after_replay(self):
         system = PIMCacheSystem(SimulationConfig(), 2)
-        replay(generate_random_trace(300, n_pes=2, seed=8),
-               system=system, kernel="generated")
+        replay(generate_random_trace(300, n_pes=2, seed=8), system=system)
         for cache in system.caches:
             assert cache._mirror is None
             assert cache._mirror_remap is None
@@ -199,6 +190,6 @@ class TestGeneratedBehavior:
         buffer.append(0, Op.LR, Area.HEAP, address)
         buffer.append(1, Op.R, Area.HEAP, address)
         with pytest.raises(ReplayBlockedError) as info:
-            replay(buffer, SimulationConfig(), kernel="generated")
+            replay(buffer, SimulationConfig())
         assert info.value.index == 1
         assert info.value.pe == 1

@@ -8,8 +8,9 @@ Three layers of defence around the ``PIMCacheSystem`` refactor:
    *before* the protocol layer existed, so these tests fail if the
    refactor changed any observable counter of any original protocol.
 2. **Path identity** — for every *registered* protocol (the new
-   ``write_once`` included), the inlined fast replay kernel and the full
-   per-access system path must agree on every counter.
+   ``write_once`` included), both replay loops (the generated kernel
+   and the per-access loop, see ``tests/replay_loops.py``) and the
+   checked per-access system path must agree on every counter.
 3. **Property identity** — the same, under randomized mixed
    DW/ER/RP/RI/R/W traces (hypothesis), with coherence invariants
    checked along the full-system pass.
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CacheConfig, OptimizationConfig, SimulationConfig
-from repro.core.protocol import codegen, protocol_names
+from repro.core.protocol import protocol_names
 from repro.core.replay import replay
 from repro.obs.windows import windowed_replay
 from repro.trace.synthetic import (
@@ -35,6 +36,7 @@ from repro.trace.synthetic import (
     generate_aurora_trace,
     generate_random_trace,
 )
+from tests.replay_loops import LOOPS, replay_through
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "protocol_stats.json"
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
@@ -44,18 +46,6 @@ GOLDEN_PROTOCOLS = ("pim", "illinois", "write_through", "write_update")
 
 #: Config variants, mirroring tests/golden/generate_goldens.py exactly.
 CONFIG_NAMES = ("base", "no_opt", "small")
-
-#: Both replay kernels must hit the goldens; the generated one only
-#: exists where numpy does (CI's no-numpy tests job skips it).
-KERNEL_PARAMS = (
-    "interpreted",
-    pytest.param(
-        "generated",
-        marks=pytest.mark.skipif(
-            not codegen.available(), reason="generated kernels need numpy"
-        ),
-    ),
-)
 
 
 def _config(protocol: str, name: str) -> SimulationConfig:
@@ -81,7 +71,7 @@ def golden_traces():
     }
 
 
-@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+@pytest.mark.parametrize("kernel", LOOPS)
 @pytest.mark.parametrize("config_name", CONFIG_NAMES)
 @pytest.mark.parametrize("trace_name", ("random", "aurora"))
 @pytest.mark.parametrize("protocol", GOLDEN_PROTOCOLS)
@@ -89,8 +79,8 @@ def test_fast_kernel_matches_pre_refactor_goldens(
     golden_traces, protocol, trace_name, config_name, kernel
 ):
     buffer = golden_traces[trace_name]
-    stats = replay(
-        buffer, _config(protocol, config_name), n_pes=4, kernel=kernel
+    stats = replay_through(
+        kernel, buffer, _config(protocol, config_name), n_pes=4
     )
     golden = GOLDENS[f"{trace_name}/{protocol}/{config_name}"]
     assert stats.as_dict() == golden
@@ -98,22 +88,26 @@ def test_fast_kernel_matches_pre_refactor_goldens(
 
 @pytest.mark.parametrize("protocol", GOLDEN_PROTOCOLS)
 def test_system_path_matches_pre_refactor_goldens(golden_traces, protocol):
-    """The per-access path reproduces the goldens too (base config)."""
+    """The checked windowed path reproduces the goldens too."""
     buffer = golden_traces["random"]
     stats, _ = windowed_replay(
-        buffer, _config(protocol, "base"), n_pes=4
+        buffer, _config(protocol, "base"), n_pes=4,
+        check_invariants_every=len(buffer),
     )
     assert stats.as_dict() == GOLDENS[f"random/{protocol}/base"]
 
 
-@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+@pytest.mark.parametrize("kernel", LOOPS)
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_fast_kernel_matches_system_path(golden_traces, protocol, kernel):
-    """Every registered protocol: both replay paths, identical counters."""
+    """Every registered protocol: each replay loop matches the checked
+    per-access system path, counter for counter."""
     buffer = golden_traces["random"]
     config = SimulationConfig(protocol=protocol)
-    fast = replay(buffer, config, n_pes=4, kernel=kernel)
-    full, _ = windowed_replay(buffer, config, n_pes=4)
+    fast = replay_through(kernel, buffer, config, n_pes=4)
+    full, _ = windowed_replay(
+        buffer, config, n_pes=4, check_invariants_every=len(buffer)
+    )
     assert fast.as_dict() == full.as_dict()
 
 
@@ -125,14 +119,11 @@ def test_random_traces_counter_identical_across_paths(protocol, seed):
     under every registered protocol, with invariants checked."""
     buffer = generate_random_trace(1_200, n_pes=3, seed=seed)
     config = SimulationConfig(protocol=protocol)
-    fast = replay(buffer, config, n_pes=3, kernel="interpreted")
+    fast = replay(buffer, config, n_pes=3)
     full, _ = windowed_replay(
         buffer, config, n_pes=3, check_invariants_every=400
     )
     assert fast.as_dict() == full.as_dict()
-    if codegen.available():
-        generated = replay(buffer, config, n_pes=3, kernel="generated")
-        assert generated.as_dict() == fast.as_dict()
 
 
 @pytest.mark.parametrize("protocol", protocol_names())

@@ -3,7 +3,8 @@
 The contract: ``restore(snapshot(system))`` rebuilds a simulator whose
 future is indistinguishable from the original's — "run N refs" equals
 "run k refs, snapshot, JSON round trip, restore, run N−k refs" *bit for
-bit*, for every registered protocol, both replay kernels, both
+bit*, for every registered protocol, both replay loops (the generated
+kernel and the per-access loop, see ``tests/replay_loops.py``), both
 interconnect backends, and clustered (K=2) machines.  Equality is
 checked twice per case: the final counters, and the full end-state
 snapshots (caches, locks, directory entries, clocks included).
@@ -18,7 +19,7 @@ import pytest
 from repro.cluster.replay import split_trace
 from repro.cluster.system import ClusteredSystem
 from repro.core.config import SimulationConfig
-from repro.core.protocol import codegen, protocol_names
+from repro.core.protocol import protocol_names
 from repro.core.replay import replay
 from repro.core.system import PIMCacheSystem
 from repro.obs.schema import SchemaError, validate_checkpoint
@@ -29,16 +30,7 @@ from repro.serve.checkpoint import (
     write_checkpoint,
 )
 from repro.trace.synthetic import generate_contract_trace
-
-KERNEL_PARAMS = (
-    "interpreted",
-    pytest.param(
-        "generated",
-        marks=pytest.mark.skipif(
-            not codegen.available(), reason="generated kernels need numpy"
-        ),
-    ),
-)
+from tests.replay_loops import LOOPS, replay_through
 
 
 @pytest.fixture(scope="module")
@@ -53,17 +45,18 @@ def _build(config):
 
 
 def _run(system, trace, kernel):
-    """Advance *system* by *trace*; returns its result stats."""
+    """Advance *system* by *trace* through the *kernel* loop; returns
+    its result stats."""
     if isinstance(system, ClusteredSystem):
         shards = split_trace(trace, system.n_pes, system.n_clusters)
         for sub, shard in zip(system.systems, shards):
             if len(shard):
-                replay(shard, system=sub, kernel=kernel)
+                replay_through(kernel, shard, system=sub)
         return system.cluster_stats()
-    return replay(trace, system=system, kernel=kernel)
+    return replay_through(kernel, trace, system=system)
 
 
-@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+@pytest.mark.parametrize("kernel", LOOPS)
 @pytest.mark.parametrize("clusters", (1, 2))
 @pytest.mark.parametrize("interconnect", ("bus", "directory"))
 @pytest.mark.parametrize("protocol", sorted(protocol_names()))
@@ -94,7 +87,7 @@ def test_snapshot_of_restored_system_is_stable(contract_trace):
     # restore() must reproduce the snapshot exactly, not an equivalent
     # rebuild: a second snapshot is byte-for-byte the first.
     system = PIMCacheSystem(SimulationConfig(), 4)
-    replay(contract_trace, system=system, kernel="interpreted")
+    replay(contract_trace, system=system)
     first = snapshot(system)
     assert snapshot(restore(first)) == first
 
@@ -102,7 +95,7 @@ def test_snapshot_of_restored_system_is_stable(contract_trace):
 def test_directory_snapshot_carries_entries(contract_trace):
     config = SimulationConfig(interconnect="directory")
     system = PIMCacheSystem(config, 4)
-    replay(contract_trace, system=system, kernel="interpreted")
+    replay(contract_trace, system=system)
     checkpoint = snapshot(system)
     entries = checkpoint["systems"][0]["interconnect"]["entries"]
     assert entries, "directory run produced no directory entries"
@@ -111,7 +104,7 @@ def test_directory_snapshot_carries_entries(contract_trace):
 
 def test_checkpoint_file_roundtrip(contract_trace, tmp_path):
     system = PIMCacheSystem(SimulationConfig(), 4)
-    replay(contract_trace, system=system, kernel="interpreted")
+    replay(contract_trace, system=system)
     path = tmp_path / "ck.json"
     checkpoint = snapshot(system)
     write_checkpoint(checkpoint, path)
@@ -121,7 +114,7 @@ def test_checkpoint_file_roundtrip(contract_trace, tmp_path):
 
 def test_validate_checkpoint_rejects_malformed(contract_trace):
     system = PIMCacheSystem(SimulationConfig(), 4)
-    replay(contract_trace.slice(0, 200), system=system, kernel="interpreted")
+    replay(contract_trace.slice(0, 200), system=system)
     good = snapshot(system)
     validate_checkpoint(good)
 

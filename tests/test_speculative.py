@@ -10,14 +10,14 @@ The engine's contract (docs/SPECULATIVE.md) is tested from four sides:
   signature width (hypothesis);
 * **identities** — batch size 1 is counter-identical to the pessimistic
   path for every registered protocol, commit/rollback counters are
-  deterministic across kernels and cluster counts, the cycle-ledger
+  deterministic across the two replay loops, the cycle-ledger
   exact-sum invariant survives bulk settlement, and streamed/chunked
   execution reproduces the monolithic run;
 * **rollback** — conflicting batches roll back invisibly (final memory
   equals the pessimistic run), including across a persisted checkpoint
-  boundary, and the snapshot never aliases live cache-line data (the
-  regression that once leaked a future write backward through a
-  rollback).
+  boundary, and the checkpoint snapshot never aliases live cache-line
+  data (the regression that once leaked a future write backward
+  through a rollback).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.replay import replay_clustered
 from repro.core.config import SimulationConfig
-from repro.core.protocol import codegen, protocol_names
+from repro.core.protocol import protocol_names
 from repro.core.replay import replay
 from repro.core.speculative import (
     SpeculativeDriver,
@@ -48,10 +47,9 @@ from repro.trace.synthetic import (
     generate_contract_trace,
     generate_false_sharing_trace,
 )
+from tests.replay_loops import LOOPS
 
 HEAP = AREA_BASE[Area.HEAP]
-
-KERNELS = ["interpreted"] + (["generated"] if codegen.available() else [])
 
 SPECULATIVE_COUNTERS = {
     "batch_commits",
@@ -195,7 +193,18 @@ def test_forced_batch_one_differs_only_in_speculative_counters():
 
 
 # ---------------------------------------------------------------------------
-# Determinism across kernels and cluster counts.
+# Determinism across the two replay loops.
+
+
+def _lazypim(loop, trace, config, **knobs):
+    """LazyPIM replay with *loop* (see ``tests/replay_loops.py``)
+    driving the batches: an ``on_result`` observer makes the driver run
+    the per-access loop."""
+    if loop == "generated":
+        return replay(trace, config, mode="lazypim", **knobs)
+    return replay_speculative(
+        trace, config, on_result=lambda *_: None, **knobs
+    )
 
 
 @settings(max_examples=6, deadline=None)
@@ -203,32 +212,11 @@ def test_forced_batch_one_differs_only_in_speculative_counters():
 def test_commit_rollback_counters_deterministic(seed):
     trace = generate_false_sharing_trace(1_200, n_pes=4, seed=seed)
     config = SimulationConfig()
-    flat = replay(
-        trace, config, kernel="interpreted", mode="lazypim", batch_refs=64
-    ).as_dict()
-    for kernel in KERNELS[1:]:
-        assert (
-            replay(
-                trace, config, kernel=kernel, mode="lazypim", batch_refs=64
-            ).as_dict()
-            == flat
-        )
-    clustered = replay_clustered(
-        trace,
-        config.with_clusters(2),
-        kernel="interpreted",
-        mode="lazypim",
-        batch_refs=64,
+    generated, interpreted = (
+        _lazypim(loop, trace, config, batch_refs=64).as_dict()
+        for loop in ("generated", "interpreted")
     )
-    for kernel in KERNELS[1:]:
-        again = replay_clustered(
-            trace,
-            config.with_clusters(2),
-            kernel=kernel,
-            mode="lazypim",
-            batch_refs=64,
-        )
-        assert again.stats.as_dict() == clustered.stats.as_dict()
+    assert generated == interpreted
 
 
 def test_lazypim_rolls_back_on_false_sharing():
@@ -242,15 +230,12 @@ def test_lazypim_rolls_back_on_false_sharing():
 # Cycle-ledger exact-sum identity under bulk settlement.
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", LOOPS)
 @pytest.mark.parametrize("interconnect", ["bus", "directory"])
 def test_cycle_ledger_exact_under_lazypim(kernel, interconnect):
     trace = generate_contract_trace(3_000, n_pes=4, seed=7)
-    stats = replay(
-        trace,
-        SimulationConfig(interconnect=interconnect),
-        kernel=kernel,
-        mode="lazypim",
+    stats = _lazypim(
+        kernel, trace, SimulationConfig(interconnect=interconnect)
     )
     ledger = cycle_ledger(stats)  # verify=True raises on any mismatch
     assert ledger.attributed_total == ledger.pe_cycles_total

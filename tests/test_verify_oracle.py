@@ -94,11 +94,9 @@ def test_contract_trace_never_rereads_purged_blocks():
 
 
 def _flat_paths() -> int:
-    """Value pass + interpreted kernel + checkpointed resume + checked
-    replay, plus the generated kernel on hosts that can run it."""
-    from repro.core.protocol import codegen
-
-    return 4 + (1 if codegen.available() else 0)
+    """Value pass + generated kernel + checkpointed resume + checked
+    replay."""
+    return 4
 
 
 def test_run_case_counts_every_path():

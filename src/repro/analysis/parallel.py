@@ -37,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.cluster.replay import replay_shard, split_trace
+from repro.cluster.replay import replay_shard, split_trace, unshard_error
 from repro.cluster.system import ClusterStats
 from repro.core.config import SimulationConfig
 from repro.core.replay import ReplayBlockedError, replay
@@ -103,7 +103,7 @@ def _replay_point(
 
     Identical counters to a single :func:`~repro.core.replay.replay`
     call — every deferred kernel fold settles per call, and the system
-    carries all state across segments (the same mechanism as
+    carries all state across ranges (the same mechanism as
     :func:`repro.obs.windows.windowed_replay`, which the tests assert).
     Between chunks the worker emits a heartbeat when
     :data:`_worker_interval` has elapsed, plus a final ``done`` record
@@ -124,10 +124,7 @@ def _replay_point(
     done = 0
     for start in range(0, total, _worker_chunk):
         done = min(start + _worker_chunk, total)
-        try:
-            replay(trace.slice(start, done), system=system)
-        except ReplayBlockedError as error:
-            raise error.at(start) from None
+        replay(trace, system=system, start=start, stop=done)
         now = time.perf_counter()
         if now - mark_time < _worker_interval and done < total:
             continue
@@ -503,7 +500,9 @@ def run_clustered(
     regardless of which worker finished first.  ``jobs<=1`` (or a
     single cluster) replays the shards serially in-process —
     bit-identical to the pooled run, which the determinism tests
-    assert.
+    assert.  A blocked reference raises
+    :class:`~repro.core.replay.ReplayBlockedError` with its index and
+    PE in *trace*, pooled or not.
     """
     if isinstance(trace, (str, Path)):
         trace = read_trace(trace)
@@ -517,23 +516,29 @@ def run_clustered(
     logger.info(
         "clustered replay: %d clusters across %d workers", n_clusters, jobs
     )
-    if jobs <= 1 or n_clusters == 1:
-        results = [
-            replay_shard(shard, config, pes_per_cluster, index)
-            for index, shard in enumerate(shards)
-        ]
-    else:
-        # Unlike a sweep — one big trace replayed many times — each
-        # shard is shipped to exactly one task, so the shards travel as
-        # pickled task arguments (columnar arrays pickle as raw bytes,
-        # milliseconds for typical traces) rather than through a
-        # temp-file hand-off.
-        tasks = [
-            (shard, config, pes_per_cluster, index)
-            for index, shard in enumerate(shards)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replay_cluster_task, tasks))
+    # Unlike a sweep — one big trace replayed many times — each shard
+    # is shipped to exactly one task, so the shards travel as pickled
+    # task arguments (columnar arrays pickle as raw bytes, milliseconds
+    # for typical traces) rather than through a temp-file hand-off.
+    tasks = [
+        (shard, config, pes_per_cluster, index)
+        for index, shard in enumerate(shards)
+    ]
+    results = []
+    try:
+        if jobs <= 1 or n_clusters == 1:
+            for task in tasks:
+                results.append(_replay_cluster_task(task))
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                for result in pool.map(_replay_cluster_task, tasks):
+                    results.append(result)
+    except ReplayBlockedError as error:
+        # Results arrive in cluster order, so the blocked shard is the
+        # one after the last result gathered.
+        raise unshard_error(
+            error, trace, pes, n_clusters, len(results)
+        ) from None
     return ClusterStats(
         [stats for stats, _ in results], [net for _, net in results]
     )

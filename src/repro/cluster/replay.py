@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.cluster.system import ClusterCacheSystem, ClusterStats, ClusteredSystem
 from repro.core.config import SimulationConfig
-from repro.core.replay import replay, replay_access_driven
+from repro.core.replay import ReplayBlockedError, replay, replay_access_driven
 from repro.trace.buffer import TraceBuffer
 
 
@@ -71,6 +71,26 @@ def split_trace(
     return shards
 
 
+def unshard_error(
+    error: ReplayBlockedError,
+    buffer: TraceBuffer,
+    n_pes: int,
+    n_clusters: int,
+    cluster: int,
+) -> ReplayBlockedError:
+    """*error*, raised replaying *cluster*'s shard of *buffer* (see
+    :func:`split_trace`), re-indexed to the blocked reference's position
+    and PE number in *buffer*."""
+    pes_per_cluster = n_pes // n_clusters
+    lo = cluster * pes_per_cluster
+    pe = np.frombuffer(buffer.columns()[0], dtype=np.int8)
+    positions = np.flatnonzero((pe >= lo) & (pe < lo + pes_per_cluster))
+    return ReplayBlockedError(
+        int(positions[error.index]), error.pe + lo, error.op, error.area,
+        error.address,
+    )
+
+
 def replay_shard(
     shard: TraceBuffer,
     config: SimulationConfig,
@@ -109,7 +129,12 @@ def replay_clustered(
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
 ) -> ClusterStats:
-    """Serial per-cluster shard replay with deterministic merge."""
+    """Serial per-cluster shard replay with deterministic merge.
+
+    A blocked reference raises
+    :class:`~repro.core.replay.ReplayBlockedError` with its index and
+    PE in *buffer* (the first blocked shard in cluster order).
+    """
     if config is None:
         config = SimulationConfig()
     pes = n_pes if n_pes is not None else buffer.n_pes
@@ -119,15 +144,20 @@ def replay_clustered(
     per_cluster = []
     networks = []
     for cluster_index, shard in enumerate(shards):
-        stats, network = replay_shard(
-            shard,
-            config,
-            pes_per_cluster,
-            cluster_index,
-            mode=mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
+        try:
+            stats, network = replay_shard(
+                shard,
+                config,
+                pes_per_cluster,
+                cluster_index,
+                mode=mode,
+                batch_refs=batch_refs,
+                signature_bits=signature_bits,
+            )
+        except ReplayBlockedError as error:
+            raise unshard_error(
+                error, buffer, pes, n_clusters, cluster_index
+            ) from None
         per_cluster.append(stats)
         networks.append(network)
     return ClusterStats(per_cluster, networks)

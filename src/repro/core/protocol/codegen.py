@@ -14,7 +14,7 @@ decisions already taken:
 * every ``(op, area)`` dispatch cell is classified **once** by handler
   identity into a *kind* (plain-read, silent-store, direct-write,
   exclusive-read, read-purge, or slow);
-* the whole trace is preprocessed (numpy) into one packed integer per
+* the replayed range is preprocessed (numpy) into one packed integer per
   reference — ``kind << tag_shift | pe << pe_shift | block`` — and the
   flat cross-PE directory mirror is *aliased* under every fast-kind
   tag, so the packed key probes it without masking; the probe itself
@@ -43,13 +43,18 @@ decisions already taken:
   subtracted out, so a run of conflict-free hits is counted in bulk
   after the fact.
 
-Preprocessing itself is cached (single slot, :data:`_PREP_CACHE`): the
-packed keys depend only on the trace buffer, the block geometry and the
-cell classification, all of which are shared across the repeated replays
-of a parameter sweep or benchmark, so every replay after the first
-starts straight at the loop.  Trace code validation (op/area ranges)
-happens inside preprocessing, raising the same ``ValueError`` as the
-per-access loop.
+A kernel replays one position range ``[start, stop)`` of its buffer:
+preprocessing reads the range through zero-copy numpy views, and the
+slow path indexes the buffer's columns by position, so segment drivers
+(windows, speculative batches, telemetry chunks) replay ranges of one
+buffer instead of sliced copies, and a blocked reference is reported by
+its position in that buffer.  Preprocessing itself is
+cached (single slot, :data:`_PREP_CACHE`): the packed keys depend only
+on the buffer range, the block geometry and the cell classification,
+all of which are shared across the repeated replays of a parameter
+sweep or benchmark, so every replay after the first starts straight at
+the loop.  Trace code validation (op/area ranges) happens inside
+preprocessing, raising the same ``ValueError`` as the per-access loop.
 
 Timing stays bit-exact.  ``_bus`` starts every transaction at
 ``max(pe_clock + 1, bus_free_at)``, so the requester's clock must
@@ -137,36 +142,37 @@ _SILENT_TEST_ORDER = (
 #: re-registered or temporarily shadowed spec recompiles.
 _CACHE: Dict[str, Tuple[object, Callable]] = {}
 
-#: Single-slot preprocessing cache: ``(buffer, len, params, payload)``.
-#: Sweeps and benchmarks replay one trace under many configs, so one
-#: slot captures the reuse; the identity + length check makes a mutated
-#: (appended-to) buffer recompute.  Holding the buffer strongly keeps
-#: the cached arrays valid for its lifetime.
-_PREP_CACHE: Optional[Tuple[object, int, tuple, tuple]] = None
+#: Single-slot preprocessing cache: ``(buffer, (start, stop), params,
+#: payload)``.  Sweeps and benchmarks replay one trace under many
+#: configs, so one slot captures the reuse; buffers are append-only, so
+#: a range of a buffer never changes once written.  Holding the buffer
+#: strongly keeps the cached arrays valid for its lifetime.
+_PREP_CACHE: Optional[Tuple[object, Tuple[int, int], tuple, tuple]] = None
 
 
-def _preprocess(buffer, shift, block_mask, n_pes, kinds):
-    """Pack *buffer* into per-reference keys plus bulk-fold tables.
+def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
+    """Pack ``buffer[start:stop]`` into per-reference keys plus bulk-fold
+    tables, indexed from *start*.
 
     Returns ``(keys, prefix, total_cells, total_pe, refs_pairs,
     pe_shift, tag_shift, remap, blocks_by_id, flat_size)``, or ``None``
     when the trace is outside the generated kernel's envelope.  Raises
     ``ValueError`` for op/area codes out of range, as the per-access
     loop does.  Results are cached across calls with the same buffer
-    and parameters (see :data:`_PREP_CACHE`).
+    range and parameters (see :data:`_PREP_CACHE`).
     """
     global _PREP_CACHE
-    n = len(buffer)
+    n = stop - start
     params = (shift, block_mask, n_pes, kinds)
     cached = _PREP_CACHE
-    if cached is not None and cached[0] is buffer and cached[1] == n \
-            and cached[2] == params:
+    if cached is not None and cached[0] is buffer \
+            and cached[1] == (start, stop) and cached[2] == params:
         return cached[3]
     pe_col, op_col, area_col, addr_col, _ = buffer.columns()
-    pe8 = np.frombuffer(pe_col, np.int8)
-    op8 = np.frombuffer(op_col, np.int8)
-    area8 = np.frombuffer(area_col, np.int8)
-    addr = np.frombuffer(addr_col, np.int64)
+    pe8 = np.frombuffer(pe_col, np.int8)[start:stop]
+    op8 = np.frombuffer(op_col, np.int8)[start:stop]
+    area8 = np.frombuffer(area_col, np.int8)[start:stop]
+    addr = np.frombuffer(addr_col, np.int64)[start:stop]
     if not (
         0 <= int(op8.min()) <= int(op8.max()) < N_OPS
         and 0 <= int(area8.min()) <= int(area8.max()) < N_AREAS
@@ -252,7 +258,7 @@ def _preprocess(buffer, shift, block_mask, n_pes, kinds):
     ]
     payload = (keys, prefix, total_cells, total_pe, refs_pairs,
                pe_shift, tag_shift, remap, blocks_by_id, flat_size)
-    _PREP_CACHE = (buffer, n, params, payload)
+    _PREP_CACHE = (buffer, (start, stop), params, payload)
     return payload
 
 
@@ -315,13 +321,13 @@ def kernel_source(spec) -> str:
         w_branch = ""
         aliases = ""
     return f'''\
-def _kernel(system, buffer):
+def _kernel(system, buffer, start, stop):
     """Generated replay kernel for the {spec.name!r} protocol.
 
-    Compiled by repro.core.protocol.codegen at registration; returns
-    the system's stats, or None when this (system, trace) pair is
-    outside the kernel's envelope and the caller must fall back to
-    the per-access loop.
+    Compiled by repro.core.protocol.codegen at registration; replays
+    references [start, stop) of buffer and returns the system's stats,
+    or None when this (system, trace) pair is outside the kernel's
+    envelope and the caller must fall back to the per-access loop.
     """
     from repro.core.replay import ReplayBlockedError
 
@@ -330,7 +336,7 @@ def _kernel(system, buffer):
     if not caches or system.track_data:
         return None
     stats = system.stats
-    if len(buffer) == 0:
+    if stop <= start:
         return stats
 
     # Classify every dispatch cell by handler identity, once per
@@ -363,7 +369,7 @@ def _kernel(system, buffer):
 
     shift = system._block_shift
     prep = _preprocess(
-        buffer, shift, system._block_mask, n_pes, tuple(kinds)
+        buffer, start, stop, shift, system._block_mask, n_pes, tuple(kinds)
     )
     if prep is None:
         return None
@@ -412,7 +418,7 @@ def _kernel(system, buffer):
     pdirty = pclean = 0
     gtick = max(cache._tick for cache in caches)
     prefix_at = prefix.item
-    i = -1
+    i = start - 1
     try:
         # Probe-first: the probe runs inside the zip/map iterator at C
         # speed for every reference, and the aliased flat mirror makes
@@ -454,7 +460,7 @@ def _kernel(system, buffer):
             op = op_col[i]
             area = area_col[i]
             address = addr_col[i]
-            before = prefix_at(i) - fb_pe[pe]
+            before = prefix_at(i - start) - fb_pe[pe]
             if before != consumed[pe]:
                 pe_cycles[pe] += before - consumed[pe]
                 consumed[pe] = before

@@ -49,9 +49,18 @@ class ReplayBlockedError(RuntimeError):
             "conflicts, so this trace was hand-built or corrupted"
         )
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so the error crosses
+        # a process pool intact instead of failing to unpickle.
+        return (
+            ReplayBlockedError,
+            (self.index, self.pe, self.op, self.area, self.address),
+        )
+
     def at(self, offset: int) -> "ReplayBlockedError":
         """The same reference, indexed *offset* further along the trace:
-        drivers that replay a slice re-raise with the slice's start."""
+        drivers that replay a separate buffer (a streamed chunk)
+        re-raise with that buffer's position in the whole stream."""
         return ReplayBlockedError(
             self.index + offset, self.pe, self.op, self.area, self.address
         )
@@ -88,17 +97,21 @@ def replay_access_driven(
     values=None,
     on_result=None,
     check_invariants_every: Optional[int] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> SystemStats:
-    """Drive *buffer* through ``system.access`` one reference at a time.
+    """Drive references ``[start, stop)`` of *buffer* through
+    ``system.access`` one at a time.
 
     The reference replay loop: per-access dispatch with full
-    bookkeeping, raising :class:`ReplayBlockedError` with the trace
+    bookkeeping, raising :class:`ReplayBlockedError` with the buffer
     position of a blocked reference (and ``ValueError`` up front for an
     out-of-range op or area code), and running
-    ``system.check_invariants()`` every *check_invariants_every*
-    references (and once more at the end).  *system* is anything with
-    the access-system surface (``access``, ``check_invariants``,
-    ``stats``) — a :class:`PIMCacheSystem` or a
+    ``system.check_invariants()`` whenever the position of the next
+    reference is a multiple of *check_invariants_every* (and once more
+    at the end).  *system* is anything with the access-system surface
+    (``access``, ``check_invariants``, ``stats``) — a
+    :class:`PIMCacheSystem` or a
     :class:`~repro.cluster.system.ClusteredSystem`.
 
     Two hooks exist for the differential oracle in
@@ -106,23 +119,24 @@ def replay_access_driven(
 
     * ``values(index) -> int`` supplies the data word a write-like
       reference stores (traces carry no value column, so the oracle
-      derives values deterministically from the trace index);
+      derives values deterministically from the buffer position);
     * ``on_result(index, pe, op, area, address, result)`` observes every
       access result, ``result`` being the ``(cycles, flags, value)``
       tuple — the seam the word-granularity reference model checks
       read values through.
     """
     access = system.access
-    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
-    if len(buffer) and not (
+    if stop is None:
+        stop = len(buffer)
+    columns = [memoryview(column)[start:stop] for column in buffer.columns()]
+    op_col, area_col = columns[1], columns[2]
+    if stop > start and not (
         0 <= min(op_col) <= max(op_col) < N_OPS
         and 0 <= min(area_col) <= max(area_col) < N_AREAS
     ):
         raise ValueError("trace contains an out-of-range op or area code")
-    index = -1
-    for index, (pe, op, area, addr, flags) in enumerate(
-        zip(pe_col, op_col, area_col, addr_col, flags_col)
-    ):
+    index = start - 1
+    for index, (pe, op, area, addr, flags) in enumerate(zip(*columns), start):
         value = values(index) if values is not None else 0
         result = access(pe, op, area, addr, value, flags)
         if result[0] == BLOCKED:
@@ -131,7 +145,7 @@ def replay_access_driven(
             on_result(index, pe, op, area, addr, result)
         if check_invariants_every and (index + 1) % check_invariants_every == 0:
             system.check_invariants()
-    if check_invariants_every and index >= 0:
+    if check_invariants_every and index >= start:
         system.check_invariants()
     return system.stats
 
@@ -145,18 +159,23 @@ def replay(
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> SystemStats:
-    """Replay *buffer* against a fresh cache system and return its stats.
+    """Replay references ``[start, stop)`` of *buffer* (the whole
+    buffer by default) and return the system's stats.
 
     The loop is the protocol's generated kernel
     (:mod:`repro.core.protocol.codegen`).  Where that kernel declines
     the (system, trace) pair — data tracking, or PEs and addresses
     outside its packed-key envelope — the per-access
     :func:`replay_access_driven` runs instead; it is also the
-    differential oracle's reference.  ``check_invariants_every`` (or
-    the ``REPRO_CHECK_INVARIANTS`` environment toggle — see
-    :func:`invariant_check_interval`) selects the per-access loop too,
-    validating the coherence invariants every N references.
+    differential oracle's reference.  The per-access loop also runs
+    when the system has a probe attached (the kernel inlines cache hits
+    past the probed dispatch table) and when invariant checks are on:
+    ``check_invariants_every`` (or the ``REPRO_CHECK_INVARIANTS``
+    environment toggle — see :func:`invariant_check_interval`)
+    validates the coherence invariants every N references.
 
     *mode* selects the coherence execution mode: ``"pessimistic"``
     (default) is the paper's per-access protocol;
@@ -170,11 +189,14 @@ def replay(
     *system* replays into a caller-built system instead of a fresh
     ``PIMCacheSystem(config, n_pes)`` and overrides *config*/*n_pes* —
     the hook segment drivers (streaming, windowed metrics, speculative
-    batches) use to carry one live system across slices, and the
-    clustered path uses to run per-cluster shards (a
+    batches) use to carry one live system across consecutive ranges,
+    and the clustered path uses to run per-cluster shards (a
     :class:`~repro.cluster.system.ClusterCacheSystem` keeps its
     network-charging handler wrappers; the kernel only bypasses them
-    for bus-free cache hits, which never cross the network).
+    for bus-free cache hits, which never cross the network).  Replaying
+    ``[0, b)`` then ``[b, n)`` into one system equals replaying
+    ``[0, n)`` (under ``"lazypim"``, for ``b`` a batch boundary), and a
+    blocked reference is reported with its position in *buffer*.
     """
     if mode is not None and mode not in ("pessimistic", "lazypim"):
         raise ValueError(
@@ -201,6 +223,8 @@ def replay(
                 signature_bits if signature_bits is not None
                 else DEFAULT_SIGNATURE_BITS
             ),
+            start=start,
+            stop=stop,
         )
     if system is None:
         if config is None:
@@ -208,14 +232,19 @@ def replay(
         system = PIMCacheSystem(
             config, n_pes if n_pes is not None else buffer.n_pes
         )
+    if stop is None:
+        stop = len(buffer)
     if check_invariants_every is None:
         check_invariants_every = invariant_check_interval()
-    if not check_invariants_every:
-        stats = codegen.get_kernel(system.protocol_spec)(system, buffer)
+    if not check_invariants_every and system.probe is None:
+        stats = codegen.get_kernel(system.protocol_spec)(
+            system, buffer, start, stop
+        )
         if stats is not None:
             return stats
     return replay_access_driven(
-        buffer, system, check_invariants_every=check_invariants_every
+        buffer, system, check_invariants_every=check_invariants_every,
+        start=start, stop=stop,
     )
 
 

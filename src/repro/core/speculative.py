@@ -99,7 +99,6 @@ __all__ = [
     "DEFAULT_BATCH_REFS",
     "DEFAULT_SIGNATURE_BITS",
     "MODES",
-    "SpeculativeDriver",
     "batch_signatures",
     "plan_batches",
     "replay_speculative",
@@ -132,7 +131,8 @@ def plan_batches(
     ``batch_refs``; every lock operation (and every flagged contended
     reference) becomes its own non-speculative singleton span.  The
     segmentation of a suffix depends only on the suffix itself, so
-    chunked (streaming) execution reproduces the monolithic boundaries.
+    replaying ``[start, b)`` and then ``[b, stop)``, with ``b`` one of
+    the spans' boundaries, runs the same batches as ``[start, stop)``.
     """
     _, op_col, _, _, flags_col = buffer.columns()
     if stop is None:
@@ -238,223 +238,94 @@ class _DeferredNotes:
         self._backend.note_flush()
 
 
-class SpeculativeDriver:
-    """The batch/commit/rollback state machine over one live system.
+def _drive(system, buffer, start, stop, values, on_result) -> None:
+    """Execute ``[start, stop)`` through the replay loop.
 
-    Feed it references (:meth:`feed` accepts any chunking, including one
-    call with the whole trace) and :meth:`flush` the tail at the end.
-    Complete batches execute as they become available; an incomplete
-    barrier-free tail (always shorter than ``batch_refs``) is buffered
-    until more references arrive — the seam :mod:`repro.serve.stream`
-    uses to checkpoint only at batch-commit points.
+    With oracle hooks installed the per-access loop runs.  Invariant
+    checking stays off inside the segment: the directory's entry table
+    is resynchronized at settlement, not before.
     """
+    if values is not None or on_result is not None:
+        replay_access_driven(
+            buffer, system, values=values, on_result=on_result,
+            start=start, stop=stop,
+        )
+    elif stop - start == 1:
+        # Pessimistic lock singletons (and one-reference batches) skip
+        # the kernel machinery: one dispatch, full bookkeeping.
+        pe, op, area, addr, flags = buffer[start]
+        result = system.access(pe, op, area, addr, 0, flags)
+        if result[0] == BLOCKED:
+            raise ReplayBlockedError(start, pe, op, area, addr)
+    else:
+        replay(
+            buffer, system=system, check_invariants_every=0,
+            start=start, stop=stop,
+        )
 
-    def __init__(
-        self,
-        system,
-        batch_refs: int = DEFAULT_BATCH_REFS,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        values: Optional[Callable[[int], int]] = None,
-        on_result: Optional[Callable] = None,
-        check_every: Optional[int] = None,
-    ):
-        if batch_refs < 1:
-            raise ValueError(f"batch_refs must be >= 1, got {batch_refs}")
-        if signature_bits < 2 or signature_bits & (signature_bits - 1):
-            raise ValueError(
-                f"signature_bits must be a power of two >= 2, "
-                f"got {signature_bits}"
-            )
-        if not hasattr(system, "_bus"):
-            raise TypeError(
-                "speculative replay needs a single-bus system (flat, or a "
-                "per-cluster shard system); drive a clustered run through "
-                "replay_clustered(mode='lazypim') instead"
-            )
-        self.system = system
-        self.batch_refs = batch_refs
-        self.signature_bits = signature_bits
-        self.values = values
-        self.on_result = on_result
-        self._check_every = check_every or 0
-        self._checked = 0
-        self._pending = TraceBuffer(system.n_pes)
-        #: Global index of the first pending (not yet executed) reference.
-        self._base = 0
-        #: References executed (committed or pessimistically replayed).
-        self.refs_done = 0
-        self._log: List[Tuple[int, int, int, int]] = []
-        self._touched: set = set()
 
-    # -- feeding ---------------------------------------------------------
+def _attempt(system, buffer, start, stop, values, on_result) -> _DeferredBus:
+    """Execute a conflict-free batch with coherence deferred; returns
+    the recorder holding its transactions and touched blocks."""
+    recorder = _DeferredBus()
+    saved_bus = system._bus
+    saved_dir = system._dir
+    system._bus = recorder
+    if saved_dir is not None:
+        system._dir = _DeferredNotes(saved_dir, recorder.touched)
+    try:
+        _drive(system, buffer, start, stop, values, on_result)
+    finally:
+        system._bus = saved_bus
+        system._dir = saved_dir
+    return recorder
 
-    def feed(self, buffer: TraceBuffer) -> None:
-        """Append references and execute every complete batch."""
-        if len(buffer):
-            self._pending.extend(buffer)
-        self._drain(final=False)
 
-    def flush(self) -> SystemStats:
-        """Execute the buffered tail as the final (short) batch."""
-        self._drain(final=True)
-        if self._check_every and self.refs_done:
-            self.system.check_invariants()
-        return self.system.stats
+def _settle(system, recorder: _DeferredBus) -> None:
+    """Replay the deferred transactions as the bulk settlement round."""
+    stats = system.stats
+    transact = system.interconnect.transact
+    settled_broadcast = False
+    settles = 0
+    elided = 0
+    for pe, pattern, area, block in recorder.log:
+        if pattern == _INVALIDATION and block >= 0:
+            # Per-block invalidations coalesce into the batch's one
+            # signature broadcast: the first is charged (it *is* the
+            # broadcast), the rest ride it.  Block-less invalidation
+            # rounds (lock-spin episode charges) are the lock
+            # protocol's liveness mechanism and never coalesce.
+            if settled_broadcast:
+                elided += 1
+                continue
+            settled_broadcast = True
+        transact(pe, pattern, area)
+        settles += 1
+    stats.signature_settles += settles
+    stats.batch_elided_invalidations += elided
+    if system._dir is not None:
+        _resync(system._dir, recorder.touched)
 
-    def _drain(self, final: bool) -> None:
-        pending = self._pending
-        n = len(pending)
-        _, op_col, _, _, flags_col = pending.columns()
-        batch = self.batch_refs
-        lo = 0
-        for i in range(n):
-            if op_col[i] in _BARRIER_OPS or flags_col[i]:
-                for s in range(lo, i, batch):
-                    self._run_segment(s, min(s + batch, i), True)
-                self._run_segment(i, i + 1, False)
-                lo = i + 1
-        # [lo, n) is a barrier-free tail: full batches run now, the
-        # remainder waits for more references (or the final flush).
-        s = lo
-        while n - s >= batch:
-            self._run_segment(s, s + batch, True)
-            s += batch
-        if final and s < n:
-            self._run_segment(s, n, True)
-            s = n
-        if s:
-            self._pending = pending.slice(s, n)
-            self._base += s
 
-    # -- one segment -----------------------------------------------------
+def _resync(backend, touched) -> None:
+    """Resynchronize the directory entries of every touched block from
+    cache residency (the backend's own completion rule)."""
+    from repro.core.protocol.directory import DirectoryEntry
 
-    def _run_segment(self, start: int, stop: int, speculative: bool) -> None:
-        system = self.system
-        segment = self._pending.slice(start, stop)
-        base = self._base + start
-        if not speculative:
-            self._drive(segment, base)
+    entries = backend.entries
+    for block in touched:
+        state, owner, sharers = backend._residency(block)
+        if sharers:
+            entry = entries.get(block)
+            if entry is None:
+                entries[block] = DirectoryEntry(state, owner, sharers)
+            else:
+                entry.state = state
+                entry.owner = owner
+                entry.sharers = sharers
+                entry.transient = None
         else:
-            read_sigs, write_sigs = batch_signatures(
-                segment, 0, len(segment), system.n_pes,
-                system._block_shift, self.signature_bits,
-            )
-            if signatures_conflict(read_sigs, write_sigs):
-                system.stats.batch_rollbacks += 1
-                self._drive(segment, base)
-            else:
-                self._attempt(segment, base)
-                self._settle()
-                system.stats.batch_commits += 1
-        self.refs_done += stop - start
-        if self._check_every:
-            due = self.refs_done // self._check_every
-            if due > self._checked:
-                self._checked = due
-                system.check_invariants()
-
-    def _attempt(self, segment: TraceBuffer, base: int) -> None:
-        system = self.system
-        recorder = _DeferredBus()
-        saved_bus = system._bus
-        saved_dir = system._dir
-        system._bus = recorder
-        if saved_dir is not None:
-            system._dir = _DeferredNotes(saved_dir, recorder.touched)
-        try:
-            self._drive(segment, base)
-        finally:
-            system._bus = saved_bus
-            system._dir = saved_dir
-        self._log = recorder.log
-        self._touched = recorder.touched
-
-    def _drive(self, segment: TraceBuffer, base: int) -> None:
-        """Execute a segment through the replay loop.
-
-        With oracle hooks installed the per-access loop runs (global
-        indices reconstructed from *base*).  Invariant checking stays
-        off inside the segment: the directory's entry table is
-        resynchronized at settlement, not before.
-        """
-        values = self.values
-        on_result = self.on_result
-        if len(segment) == 1 and values is None and on_result is None:
-            # Pessimistic lock singletons (and one-reference batches)
-            # skip the kernel machinery: one dispatch, full bookkeeping.
-            pe, op, area, addr, flags = segment[0]
-            result = self.system.access(pe, op, area, addr, 0, flags)
-            if result[0] == BLOCKED:
-                raise ReplayBlockedError(base, pe, op, area, addr)
-            return
-        try:
-            if values is None and on_result is None:
-                replay(segment, system=self.system, check_invariants_every=0)
-                return
-            vfn = None
-            if values is not None:
-                vfn = lambda i, _b=base: values(_b + i)  # noqa: E731
-            rfn = None
-            if on_result is not None:
-                rfn = (
-                    lambda i, pe, op, area, addr, result, _b=base:
-                    on_result(_b + i, pe, op, area, addr, result)
-                )
-            replay_access_driven(
-                segment, self.system, values=vfn, on_result=rfn
-            )
-        except ReplayBlockedError as error:
-            raise error.at(base) from None
-
-    # -- commit ----------------------------------------------------------
-
-    def _settle(self) -> None:
-        """Replay the deferred transactions as the bulk settlement round."""
-        system = self.system
-        stats = system.stats
-        transact = system.interconnect.transact
-        settled_broadcast = False
-        settles = 0
-        elided = 0
-        for pe, pattern, area, block in self._log:
-            if pattern == _INVALIDATION and block >= 0:
-                # Per-block invalidations coalesce into the batch's one
-                # signature broadcast: the first is charged (it *is* the
-                # broadcast), the rest ride it.  Block-less invalidation
-                # rounds (lock-spin episode charges) are the lock
-                # protocol's liveness mechanism and never coalesce.
-                if settled_broadcast:
-                    elided += 1
-                    continue
-                settled_broadcast = True
-            transact(pe, pattern, area)
-            settles += 1
-        stats.signature_settles += settles
-        stats.batch_elided_invalidations += elided
-        self._log = []
-        if system._dir is not None:
-            self._resync(system._dir)
-        self._touched = set()
-
-    def _resync(self, backend) -> None:
-        """Resynchronize the directory entries of every touched block
-        from cache residency (the backend's own completion rule)."""
-        from repro.core.protocol.directory import DirectoryEntry
-
-        entries = backend.entries
-        for block in self._touched:
-            state, owner, sharers = backend._residency(block)
-            if sharers:
-                entry = entries.get(block)
-                if entry is None:
-                    entries[block] = DirectoryEntry(state, owner, sharers)
-                else:
-                    entry.state = state
-                    entry.owner = owner
-                    entry.sharers = sharers
-                    entry.transient = None
-            else:
-                entries.pop(block, None)
+            entries.pop(block, None)
 
 
 def replay_speculative(
@@ -468,19 +339,26 @@ def replay_speculative(
     values: Optional[Callable[[int], int]] = None,
     on_result: Optional[Callable] = None,
     force_speculation: bool = False,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> SystemStats:
-    """Replay *buffer* under speculative batch coherence.
+    """Replay references ``[start, stop)`` of *buffer* under
+    speculative batch coherence.
 
     Mirrors :func:`repro.core.replay.replay` (same config/system
-    seams, same invariant toggle) plus the oracle hooks of
-    :func:`~repro.core.replay.replay_access_driven` and the two batch
-    knobs.  ``batch_refs <= 1`` short-circuits to the pessimistic path
-    outright — a one-reference batch settles before any concurrent
-    conflict can arise, so the degenerate mode *is* the per-access
-    protocol and stays bit-identical to it, speculative counters at
-    zero.  ``force_speculation=True`` (tests only) runs the full
-    defer/settle machinery anyway, which the property suite uses to pin
-    deferral + immediate settlement counter-identical to live charging.
+    seams, position range and invariant toggle) plus the oracle hooks
+    of :func:`~repro.core.replay.replay_access_driven` and the two
+    batch knobs.  The range runs as the batches of
+    :func:`plan_batches`, so replaying ``[0, b)`` and then ``[b, n)``
+    into one system, with ``b`` a batch boundary of ``[0, n)``, equals
+    replaying ``[0, n)``.  ``batch_refs <= 1`` short-circuits to the
+    pessimistic path outright — a one-reference batch settles before
+    any concurrent conflict can arise, so the degenerate mode *is* the
+    per-access protocol and stays bit-identical to it, speculative
+    counters at zero.  ``force_speculation=True`` (tests only) runs the
+    full defer/settle machinery anyway, which the property suite uses
+    to pin deferral + immediate settlement counter-identical to live
+    charging.
     """
     if system is None:
         if config is None:
@@ -489,23 +367,50 @@ def replay_speculative(
         system = PIMCacheSystem(config, pes)
     if check_invariants_every is None:
         check_invariants_every = invariant_check_interval()
+    if stop is None:
+        stop = len(buffer)
     if batch_refs <= 1 and not force_speculation:
         if values is not None or on_result is not None:
             return replay_access_driven(
                 buffer, system, values=values, on_result=on_result,
                 check_invariants_every=check_invariants_every,
+                start=start, stop=stop,
             )
         return replay(
             buffer, system=system,
             check_invariants_every=check_invariants_every or 0,
+            start=start, stop=stop,
         )
-    driver = SpeculativeDriver(
-        system,
-        batch_refs=batch_refs,
-        signature_bits=signature_bits,
-        values=values,
-        on_result=on_result,
-        check_every=check_invariants_every,
-    )
-    driver.feed(buffer)
-    return driver.flush()
+    if batch_refs < 1:
+        raise ValueError(f"batch_refs must be >= 1, got {batch_refs}")
+    if signature_bits < 2 or signature_bits & (signature_bits - 1):
+        raise ValueError(
+            f"signature_bits must be a power of two >= 2, "
+            f"got {signature_bits}"
+        )
+    if not hasattr(system, "_bus"):
+        raise TypeError(
+            "speculative replay needs a single-bus system (flat, or a "
+            "per-cluster shard system); drive a clustered run through "
+            "replay_clustered(mode='lazypim') instead"
+        )
+    stats = system.stats
+    every = check_invariants_every
+    for lo, hi, speculative in plan_batches(buffer, batch_refs, start, stop):
+        if not speculative:
+            _drive(system, buffer, lo, hi, values, on_result)
+        elif signatures_conflict(*batch_signatures(
+            buffer, lo, hi, system.n_pes, system._block_shift, signature_bits
+        )):
+            stats.batch_rollbacks += 1
+            _drive(system, buffer, lo, hi, values, on_result)
+        else:
+            _settle(
+                system, _attempt(system, buffer, lo, hi, values, on_result)
+            )
+            stats.batch_commits += 1
+        if every and hi // every > lo // every:
+            system.check_invariants()
+    if every and stop > start:
+        system.check_invariants()
+    return stats

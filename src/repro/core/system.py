@@ -289,11 +289,11 @@ class PIMCacheSystem:
         :class:`repro.obs.probe.ProtocolProbe` for the contract); the
         handlers themselves are untouched, so detaching restores the
         exact uninstrumented table and a system that never attaches a
-        probe pays nothing.  Note the generated replay kernel
+        probe pays nothing.  The generated replay kernel
         (:mod:`repro.core.protocol.codegen`) inlines cache hits past the
-        dispatch table — observed replays must drive :meth:`access` (as
-        :func:`repro.obs.windows.windowed_replay` does with a probe) so
-        the probe sees every reference.
+        dispatch table, so :func:`repro.core.replay.replay` drives a
+        probed system through the per-access loop instead, and the
+        probe sees every reference.
         """
         if self._probe is not None:
             raise RuntimeError("a probe is already attached; detach it first")

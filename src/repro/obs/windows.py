@@ -14,14 +14,12 @@ not a multiple (it is never empty — a trace ending exactly on a window
 boundary produces no trailing empty record).  The sum of every additive
 field over all windows equals the end-of-run aggregate.
 
-The loop is chosen from what the caller asks for.  A probe or periodic
-invariant checks need per-reference control, so they drive
-:meth:`PIMCacheSystem.access` one reference at a time.  Otherwise the
-trace is segmented at window boundaries and each segment replays
-through :func:`repro.core.replay.replay` into one persistent system:
-every deferred counter fold settles per call, so the segmented run —
-and therefore every window record — is counter-identical to the
-per-access loop (the tests assert it).
+Each window is one range of the trace replayed through
+:func:`repro.core.replay.replay` into one persistent system: every
+deferred counter fold settles per call, so the windowed run — and
+therefore every window record — is counter-identical to one whole-trace
+replay (the tests assert it).  ``replay`` itself picks the per-access
+loop when a probe is attached or invariant checks are on.
 """
 
 from __future__ import annotations
@@ -32,10 +30,9 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import ReplayBlockedError
-from repro.core.replay import replay as kernel_replay
+from repro.core.replay import replay
 from repro.core.stats import SystemStats
-from repro.core.system import BLOCKED, PIMCacheSystem
+from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
 
 #: Schema tag written into every window JSONL record.
@@ -150,11 +147,8 @@ def windowed_replay(
     *check_invariants_every* references (the ``REPRO_CHECK_INVARIANTS``
     debug mode).
 
-    With neither a probe nor invariant checks, window-sized segments
-    replay through :func:`repro.core.replay.replay` (see the module
-    docstring).  A blocked reference raises
-    :class:`~repro.core.replay.ReplayBlockedError` with its trace index
-    on either path.
+    A blocked reference raises
+    :class:`~repro.core.replay.ReplayBlockedError` with its trace index.
     """
     if config is None:
         config = SimulationConfig()
@@ -162,31 +156,14 @@ def windowed_replay(
     if probe is not None:
         system.attach_probe(probe)
     metrics = WindowedMetrics(system.stats, window)
-    if probe is None and not check_invariants_every:
-        for start in range(0, len(buffer), window):
-            segment = buffer.slice(start, min(start + window, len(buffer)))
-            try:
-                kernel_replay(segment, system=system)
-            except ReplayBlockedError as error:
-                raise error.at(start) from None
-            metrics.close_window()
-        return system.stats, metrics.windows
-    access = system.access
-    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
-    in_window = 0
-    index = -1
-    for index, (pe, op, area, addr, flags) in enumerate(
-        zip(pe_col, op_col, area_col, addr_col, flags_col)
-    ):
-        if access(pe, op, area, addr, 0, flags)[0] == BLOCKED:
-            raise ReplayBlockedError(index, pe, op, area, addr)
-        in_window += 1
-        if in_window == window:
-            metrics.close_window()
-            in_window = 0
-        if check_invariants_every and (index + 1) % check_invariants_every == 0:
-            system.check_invariants()
-    if in_window:
+    for start in range(0, len(buffer), window):
+        replay(
+            buffer,
+            system=system,
+            check_invariants_every=check_invariants_every,
+            start=start,
+            stop=min(start + window, len(buffer)),
+        )
         metrics.close_window()
     return system.stats, metrics.windows
 

@@ -26,7 +26,7 @@ from repro.core.config import SimulationConfig
 from repro.core.replay import ReplayBlockedError, replay
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
-from repro.cluster.replay import split_trace
+from repro.cluster.replay import split_trace, unshard_error
 from repro.cluster.system import ClusteredSystem, ClusterStats
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import (
@@ -87,9 +87,9 @@ def replay_stream(
     *system* lets a caller resume a restored checkpoint (it must match
     the config's shape); *on_chunk* is called after every chunk with
     ``(chunk_index, refs_done, system)`` — the hook the job service
-    checkpoints and heartbeats from.  On a flat system a blocked
-    reference raises :class:`~repro.core.replay.ReplayBlockedError`
-    with its index in the whole stream.
+    checkpoints and heartbeats from.  A blocked reference raises
+    :class:`~repro.core.replay.ReplayBlockedError` with its index and
+    PE in the whole stream, flat or clustered.
 
     ``mode="lazypim"`` streams speculatively: each chunk runs as a
     closed sequence of speculative batches (chunk boundaries force a
@@ -125,8 +125,6 @@ def replay_stream(
                 signature_bits=signature_bits,
             )
         except ReplayBlockedError as error:
-            if isinstance(system, ClusteredSystem):
-                raise  # indexed within its cluster's shard
             raise error.at(refs_done) from None
         refs_done += len(chunk)
         if on_chunk is not None:
@@ -153,8 +151,10 @@ def _replay_chunk(
     """Advance *system* by one chunk (flat or clustered)."""
     if isinstance(system, ClusteredSystem):
         shards = split_trace(chunk, system.n_pes, system.n_clusters)
-        for sub, shard in zip(system.systems, shards):
-            if len(shard):
+        for cluster, (sub, shard) in enumerate(zip(system.systems, shards)):
+            if not len(shard):
+                continue
+            try:
                 replay(
                     shard,
                     system=sub,
@@ -162,6 +162,10 @@ def _replay_chunk(
                     batch_refs=batch_refs,
                     signature_bits=signature_bits,
                 )
+            except ReplayBlockedError as error:
+                raise unshard_error(
+                    error, chunk, system.n_pes, system.n_clusters, cluster
+                ) from None
         return
     replay(
         chunk,

@@ -78,12 +78,12 @@ class TraceBuffer:
         return self._pe, self._op, self._area, self._addr, self._flags
 
     def slice(self, start: int, stop: int) -> "TraceBuffer":
-        """A new buffer holding references ``[start, stop)``.
+        """A new buffer holding a copy of references ``[start, stop)``.
 
-        Column slicing copies at ``array`` speed (raw memory), so
-        segmenting a trace at window boundaries — the windowed
-        generated-kernel tier, chunked worker telemetry — costs far
-        less than the replay of the segment itself.
+        For a separate buffer — a streamed chunk, a benchmark window.
+        To replay part of a buffer, pass ``start``/``stop`` to
+        :func:`repro.core.replay.replay` instead: it reads the range in
+        place.
         """
         out = TraceBuffer(self.n_pes)
         out._pe = self._pe[start:stop]

@@ -38,7 +38,7 @@ from repro.core.replay import ReplayBlockedError, replay, replay_access_driven
 from repro.core.speculative import (
     DEFAULT_BATCH_REFS,
     DEFAULT_SIGNATURE_BITS,
-    SpeculativeDriver,
+    plan_batches,
     replay_speculative,
 )
 from repro.core.system import PIMCacheSystem
@@ -184,12 +184,10 @@ def run_case(
 
         mid = len(trace) // 2
         prefix_system = PIMCacheSystem(base, n_pes)
-        replay(trace.slice(0, mid), system=prefix_system)
+        replay(trace, system=prefix_system, stop=mid)
         checkpoint = json.loads(json.dumps(snapshot(prefix_system)))
         resumed_system = restore(checkpoint)
-        resumed = replay(
-            trace.slice(mid, len(trace)), system=resumed_system
-        ).as_dict()
+        resumed = replay(trace, system=resumed_system, start=mid).as_dict()
         refs += len(trace)
         if resumed != flat:
             raise Divergence(
@@ -288,11 +286,10 @@ def run_lazypim_case(
     match the flat model, which is exactly the "rollbacks are
     invisible" oracle; (1b) final-memory identity against a
     pessimistic replay after a full writeback; (2) the generated
-    kernel driving the batches, counter-identical; (2c) chunked
-    feeding through
-    :class:`~repro.core.speculative.SpeculativeDriver` split mid-trace
-    (the ``repro serve`` streaming seam) must reproduce the monolithic
-    batch boundaries bit for bit; (3) the checked loop with the
+    kernel driving the batches, counter-identical; (2c) two ranges
+    split at a :func:`~repro.core.speculative.plan_batches` boundary
+    and replayed into one system must reproduce the monolithic run bit
+    for bit; (3) the checked loop with the
     invariant battery at batch boundaries; (4) sharded clustered replay
     per cluster count, with a per-shard value pass for multi-cluster
     runs (speculation is per-bus, so each
@@ -360,26 +357,32 @@ def run_lazypim_case(
             + _dict_diff("kernel", generated, "access", flat),
         )
 
-    # (2c) Chunk-boundary independence: feeding the trace in two pieces
-    # must reproduce the monolithic batch segmentation (this is the
-    # property ``repro serve`` streaming and its checkpoints lean on).
-    if len(trace) >= 2:
-        chunked_system = PIMCacheSystem(base, n_pes)
-        driver = SpeculativeDriver(
-            chunked_system,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
-        mid = len(trace) // 2
-        driver.feed(trace.slice(0, mid))
-        driver.feed(trace.slice(mid, len(trace)))
-        chunked = driver.flush().as_dict()
+    # (2c) Range composability: replaying the trace as two ranges
+    # split at a batch boundary into one system must reproduce the
+    # monolithic run (the property a streamed or checkpointed
+    # speculative job leans on when its chunks end on batch
+    # boundaries).
+    spans = plan_batches(trace, batch_refs)
+    if len(spans) >= 2:
+        split = spans[len(spans) // 2][0]
+        ranged_system = PIMCacheSystem(base, n_pes)
+        for lo, hi in ((0, split), (split, len(trace))):
+            replay_speculative(
+                trace,
+                system=ranged_system,
+                batch_refs=batch_refs,
+                signature_bits=signature_bits,
+                start=lo,
+                stop=hi,
+            )
+        ranged = ranged_system.stats.as_dict()
         refs += len(trace)
-        if chunked != flat:
+        if ranged != flat:
             raise Divergence(
-                "lazypim-chunked",
-                "chunked speculative feed disagrees with the monolithic "
-                "run: " + _dict_diff("chunked", chunked, "monolithic", flat),
+                "lazypim-ranged",
+                f"speculative replay split at batch boundary {split} "
+                "disagrees with the monolithic run: "
+                + _dict_diff("ranged", ranged, "monolithic", flat),
             )
 
     # (3) Checked loop: structural invariants at batch boundaries.

@@ -16,17 +16,23 @@ from repro.core.system import PIMCacheSystem
 LOOPS = ("interpreted", "generated")
 
 
-def replay_through(loop, buffer, config=None, n_pes=None, system=None):
-    """Replay *buffer* through *loop* into *system* (else a fresh one)."""
+def replay_through(
+    loop, buffer, config=None, n_pes=None, system=None, start=0, stop=None
+):
+    """Replay references ``[start, stop)`` of *buffer* through *loop*
+    into *system* (else a fresh one)."""
     if loop == "generated":
-        return replay(buffer, config, n_pes=n_pes, system=system)
+        return replay(
+            buffer, config, n_pes=n_pes, system=system, start=start,
+            stop=stop,
+        )
     assert loop == "interpreted", loop
     if system is None:
         system = PIMCacheSystem(
             config if config is not None else SimulationConfig(),
             n_pes if n_pes is not None else buffer.n_pes,
         )
-    return replay_access_driven(buffer, system)
+    return replay_access_driven(buffer, system, start=start, stop=stop)
 
 
 def route_through(loop, monkeypatch):

@@ -4,10 +4,17 @@ import pytest
 
 from repro.core.config import MachineConfig, OptimizationConfig, SimulationConfig
 from repro.core.replay import replay, replay_many
+from repro.core.speculative import plan_batches
+from repro.core.system import PIMCacheSystem
 from repro.machine.machine import KL1Machine
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import Area, Op
-from repro.trace.synthetic import generate_aurora_trace, AuroraTraceConfig
+from repro.trace.synthetic import (
+    AuroraTraceConfig,
+    generate_aurora_trace,
+    generate_contract_trace,
+)
+from tests.replay_loops import LOOPS, replay_through
 
 SRC = """
 nrev([], R) :- R = [].
@@ -43,6 +50,32 @@ def test_replay_blocked_trace_raises():
     trace.append(1, Op.R, Area.HEAP, 1 << 28)  # conflicts while locked
     with pytest.raises(RuntimeError):
         replay(trace)
+
+
+@pytest.mark.parametrize("loop", LOOPS + ("lazypim",))
+def test_ranges_compose_into_the_whole_run(loop):
+    """Replaying ``[0, b)`` then ``[b, n)`` of one buffer into one
+    system equals replaying ``[0, n)``; for lazypim ``b`` must be a
+    batch boundary, so every loop splits at one."""
+    trace = generate_contract_trace(2_000, n_pes=4, seed=21)
+    config = SimulationConfig()
+
+    def run(system, start=0, stop=None):
+        if loop == "lazypim":
+            return replay(
+                trace, system=system, mode="lazypim", batch_refs=64,
+                start=start, stop=stop,
+            )
+        return replay_through(loop, trace, system=system, start=start, stop=stop)
+
+    whole = run(PIMCacheSystem(config, 4)).as_dict()
+    spans = plan_batches(trace, 64)
+    split = spans[len(spans) // 2][0]
+    system = PIMCacheSystem(config, 4)
+    run(system, stop=split)
+    assert run(system, start=split).as_dict() == whole
+    if loop == "lazypim":
+        assert whole["batch_commits"] and whole["batch_rollbacks"]
 
 
 def test_execution_and_replay_agree_exactly():

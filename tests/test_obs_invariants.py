@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.parallel import SweepPool, run_clustered
+from repro.cluster.replay import replay_clustered
 from repro.core.config import SimulationConfig
 from repro.core.replay import (
     DEFAULT_INVARIANT_INTERVAL,
@@ -107,18 +109,28 @@ def test_checked_loop_blocked_error_carries_trace_position():
 
 
 def late_blocking_trace():
-    """130 unrelated reads, then PE0 locks a word and PE1 reads its
-    block: the blocked reference is index 131, past several slices of
-    every segment driver below and inside a multi-reference slice."""
-    buffer = TraceBuffer(n_pes=2)
+    """130 unrelated reads across 4 PEs, then PE2 locks a word and PE3
+    reads its block: the blocked reference is index 131, past several
+    ranges of every segment driver below and inside a multi-reference
+    range.  With two clusters, PE2 and PE3 are cluster 1's local PEs 0
+    and 1, and the blocked read is index 65 of that cluster's shard."""
+    buffer = TraceBuffer(n_pes=4)
     address = AREA_BASE[Area.HEAP]
     for i in range(130):
-        buffer.append(i % 2, Op.R, Area.HEAP, address + 64 + 4 * i)
-    buffer.append(0, Op.LR, Area.HEAP, address)
-    buffer.append(1, Op.R, Area.HEAP, address)
+        buffer.append(i % 4, Op.R, Area.HEAP, address + 64 + 4 * i)
+    buffer.append(2, Op.LR, Area.HEAP, address)
+    buffer.append(3, Op.R, Area.HEAP, address)
     for i in range(20):
         buffer.append(0, Op.R, Area.HEAP, address + 64 + 4 * i)
     return buffer
+
+
+def sweep_pool_map(trace):
+    with SweepPool(trace, jobs=2) as pool:
+        return pool.map([SimulationConfig()])
+
+
+CLUSTERED = SimulationConfig().with_clusters(2)
 
 
 @pytest.mark.parametrize(
@@ -126,7 +138,7 @@ def late_blocking_trace():
     {
         "replay": lambda trace: replay(trace, SimulationConfig()),
         "replay_system": lambda trace: replay(
-            trace, system=PIMCacheSystem(SimulationConfig(), 2)
+            trace, system=PIMCacheSystem(SimulationConfig(), 4)
         ),
         "replay_stream": lambda trace: replay_stream(
             trace, SimulationConfig(), chunk_refs=64
@@ -137,6 +149,17 @@ def late_blocking_trace():
         "lazypim": lambda trace: replay(
             trace, SimulationConfig(), mode="lazypim", batch_refs=16
         ),
+        "sweep_pool": sweep_pool_map,
+        "replay_clustered": lambda trace: replay_clustered(trace, CLUSTERED),
+        "run_clustered_serial": lambda trace: run_clustered(
+            trace, CLUSTERED, jobs=1
+        ),
+        "run_clustered_pooled": lambda trace: run_clustered(
+            trace, CLUSTERED, jobs=2
+        ),
+        "replay_stream_clustered": lambda trace: replay_stream(
+            trace, CLUSTERED, chunk_refs=64
+        ),
     }.items(),
     ids=lambda item: item[0],
 )
@@ -145,7 +168,7 @@ def test_segment_drivers_report_the_global_blocked_index(driver):
     with pytest.raises(ReplayBlockedError) as info:
         run(late_blocking_trace())
     assert info.value.index == 131
-    assert info.value.pe == 1
+    assert info.value.pe == 3
 
 
 def test_machine_run_with_invariant_checking(monkeypatch):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import replay
+from repro.core.replay import replay, replay_access_driven
 from repro.core.system import PIMCacheSystem
 from repro.obs.events import EVENT_KIND_NAMES, EventKind, ProtocolEvent
 from repro.obs.probe import ProtocolProbe
@@ -254,3 +254,31 @@ def test_profile_quiet_when_nothing_dropped(caplog):
         repro_logger.propagate = propagate
     assert result.events_dropped == 0
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_replay_feeds_an_attached_probe_every_reference():
+    """replay() runs a probed system through the per-access loop: the
+    generated kernel would serve cache hits past the probed handlers."""
+    from repro.trace.synthetic import generate_random_trace
+
+    class CountingProbe(ProtocolProbe):
+        seen = 0
+
+        def before_access(self, *args):
+            self.seen += 1
+            super().before_access(*args)
+
+    trace = generate_random_trace(3000, n_pes=4, seed=5)
+    runs = []
+    for loop in (replay, replay_access_driven):
+        system = PIMCacheSystem(SimulationConfig(), 4)
+        sink = CollectorSink()
+        probe = CountingProbe(sink)
+        system.attach_probe(probe)
+        if loop is replay:
+            replay(trace, system=system)
+        else:
+            replay_access_driven(trace, system)
+        runs.append((probe.seen, sink.emitted, system.stats.as_dict()))
+    assert runs[0][0] == len(trace)
+    assert runs[0] == runs[1]

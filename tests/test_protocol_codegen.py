@@ -72,7 +72,7 @@ class TestEnvelope:
         system = PIMCacheSystem(config, 2)
         kernel = codegen.get_kernel(system.protocol_spec)
         buffer = generate_random_trace(50, n_pes=2, seed=1)
-        assert kernel(system, buffer) is None
+        assert kernel(system, buffer, 0, len(buffer)) is None
 
     def test_track_data_replay_falls_back_and_matches(self):
         buffer = generate_random_trace(800, n_pes=2, seed=2)
@@ -87,7 +87,7 @@ class TestEnvelope:
         buffer._addr[7] = -buffer._addr[7]
         system = PIMCacheSystem(SimulationConfig(), 2)
         kernel = codegen.get_kernel(system.protocol_spec)
-        assert kernel(system, buffer) is None
+        assert kernel(system, buffer, 0, len(buffer)) is None
         generated = replay(buffer, SimulationConfig(), n_pes=2)
         interpreted = replay_through(
             "interpreted", buffer, SimulationConfig(), n_pes=2

@@ -11,8 +11,8 @@ The engine's contract (docs/SPECULATIVE.md) is tested from four sides:
 * **identities** — batch size 1 is counter-identical to the pessimistic
   path for every registered protocol, commit/rollback counters are
   deterministic across the two replay loops, the cycle-ledger
-  exact-sum invariant survives bulk settlement, and streamed/chunked
-  execution reproduces the monolithic run;
+  exact-sum invariant survives bulk settlement, and streamed execution
+  reproduces the monolithic run;
 * **rollback** — conflicting batches roll back invisibly (final memory
   equals the pessimistic run), including across a persisted checkpoint
   boundary, and the checkpoint snapshot never aliases live cache-line
@@ -31,7 +31,6 @@ from repro.core.config import SimulationConfig
 from repro.core.protocol import protocol_names
 from repro.core.replay import replay
 from repro.core.speculative import (
-    SpeculativeDriver,
     batch_signatures,
     plan_batches,
     replay_speculative,
@@ -299,24 +298,24 @@ def test_rollbacks_invisible_in_final_memory():
 
 
 def test_rollback_spans_checkpoint_boundary():
-    """Snapshot mid-run, continue through batches that roll back; a
-    resume from the persisted (JSON round-tripped) checkpoint must
-    reproduce the undisturbed continuation bit-for-bit."""
+    """Snapshot at a batch boundary mid-run, continue through batches
+    that roll back; a resume from the persisted (JSON round-tripped)
+    checkpoint must reproduce the undisturbed continuation bit-for-bit."""
     trace = generate_false_sharing_trace(1_600, n_pes=4, seed=4)
-    config = SimulationConfig()
-    live = PIMCacheSystem(config, 4)
-    driver = SpeculativeDriver(live, batch_refs=64)
-    driver.feed(trace.slice(0, 800))
-    done = driver.refs_done  # 768: the last complete batch boundary
+    spans = plan_batches(trace, 64)
+    boundary = spans[len(spans) // 2][0]
+    live = PIMCacheSystem(SimulationConfig(), 4)
+    replay_speculative(trace, system=live, batch_refs=64, stop=boundary)
     checkpoint = json.loads(json.dumps(snapshot(live)))
-    driver.feed(trace.slice(800, len(trace)))
-    reference = driver.flush().as_dict()
+    reference = replay_speculative(
+        trace, system=live, batch_refs=64, start=boundary
+    ).as_dict()
     assert reference["batch_rollbacks"] > 0
 
-    resumed = restore(checkpoint)
-    resumed_driver = SpeculativeDriver(resumed, batch_refs=64)
-    resumed_driver.feed(trace.slice(done, len(trace)))
-    assert resumed_driver.flush().as_dict() == reference
+    resumed = replay_speculative(
+        trace, system=restore(checkpoint), batch_refs=64, start=boundary
+    )
+    assert resumed.as_dict() == reference
 
 
 def test_snapshot_does_not_alias_cached_line_data():
@@ -336,17 +335,6 @@ def test_snapshot_does_not_alias_cached_line_data():
 
 # ---------------------------------------------------------------------------
 # Chunked and streamed execution.
-
-
-def test_driver_chunked_feed_matches_monolithic():
-    trace = generate_contract_trace(3_000, n_pes=4, seed=13)
-    config = SimulationConfig()
-    mono = replay(trace, config, mode="lazypim", batch_refs=64).as_dict()
-    system = PIMCacheSystem(config, 4)
-    driver = SpeculativeDriver(system, batch_refs=64)
-    for lo in range(0, len(trace), 333):
-        driver.feed(trace.slice(lo, min(lo + 333, len(trace))))
-    assert driver.flush().as_dict() == mono
 
 
 def test_replay_stream_lazypim_matches_monolithic_when_aligned():
@@ -384,16 +372,20 @@ def test_unknown_mode_rejected():
 
 
 def test_driver_rejects_bad_knobs():
+    trace = generate_false_sharing_trace(16, n_pes=2, seed=0)
     system = PIMCacheSystem(SimulationConfig(), 2)
     with pytest.raises(ValueError, match="batch_refs"):
-        SpeculativeDriver(system, batch_refs=0)
+        replay_speculative(
+            trace, system=system, batch_refs=0, force_speculation=True
+        )
     with pytest.raises(ValueError, match="signature_bits"):
-        SpeculativeDriver(system, signature_bits=3)
+        replay_speculative(trace, system=system, signature_bits=3)
 
 
 def test_driver_rejects_clustered_systems():
     from repro.cluster.system import ClusteredSystem
 
+    trace = generate_false_sharing_trace(16, n_pes=4, seed=0)
     clustered = ClusteredSystem(SimulationConfig().with_clusters(2), 4)
     with pytest.raises(TypeError, match="replay_clustered"):
-        SpeculativeDriver(clustered)
+        replay_speculative(trace, system=clustered)

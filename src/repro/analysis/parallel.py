@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Union
 from repro.cluster.replay import replay_shard, split_trace, unshard_error
 from repro.cluster.system import ClusterStats
 from repro.core.config import SimulationConfig
-from repro.core.replay import ReplayBlockedError, replay
+from repro.core.replay import ReplayBlockedError, replay, replay_ranges
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.obs.log import get_logger
@@ -102,8 +102,9 @@ def _replay_point(
     """Replay one sweep point in telemetry-sized chunks.
 
     Identical counters to a single :func:`~repro.core.replay.replay`
-    call — every deferred kernel fold settles per call, and the system
-    carries all state across ranges (the same mechanism as
+    call — the chunks are ranges of one kernel session, each settling
+    its deferred folds at its end, and the system carries all state
+    across ranges (the same mechanism as
     :func:`repro.obs.windows.windowed_replay`, which the tests assert).
     Between chunks the worker emits a heartbeat when
     :data:`_worker_interval` has elapsed, plus a final ``done`` record
@@ -122,34 +123,35 @@ def _replay_point(
     mark_refs = 0
     mark_hits = 0
     done = 0
-    for start in range(0, total, _worker_chunk):
-        done = min(start + _worker_chunk, total)
-        replay(trace, system=system, start=start, stop=done)
-        now = time.perf_counter()
-        if now - mark_time < _worker_interval and done < total:
-            continue
-        refs_now = sum(sum(row) for row in stats.refs)
-        hits_now = sum(sum(row) for row in stats.hits)
-        delta_refs = refs_now - mark_refs
-        delta_hits = hits_now - mark_hits
-        _put_heartbeat(
-            heartbeat(
-                worker=worker,
-                seq=seq,
-                point=point,
-                points_done=_worker_points_done,
-                refs_done=done,
-                refs_total=total,
-                refs_per_sec=(done - mark_done) / max(now - mark_time, 1e-9),
-                miss_ratio=(
-                    (delta_refs - delta_hits) / delta_refs if delta_refs else 0.0
-                ),
-                done=done >= total,
+    with replay_ranges(trace, system) as run:
+        for start in range(0, total, _worker_chunk):
+            done = min(start + _worker_chunk, total)
+            run(start, done)
+            now = time.perf_counter()
+            if now - mark_time < _worker_interval and done < total:
+                continue
+            refs_now = sum(sum(row) for row in stats.refs)
+            hits_now = sum(sum(row) for row in stats.hits)
+            delta_refs = refs_now - mark_refs
+            delta_hits = hits_now - mark_hits
+            _put_heartbeat(
+                heartbeat(
+                    worker=worker,
+                    seq=seq,
+                    point=point,
+                    points_done=_worker_points_done,
+                    refs_done=done,
+                    refs_total=total,
+                    refs_per_sec=(done - mark_done) / max(now - mark_time, 1e-9),
+                    miss_ratio=(
+                        (delta_refs - delta_hits) / delta_refs if delta_refs else 0.0
+                    ),
+                    done=done >= total,
+                )
             )
-        )
-        seq += 1
-        mark_time, mark_done = now, done
-        mark_refs, mark_hits = refs_now, hits_now
+            seq += 1
+            mark_time, mark_done = now, done
+            mark_refs, mark_hits = refs_now, hits_now
     if total == 0:
         _put_heartbeat(
             heartbeat(worker, 0, point, _worker_points_done, 0, 0, 0.0, 0.0,

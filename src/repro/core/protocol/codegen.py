@@ -1,7 +1,7 @@
 """Compile a :class:`ProtocolSpec` into a specialized replay kernel.
 
 This is the production replay loop (:func:`repro.core.replay.replay`
-calls it for every pessimistic replay).  A per-reference loop over the
+and every segment driver run it).  A per-reference loop over the
 system's dispatch table would pay three costs on *every* reference: a
 double subscript, a chain of handler-identity tests to recognize the
 inlinable hit shapes, and a silent-store table lookup on write hits.
@@ -38,43 +38,51 @@ decisions already taken:
   (``KIND_DUP``), their hits, cycles and net LRU stamp all folded in
   bulk;
 * hit counters are not touched in the loop at all: per-cell and per-PE
-  hit totals are ``np.bincount`` folds of the preprocessed columns, with
-  the (rare) fast-kind references that *fell back* to a handler
-  subtracted out, so a run of conflict-free hits is counted in bulk
-  after the fact.
+  hit totals are counted from the trace columns of the replayed range
+  (``np.bincount``, or a plain loop for a short range), with the (rare)
+  fast-kind references that *fell back* to a handler subtracted out, so
+  a run of conflict-free hits is counted in bulk after the fact.
 
-A kernel replays one position range ``[start, stop)`` of its buffer:
-preprocessing reads the range through zero-copy numpy views, and the
-slow path indexes the buffer's columns by position, so segment drivers
-(windows, speculative batches, telemetry chunks) replay ranges of one
-buffer instead of sliced copies, and a blocked reference is reported by
-its position in that buffer.  Preprocessing itself is
+The kernel is a **session** over one position range ``[start, stop)``
+of a buffer.  :func:`open_session` classifies the dispatch cells,
+preprocesses the whole range once and attaches the flat mirror to the
+caches once; :meth:`~KernelSession.run` then replays consecutive
+sub-ranges ``[lo, hi)`` of it, each folding its own deferred counters
+(PE clocks, hits, refs, hit service, DW demotions, purges) exactly at
+its end, so the system is fully settled between ranges; and
+:meth:`~KernelSession.close` detaches the mirror.  Segment drivers —
+speculative batches, windows, telemetry chunks — pay the set-up once
+per replay instead of once per range, and a plain replay is a session
+with one range.  Every position of the range must pass through the
+session, in order: a ``run`` that does not continue where the last one
+stopped raises instead of mis-crediting clocks.  A blocked reference is
+reported by its position in the buffer.  Preprocessing is itself
 cached (single slot, :data:`_PREP_CACHE`): the packed keys depend only
 on the buffer range, the block geometry and the cell classification,
 all of which are shared across the repeated replays of a parameter
-sweep or benchmark, so every replay after the first starts straight at
-the loop.  Trace code validation (op/area ranges) happens inside
+sweep or benchmark, so every session after the first starts straight
+at the loop.  Trace code validation (op/area ranges) happens inside
 preprocessing, raising the same ``ValueError`` as the per-access loop.
 
 Timing stays bit-exact.  ``_bus`` starts every transaction at
 ``max(pe_clock + 1, bus_free_at)``, so the requester's clock must
 include all of its earlier hit cycles *before* any handler runs; the
-kernel precomputes a per-PE running count of fast-kind references
-(``prefix``) and, on each slow reference, credits the requester's
-deferred hits (``prefix[i]`` minus its fallbacks so far) into the live
-clock before dispatching.  Only the requester's clock is ever read by a
-handler, so other PEs' credits can stay deferred until the end.
-LRU stamps come from one kernel-wide counter instead of the per-cache
+kernel precomputes a per-PE running count of fast-kind references over
+the session's range (``prefix``) and, on each slow reference, credits
+the requester's not yet accounted hits into the live clock before
+dispatching.  Only the requester's clock is ever read by a handler, so
+other PEs' credits stay deferred until the end of the range.  LRU
+stamps come from one kernel-wide counter instead of the per-cache
 ``_tick`` counters: replacement only compares stamps within one cache,
 and a counter strictly increasing across all touches preserves every
 within-cache order.  It is synced into the requester's ``_tick`` around
-each handler call.
+each handler call and into every cache at the end of a range.
 
-The flat mirror dict is kept exact by :class:`~repro.core.cache.Cache`
-itself: while a generated kernel runs, each cache carries a ``_mirror``
+The flat mirror is kept exact by :class:`~repro.core.cache.Cache`
+itself: while a session is open, each cache carries a ``_mirror``
 reference and mirrors every ``insert``/``remove``/``flush`` into it, so
 handler-driven residency changes (fills, evictions, invalidations,
-purges) are visible to the next probe.
+purges) are visible to the next probe, within a range or across them.
 
 The pluggable interconnect needs no kernel specialization: every cycle
 a backend charges lives behind the handlers' ``system._bus`` binding
@@ -82,28 +90,32 @@ a backend charges lives behind the handlers' ``system._bus`` binding
 the dispatch table exactly as :meth:`PIMCacheSystem.access` does, and
 the only residency change the fast paths make without a handler — the
 inline read-purge — notifies the home-node directory through the
-``system._drop_holder`` hook the purge handler calls.  A generated
-kernel is therefore bit-identical to the per-access loop under either
-backend, which the goldens and the differential oracle check.
+``system._drop_holder`` hook the purge handler calls.  Handlers read
+those bindings at call time, so a driver may swap them between ranges
+(the speculative recorder does).  A generated kernel is therefore
+bit-identical to the per-access loop under either backend, which the
+goldens and the differential oracle check.
 
 Kernels are emitted as Python source, ``compile()``d once at
-registration, and cached by spec name (:func:`get_kernel`).  A kernel
-returns ``None`` when a (system, trace) pair falls outside its envelope
-(packed keys would exceed :data:`MAX_KEY_BITS`, negative addresses,
-out-of-range PEs, data tracking, no caches); the caller then falls back
-to :func:`repro.core.replay.replay_access_driven`.
+registration, and cached by spec name (:func:`get_kernel`).  A session
+does not open (:func:`open_session` returns ``None``) for an empty
+range or when a (system, trace) pair falls outside the kernel's
+envelope (packed keys would exceed :data:`MAX_KEY_BITS`, negative
+addresses, out-of-range PEs, data tracking, no caches); the caller then
+runs :func:`repro.core.replay.replay_access_driven` instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.states import CacheState
 from repro.trace.events import Area, Op
 
-__all__ = ["get_kernel", "kernel_source"]
+__all__ = ["KernelSession", "get_kernel", "kernel_source", "open_session"]
 
 N_OPS = len(Op)
 N_AREAS = len(Area)
@@ -129,6 +141,10 @@ N_TAG_BITS = 3
 MAX_KEY_BITS = 60
 MAX_FLAT_LIST = 1 << 21
 
+#: Ranges up to this many references count their fold tables in a
+#: plain loop; longer ones pay numpy's fixed per-call cost instead.
+_SHORT_RANGE = 32
+
 #: Silent-store ``is``-test emission order: hottest states first (a
 #: store hit on an exclusive-modified block is the common case).
 _SILENT_TEST_ORDER = (
@@ -138,28 +154,82 @@ _SILENT_TEST_ORDER = (
     CacheState.S,
 )
 
-#: name -> (spec object, compiled kernel); identity-checked so a
+#: name -> (spec object, compiled namespace); identity-checked so a
 #: re-registered or temporarily shadowed spec recompiles.
-_CACHE: Dict[str, Tuple[object, Callable]] = {}
+_CACHE: Dict[str, Tuple[object, dict]] = {}
+
+
+class _Prep(NamedTuple):
+    """A preprocessed range: everything a session needs besides the live
+    system, indexed from the range's start."""
+
+    #: Packed key per reference (``KIND_DUP`` tags for run tails).
+    keys: List[int]
+    #: Per-PE running count of fast-kind references before each index.
+    prefix: np.ndarray
+    #: The whole range's fold tables (see :func:`_range_counts`).
+    counts: tuple
+    pe_shift: int
+    tag_shift: int
+    #: Real block -> dense id, or ``None`` for raw block keys.
+    remap: Optional[Dict[int, int]]
+    #: Dense id -> real block (inverse of ``remap``).
+    blocks_by_id: Optional[List[int]]
+    #: Length of the flat-list mirror, or ``None`` for the dict mirror.
+    flat_size: Optional[int]
+
 
 #: Single-slot preprocessing cache: ``(buffer, (start, stop), params,
 #: payload)``.  Sweeps and benchmarks replay one trace under many
 #: configs, so one slot captures the reuse; buffers are append-only, so
 #: a range of a buffer never changes once written.  Holding the buffer
 #: strongly keeps the cached arrays valid for its lifetime.
-_PREP_CACHE: Optional[Tuple[object, Tuple[int, int], tuple, tuple]] = None
+_PREP_CACHE: Optional[Tuple[object, Tuple[int, int], tuple, _Prep]] = None
+
+
+def _range_counts(buffer, lo, hi, kinds, n_pes):
+    """The fold tables of references ``[lo, hi)``: ``(cell_refs,
+    pe_fast)``, the ``(cell, references)`` pairs of every referenced
+    dispatch cell and the ``(pe, fast-kind references)`` pairs of every
+    PE with any."""
+    pe_col, op_col, area_col, _, _ = buffer.columns()
+    if hi - lo <= _SHORT_RANGE:
+        cell_refs: Dict[int, int] = {}
+        pe_fast: Dict[int, int] = {}
+        for i in range(lo, hi):
+            c = op_col[i] * N_AREAS + area_col[i]
+            cell_refs[c] = cell_refs.get(c, 0) + 1
+            if kinds[c] < KIND_SLOW:
+                p = pe_col[i]
+                pe_fast[p] = pe_fast.get(p, 0) + 1
+        return tuple(cell_refs.items()), tuple(pe_fast.items())
+    cell = (
+        np.frombuffer(op_col, np.int8)[lo:hi] * N_AREAS
+        + np.frombuffer(area_col, np.int8)[lo:hi]
+    )
+    fast = (np.array(kinds) < KIND_SLOW)[cell]
+    pe8 = np.frombuffer(pe_col, np.int8)[lo:hi]
+    return (
+        _nonzero_bins(np.bincount(cell, minlength=N_CELLS)),
+        _nonzero_bins(np.bincount(pe8[fast], minlength=n_pes)),
+    )
+
+
+def _nonzero_bins(hist):
+    """``(bin, count)`` pairs of every nonzero bin of *hist*."""
+    used = np.flatnonzero(hist)
+    return tuple(zip(used.tolist(), hist[used].tolist()))
 
 
 def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
     """Pack ``buffer[start:stop]`` into per-reference keys plus bulk-fold
     tables, indexed from *start*.
 
-    Returns ``(keys, prefix, total_cells, total_pe, refs_pairs,
-    pe_shift, tag_shift, remap, blocks_by_id, flat_size)``, or ``None``
-    when the trace is outside the generated kernel's envelope.  Raises
-    ``ValueError`` for op/area codes out of range, as the per-access
-    loop does.  Results are cached across calls with the same buffer
-    range and parameters (see :data:`_PREP_CACHE`).
+    Returns a :class:`_Prep`, or ``None`` when the trace is outside the
+    generated kernel's envelope.  Raises ``ValueError`` for op/area
+    codes out of range, as the per-access loop does.  Results are cached
+    across calls with the same buffer range and parameters (see
+    :data:`_PREP_CACHE`).
     """
     global _PREP_CACHE
     n = stop - start
@@ -180,6 +250,7 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
         raise ValueError("trace contains an out-of-range op or area code")
     if int(addr.min()) < 0 or int(pe8.min()) < 0 or int(pe8.max()) >= n_pes:
         return None
+    counts = _range_counts(buffer, start, stop, kinds, n_pes)
     pe_bits = max(1, (n_pes - 1).bit_length())
 
     # Dense block renumbering: replaying probes only blocks the trace
@@ -223,14 +294,11 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
         | block_col
     )
 
-    fast = kind < KIND_SLOW
-    total_cells = np.bincount(cell[fast], minlength=N_CELLS).tolist()
-    total_pe = np.bincount(pe8[fast], minlength=n_pes).tolist()
     # Per-PE running count of fast-kind references before each index:
     # the slow path credits the requester's deferred hit cycles from
     # this before dispatching (bus start times read the live clock).
     prefix = np.empty(n, np.int64)
-    fast64 = fast.astype(np.int64)
+    fast64 = (kind < KIND_SLOW).astype(np.int64)
     for p in range(n_pes):
         sel = pe8 == p
         run = np.cumsum(fast64[sel])
@@ -248,18 +316,185 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
         dup = (key[1:] == key[:-1]) & (kind[1:] <= KIND_ER)
         if dup.any():
             key[1:][dup] = KIND_DUP << tag_shift
-    keys = key.tolist()
-
-    refs_hist = np.bincount(cell, minlength=N_CELLS)
-    refs_pairs = [
-        (c % N_AREAS, c // N_AREAS, int(refs_hist[c]))
-        for c in range(N_CELLS)
-        if refs_hist[c]
-    ]
-    payload = (keys, prefix, total_cells, total_pe, refs_pairs,
-               pe_shift, tag_shift, remap, blocks_by_id, flat_size)
+    payload = _Prep(
+        keys=key.tolist(),
+        prefix=prefix,
+        counts=counts,
+        pe_shift=pe_shift,
+        tag_shift=tag_shift,
+        remap=remap,
+        blocks_by_id=blocks_by_id,
+        flat_size=flat_size,
+    )
     _PREP_CACHE = (buffer, (start, stop), params, payload)
     return payload
+
+
+class KernelSession:
+    """A generated kernel prepared over references ``[start, stop)`` of
+    one buffer, with the flat mirror attached to the system's caches.
+
+    Built by :func:`open_session`; each protocol's generated subclass
+    adds :meth:`run`.  Use it as a context manager, or call
+    :meth:`close` when done, so the caches drop the mirror.
+    """
+
+    __slots__ = (
+        "system", "_buffer", "_start", "_stop", "_pos", "_kinds",
+        "_prep", "_hot", "_done", "_fast_done",
+    )
+
+    def __init__(self, system, buffer, start, stop, table, kinds, prep):
+        caches = system.caches
+        n_pes = system.n_pes
+        pe_shift = prep.pe_shift
+        tag_shift = prep.tag_shift
+        remap = prep.remap
+        self.system = system
+        self._buffer = buffer
+        self._start = start
+        self._stop = stop
+        self._pos = start
+        self._kinds = kinds
+        self._prep = prep
+        # Per PE: fast-kind references before the next position, and how
+        # many of them are accounted for (credited to the clock, or
+        # fallen back to a handler that charged its own cycles).
+        self._fast_done = [0] * n_pes
+        self._done = [0] * n_pes
+
+        # Flat cross-PE mirror of every cache's directory, aliased under
+        # every fast-kind tag so packed keys probe it unmasked — a dense
+        # list when preprocessing could renumber the blocks, else a
+        # dict; Cache.insert/remove/flush keep it exact while _mirror is
+        # attached.
+        if prep.flat_size is not None:
+            flat = [None] * prep.flat_size
+            probe = flat.__getitem__
+        else:
+            flat = {}
+            probe = flat.get
+        for p in range(n_pes):
+            cache = caches[p]
+            bases = tuple(
+                (t << tag_shift) | (p << pe_shift) for t in range(KIND_SLOW)
+            )
+            for blk, line in cache._lines.items():
+                index = blk if remap is None else remap.get(blk)
+                if index is not None:
+                    for base in bases:
+                        flat[base | index] = line
+            cache._mirror = flat
+            cache._mirror_bases = bases
+            cache._mirror_remap = remap
+        # What the generated loop binds as locals on every run.
+        self._hot = (
+            probe,
+            prep.prefix.item,
+            KIND_W << tag_shift,
+            KIND_PURGE << tag_shift,
+            KIND_SLOW << tag_shift,
+            KIND_DUP << tag_shift,
+            (1 << tag_shift) - 1,
+            (1 << pe_shift) - 1,
+            pe_shift,
+            system._block_shift,
+            prep.blocks_by_id,
+            caches,
+            table,
+        ) + tuple(buffer.columns())
+
+    def __enter__(self) -> "KernelSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Detach the mirror from the caches; the session cannot run
+        again.  Idempotent."""
+        self._pos = None
+        for cache in self.system.caches:
+            cache._mirror = None
+            cache._mirror_remap = None
+
+    def _keys(self, lo: int, hi: int) -> List[int]:
+        """Claim ``[lo, hi)`` for a run and return its packed keys.
+
+        Positions must run in order: the per-PE clock credits count the
+        fast-kind references *before* each position, so a range that
+        does not continue where the last one stopped would mis-credit
+        them.  The session counts as failed until the run folds.
+        """
+        if lo != self._pos or not lo <= hi <= self._stop:
+            raise ValueError(
+                f"session over [{self._start}, {self._stop}) cannot run "
+                f"[{lo}, {hi}): "
+                + ("it is closed or a run failed" if self._pos is None
+                   else f"the next position is {self._pos}")
+            )
+        self._pos = None
+        prep = self._prep
+        keys = prep.keys
+        a = lo - self._start
+        b = hi - self._start
+        if a == 0 and b == len(keys):
+            return keys
+        keys = keys[a:b]
+        if keys and keys[0] >> prep.tag_shift == KIND_DUP:
+            # A collapsed run tail heading the range replays with its
+            # real key, so the range stands on its own.
+            pe_col, op_col, area_col, addr_col, _ = self._buffer.columns()
+            block = addr_col[lo] >> self.system._block_shift
+            keys[0] = (
+                self._kinds[op_col[lo] * N_AREAS + area_col[lo]]
+                << prep.tag_shift
+                | pe_col[lo] << prep.pe_shift
+                | (block if prep.remap is None else prep.remap[block])
+            )
+        return keys
+
+    def _fold(self, lo, hi, fb_cells, pdirty, pclean):
+        """Fold the deferred counters of the range ``[lo, hi)`` just run:
+        clocks, hit service, hits, DW demotions, purges and refs."""
+        if (lo, hi) == (self._start, self._stop):
+            cell_refs, pe_fast = self._prep.counts
+        else:
+            cell_refs, pe_fast = _range_counts(
+                self._buffer, lo, hi, self._kinds, self.system.n_pes
+            )
+        system = self.system
+        stats = system.stats
+        pe_cycles = system._pe_cycles
+        fast_done = self._fast_done
+        done = self._done
+        # Every non-fallback fast-kind reference (dup tails included) is
+        # one bus-free cycle; fallback handlers credit their own
+        # bus-free sites.
+        service = -sum(fb_cells)
+        for p, count in pe_fast:
+            service += count
+            fast_done[p] += count
+            pe_cycles[p] += fast_done[p] - done[p]
+            done[p] = fast_done[p]
+        stats.hit_service_cycles += service
+        kinds = self._kinds
+        hits = system._hits
+        refs = stats.refs
+        for c, count in cell_refs:
+            area = c % N_AREAS
+            op = c // N_AREAS
+            refs[area][op] += count
+            if kinds[c] < KIND_SLOW:
+                count -= fb_cells[c]
+                if count:
+                    hits[area][op] += count
+                    if kinds[c] == KIND_DW:
+                        stats.dw_demotions += count
+        stats.purges_dirty += pdirty
+        stats.purges_clean += pclean
+        self._pos = hi
+        return stats
 
 
 def _silent_store_chain(spec) -> str:
@@ -294,7 +529,7 @@ def _state_aliases(spec) -> str:
             if s not in used:
                 used.append(s)
     return "\n".join(
-        f"    _{s.name} = _ST_{s.name}" for s in used
+        f"        _{s.name} = _ST_{s.name}" for s in used
     )
 
 
@@ -321,26 +556,19 @@ def kernel_source(spec) -> str:
         w_branch = ""
         aliases = ""
     return f'''\
-def _kernel(system, buffer, start, stop):
-    """Generated replay kernel for the {spec.name!r} protocol.
+def _open(system, buffer, start, stop):
+    """Open a {spec.name!r} kernel session over [start, stop) of buffer.
 
-    Compiled by repro.core.protocol.codegen at registration; replays
-    references [start, stop) of buffer and returns the system's stats,
-    or None when this (system, trace) pair is outside the kernel's
-    envelope and the caller must fall back to the per-access loop.
+    Compiled by repro.core.protocol.codegen at registration.  Returns
+    None when the range is empty or this (system, trace) pair is
+    outside the kernel's envelope; the caller then runs the per-access
+    loop instead.
     """
-    from repro.core.replay import ReplayBlockedError
-
-    caches = system.caches
-    n_pes = system.n_pes
-    if not caches or system.track_data:
+    if stop <= start or not system.caches or system.track_data:
         return None
-    stats = system.stats
-    if stop <= start:
-        return stats
 
     # Classify every dispatch cell by handler identity, once per
-    # replay instead of once per reference.
+    # session instead of once per reference.
     table = system._op_table
     read_h = table[0][0]
     er_h = next(
@@ -350,7 +578,6 @@ def _kernel(system, buffer, start, stop):
         (h for h in table[{int(Op.RP)}] if h is not read_h), None
     )
 {classify}
-{aliases}
     kinds = []
     for row in table:
         for h in row:
@@ -366,60 +593,38 @@ def _kernel(system, buffer, start, stop):
                 kinds.append({KIND_PURGE})
             else:
                 kinds.append({KIND_SLOW})
+    kinds = tuple(kinds)
 
-    shift = system._block_shift
     prep = _preprocess(
-        buffer, start, stop, shift, system._block_mask, n_pes, tuple(kinds)
+        buffer, start, stop, system._block_shift, system._block_mask,
+        system.n_pes, kinds,
     )
     if prep is None:
         return None
-    keys, prefix, total_cells, total_pe, refs_pairs, pe_shift, \\
-        tag_shift, remap, blocks_by_id, flat_size = prep
-    W_TAG = {KIND_W} << tag_shift
-    PURGE_TAG = {KIND_PURGE} << tag_shift
-    SLOW_TAG = {KIND_SLOW} << tag_shift
-    DUP_TAG = {KIND_DUP} << tag_shift
-    KEY_MASK = (1 << tag_shift) - 1
-    BLK_MASK = (1 << pe_shift) - 1
-    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
+    return _Session(system, buffer, start, stop, table, kinds, prep)
 
-    # Flat cross-PE mirror of every cache's directory, aliased under
-    # every fast-kind tag so packed keys probe it unmasked — a dense
-    # list when preprocessing could renumber the blocks, else a dict;
-    # Cache.insert/remove/flush keep it exact while _mirror is
-    # attached.
-    if flat_size is not None:
-        flat = [None] * flat_size
-        probe = flat.__getitem__
-    else:
-        flat = {{}}
-        probe = flat.get
-    for p in range(n_pes):
-        cache = caches[p]
-        bases = tuple(
-            (t << tag_shift) | (p << pe_shift)
-            for t in range({KIND_SLOW})
-        )
-        for blk, line in cache._lines.items():
-            index = blk if remap is None else remap.get(blk)
-            if index is not None:
-                for base in bases:
-                    flat[base | index] = line
-        cache._mirror = flat
-        cache._mirror_bases = bases
-        cache._mirror_remap = remap
 
-    waiting = system._waiting
-    pe_cycles = system._pe_cycles
-    drop_holder = system._drop_holder
-    fb_cells = [0] * {N_CELLS}
-    fb_pe = [0] * n_pes
-    consumed = [0] * n_pes
-    pdirty = pclean = 0
-    gtick = max(cache._tick for cache in caches)
-    prefix_at = prefix.item
-    i = start - 1
-    try:
+class _Session(KernelSession):
+    __slots__ = ()
+
+    def run(self, lo, hi):
+        """Replay references [lo, hi), continuing where the last run
+        stopped, and fold their deferred counters; returns the stats."""
+        keys = self._keys(lo, hi)
+        (probe, prefix_at, W_TAG, PURGE_TAG, SLOW_TAG, DUP_TAG, KEY_MASK,
+         BLK_MASK, pe_shift, shift, blocks_by_id, caches, table, pe_col,
+         op_col, area_col, addr_col, flags_col) = self._hot
+{aliases}
+        start = self._start
+        system = self.system
+        waiting = system._waiting
+        pe_cycles = system._pe_cycles
+        drop_holder = system._drop_holder
+        done = self._done
+        fb_cells = [0] * {N_CELLS}
+        pdirty = pclean = 0
+        gtick = max(map(_tick_of, caches))
+        i = lo - 1
         # Probe-first: the probe runs inside the zip/map iterator at C
         # speed for every reference, and the aliased flat mirror makes
         # the packed key probe-ready without masking the tag off; the
@@ -454,19 +659,20 @@ def _kernel(system, buffer, start, stop):
             elif k >= DUP_TAG:
                 # Collapsed tail of a conflict-free same-PE run.
                 continue
-            # Slow path: sync the requester's deferred hit cycles,
+            # Slow path: credit the requester's unaccounted hit cycles,
             # then dispatch through the table exactly as access() does.
             pe = pe_col[i]
             op = op_col[i]
             area = area_col[i]
             address = addr_col[i]
-            before = prefix_at(i - start) - fb_pe[pe]
-            if before != consumed[pe]:
-                pe_cycles[pe] += before - consumed[pe]
-                consumed[pe] = before
+            before = prefix_at(i - start)
+            if before != done[pe]:
+                pe_cycles[pe] += before - done[pe]
+                done[pe] = before
             if k < SLOW_TAG:
+                # A fast kind that missed: its handler charges it.
                 fb_cells[op * {N_AREAS} + area] += 1
-                fb_pe[pe] += 1
+                done[pe] += 1
             cache = caches[pe]
             cache._tick = gtick
             result = table[op][area](
@@ -474,50 +680,40 @@ def _kernel(system, buffer, start, stop):
             )
             gtick = cache._tick
             if result[0] == -1:  # BLOCKED
+                from repro.core.replay import ReplayBlockedError
                 raise ReplayBlockedError(i, pe, op, area, address)
             if waiting:
                 waiting.pop(pe, None)
-    finally:
         for cache in caches:
-            cache._mirror = None
-            cache._mirror_remap = None
-    for cache in caches:
-        cache._tick = gtick
+            cache._tick = gtick
+        return self._fold(lo, hi, fb_cells, pdirty, pclean)
 
-    # Fold the deferred counters.
-    for p in range(n_pes):
-        pe_cycles[p] += total_pe[p] - fb_pe[p] - consumed[p]
-    # Every non-fallback fast-kind reference (dup tails included) is one
-    # bus-free cycle; fallback handlers credit their own bus-free sites.
-    stats.hit_service_cycles += sum(total_pe) - sum(fb_pe)
-    hits = system._hits
-    for c in range({N_CELLS}):
-        count = total_cells[c] - fb_cells[c]
-        if count:
-            hits[c % {N_AREAS}][c // {N_AREAS}] += count
-    for c, kd in enumerate(kinds):
-        if kd == {KIND_DW}:
-            stats.dw_demotions += total_cells[c] - fb_cells[c]
-    stats.purges_dirty += pdirty
-    stats.purges_clean += pclean
-    refs = stats.refs
-    for a, o, count in refs_pairs:
-        refs[a][o] += count
-    return stats
+
+def _kernel(system, buffer, start, stop):
+    """Replay references [start, stop) of buffer as a one-range
+    session; returns the system's stats, or None when no session opens
+    (see _open) and the caller must run the per-access loop."""
+    session = _open(system, buffer, start, stop)
+    if session is None:
+        return None
+    with session:
+        return session.run(start, stop)
 '''
 
 
-def _compile(spec) -> Callable:
+def _compile(spec) -> dict:
     source = kernel_source(spec)
     namespace = {f"_ST_{s.name}": s for s in CacheState}
     namespace["_preprocess"] = _preprocess
+    namespace["_tick_of"] = attrgetter("_tick")
+    namespace["KernelSession"] = KernelSession
     code = compile(source, f"<repro-codegen:{spec.name}>", "exec")
     exec(code, namespace)
-    return namespace["_kernel"]
+    return namespace
 
 
-def get_kernel(spec) -> Callable:
-    """The compiled kernel for *spec*, built once and cached by name.
+def _compiled(spec) -> dict:
+    """The compiled namespace for *spec*, built once and cached by name.
 
     The cache is identity-checked against the spec object, so replacing
     a registration (or shadowing one with ``temporarily_register``)
@@ -526,6 +722,23 @@ def get_kernel(spec) -> Callable:
     entry = _CACHE.get(spec.name)
     if entry is not None and entry[0] is spec:
         return entry[1]
-    fn = _compile(spec)
-    _CACHE[spec.name] = (spec, fn)
-    return fn
+    namespace = _compile(spec)
+    _CACHE[spec.name] = (spec, namespace)
+    return namespace
+
+
+def get_kernel(spec) -> Callable:
+    """The compiled one-range kernel for *spec*:
+    ``kernel(system, buffer, start, stop)`` replays ``[start, stop)``
+    and returns the stats, or ``None`` where no session opens."""
+    return _compiled(spec)["_kernel"]
+
+
+def open_session(system, buffer, start: int, stop: int):
+    """Open a :class:`KernelSession` of *system*'s protocol over
+    references ``[start, stop)`` of *buffer*, or return ``None`` for an
+    empty range or a (system, trace) pair outside the kernel's envelope.
+    """
+    return _compiled(system.protocol_spec)["_open"](
+        system, buffer, start, stop
+    )

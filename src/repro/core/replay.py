@@ -14,7 +14,8 @@ the system re-enacts the LH response and UL broadcast from it.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.config import SimulationConfig
 from repro.core.protocol import codegen
@@ -188,9 +189,10 @@ def replay(
 
     *system* replays into a caller-built system instead of a fresh
     ``PIMCacheSystem(config, n_pes)`` and overrides *config*/*n_pes* —
-    the hook segment drivers (streaming, windowed metrics, speculative
-    batches) use to carry one live system across consecutive ranges,
-    and the clustered path uses to run per-cluster shards (a
+    the hook streaming uses to carry one live system across chunks
+    (drivers of many ranges of one buffer use :func:`replay_ranges`,
+    which prepares the kernel once for all of them), and the clustered
+    path uses to run per-cluster shards (a
     :class:`~repro.cluster.system.ClusterCacheSystem` keeps its
     network-charging handler wrappers; the kernel only bypasses them
     for bus-free cache hits, which never cross the network).  Replaying
@@ -234,18 +236,60 @@ def replay(
         )
     if stop is None:
         stop = len(buffer)
+    with replay_ranges(
+        buffer, system, start, stop, check_invariants_every
+    ) as run:
+        return run(start, stop)
+
+
+@contextmanager
+def replay_ranges(
+    buffer: TraceBuffer,
+    system,
+    start: int = 0,
+    stop: Optional[int] = None,
+    check_invariants_every: Optional[int] = None,
+    values=None,
+    on_result=None,
+) -> Iterator[Callable[[int, int], SystemStats]]:
+    """Yield ``run(lo, hi)``, which replays references ``[lo, hi)`` of
+    *buffer* into *system* and returns its stats, for consecutive
+    ranges that together cover ``[start, stop)`` in order.
+
+    The segment drivers' one entry point.  Where the generated kernel
+    applies — no invariant checks, no probe, no oracle hooks, and a
+    (system, trace) pair inside its envelope — this opens one
+    :class:`~repro.core.protocol.codegen.KernelSession` for the whole
+    span, so the kernel prepares once and each range only runs and
+    folds its counters; the caches drop the kernel's mirror on exit.
+    Otherwise every range runs through :func:`replay_access_driven`
+    with the given invariant period (``None`` reads the
+    ``REPRO_CHECK_INVARIANTS`` toggle) and hooks.
+    """
+    if stop is None:
+        stop = len(buffer)
     if check_invariants_every is None:
         check_invariants_every = invariant_check_interval()
-    if not check_invariants_every and system.probe is None:
-        stats = codegen.get_kernel(system.protocol_spec)(
-            system, buffer, start, stop
-        )
-        if stats is not None:
-            return stats
-    return replay_access_driven(
-        buffer, system, check_invariants_every=check_invariants_every,
-        start=start, stop=stop,
-    )
+    session = None
+    if (
+        not check_invariants_every
+        and values is None
+        and on_result is None
+        and system.probe is None
+    ):
+        session = codegen.open_session(system, buffer, start, stop)
+    if session is None:
+        def run(lo: int, hi: int) -> SystemStats:
+            return replay_access_driven(
+                buffer, system, values=values, on_result=on_result,
+                check_invariants_every=check_invariants_every,
+                start=lo, stop=hi,
+            )
+
+        yield run
+        return
+    with session:
+        yield session.run
 
 
 def replay_many(

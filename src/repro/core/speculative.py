@@ -84,14 +84,14 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.core.replay import (
-    ReplayBlockedError,
     invariant_check_interval,
     replay,
     replay_access_driven,
+    replay_ranges,
 )
 from repro.core.states import BusPattern
 from repro.core.stats import SystemStats
-from repro.core.system import BLOCKED, PIMCacheSystem
+from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import LOCK_OPS, Op
 
@@ -238,35 +238,10 @@ class _DeferredNotes:
         self._backend.note_flush()
 
 
-def _drive(system, buffer, start, stop, values, on_result) -> None:
-    """Execute ``[start, stop)`` through the replay loop.
-
-    With oracle hooks installed the per-access loop runs.  Invariant
-    checking stays off inside the segment: the directory's entry table
-    is resynchronized at settlement, not before.
-    """
-    if values is not None or on_result is not None:
-        replay_access_driven(
-            buffer, system, values=values, on_result=on_result,
-            start=start, stop=stop,
-        )
-    elif stop - start == 1:
-        # Pessimistic lock singletons (and one-reference batches) skip
-        # the kernel machinery: one dispatch, full bookkeeping.
-        pe, op, area, addr, flags = buffer[start]
-        result = system.access(pe, op, area, addr, 0, flags)
-        if result[0] == BLOCKED:
-            raise ReplayBlockedError(start, pe, op, area, addr)
-    else:
-        replay(
-            buffer, system=system, check_invariants_every=0,
-            start=start, stop=stop,
-        )
-
-
-def _attempt(system, buffer, start, stop, values, on_result) -> _DeferredBus:
-    """Execute a conflict-free batch with coherence deferred; returns
-    the recorder holding its transactions and touched blocks."""
+def _attempt(system, run, start, stop) -> _DeferredBus:
+    """Execute a conflict-free batch through *run* with coherence
+    deferred; returns the recorder holding its transactions and touched
+    blocks."""
     recorder = _DeferredBus()
     saved_bus = system._bus
     saved_dir = system._dir
@@ -274,7 +249,7 @@ def _attempt(system, buffer, start, stop, values, on_result) -> _DeferredBus:
     if saved_dir is not None:
         system._dir = _DeferredNotes(saved_dir, recorder.touched)
     try:
-        _drive(system, buffer, start, stop, values, on_result)
+        run(start, stop)
     finally:
         system._bus = saved_bus
         system._dir = saved_dir
@@ -396,21 +371,29 @@ def replay_speculative(
         )
     stats = system.stats
     every = check_invariants_every
-    for lo, hi, speculative in plan_batches(buffer, batch_refs, start, stop):
-        if not speculative:
-            _drive(system, buffer, lo, hi, values, on_result)
-        elif signatures_conflict(*batch_signatures(
-            buffer, lo, hi, system.n_pes, system._block_shift, signature_bits
-        )):
-            stats.batch_rollbacks += 1
-            _drive(system, buffer, lo, hi, values, on_result)
-        else:
-            _settle(
-                system, _attempt(system, buffer, lo, hi, values, on_result)
-            )
-            stats.batch_commits += 1
-        if every and hi // every > lo // every:
-            system.check_invariants()
+    # One kernel session (or per-access loop) for every span.  Its own
+    # invariant checks stay off: the directory's entry table is
+    # resynchronized at settlement, so checks run between batches.
+    with replay_ranges(
+        buffer, system, start, stop, check_invariants_every=0,
+        values=values, on_result=on_result,
+    ) as run:
+        for lo, hi, speculative in plan_batches(
+            buffer, batch_refs, start, stop
+        ):
+            if not speculative:
+                run(lo, hi)
+            elif signatures_conflict(*batch_signatures(
+                buffer, lo, hi, system.n_pes, system._block_shift,
+                signature_bits,
+            )):
+                stats.batch_rollbacks += 1
+                run(lo, hi)
+            else:
+                _settle(system, _attempt(system, run, lo, hi))
+                stats.batch_commits += 1
+            if every and hi // every > lo // every:
+                system.check_invariants()
     if every and stop > start:
         system.check_invariants()
     return stats

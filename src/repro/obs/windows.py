@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import replay
+from repro.core.replay import replay_ranges
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
@@ -156,15 +156,13 @@ def windowed_replay(
     if probe is not None:
         system.attach_probe(probe)
     metrics = WindowedMetrics(system.stats, window)
-    for start in range(0, len(buffer), window):
-        replay(
-            buffer,
-            system=system,
-            check_invariants_every=check_invariants_every,
-            start=start,
-            stop=min(start + window, len(buffer)),
-        )
-        metrics.close_window()
+    total = len(buffer)
+    with replay_ranges(
+        buffer, system, check_invariants_every=check_invariants_every
+    ) as run:
+        for start in range(0, total, window):
+            run(start, min(start + window, total))
+            metrics.close_window()
     return system.stats, metrics.windows
 
 

@@ -122,7 +122,7 @@ class TestGeneratedBehavior:
         # The random trace's working set is small: preprocessing must
         # have taken the dense-renumbered flat-list mirror.
         assert codegen._PREP_CACHE is not None
-        assert codegen._PREP_CACHE[3][9] is not None  # flat_size
+        assert codegen._PREP_CACHE[3].flat_size is not None
 
     def test_dict_scheme_matches_interpreted(self):
         # Enough PEs and distinct blocks to push the dense key space
@@ -136,7 +136,7 @@ class TestGeneratedBehavior:
         config = SimulationConfig()
         generated = replay(buffer, config, n_pes=n_pes)
         assert codegen._PREP_CACHE is not None
-        assert codegen._PREP_CACHE[3][9] is None  # dict scheme took over
+        assert codegen._PREP_CACHE[3].flat_size is None  # dict scheme
         interpreted = replay_through(
             "interpreted", buffer, config, n_pes=n_pes
         )
@@ -154,10 +154,9 @@ class TestGeneratedBehavior:
         buffer.append(1, Op.W, Area.HEAP, base)  # break the last run
         config = SimulationConfig()
         generated = replay(buffer, config, n_pes=2)
-        payload = codegen._PREP_CACHE[3]
-        keys, tag_shift = payload[0], payload[6]
-        dup_tag = codegen.KIND_DUP << tag_shift
-        assert sum(1 for k in keys if k >= dup_tag) > 200
+        prep = codegen._PREP_CACHE[3]
+        dup_tag = codegen.KIND_DUP << prep.tag_shift
+        assert sum(1 for k in prep.keys if k >= dup_tag) > 200
         interpreted = replay_through("interpreted", buffer, config, n_pes=2)
         assert generated.as_dict() == interpreted.as_dict()
 
@@ -193,3 +192,66 @@ class TestGeneratedBehavior:
             replay(buffer, SimulationConfig())
         assert info.value.index == 1
         assert info.value.pe == 1
+
+
+# ---------------------------------------------------------------------------
+# Sessions: one preparation, many consecutive ranges.
+
+
+class TestSession:
+    def _open(self, buffer, n_pes=2):
+        system = PIMCacheSystem(SimulationConfig(), n_pes)
+        return system, codegen.open_session(system, buffer, 0, len(buffer))
+
+    def test_ranges_match_one_replay_and_prepare_once(self):
+        buffer = generate_random_trace(3_000, n_pes=4, seed=9)
+        whole = replay(buffer, SimulationConfig(), n_pes=4)
+        system, session = self._open(buffer, n_pes=4)
+        with session:
+            for lo in range(0, len(buffer), 7):
+                session.run(lo, min(lo + 7, len(buffer)))
+        assert system.stats.as_dict() == whole.as_dict()
+        assert codegen._PREP_CACHE[1] == (0, len(buffer))
+        for cache in system.caches:
+            assert cache._mirror is None
+
+    def test_run_that_skips_positions_raises(self):
+        buffer = generate_random_trace(200, n_pes=2, seed=10)
+        _, session = self._open(buffer)
+        with session:
+            session.run(0, 50)
+            with pytest.raises(ValueError, match="next position is 50"):
+                session.run(60, 80)
+            with pytest.raises(ValueError, match="next position is 50"):
+                session.run(50, 201)
+            session.run(50, 200)
+        with pytest.raises(ValueError, match="closed or a run failed"):
+            session.run(200, 200)
+
+    def test_run_tail_heading_a_range_replays_its_real_key(self):
+        # A conflict-free run collapses its tail to KIND_DUP no-ops.
+        # When a range starts inside the run and the caches change
+        # between ranges, the range's first reference must replay as
+        # itself (here: a miss), not as a collapsed no-op.
+        buffer = TraceBuffer(n_pes=2)
+        base = AREA_BASE[Area.HEAP]
+        for _ in range(8):
+            buffer.append(0, Op.R, Area.HEAP, base)
+        buffer.append(1, Op.R, Area.HEAP, base + 64)
+        split = 4
+
+        def run(loop):
+            system = PIMCacheSystem(SimulationConfig(), 2)
+            replay_through(loop, buffer, system=system, stop=split)
+            system.flush_all(silent=True)
+            replay_through(loop, buffer, system=system, start=split)
+            return system.stats
+
+        expected = run("interpreted")
+        assert expected.total_refs - expected.total_hits == 3
+        system, session = self._open(buffer)
+        with session:
+            session.run(0, split)
+            system.flush_all(silent=True)
+            session.run(split, len(buffer))
+        assert system.stats.as_dict() == expected.as_dict()

@@ -28,8 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimulationConfig
-from repro.core.protocol import protocol_names
-from repro.core.replay import replay
+from repro.core.protocol import codegen, protocol_names
+from repro.core.replay import ReplayBlockedError, replay
 from repro.core.speculative import (
     batch_signatures,
     plan_batches,
@@ -359,6 +359,90 @@ def test_invariants_checked_at_batch_boundaries_on_directory():
         check_invariants_every=128,
     )
     assert stats.batch_rollbacks > 0
+
+
+# ---------------------------------------------------------------------------
+# One kernel session drives every span of a lazypim replay.
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_singletons_between_batches_match_per_access_loop(protocol):
+    # Lock operations and a flagged plain read run as pessimistic
+    # singletons between batches.  The flagged read is a fast kind, and
+    # the same PE's next slow reference, in a batch that conflicts and
+    # so runs pessimistically, starts a bus transaction from its clock:
+    # the singletons must pass through the session's clock accounting,
+    # not around it.
+    trace = TraceBuffer(n_pes=2)
+    lock = HEAP + 4096
+    for round_ in range(3):
+        for i in range(5):
+            trace.append(0, Op.R, Area.HEAP, HEAP + 4 * i)
+            trace.append(1, Op.R, Area.HEAP, HEAP + 256 + 4 * i)
+        trace.append(0, Op.LR, Area.HEAP, lock)
+        trace.append(0, Op.R, Area.HEAP, HEAP, FLAG_LOCK_CONTENDED)
+        shared = HEAP + 512 + 4 * round_
+        trace.append(0, Op.W, Area.HEAP, shared)
+        trace.append(1, Op.R, Area.HEAP, shared)
+        trace.append(0, Op.UW, Area.HEAP, lock)
+    config = SimulationConfig(protocol=protocol)
+    generated, interpreted = (
+        _lazypim(loop, trace, config, batch_refs=4).as_dict()
+        for loop in ("generated", "interpreted")
+    )
+    assert generated == interpreted
+    assert generated["batch_commits"] > 0
+    assert generated["batch_rollbacks"] == 3
+
+
+@pytest.mark.parametrize("interconnect", ["bus", "directory"])
+def test_contract_trace_singletons_match_per_access_loop(interconnect):
+    trace = generate_contract_trace(3_000, n_pes=4, seed=11)
+    config = SimulationConfig(interconnect=interconnect)
+    generated, interpreted = (
+        _lazypim(loop, trace, config, batch_refs=32).as_dict()
+        for loop in ("generated", "interpreted")
+    )
+    assert generated == interpreted
+
+
+def test_conflict_free_run_across_a_batch_boundary_matches():
+    # One PE re-reads a block 20 times: the run's tail collapses, and
+    # batches of 8 start inside it.
+    trace = TraceBuffer(n_pes=2)
+    for _ in range(20):
+        trace.append(0, Op.R, Area.HEAP, HEAP)
+    trace.append(1, Op.R, Area.HEAP, HEAP + 64)
+    config = SimulationConfig()
+    generated, interpreted = (
+        _lazypim(loop, trace, config, batch_refs=8).as_dict()
+        for loop in ("generated", "interpreted")
+    )
+    assert generated == interpreted
+    assert generated["batch_commits"] == 3
+    # All batches ran as ranges of one session, prepared once.
+    assert codegen._PREP_CACHE[1] == (0, len(trace))
+
+
+def test_blocked_reference_mid_session_detaches_the_mirror():
+    # Disjoint working sets commit; the blocked read heads the last,
+    # speculative, batch.
+    trace = TraceBuffer(n_pes=2)
+    for i in range(600):
+        trace.append(i % 2, Op.R, Area.HEAP, HEAP + 1024 * (i % 2) + i // 2)
+    address = HEAP + 8192
+    trace.append(0, Op.LR, Area.HEAP, address)
+    trace.append(1, Op.R, Area.HEAP, address)
+    trace.append(1, Op.R, Area.HEAP, HEAP)
+    system = PIMCacheSystem(SimulationConfig(), 2)
+    bus = system._bus
+    with pytest.raises(ReplayBlockedError) as info:
+        replay(trace, system=system, mode="lazypim", batch_refs=64)
+    assert info.value.index == 601
+    assert system.stats.batch_commits > 0
+    assert system._bus == bus
+    for cache in system.caches:
+        assert cache._mirror is None
 
 
 # ---------------------------------------------------------------------------

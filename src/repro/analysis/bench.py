@@ -259,7 +259,7 @@ def bench_clustered(
 
     The serial side drives :class:`~repro.cluster.system.
     ClusteredSystem` one reference at a time in global trace order (the
-    path an execution-driven run takes); the parallel side shards the
+    order the emulator issued them in); the parallel side shards the
     trace per cluster and runs each shard through the generated
     kernel, fanned out to the process pool when the host has the CPUs
     for it (``jobs=None`` uses one worker per CPU, capped at the

@@ -1,21 +1,25 @@
 """Workload execution and trace caching for the experiment harness.
 
 Every experiment in the paper derives from the same few workload runs:
-each benchmark executed on ``n`` PEs, producing (a) execution-driven
-cache statistics and (b) a reference trace.  :class:`Workloads` memoizes
-those runs so Tables 2-5 and Figures 1-2 all reuse one 8-PE trace per
-benchmark, and Figure 3 adds the 1/2/4-PE runs — mirroring how the
-paper's emulator/simulator pair was amortized across experiments.
+each benchmark executed on ``n`` PEs, producing (a) a reference trace
+and (b) the execution-driven cache statistics replaying it gives.
+:class:`Workloads` memoizes those runs so Tables 2-5 and Figures 1-2 all
+reuse one 8-PE trace per benchmark, and Figure 3 adds the 1/2/4-PE runs
+— mirroring how the paper's emulator/simulator pair was amortized
+across experiments.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.cluster.replay import replay_machine
 from repro.core.config import MachineConfig, OptimizationConfig, SimulationConfig
 from repro.core.replay import replay
 from repro.core.stats import SystemStats
@@ -31,6 +35,25 @@ logger = get_logger("analysis.runner")
 #: emits: the version is part of every cache file name, so stale traces
 #: from an older emulator are simply never read again.
 TRACE_CACHE_VERSION = 1
+
+#: Suffix of the machine record cached beside each trace (same stem).
+RECORD_SUFFIX = ".json"
+
+#: The :class:`MachineResult` fields a machine record stores verbatim.
+#: The answer is stored as its ``repr`` (JSON would turn its tuples into
+#: lists) and read back with :func:`ast.literal_eval`.
+RECORD_FIELDS = (
+    "reductions",
+    "suspensions",
+    "instructions",
+    "memory_refs",
+    "wall_seconds",
+    "heap_words",
+    "pe_reductions",
+    "gc_collections",
+    "gc_words_reclaimed",
+    "gc_marks",
+)
 
 #: Default size cap of the disk trace cache.  Long job-fleet sessions
 #: capture many (scale, PE-count, seed, cluster) streams; without a
@@ -71,20 +94,24 @@ def trace_cache_limit_bytes() -> int:
 
 
 def _cache_entries(root: Path):
-    """(mtime, size, path) of every cached trace, oldest-access first.
+    """(mtime, size, paths) of every cached workload — its trace and
+    machine record, which are evicted together — oldest-access first.
 
     mtime doubles as last-use time: :meth:`Workloads._load_trace` bumps
-    it on every hit, so sorting by mtime is LRU order.
+    the trace's on every hit, so sorting by the newer of the two files'
+    mtimes is LRU order.
     """
-    entries = []
-    for path in root.glob("*.trace"):
+    entries: Dict[str, tuple] = {}
+    for path in [*root.glob("*.trace"), *root.glob("*" + RECORD_SUFFIX)]:
         try:
             stat = path.stat()
         except OSError:
             continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-    entries.sort()
-    return entries
+        mtime, size, paths = entries.get(path.stem, (0.0, 0, []))
+        entries[path.stem] = (
+            max(mtime, stat.st_mtime), size + stat.st_size, paths + [path]
+        )
+    return sorted(entries.values())
 
 
 def trace_cache_stats() -> dict:
@@ -102,15 +129,16 @@ def trace_cache_stats() -> dict:
     return {
         "dir": str(root),
         "enabled": True,
-        "files": len(entries),
+        "files": sum(len(paths) for _, _, paths in entries),
         "total_bytes": sum(size for _, size, _ in entries),
         "limit_bytes": trace_cache_limit_bytes(),
     }
 
 
 def prune_trace_cache(max_bytes: Optional[int] = None) -> dict:
-    """Evict least-recently-used traces until the cache fits *max_bytes*
-    (default: :func:`trace_cache_limit_bytes`).  Returns what happened.
+    """Evict least-recently-used traces, each with its machine record,
+    until the cache fits *max_bytes* (default:
+    :func:`trace_cache_limit_bytes`).  Returns what happened.
     """
     root = trace_cache_dir()
     if max_bytes is None:
@@ -120,15 +148,16 @@ def prune_trace_cache(max_bytes: Optional[int] = None) -> dict:
     if root is not None and root.is_dir() and max_bytes > 0:
         entries = _cache_entries(root)
         total = sum(size for _, size, _ in entries)
-        for _, size, path in entries:
+        for _, size, paths in entries:
             if total <= max_bytes:
                 break
             try:
-                path.unlink()
+                for path in paths:
+                    path.unlink()
             except OSError:
                 continue
             total -= size
-            removed += 1
+            removed += len(paths)
             removed_bytes += size
         if removed:
             logger.info(
@@ -152,7 +181,7 @@ class BenchmarkResult:
     #: Execution-driven cache statistics (base config, all commands on).
     stats: Optional[SystemStats]
     #: The captured reference stream, replayable against other configs.
-    trace: Optional[TraceBuffer]
+    trace: TraceBuffer
     #: Static source lines (Table 1's "lines" column).
     source_lines: int
     #: Run provenance (``repro.obs/manifest/v1``): config hash, seed,
@@ -186,20 +215,41 @@ def run_benchmark(
     logger.info("emulating %s/%s on %d PEs", name, scale, n_pes)
     machine = KL1Machine(benchmark.source, machine_config, sim_config)
     result = machine.run(benchmark.query(scale))
+    logger.debug(
+        "%s/%s: %d reductions, %d refs, %.2fs",
+        name, scale, result.reductions, result.memory_refs, result.wall_seconds,
+    )
+    return _benchmark_result(
+        name, scale, n_pes, result, machine.program.source_lines,
+        sim_config, machine_config.seed, verify,
+    )
+
+
+def _benchmark_result(
+    name: str,
+    scale: str,
+    n_pes: int,
+    result: MachineResult,
+    source_lines: int,
+    sim_config: SimulationConfig,
+    seed: int,
+    verify: bool = True,
+) -> BenchmarkResult:
+    """Wrap a machine result with its manifest, first checking its
+    answer against the benchmark's oracle when *verify* is set."""
+    from repro.programs import get as get_benchmark
+
     if verify:
+        benchmark = get_benchmark(name)
         got = result.answer.get(benchmark.answer_var)
         expected = benchmark.expected[scale]
         if got != expected:
             raise AssertionError(
                 f"benchmark {name}/{scale} computed {got!r}, expected {expected!r}"
             )
-    logger.debug(
-        "%s/%s: %d reductions, %d refs, %.2fs",
-        name, scale, result.reductions, result.memory_refs, result.wall_seconds,
-    )
     manifest = build_manifest(
         config=sim_config,
-        seed=machine_config.seed,
+        seed=seed,
         wall_seconds=round(result.wall_seconds, 3),
         extra={
             "kind": "benchmark-run",
@@ -217,9 +267,32 @@ def run_benchmark(
         machine=result,
         stats=result.stats,
         trace=result.trace,
-        source_lines=machine.program.source_lines,
+        source_lines=source_lines,
         manifest=manifest,
     )
+
+
+def _machine_record(result: BenchmarkResult) -> dict:
+    """The JSON-ready machine record of *result* (see
+    :data:`RECORD_FIELDS`)."""
+    record = {field: getattr(result.machine, field) for field in RECORD_FIELDS}
+    record["answer"] = repr(result.machine.answer)
+    record["source_lines"] = result.source_lines
+    return record
+
+
+def _write_atomically(path: Path, write: Callable[[str], object]) -> None:
+    """Run ``write(tmp)`` on a temporary file beside *path*, then rename
+    it over *path*: readers never see a partial file."""
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.name, suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)  # left only by a failed write
 
 
 def replay_trace(
@@ -231,8 +304,6 @@ def replay_trace(
         if isinstance(result_or_trace, BenchmarkResult)
         else result_or_trace
     )
-    if trace is None:
-        raise ValueError("no trace captured; run with capture_trace=True")
     return replay(trace, config, n_pes=n_pes)
 
 
@@ -257,10 +328,16 @@ class Workloads:
     rather than reformatting the whole key, keeping existing cache
     files valid.
 
-    Repeated pytest / benchmark invocations thus skip re-emulation —
-    the expensive part — and go straight to replay.  Only :meth:`trace`
-    consults the disk cache; :meth:`result` needs the machine-level
-    outcome and always emulates (then refreshes the cached trace).
+    Beside each trace the cache stores the run's machine record
+    (answer, reductions, suspensions, instruction and reference counts,
+    heap words, per-PE reductions, collection counts and trace
+    positions, emulation wall time).  Repeated pytest / benchmark
+    invocations thus skip re-emulation — the expensive part — and go
+    straight to replay: :meth:`trace` loads the cached trace, and
+    :meth:`result` rebuilds the run from its record plus a replay of
+    that trace, re-checking the answer against the benchmark's oracle.
+    A warm report emulates nothing.  A miss — no trace, or for
+    :meth:`result` no readable record — emulates once and stores both.
     """
 
     def __init__(
@@ -291,38 +368,69 @@ class Workloads:
             key += f"-c{self.n_clusters}"
         return key
 
-    def _sim_config(self) -> Optional[SimulationConfig]:
-        """Capture-time simulation config (None: run_benchmark default).
+    def _sim_config(self) -> SimulationConfig:
+        """The base config, on this workload set's cluster count.
 
-        Only the cluster topology matters here — it feeds the
-        scheduler; everything else about the config cannot reach the
-        trace.
+        Results' stats are replayed under it.  Only its cluster
+        topology reaches the trace — it feeds the scheduler.
         """
+        config = SimulationConfig()
         if self.n_clusters == 1:
-            return None
-        return SimulationConfig().with_clusters(self.n_clusters)
+            return config
+        return config.with_clusters(self.n_clusters)
 
     def result(self, name: str, n_pes: int = 8) -> BenchmarkResult:
         key = (name, n_pes)
         if key not in self._cache:
-            result = run_benchmark(
-                name,
-                scale=self.scale,
-                n_pes=n_pes,
-                sim_config=self._sim_config(),
-                machine_config=MachineConfig(
+            result = self._load_result(name, n_pes)
+            if result is None:
+                result = run_benchmark(
+                    name,
+                    scale=self.scale,
                     n_pes=n_pes,
-                    seed=self.seed,
-                    gc_threshold_words=self.gc_threshold_words,
-                ),
-            )
-            if result.manifest is not None:
-                result.manifest["trace_cache_key"] = self.cache_key(name, n_pes)
-            self._cache[key] = result
-            if result.trace is not None:
+                    sim_config=self._sim_config(),
+                    machine_config=MachineConfig(
+                        n_pes=n_pes,
+                        seed=self.seed,
+                        gc_threshold_words=self.gc_threshold_words,
+                    ),
+                )
                 self._traces[key] = result.trace
-                self._store_trace(name, n_pes, result.trace)
+                self._store_trace(name, n_pes, result.trace, result)
+            result.manifest["trace_cache_key"] = self.cache_key(name, n_pes)
+            self._cache[key] = result
         return self._cache[key]
+
+    def _load_result(self, name: str, n_pes: int) -> Optional[BenchmarkResult]:
+        """The run rebuilt from its cached machine record and a replay
+        of its cached trace; None when either is missing or unreadable,
+        or they disagree on the reference count."""
+        path = self._cache_path(name, n_pes)
+        if path is None:
+            return None
+        try:
+            record = json.loads(path.with_suffix(RECORD_SUFFIX).read_text())
+            fields = {field: record[field] for field in RECORD_FIELDS}
+            answer = ast.literal_eval(record["answer"])
+            source_lines = record["source_lines"]
+        except (OSError, ValueError, SyntaxError, KeyError, TypeError):
+            return None
+        key = (name, n_pes)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._load_trace(name, n_pes)
+        if trace is None or len(trace) != fields["memory_refs"]:
+            return None
+        self._traces[key] = trace
+        logger.info("machine record hit: %s", self.cache_key(name, n_pes))
+        config = self._sim_config()
+        stats, network = replay_machine(trace, config, fields["gc_marks"])
+        machine = MachineResult(
+            answer=answer, stats=stats, trace=trace, network=network, **fields
+        )
+        return _benchmark_result(
+            name, self.scale, n_pes, machine, source_lines, config, self.seed
+        )
 
     def trace(self, name: str, n_pes: int = 8) -> TraceBuffer:
         key = (name, n_pes)
@@ -331,7 +439,6 @@ class Workloads:
             trace = self._load_trace(name, n_pes)
         if trace is None:
             trace = self.result(name, n_pes).trace
-            assert trace is not None
         self._traces[key] = trace
         return trace
 
@@ -344,7 +451,10 @@ class Workloads:
         if path is None:
             return None
         if not path.exists():
-            self._store_trace(name, n_pes, self.trace(name, n_pes))
+            self._store_trace(
+                name, n_pes, self.trace(name, n_pes),
+                self._cache.get((name, n_pes)),
+            )
         return path if path.exists() else None
 
     def _cache_path(self, name: str, n_pes: int) -> Optional[Path]:
@@ -375,18 +485,27 @@ class Workloads:
                 pass
             return None
 
-    def _store_trace(self, name: str, n_pes: int, trace: TraceBuffer) -> None:
+    def _store_trace(
+        self,
+        name: str,
+        n_pes: int,
+        trace: TraceBuffer,
+        result: Optional[BenchmarkResult] = None,
+    ) -> None:
+        """Cache *trace* and, written first, *result*'s machine record:
+        a trace on disk always has the record it was stored with."""
         path = self._cache_path(name, n_pes)
         if path is None:
             return
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), prefix=path.name, suffix=".tmp"
-            )
-            os.close(fd)
-            write_trace(trace, tmp)
-            os.replace(tmp, path)  # atomic: readers never see a partial file
+            if result is not None:
+                record = json.dumps(_machine_record(result))
+                _write_atomically(
+                    path.with_suffix(RECORD_SUFFIX),
+                    lambda tmp: Path(tmp).write_text(record),
+                )
+            _write_atomically(path, lambda tmp: write_trace(trace, tmp))
             logger.debug("trace cached: %s (%d refs)", path.name, len(trace))
             prune_trace_cache()  # keep the cache under its size cap
         except OSError:

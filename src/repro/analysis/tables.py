@@ -76,7 +76,10 @@ def table1(workloads: Workloads) -> Table1:
 
     Speedup is simulated-cycle speedup (one-PE cycles / eight-PE cycles)
     — the paper used emulator wall-clock on the host Symmetry, which has
-    no analogue here.
+    no analogue here.  ``seconds`` is the host wall time of the
+    trace-recording emulation, stored with the cached trace (a warm run
+    reports the stored time); the replay for the run's statistics is
+    not included.
     """
     rows = []
     for name in BENCH_ORDER:

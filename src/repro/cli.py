@@ -54,7 +54,8 @@ Commands
     prints a finished job's stats + provenance manifest.
 ``cache``
     Inspect (``--stats``) or LRU-prune (``--prune``) the ``Workloads``
-    disk trace cache; the size cap comes from
+    disk trace cache (traces and their machine records); the size cap
+    comes from
     ``REPRO_TRACE_CACHE_BYTES``.
 
 ``run``, ``compare`` and ``bench`` accept ``--clusters K`` to simulate
@@ -220,10 +221,10 @@ def _print_speculative_replay(trace, config, args) -> None:
     """Replay *trace* through the batch-coherence engine and print the
     speculative counters.
 
-    Machine execution is access-driven, so ``run --mode lazypim``
-    defines speculation as a property of the recorded reference stream:
-    the run itself is simulated per-access, then its trace is replayed
-    speculatively (docs/SPECULATIVE.md).
+    ``run --mode lazypim`` defines speculation as a property of the
+    recorded reference stream: the run's own statistics come from a
+    per-access (pessimistic) replay of its trace, then the same trace
+    is replayed speculatively (docs/SPECULATIVE.md).
     """
     kwargs = _mode_kwargs(args)
     if config.cluster.n_clusters > 1:
@@ -272,9 +273,9 @@ def cmd_run(args) -> int:
     machine = KL1Machine(path.read_text(), machine_config, _sim_config(args))
     result = machine.run(args.query)
     _print_run_summary(result)
-    if args.mode == "lazypim" and result.trace is not None:
+    if args.mode == "lazypim":
         _print_speculative_replay(result.trace, _sim_config(args), args)
-    if args.output and result.trace is not None:
+    if args.output:
         write_trace(result.trace, args.output)
         print(f"trace written: {args.output} ({len(result.trace):,} refs)")
     return 0
@@ -1002,7 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=1)
     run_parser.add_argument("--gc", type=int, default=None,
                             help="per-PE heap words triggering stop-and-copy GC")
-    run_parser.add_argument("--output", "-o", help="write the trace to a file")
+    run_parser.add_argument("--output", "-o",
+                            help="write the trace to a file (with --gc it "
+                                 "carries no collection points: replaying "
+                                 "it alone never flushes the caches)")
     _add_cache_options(run_parser)
     _add_cluster_options(run_parser)
     _add_mode_options(run_parser)

@@ -17,16 +17,19 @@ argument that makes per-cluster parallel replay exact.
 
 from repro.cluster.network import ClusterNetwork, NetworkStats
 from repro.cluster.replay import (
+    new_system,
     replay_clustered,
     replay_interleaved,
+    replay_into,
+    replay_machine,
     replay_shard,
     split_trace,
+    system_result,
 )
 from repro.cluster.system import (
     ClusterCacheSystem,
     ClusterStats,
     ClusteredSystem,
-    cluster_system,
     merged_system_stats,
 )
 
@@ -36,10 +39,13 @@ __all__ = [
     "ClusterStats",
     "ClusteredSystem",
     "NetworkStats",
-    "cluster_system",
     "merged_system_stats",
+    "new_system",
     "replay_clustered",
     "replay_interleaved",
+    "replay_into",
+    "replay_machine",
     "replay_shard",
     "split_trace",
+    "system_result",
 ]

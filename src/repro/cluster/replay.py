@@ -17,25 +17,38 @@ makes the shard results independent of worker scheduling, so
 :func:`repro.analysis.parallel.run_clustered` can fan shards out over
 the process pool and merge deterministically (shards are merged in
 cluster-index order regardless of completion order).
+
+:func:`replay_into` advances a persistent flat or clustered system by
+one range of a trace — the step streaming replay takes per chunk — and
+:func:`replay_machine` uses it to produce the statistics of an
+execution-driven run from the run's trace.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.network import NetworkStats
 from repro.cluster.system import ClusterCacheSystem, ClusterStats, ClusteredSystem
 from repro.core.config import SimulationConfig
 from repro.core.replay import ReplayBlockedError, replay, replay_access_driven
+from repro.core.stats import SystemStats
+from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
 
 
 def split_trace(
-    buffer: TraceBuffer, n_pes: int, n_clusters: int
+    buffer: TraceBuffer,
+    n_pes: int,
+    n_clusters: int,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> List[TraceBuffer]:
-    """Partition *buffer* into per-cluster shards.
+    """Partition references ``[start, stop)`` of *buffer* (the whole
+    buffer by default) into per-cluster shards.
 
     Each shard holds the references of one cluster's PEs, in their
     original relative order, with PE indices renumbered to
@@ -52,11 +65,12 @@ def split_trace(
         )
     pes_per_cluster = n_pes // n_clusters
     pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
-    pe = np.frombuffer(pe_col, dtype=np.int8)
-    op = np.frombuffer(op_col, dtype=np.int8)
-    area = np.frombuffer(area_col, dtype=np.int8)
-    addr = np.frombuffer(addr_col, dtype=np.int64)
-    flags = np.frombuffer(flags_col, dtype=np.int8)
+    window = slice(start, stop)
+    pe = np.frombuffer(pe_col, dtype=np.int8)[window]
+    op = np.frombuffer(op_col, dtype=np.int8)[window]
+    area = np.frombuffer(area_col, dtype=np.int8)[window]
+    addr = np.frombuffer(addr_col, dtype=np.int64)[window]
+    flags = np.frombuffer(flags_col, dtype=np.int8)[window]
     shards = []
     for cluster in range(n_clusters):
         lo = cluster * pes_per_cluster
@@ -77,17 +91,18 @@ def unshard_error(
     n_pes: int,
     n_clusters: int,
     cluster: int,
+    start: int = 0,
 ) -> ReplayBlockedError:
-    """*error*, raised replaying *cluster*'s shard of *buffer* (see
-    :func:`split_trace`), re-indexed to the blocked reference's position
-    and PE number in *buffer*."""
+    """*error*, raised replaying *cluster*'s shard of the references of
+    *buffer* from *start* on (see :func:`split_trace`), re-indexed to
+    the blocked reference's position and PE number in *buffer*."""
     pes_per_cluster = n_pes // n_clusters
     lo = cluster * pes_per_cluster
-    pe = np.frombuffer(buffer.columns()[0], dtype=np.int8)
+    pe = np.frombuffer(buffer.columns()[0], dtype=np.int8)[start:]
     positions = np.flatnonzero((pe >= lo) & (pe < lo + pes_per_cluster))
     return ReplayBlockedError(
-        int(positions[error.index]), error.pe + lo, error.op, error.area,
-        error.address,
+        start + int(positions[error.index]), error.pe + lo, error.op,
+        error.area, error.address,
     )
 
 
@@ -196,3 +211,82 @@ def replay_interleaved(
         check_invariants_every=check_invariants_every,
     )
     return system.cluster_stats()
+
+
+def new_system(config: SimulationConfig, n_pes: int):
+    """A fresh system for *config*: clustered when K > 1, else flat."""
+    if config.cluster.n_clusters > 1:
+        return ClusteredSystem(config, n_pes)
+    return PIMCacheSystem(config, n_pes)
+
+
+def replay_into(
+    system,
+    buffer: TraceBuffer,
+    start: int = 0,
+    stop: Optional[int] = None,
+    mode: Optional[str] = None,
+    batch_refs: Optional[int] = None,
+    signature_bits: Optional[int] = None,
+) -> None:
+    """Advance *system* (flat or clustered) by references
+    ``[start, stop)`` of *buffer*.
+
+    A clustered system replays each cluster's shard of the range into
+    that cluster's persistent system, so successive ranges compose
+    exactly as they do on a flat system.  A blocked reference raises
+    :class:`~repro.core.replay.ReplayBlockedError` with its position
+    and PE in *buffer*.
+    """
+    kwargs = dict(mode=mode, batch_refs=batch_refs, signature_bits=signature_bits)
+    if not isinstance(system, ClusteredSystem):
+        replay(buffer, system=system, start=start, stop=stop, **kwargs)
+        return
+    n_pes, n_clusters = system.n_pes, system.n_clusters
+    shards = split_trace(buffer, n_pes, n_clusters, start, stop)
+    for cluster, (sub, shard) in enumerate(zip(system.systems, shards)):
+        if not len(shard):
+            continue
+        try:
+            replay(shard, system=sub, **kwargs)
+        except ReplayBlockedError as error:
+            raise unshard_error(
+                error, buffer, n_pes, n_clusters, cluster, start
+            ) from None
+
+
+def system_result(system):
+    """The result object of a replayed system: flat stats or, for a
+    clustered system, the per-cluster breakdown."""
+    if isinstance(system, ClusteredSystem):
+        return system.cluster_stats()
+    return system.stats
+
+
+def replay_machine(
+    trace: TraceBuffer,
+    config: SimulationConfig,
+    gc_marks: Sequence[int] = (),
+) -> Tuple[SystemStats, Optional[NetworkStats]]:
+    """The cache statistics of an execution-driven run, from its trace.
+
+    The machine's reference stream does not depend on the cache, so
+    replaying the trace under *config* reproduces what driving the
+    cache live would have counted: ``(stats, None)`` on one bus,
+    ``(merged stats, merged network counters)`` when
+    ``config.cluster.n_clusters > 1``.  *gc_marks* are the trace
+    positions of the run's garbage collections; at each one every
+    cache is invalidated without charge, as the collector relocates the
+    heap under them.
+    """
+    system = new_system(config, trace.n_pes)
+    start = 0
+    for mark in gc_marks:
+        replay_into(system, trace, start, mark)
+        system.flush_all(silent=True)
+        start = mark
+    replay_into(system, trace, start, len(trace))
+    result = system_result(system)
+    if isinstance(result, ClusterStats):
+        return result.stats, result.network
+    return result, None

@@ -27,7 +27,7 @@ the flat model, which the golden tests pin down bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.config import SimulationConfig
 from repro.core.states import BusPattern
@@ -214,10 +214,11 @@ class ClusterCacheSystem(PIMCacheSystem):
 class ClusteredSystem:
     """K cluster buses plus the network, behind the system interface.
 
-    Exposes the surface the machine layer drives (``access``, ``stats``,
-    ``flush_all``, ``check_invariants``, ``is_waiting``, ``track_data``)
-    so :class:`~repro.machine.machine.KL1Machine` can substitute it for
-    a flat ``PIMCacheSystem`` untouched.  Global PE indices map to
+    Exposes the surface the replay drivers use (``access``, ``stats``,
+    ``flush_all``, ``check_invariants``), so
+    :func:`~repro.core.replay.replay_access_driven` and
+    :func:`~repro.cluster.replay.replay_machine` drive it as they drive
+    a flat ``PIMCacheSystem``.  Global PE indices map to
     ``(cluster, local PE)`` by contiguous partition — PEs ``[0, P)`` are
     cluster 0, ``[P, 2P)`` cluster 1, and so on.
     """
@@ -233,13 +234,12 @@ class ClusteredSystem:
         self.n_pes = n_pes
         self.n_clusters = n_clusters
         self.pes_per_cluster = n_pes // n_clusters
-        self.track_data = config.track_data
         self.systems = [
             ClusterCacheSystem(config, self.pes_per_cluster, index)
             for index in range(n_clusters)
         ]
 
-    # -- the PIMCacheSystem surface the machine layer drives -----------
+    # -- the PIMCacheSystem surface the replay drivers use -------------
 
     def access(
         self, pe: int, op: int, area: int, address: int,
@@ -249,14 +249,6 @@ class ClusteredSystem:
         return self.systems[cluster].access(
             local_pe, op, area, address, value, flags
         )
-
-    def is_waiting(self, pe: int) -> bool:
-        cluster, local_pe = divmod(pe, self.pes_per_cluster)
-        return self.systems[cluster].is_waiting(local_pe)
-
-    def line_state(self, pe: int, address: int):
-        cluster, local_pe = divmod(pe, self.pes_per_cluster)
-        return self.systems[cluster].line_state(local_pe, address)
 
     def flush_all(self, silent: bool = False) -> int:
         return sum(system.flush_all(silent) for system in self.systems)
@@ -314,13 +306,3 @@ class ClusteredSystem:
             f"n_pes={self.n_pes}, protocol={self.config.protocol!r})"
         )
 
-
-def cluster_system(
-    config: Optional[SimulationConfig], n_pes: int
-):
-    """Build the right system for *config*: clustered when K > 1."""
-    if config is None:
-        return None
-    if config.cluster.n_clusters > 1:
-        return ClusteredSystem(config, n_pes)
-    return PIMCacheSystem(config, n_pes)

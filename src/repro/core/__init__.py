@@ -8,10 +8,11 @@ one-word common-bus cost model of Section 4.2 with its six bus access
 patterns.
 
 :class:`~repro.core.system.PIMCacheSystem` is the multi-PE protocol
-engine.  It can be driven directly by the KL1 emulator
-(execution-driven, the paper's setup) or fed a captured
-:class:`~repro.trace.buffer.TraceBuffer` via
-:func:`~repro.core.replay.replay` (trace-driven, for parameter sweeps).
+engine.  It is fed a captured :class:`~repro.trace.buffer.TraceBuffer`
+via :func:`~repro.core.replay.replay`: the KL1 emulator records the
+trace, and replaying it gives both a run's execution-driven statistics
+(the paper's setup, which ran emulator and cache in lockstep) and every
+parameter sweep.
 """
 
 from repro.core.config import (

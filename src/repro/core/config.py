@@ -375,8 +375,6 @@ class MachineConfig:
     suspension_record_words: int = 3
     #: Reply slots (of two words each) per PE mailbox.
     comm_reply_slots: int = 2
-    #: Record the reference stream into a TraceBuffer for later replay.
-    capture_trace: bool = True
     #: Safety valve: abort if a run exceeds this many reductions.
     max_reductions: int = 50_000_000
     #: How many idle polls an idle PE performs per scheduler turn.

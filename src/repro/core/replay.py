@@ -1,10 +1,11 @@
 """Trace-driven replay: run a captured reference stream through a cache.
 
 The paper's tools run execution-driven (emulator and cache simulator in
-lockstep).  For parameter sweeps that is wasteful: the workload's
-reference stream does not depend on the cache geometry, so this module
-replays one captured :class:`~repro.trace.buffer.TraceBuffer` against
-any number of :class:`~repro.core.config.SimulationConfig` variants.
+lockstep).  Here the workload's reference stream does not depend on the
+cache, so the emulator only records it and this module replays one
+captured :class:`~repro.trace.buffer.TraceBuffer` — for the run's own
+statistics (:func:`repro.cluster.replay.replay_machine`) and against any
+number of :class:`~repro.core.config.SimulationConfig` variants.
 
 Lock conflicts cannot re-arise during replay (the captured global order
 already serialized them), so contended operations carry a trace flag and
@@ -74,8 +75,8 @@ def invariant_check_interval(
 
     Unset / ``0`` / ``off`` disables periodic invariant checking (the
     default); ``1`` / ``on`` enables it at *default* granularity; any
-    other integer is used as the period itself (references for replay,
-    scheduler sweeps for execution-driven runs).
+    other integer is used as the period itself, in replayed references
+    (an execution-driven run's statistics are a replay too).
     """
     raw = os.environ.get("REPRO_CHECK_INVARIANTS")
     if raw is None:

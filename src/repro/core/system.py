@@ -255,9 +255,9 @@ class PIMCacheSystem:
     ) -> AccessResult:
         """Apply one memory operation.
 
-        ``flags`` carries trace annotations for replay mode (a contended
-        LR / an unlock that had a waiter); in execution-driven mode pass
-        0 and contention is detected live.  Returns ``(cycles, out_flags,
+        ``flags`` carries the trace's annotations (a contended LR / an
+        unlock that had a waiter); pass 0 to detect contention from the
+        lock directory alone.  Returns ``(cycles, out_flags,
         read_value)``; ``cycles`` is :data:`BLOCKED` when the PE must
         busy-wait and retry the same reference.
         """

@@ -11,8 +11,8 @@ instruction, goal, suspension and communication — with an on-demand
 work-stealing scheduler (:mod:`repro.machine.scheduler`).
 
 Every access to the five areas is issued through a
-:class:`~repro.machine.port.MemoryPort`, which drives the cache system
-live (execution-driven) and/or records a trace for later replay.
+:class:`~repro.machine.port.MemoryPort`, which records it in a trace;
+a run's cache statistics come from replaying that trace.
 Registers, goal-queue pointers and other processor state are *not*
 counted, matching the paper's "liberal correspondence" of emulator
 variables to target-machine registers.

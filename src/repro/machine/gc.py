@@ -3,8 +3,12 @@
 Section 4 notes that "the system measured uses stop-and-copy GC" and
 excludes collection from the measured reference stream, so this
 collector performs **no instrumented memory accesses**: it rewrites the
-backing store directly and invalidates every cache afterwards (the
-architectural effect of relocating the heap under the caches).
+backing store directly and records the trace position of the
+collection in ``machine.gc_marks``.  Replaying the run for its cache
+statistics invalidates every cache there, without charge (the
+architectural effect of relocating the heap under the caches).  A trace
+written to a file carries no marks: replaying it alone runs as if the
+caches survived every collection.
 
 The algorithm is a Cheney-style copying collector generalized to the
 per-PE heap segments: every live cell is copied into a fresh segment
@@ -24,8 +28,9 @@ target is a two-cell cons, and a ``STR`` target is the functor cell plus
 its arguments.  ``HOOK`` contents point into the suspension area and are
 preserved verbatim.
 
-Running the collector under ``track_data=True`` cache simulation is
-rejected: relocation invalidates the modelled memory image.
+Running the collector on a machine whose cache system has
+``track_data=True`` is rejected: relocation invalidates the modelled
+memory image.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ class _Collector:
 
 def collect(machine) -> GCStats:
     """Run one stop-and-copy collection over *machine*'s heap."""
-    if machine.system is not None and machine.system.track_data:
+    if machine.sim_config is not None and machine.sim_config.track_data:
         raise RuntimeError(
             "stop-and-copy GC cannot run under track_data cache simulation: "
             "relocating the heap invalidates the modelled memory image"
@@ -154,10 +159,7 @@ def collect(machine) -> GCStats:
     fresh = HeapStore(machine.n_pes, limit=machine.heap.limit)
     fresh.cells = collector.cells
     machine.heap = fresh
-    if machine.system is not None:
-        # The heap moved under the caches: invalidate everything without
-        # charging the (unmeasured) collection traffic.
-        machine.system.flush_all(silent=True)
+    machine.gc_marks.append(len(machine.trace))
     machine.gc_collections += 1
     after = fresh.total_words()
     machine.gc_words_reclaimed += before - after

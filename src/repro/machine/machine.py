@@ -2,12 +2,14 @@
 
 :class:`KL1Machine` wires together the compiled program, the backing
 stores, the per-PE engines, the scheduler, and the
-:class:`~repro.machine.port.MemoryPort` that feeds the cache system
-and/or a trace buffer.  :meth:`KL1Machine.run` executes a query to
-completion, interleaving the PEs one scheduler turn at a time (the
-paper's tools synchronize at each bus request; one reduction per turn is
-the emulation quantum here, with the cache system serializing bus
-timing).
+:class:`~repro.machine.port.MemoryPort` that records the reference
+trace.  :meth:`KL1Machine.run` executes a query to completion,
+interleaving the PEs one scheduler turn at a time (the paper's tools
+synchronize at each bus request; one reduction per turn is the
+emulation quantum here), then replays the trace through the cache
+system for the run's statistics — the interleaving never depends on
+what the cache answers, so emulating first and simulating after counts
+exactly what driving the cache live would.
 
 All the ``*_i`` methods are the *instrumented* accessors the engines
 use: they touch the backing store and issue the architecturally correct
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.cluster.network import NetworkStats
-from repro.cluster.system import cluster_system
+from repro.cluster.replay import replay_machine
 from repro.core.config import MachineConfig, SimulationConfig
-from repro.core.replay import invariant_check_interval
 from repro.core.stats import SystemStats
 from repro.machine import builtins as builtin_module
 from repro.machine.compiler import Program, compile_program
@@ -78,6 +79,7 @@ class MachineResult:
     instructions: int
     #: Total memory references, instruction + data.
     memory_refs: int
+    #: Emulation wall time (recording the trace; the replay is excluded).
     wall_seconds: float
     #: Heap words allocated across all PEs.
     heap_words: int
@@ -87,9 +89,11 @@ class MachineResult:
     gc_collections: int = 0
     #: Heap words reclaimed across all collections.
     gc_words_reclaimed: int = 0
+    #: Trace position of each collection (where replay flushes the caches).
+    gc_marks: List[int] = field(default_factory=list)
     #: Cache statistics of the execution-driven run (None if no cache).
     stats: Optional[SystemStats] = None
-    #: Captured reference stream (None if capture was off).
+    #: The recorded reference stream.
     trace: Optional[TraceBuffer] = None
     #: Merged inter-cluster network counters (None on a one-bus machine).
     network: Optional[NetworkStats] = None
@@ -103,7 +107,8 @@ class MachineResult:
 
 
 class KL1Machine:
-    """A parallel KL1 abstract machine over a PIM cache system."""
+    """A parallel KL1 abstract machine whose references a PIM cache
+    system replays."""
 
     def __init__(
         self,
@@ -114,9 +119,10 @@ class KL1Machine:
         """Build a machine for *program* (FGHC source or a compiled
         :class:`~repro.machine.compiler.Program`).
 
-        ``sim_config`` of None runs without a cache (pure emulation /
-        trace capture); otherwise the machine drives a
-        :class:`~repro.core.system.PIMCacheSystem` execution-driven.
+        ``sim_config`` is the cache system the run's trace is replayed
+        under for :attr:`MachineResult.stats`; its cluster count also
+        steers goal scheduling (cluster affinity).  None records the
+        trace and reports no cache statistics.
         """
         self.config = config
         self.n_pes = config.n_pes
@@ -124,19 +130,18 @@ class KL1Machine:
             program = compile_program(program, max_goal_args=config.max_goal_args)
         self.program = program
         self.symbols = program.symbols
-        # K > 1 in sim_config.cluster substitutes the hierarchical
-        # system (per-cluster buses + inter-cluster network) for the
-        # flat single-bus model; the facade exposes the same surface.
-        self.system = cluster_system(sim_config, config.n_pes)
+        self.sim_config = sim_config
         self.n_clusters = (
             sim_config.cluster.n_clusters if sim_config is not None else 1
         )
-        self.trace = TraceBuffer(config.n_pes) if config.capture_trace else None
+        if config.n_pes % self.n_clusters != 0:
+            raise ValueError(
+                f"n_pes ({config.n_pes}) must divide evenly into "
+                f"{self.n_clusters} clusters"
+            )
+        self.trace = TraceBuffer(config.n_pes)
         self.port = MemoryPort(
-            self.system,
-            self.trace,
-            conflict_rate=config.lock_conflict_rate,
-            seed=config.seed,
+            self.trace, conflict_rate=config.lock_conflict_rate, seed=config.seed
         )
         self.heap = HeapStore(config.n_pes)
         self.goal_area = RecordArea(GOAL_BASE, config.n_pes, config.goal_record_words)
@@ -155,6 +160,7 @@ class KL1Machine:
         self.query_roots: Dict[str, int] = {}
         self.gc_collections = 0
         self.gc_words_reclaimed = 0
+        self.gc_marks: List[int] = []
 
     # ------------------------------------------------------------------
     # Instrumented access helpers (see module docstring)
@@ -334,12 +340,6 @@ class KL1Machine:
         engines = self.engines
         n_pes = self.n_pes
         sweep = 0
-        # REPRO_CHECK_INVARIANTS debug mode: verify the coherence
-        # invariants every N scheduler sweeps (off by default; see
-        # docs/OBSERVABILITY.md).
-        check_every = (
-            invariant_check_interval() if self.system is not None else None
-        )
         started = time.perf_counter()
         while True:
             if self.runnable == 0 and self.in_flight == 0:
@@ -353,8 +353,6 @@ class KL1Machine:
             for position in range(n_pes):
                 engines[(position + offset) % n_pes].step()
             sweep += 1
-            if check_every and sweep % check_every == 0:
-                self.system.check_invariants()
             if self.total_reductions > cap:
                 raise LimitExceededError(
                     f"exceeded {cap} reductions; raise max_reductions if intended"
@@ -364,6 +362,11 @@ class KL1Machine:
             ):
                 self.collect()
         wall = time.perf_counter() - started
+        stats = network = None
+        if self.sim_config is not None:
+            stats, network = replay_machine(
+                self.trace, self.sim_config, self.gc_marks
+            )
 
         answer = {
             name: self.decode((REF, address))
@@ -380,15 +383,10 @@ class KL1Machine:
             pe_reductions=[engine.reductions for engine in engines],
             gc_collections=self.gc_collections,
             gc_words_reclaimed=self.gc_words_reclaimed,
-            stats=self.system.stats if self.system is not None else None,
+            gc_marks=list(self.gc_marks),
+            stats=stats,
             trace=self.trace,
-            network=(
-                NetworkStats.merged(
-                    [network.stats for network in self.system.networks]
-                )
-                if getattr(self.system, "networks", None)
-                else None
-            ),
+            network=network,
         )
 
     def collect(self):

@@ -1,11 +1,12 @@
-"""The memory port: where the machine meets the cache.
+"""The memory port: where the machine's references are recorded.
 
 Every reference the abstract machine makes to the five storage areas
-passes through :meth:`MemoryPort.issue`, which (a) drives the cache
-system live when one is attached (execution-driven mode, the paper's
-setup) and (b) appends to a :class:`~repro.trace.buffer.TraceBuffer`
-when one is attached, so the identical stream can later be replayed
-against other cache geometries.
+passes through :meth:`MemoryPort.issue`, which appends it to a
+:class:`~repro.trace.buffer.TraceBuffer`.  The stream does not depend on
+the cache — PEs interleave at reduction granularity whatever the cache
+answers — so the machine only records it, and every cache statistic of
+a run comes from replaying the trace
+(:func:`repro.cluster.replay.replay_machine`).
 
 Lock-conflict injection
 -----------------------
@@ -18,15 +19,14 @@ Table 5).  :meth:`MemoryPort.roll_conflict` injects that tail
 stochastically: a lock on *shared* data (data in another PE's segment,
 or hooked variables) is marked contended with probability
 ``conflict_rate``, and the flag makes the cache system re-enact the LH
-response and UL broadcast.  EXPERIMENTS.md documents this substitution.
+response and UL broadcast when the trace is replayed.  EXPERIMENTS.md
+documents this substitution.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
 
-from repro.core.system import BLOCKED, PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import FLAG_LOCK_CONTENDED
 
@@ -34,45 +34,29 @@ from repro.trace.events import FLAG_LOCK_CONTENDED
 class MemoryPort:
     """Instrumentation funnel for the abstract machine's memory traffic."""
 
-    __slots__ = (
-        "system",
-        "trace",
-        "conflict_rate",
-        "_rng",
-        "total_refs",
-        "instruction_refs",
-    )
+    __slots__ = ("trace", "conflict_rate", "_rng", "instruction_refs")
 
     def __init__(
         self,
-        system: Optional[PIMCacheSystem] = None,
-        trace: Optional[TraceBuffer] = None,
+        trace: TraceBuffer,
         conflict_rate: float = 0.0,
         seed: int = 0,
     ):
-        self.system = system
         self.trace = trace
         self.conflict_rate = conflict_rate
         self._rng = random.Random(seed)
-        self.total_refs = 0
         self.instruction_refs = 0
+
+    @property
+    def total_refs(self) -> int:
+        """References issued so far (the trace's length)."""
+        return len(self.trace)
 
     def issue(self, pe: int, op: int, area: int, address: int, flags: int = 0) -> None:
         """Issue one memory reference."""
-        self.total_refs += 1
         if area == 0:  # Area.INSTRUCTION
             self.instruction_refs += 1
-        system = self.system
-        if system is not None:
-            cycles, out_flags, _ = system.access(pe, op, area, address, 0, flags)
-            if cycles == BLOCKED:  # pragma: no cover - see module docstring
-                raise RuntimeError(
-                    f"PE{pe} blocked on a lock during emulation; reduction-"
-                    "granularity interleaving should make this impossible"
-                )
-            flags |= out_flags
-        if self.trace is not None:
-            self.trace.append(pe, op, area, address, flags)
+        self.trace.append(pe, op, area, address, flags)
 
     def roll_conflict(self, shared: bool) -> int:
         """Flags for a lock pair: contended with ``conflict_rate``

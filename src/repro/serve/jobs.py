@@ -41,13 +41,14 @@ import time
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.cluster.replay import system_result
 from repro.core.config import SimulationConfig
 from repro.obs.manifest import build_manifest, config_from_dict
 from repro.obs.schema import JOB_SCHEMA, JOB_STATES, validate_job
 from repro.obs.telemetry import heartbeat
 from repro.obs.schema import validate_checkpoint
 from repro.serve.checkpoint import restore, snapshot
-from repro.serve.stream import replay_stream, stream_result
+from repro.serve.stream import replay_stream
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import iter_trace_chunks, write_trace_chunked
 
@@ -298,7 +299,7 @@ def _job_worker(root: str, job_id: str) -> None:
 
     def on_chunk(index: int, _refs: int, live_system) -> None:
         done_index = start_chunk + index + 1
-        stats = stream_result(live_system)
+        stats = system_result(live_system)
         stats = stats.stats if hasattr(stats, "stats") else stats
         refs_done = stats.total_refs
         hits_done = stats.total_hits

@@ -23,11 +23,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import ReplayBlockedError, replay
-from repro.core.stats import SystemStats
-from repro.core.system import PIMCacheSystem
-from repro.cluster.replay import split_trace, unshard_error
-from repro.cluster.system import ClusteredSystem, ClusterStats
+from repro.core.replay import ReplayBlockedError
+from repro.cluster.replay import new_system, replay_into, system_result
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import (
     DEFAULT_CHUNK_REFS,
@@ -104,20 +101,15 @@ def replay_stream(
     the batch phase).
     """
     chunks = chunk_stream(source, chunk_refs)
+    if config is None:
+        config = SimulationConfig()
     refs_done = 0
     index = 0
     for chunk in chunks:
         if system is None:
-            if n_pes is None:
-                n_pes = chunk.n_pes
-            if config is None:
-                config = SimulationConfig()
-            if config.cluster.n_clusters > 1:
-                system = ClusteredSystem(config, n_pes)
-            else:
-                system = PIMCacheSystem(config, n_pes)
+            system = new_system(config, n_pes or chunk.n_pes)
         try:
-            _replay_chunk(
+            replay_into(
                 system,
                 chunk,
                 mode=mode,
@@ -132,53 +124,5 @@ def replay_stream(
         index += 1
     if system is None:
         # Empty stream: an untouched system of the requested shape.
-        if config is None:
-            config = SimulationConfig()
-        if config.cluster.n_clusters > 1:
-            system = ClusteredSystem(config, n_pes or 1)
-        else:
-            system = PIMCacheSystem(config, n_pes or 1)
-    return stream_result(system)
-
-
-def _replay_chunk(
-    system,
-    chunk: TraceBuffer,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
-) -> None:
-    """Advance *system* by one chunk (flat or clustered)."""
-    if isinstance(system, ClusteredSystem):
-        shards = split_trace(chunk, system.n_pes, system.n_clusters)
-        for cluster, (sub, shard) in enumerate(zip(system.systems, shards)):
-            if not len(shard):
-                continue
-            try:
-                replay(
-                    shard,
-                    system=sub,
-                    mode=mode,
-                    batch_refs=batch_refs,
-                    signature_bits=signature_bits,
-                )
-            except ReplayBlockedError as error:
-                raise unshard_error(
-                    error, chunk, system.n_pes, system.n_clusters, cluster
-                ) from None
-        return
-    replay(
-        chunk,
-        system=system,
-        mode=mode,
-        batch_refs=batch_refs,
-        signature_bits=signature_bits,
-    )
-
-
-def stream_result(system):
-    """The result object for a streamed system: flat stats or, for a
-    clustered system, the per-cluster breakdown."""
-    if isinstance(system, ClusteredSystem):
-        return system.cluster_stats()
-    return system.stats
+        system = new_system(config, n_pes or 1)
+    return system_result(system)

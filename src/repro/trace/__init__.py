@@ -2,10 +2,10 @@
 
 A simulation run is, at bottom, a stream of :class:`~repro.trace.events.MemRef`
 events: *(processing element, operation, storage area, word address)* plus a
-small flag word.  The KL1 emulator produces such a stream (execution-driven
-mode) and :class:`~repro.trace.buffer.TraceBuffer` captures it compactly so
-the same workload can be replayed against many cache configurations
-(trace-driven mode), exactly as the paper's tools did.
+small flag word.  The KL1 emulator produces such a stream and
+:class:`~repro.trace.buffer.TraceBuffer` captures it compactly; replaying it
+gives the run's own cache statistics and replays the same workload against
+many cache configurations, as the paper's tools did.
 """
 
 from repro.trace.events import (

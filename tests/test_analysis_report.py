@@ -29,3 +29,21 @@ def test_report_cli(tiny_workloads, tmp_path, capsys):
     assert main(["report", "--scale", "tiny", "--output", str(out)]) == 0
     assert "report written" in capsys.readouterr().out
     assert "Table 4" in out.read_text()
+
+
+def test_warm_report_emulates_nothing(tmp_path, monkeypatch):
+    """A report over a warm trace cache rebuilds every run from its
+    machine record and trace.  It even repeats Table 1's ``seconds``:
+    that column is the emulation time stored with the trace."""
+    from repro.analysis.runner import Workloads
+    from repro.machine.machine import KL1Machine
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    cold = generate_report(workloads=Workloads(scale="tiny"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm report must not emulate")
+
+    monkeypatch.setattr(KL1Machine, "run", refuse)
+    warm = generate_report(workloads=Workloads(scale="tiny"))
+    assert warm == cold

@@ -1,5 +1,7 @@
 """CLI tests (in-process, via repro.cli.main)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -68,6 +70,47 @@ def test_run_writes_trace(tmp_path, capsys):
         "-o", str(trace_file),
     ]) == 0
     assert trace_file.exists()
+
+
+def test_clustered_run_reports_its_trace_replayed_per_cluster(
+    tmp_path, capsys
+):
+    """``run --clusters 2`` prints the network summary, and its bus
+    cycles are those of a clustered replay of the trace it wrote."""
+    from repro.cluster.replay import replay_clustered
+    from repro.core.config import SimulationConfig
+    from repro.trace.io import read_trace
+
+    trace_file = tmp_path / "k2.trace"
+    assert main([
+        "run", "pascal", "--scale", "tiny", "--pes", "4", "--clusters", "2",
+        "-o", str(trace_file),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"clusters: +2", out)
+    assert "net msgs" in out
+    replayed = replay_clustered(
+        read_trace(trace_file), SimulationConfig().with_clusters(2)
+    )
+    assert f"bus cycles:    {replayed.stats.bus_cycles_total:,}\n" in out
+
+
+def test_run_with_gc_writes_a_trace_without_flush_points(tmp_path, capsys):
+    """The written trace carries no collection points: replaying it
+    alone counts as if the caches survived every collection."""
+    from repro.core.config import SimulationConfig
+    from repro.core.replay import replay
+    from repro.trace.io import read_trace
+
+    trace_file = tmp_path / "gc.trace"
+    assert main([
+        "run", "pascal", "--scale", "tiny", "--pes", "2", "--gc", "200",
+        "-o", str(trace_file),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "collections:   1 " in out
+    replayed = replay(read_trace(trace_file), SimulationConfig())
+    assert f"bus cycles:    {replayed.bus_cycles_total:,}\n" not in out
 
 
 def test_tables_subset(capsys):

@@ -25,15 +25,17 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.parallel import run_clustered
 from repro.cluster.network import ClusterNetwork, NetworkStats
 from repro.cluster.replay import (
+    new_system,
     replay_clustered,
     replay_interleaved,
+    replay_into,
     replay_shard,
     split_trace,
+    system_result,
 )
 from repro.cluster.system import (
     ClusterCacheSystem,
     ClusteredSystem,
-    cluster_system,
     merged_system_stats,
 )
 from repro.core.config import (
@@ -43,10 +45,9 @@ from repro.core.config import (
     SimulationConfig,
 )
 from repro.core.protocol import protocol_names
-from repro.core.replay import replay
-from repro.core.system import PIMCacheSystem
+from repro.core.replay import ReplayBlockedError, replay
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import Area, Op
+from repro.trace.events import AREA_BASE, Area, Op
 from repro.trace.synthetic import generate_random_trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "protocol_stats.json"
@@ -338,13 +339,6 @@ class TestClusteredSystemSurface:
         system.access(0, Op.R, Area.HEAP, 0x100)
         assert sink.events
 
-    def test_cluster_system_factory(self):
-        assert cluster_system(None, 4) is None
-        flat = cluster_system(SimulationConfig(), 4)
-        assert type(flat) is PIMCacheSystem
-        clustered = cluster_system(SimulationConfig().with_clusters(2), 4)
-        assert isinstance(clustered, ClusteredSystem)
-
 
 class TestNetworkProbeEvents:
     def test_remote_miss_emits_network_event(self):
@@ -543,3 +537,31 @@ class TestClusteredBench:
         assert result["network_messages"] > 0
         assert result["refs_per_sec_serial"] > 0
         assert result["refs_per_sec_parallel"] > 0
+
+
+class TestReplayInto:
+    """Ranges of one buffer advance a persistent clustered system."""
+
+    def test_ranges_compose_to_one_clustered_replay(self):
+        trace = generate_random_trace(6000, n_pes=8, seed=4)
+        config = SimulationConfig().with_clusters(2)
+        system = new_system(config, 8)
+        assert isinstance(system, ClusteredSystem)
+        for start, stop in ((0, 1700), (1700, 1700), (1700, len(trace))):
+            replay_into(system, trace, start, stop)
+        assert (
+            system_result(system).as_dict()
+            == replay_clustered(trace, config).as_dict()
+        )
+
+    def test_blocked_reference_reports_its_position_in_the_buffer(self):
+        buffer = TraceBuffer(n_pes=4)
+        address = AREA_BASE[Area.HEAP]
+        buffer.append(0, Op.R, Area.HEAP, address)
+        buffer.append(2, Op.LR, Area.HEAP, address)
+        buffer.append(0, Op.R, Area.HEAP, address + 64)
+        buffer.append(3, Op.R, Area.HEAP, address)  # remotely held lock
+        system = new_system(SimulationConfig().with_clusters(2), 4)
+        with pytest.raises(ReplayBlockedError) as info:
+            replay_into(system, buffer, 1, len(buffer))
+        assert (info.value.index, info.value.pe) == (3, 3)

@@ -2,14 +2,20 @@
 
 The collector must preserve program semantics exactly — including live
 suspensions hooked to heap variables — while reclaiming dead structure,
-performing zero instrumented memory references, and invalidating the
-caches it relocated the heap under.
+performing zero instrumented memory references, and marking where
+replay must invalidate the caches it relocated the heap under.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import MachineConfig, SimulationConfig
+from repro.core.replay import replay
 from repro.machine.machine import KL1Machine
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "machine_stats.json"
 
 CHURN = """
 % Builds and discards a K-element list N times, keeping only the sums:
@@ -76,11 +82,14 @@ def test_collection_emits_no_memory_references():
 
 
 def test_collection_invalidates_caches():
-    machine = KL1Machine(CHURN, MachineConfig(n_pes=2, seed=1))
-    machine.run("main(3, 10, R)")
-    assert machine.system.caches[0].occupancy() > 0
-    machine.collect()
-    assert all(cache.occupancy() == 0 for cache in machine.system.caches)
+    """The run's stats flush every cache at each collection: they match
+    the golden recorded while the machine drove its caches live, and
+    differ from a replay of the same trace that never flushes."""
+    golden = json.loads(GOLDEN_PATH.read_text())["gc/churn2000"]["stats"]
+    _, result = run_churn(gc_threshold=2000)
+    assert result.gc_marks and len(result.gc_marks) == result.gc_collections
+    assert result.stats.as_dict() == golden
+    assert replay(result.trace, SimulationConfig()).as_dict() != golden
 
 
 def test_gc_preserves_suspended_goals():

@@ -1,8 +1,7 @@
 """Tests for the remaining machine pieces: symbols, terms, the memory
 port, and machine-level configuration wiring."""
 
-from repro.core.config import MachineConfig, SimulationConfig
-from repro.core.system import PIMCacheSystem
+from repro.core.config import MachineConfig
 from repro.machine.machine import KL1Machine
 from repro.machine.port import MemoryPort
 from repro.machine.symbols import SymbolTable
@@ -64,25 +63,17 @@ class TestSourceTerms:
 
 class TestMemoryPort:
     def test_counts_refs_and_instructions(self):
-        port = MemoryPort()
+        port = MemoryPort(TraceBuffer(1))
         port.issue(0, Op.R, Area.INSTRUCTION, 0)
         port.issue(0, Op.W, Area.HEAP, 1 << 28)
         assert port.total_refs == 2
         assert port.instruction_refs == 1
 
-    def test_feeds_trace_and_system_identically(self):
-        system = PIMCacheSystem(SimulationConfig(), 2)
-        trace = TraceBuffer(2)
-        port = MemoryPort(system, trace)
-        port.issue(0, Op.W, Area.HEAP, 1 << 28)
-        assert len(trace) == 1
-        assert system.stats.total_refs == 1
-
     def test_conflict_injection_rate(self):
-        port = MemoryPort(conflict_rate=1.0, seed=1)
+        port = MemoryPort(TraceBuffer(1), conflict_rate=1.0, seed=1)
         assert port.roll_conflict(shared=True) == FLAG_LOCK_CONTENDED
         assert port.roll_conflict(shared=False) == 0
-        silent = MemoryPort(conflict_rate=0.0)
+        silent = MemoryPort(TraceBuffer(1), conflict_rate=0.0)
         assert silent.roll_conflict(shared=True) == 0
 
 
@@ -95,15 +86,6 @@ class TestMachineWiring:
         assert result.answer["R"] == "ok"
         assert result.stats is None
         assert result.trace is not None
-
-    def test_runs_without_trace_capture(self):
-        machine = KL1Machine(
-            "main(R) :- R = ok.",
-            MachineConfig(n_pes=1, capture_trace=False),
-        )
-        result = machine.run("main(R)")
-        assert result.trace is None
-        assert result.stats is not None
 
     def test_injected_conflicts_show_in_stats(self):
         source = """

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.analysis.runner import (
+    RECORD_SUFFIX,
     prune_trace_cache,
     trace_cache_limit_bytes,
     trace_cache_stats,
@@ -304,6 +305,32 @@ def test_prune_evicts_least_recently_used_first(fake_cache):
     assert stats["total_bytes"] == 2_000
     survivors = sorted(p.name for p in fake_cache.glob("*.trace"))
     assert survivors == ["w2.trace", "w3.trace"]
+
+
+def test_records_are_counted_and_evicted_with_their_traces(fake_cache):
+    for trace in fake_cache.glob("*.trace"):
+        record = trace.with_suffix(RECORD_SUFFIX)
+        record.write_bytes(bytes(100))
+        mtime = trace.stat().st_mtime
+        os.utime(record, (mtime, mtime))
+    stats = trace_cache_stats()
+    assert stats["files"] == 8
+    assert stats["total_bytes"] == 4_400
+    stats = prune_trace_cache(max_bytes=2_500)
+    assert stats["removed"] == 4
+    assert stats["removed_bytes"] == 2_200
+    survivors = sorted(p.name for p in fake_cache.iterdir())
+    assert survivors == ["w2.json", "w2.trace", "w3.json", "w3.trace"]
+
+
+def test_prune_evicts_an_orphan_record(fake_cache):
+    orphan = fake_cache / f"old{RECORD_SUFFIX}"
+    orphan.write_bytes(bytes(100))
+    os.utime(orphan, (0, 0))
+    assert trace_cache_stats()["files"] == 5
+    stats = prune_trace_cache(max_bytes=4_000)
+    assert stats["removed"] == 1
+    assert not orphan.exists()
 
 
 def test_prune_zero_limit_means_unbounded(fake_cache):

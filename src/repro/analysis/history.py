@@ -34,8 +34,8 @@ from repro.obs.log import get_logger
 from repro.obs.manifest import git_sha
 from repro.obs.schema import (
     BENCH_HISTORY_SCHEMA,
-    SchemaError,
     validate_bench_history,
+    validate_jsonl,
 )
 
 logger = get_logger("analysis.history")
@@ -127,27 +127,20 @@ def append_history(
 
 
 def load_history(path: Union[str, Path] = DEFAULT_HISTORY) -> List[dict]:
-    """Every validated record in the history file (empty when absent)."""
+    """Every validated record in the history file (empty when absent).
+
+    A malformed line raises :class:`SchemaError` naming ``path:line``.
+    """
     path = Path(path)
     if not path.exists():
         return []
-    records = []
+    records: List[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise SchemaError(
-                    f"{path}:{number}: invalid JSON ({error})"
-                ) from error
-            try:
-                validate_bench_history(record)
-            except SchemaError as error:
-                raise SchemaError(f"{path}:{number}: {error}") from error
-            records.append(record)
+        validate_jsonl(
+            handle,
+            lambda record: records.append(validate_bench_history(record)),
+            prefix=f"{path}:",
+        )
     return records
 
 

@@ -374,27 +374,35 @@ def _serve_trace_source(args):
 
 
 def cmd_serve(args) -> int:
-    from repro.serve.jobs import JobError, JobServer, JobStore
+    from repro.obs.schema import SchemaError
+    from repro.serve.jobs import JobError, JobStore
 
-    store = JobStore(args.store)
+    # A rejected option or an unreadable ledger record is a usage
+    # error, reported as one line rather than a traceback.
+    try:
+        return _serve(args, JobStore(args.store))
+    except (JobError, SchemaError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _serve(args, store) -> int:
+    from repro.serve.jobs import JobServer
+
     if args.serve_command == "submit":
         trace, pes = _serve_trace_source(args)
-        try:
-            job_id = store.submit(
-                _sim_config(args),
-                trace,
-                n_pes=pes,
-                chunk_refs=args.chunk,
-                checkpoint_every=args.checkpoint_every,
-                max_retries=args.max_retries,
-                seed=args.seed,
-                mode=None if args.mode == "pessimistic" else args.mode,
-                batch_refs=args.batch_refs,
-                signature_bits=args.signature_bits,
-            )
-        except JobError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        job_id = store.submit(
+            _sim_config(args),
+            trace,
+            n_pes=pes,
+            chunk_refs=args.chunk,
+            checkpoint_every=args.checkpoint_every,
+            max_retries=args.max_retries,
+            seed=args.seed,
+            mode=None if args.mode == "pessimistic" else args.mode,
+            batch_refs=args.batch_refs,
+            signature_bits=args.signature_bits,
+        )
         record = store.job(job_id)
         print(f"submitted: {job_id}")
         print(f"  trace:  {record['trace']} ({record['n_pes']} PEs)")

@@ -44,9 +44,13 @@ from typing import List, Optional, Union
 from repro.cluster.replay import system_result
 from repro.core.config import SimulationConfig
 from repro.obs.manifest import build_manifest, config_from_dict
-from repro.obs.schema import JOB_SCHEMA, JOB_STATES, validate_job
+from repro.obs.schema import (
+    JOB_SCHEMA,
+    JOB_STATES,
+    validate_checkpoint,
+    validate_job,
+)
 from repro.obs.telemetry import heartbeat
-from repro.obs.schema import validate_checkpoint
 from repro.serve.checkpoint import restore, snapshot
 from repro.serve.stream import replay_stream
 from repro.trace.buffer import TraceBuffer
@@ -197,12 +201,12 @@ class JobStore:
         path = self._job_file(job_id)
         if not path.exists():
             raise JobError(f"unknown job {job_id!r}")
-        return json.loads(path.read_text())
+        return validate_job(json.loads(path.read_text()))
 
     def jobs(self) -> List[dict]:
         """Every ledger record, in submission order."""
         return [
-            json.loads((entry / "job.json").read_text())
+            validate_job(json.loads((entry / "job.json").read_text()))
             for entry in sorted(self.jobs_dir.iterdir())
             if (entry / "job.json").exists()
         ]
@@ -228,7 +232,9 @@ class JobStore:
         if not path.exists():
             return None
         record = json.loads(path.read_text())
-        validate_checkpoint(record["state"])
+        if not isinstance(record, dict):
+            raise JobError(f"job {job_id!r}: checkpoint record is not an object")
+        validate_checkpoint(record.get("state"))
         return record
 
     def write_job_checkpoint(self, job_id: str, record: dict) -> None:

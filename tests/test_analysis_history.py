@@ -113,6 +113,15 @@ def test_load_rejects_corrupt_lines_with_location(tmp_path):
         load_history(path)
 
 
+def test_load_rejects_non_object_lines_with_location(tmp_path):
+    path = tmp_path / "history.jsonl"
+    append_history(scaled_record(), path)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("5\n")
+    with pytest.raises(SchemaError, match=":2"):
+        load_history(path)
+
+
 def test_load_rejects_invalid_records(tmp_path):
     path = tmp_path / "history.jsonl"
     broken = scaled_record()
@@ -215,6 +224,13 @@ def test_validate_bench_accepts_committed_report():
     if not path.exists():
         pytest.skip("no committed BENCH_replay.json")
     validate_bench(json.loads(path.read_text()))
+
+
+def test_committed_history_validates():
+    path = REPO_ROOT / "BENCH_history.jsonl"
+    if not path.exists():
+        pytest.skip("no committed BENCH_history.jsonl")
+    assert load_history(path)
 
 
 @pytest.mark.parametrize(

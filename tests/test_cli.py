@@ -183,9 +183,9 @@ def test_profile_artifacts_are_schema_valid(tmp_path):
         "--window", "128", "--out-dir", str(tmp_path),
     ]) == 0
     stem = "pascal-tiny-2pe"
-    schema.validate_manifest(
-        json.loads((tmp_path / f"{stem}.manifest.json").read_text())
-    )
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+    schema.validate_manifest(manifest)
+    assert manifest["extra"]["kind"] == "profile"
     schema.validate_chrome_trace(
         json.loads((tmp_path / f"{stem}.trace.json").read_text())
     )

@@ -134,6 +134,17 @@ def test_validate_job_rejects_bad_states(tmp_path, job_trace):
         validate_job(bad)
 
 
+@pytest.mark.parametrize(
+    "saved, error", [([], JobError), ({}, SchemaError)], ids=["list", "stateless"]
+)
+def test_checkpoint_reads_are_validated(tmp_path, job_trace, saved, error):
+    store = JobStore(tmp_path / "store")
+    job_id = _submit(store, job_trace)
+    store.write_job_checkpoint(job_id, saved)
+    with pytest.raises(error):
+        store.checkpoint(job_id)
+
+
 # ---------------------------------------------------------------------------
 # Worker death: kill → structured error → resume from checkpoint.
 
@@ -386,6 +397,26 @@ def test_cli_serve_result_before_run_fails(tmp_path, job_trace, capsys):
     assert main(["serve", "--store", str(tmp_path / "store"),
                  "result", job_id]) == 1
     assert "no result yet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record", [[], {"schema": "repro.obs/job/v1"}], ids=["list", "schema-only"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["status"], ["status", "0001-bad"], ["run"], ["run", "0001-bad"],
+     ["result", "0001-bad"]],
+    ids=" ".join,
+)
+def test_cli_serve_reports_a_malformed_ledger_record(tmp_path, capsys, record, command):
+    from repro.cli import main
+
+    store = JobStore(tmp_path / "store")
+    job_dir = store.jobs_dir / "0001-bad"
+    job_dir.mkdir()
+    (job_dir / "job.json").write_text(json.dumps(record))
+    assert main(["serve", "--store", str(store.root), *command]) == 2
+    assert capsys.readouterr().err.startswith("error: job")
 
 
 def test_cli_cache_stats_and_prune(fake_cache, capsys):

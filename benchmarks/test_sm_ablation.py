@@ -7,14 +7,16 @@ busy ratio of the memory modules — the reason the state was added.
 """
 
 from repro.analysis.formatting import format_table
-from repro.core.illinois import compare_protocols
+from repro.analysis.protocols import protocol_comparison
 
 
 def test_sm_ablation(benchmark, workloads, save_result):
     def run_ablation():
         results = {}
         for name in ("tri", "semi", "puzzle", "pascal"):
-            results[name] = compare_protocols(workloads.trace(name))
+            results[name] = protocol_comparison(
+                workloads.trace(name), protocols=("pim", "illinois")
+            )
         return results
 
     results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)

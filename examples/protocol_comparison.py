@@ -15,9 +15,9 @@ Usage::
 
 import sys
 
+from repro.analysis.protocols import protocol_comparison
 from repro.analysis.runner import run_benchmark
 from repro.core.config import TABLE4_COLUMNS, SimulationConfig
-from repro.core.illinois import compare_protocols
 from repro.core.replay import replay
 
 
@@ -42,7 +42,7 @@ def main() -> None:
               f"{relative:.2f}  {bar}")
 
     print("\nSM-state ablation (PIM vs Illinois):")
-    comparison = compare_protocols(trace)
+    comparison = protocol_comparison(trace, protocols=("pim", "illinois"))
     for protocol in ("pim", "illinois"):
         numbers = comparison[protocol]
         print(f"  {protocol:<8} bus {numbers['bus_cycles']:>10,}  "

@@ -23,7 +23,7 @@ sweep itself and ``parallel_speedup`` came out below 1.
 
 Results are plain :class:`~repro.core.stats.SystemStats` objects (they
 pickle cleanly) in the same order as the configurations passed in, and
-are bit-identical to a serial :func:`~repro.core.replay.replay_many` —
+are bit-identical to serial :func:`~repro.core.replay.replay` calls —
 replay is deterministic given (trace, config).
 """
 
@@ -37,7 +37,12 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.cluster.replay import replay_shard, split_trace, unshard_error
+from repro.cluster.replay import (
+    replay_clustered,
+    replay_shard,
+    split_trace,
+    unshard_error,
+)
 from repro.cluster.system import ClusterStats
 from repro.core.config import SimulationConfig
 from repro.core.replay import ReplayBlockedError, replay, replay_ranges
@@ -108,11 +113,17 @@ def _replay_point(
     :func:`repro.obs.windows.windowed_replay`, which the tests assert).
     Between chunks the worker emits a heartbeat when
     :data:`_worker_interval` has elapsed, plus a final ``done`` record
-    when the point completes.
+    when the point completes.  Chunked telemetry drives one flat
+    system, so a clustered config raises ``ValueError``.
     """
     global _worker_points_done
     if _worker_queue is None:
         return replay(trace, config)
+    if config.cluster.n_clusters > 1:
+        raise ValueError(
+            f"sweep telemetry replays one bus; point {point} is a "
+            f"{config.cluster.n_clusters}-cluster config"
+        )
     worker = os.getpid()
     system = PIMCacheSystem(config, trace.n_pes)
     stats = system.stats
@@ -500,41 +511,38 @@ def run_clustered(
     cluster index), and results are folded in cluster-index order
     (:meth:`~concurrent.futures.Executor.map` preserves input order)
     regardless of which worker finished first.  ``jobs<=1`` (or a
-    single cluster) replays the shards serially in-process —
-    bit-identical to the pooled run, which the determinism tests
-    assert.  A blocked reference raises
+    single cluster) is :func:`repro.cluster.replay.replay_clustered`
+    in-process — bit-identical to the pooled run, which the
+    determinism tests assert.  A blocked reference raises
     :class:`~repro.core.replay.ReplayBlockedError` with its index and
     PE in *trace*, pooled or not.
     """
     if isinstance(trace, (str, Path)):
         trace = read_trace(trace)
-    pes = n_pes if n_pes is not None else trace.n_pes
     n_clusters = config.cluster.n_clusters
-    shards = split_trace(trace, pes, n_clusters)
-    pes_per_cluster = pes // n_clusters
     if jobs is None:
         jobs = default_jobs()
     jobs = min(jobs, n_clusters)
     logger.info(
         "clustered replay: %d clusters across %d workers", n_clusters, jobs
     )
+    if jobs <= 1:
+        return replay_clustered(trace, config, n_pes)
+    pes = n_pes if n_pes is not None else trace.n_pes
+    shards = split_trace(trace, pes, n_clusters)
     # Unlike a sweep — one big trace replayed many times — each shard
     # is shipped to exactly one task, so the shards travel as pickled
     # task arguments (columnar arrays pickle as raw bytes, milliseconds
     # for typical traces) rather than through a temp-file hand-off.
     tasks = [
-        (shard, config, pes_per_cluster, index)
+        (shard, config, pes // n_clusters, index)
         for index, shard in enumerate(shards)
     ]
     results = []
     try:
-        if jobs <= 1 or n_clusters == 1:
-            for task in tasks:
-                results.append(_replay_cluster_task(task))
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for result in pool.map(_replay_cluster_task, tasks):
-                    results.append(result)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for result in pool.map(_replay_cluster_task, tasks):
+                results.append(result)
     except ReplayBlockedError as error:
         # Results arrive in cluster order, so the blocked shard is the
         # one after the last result gathered.
@@ -544,13 +552,3 @@ def run_clustered(
     return ClusterStats(
         [stats for stats, _ in results], [net for _, net in results]
     )
-
-
-def merge_stats(parts: Sequence[SystemStats]) -> SystemStats:
-    """Aggregate per-trace results into one :class:`SystemStats`.
-
-    Thin wrapper over :meth:`SystemStats.merged` for sweep callers that
-    split one workload family (e.g. the same benchmark at several
-    scales) across processes and want combined counters back.
-    """
-    return SystemStats.merged(parts)

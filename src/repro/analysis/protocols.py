@@ -2,10 +2,10 @@
 
 The protocol registry makes protocol ablations cheap; this module turns
 them into a table.  :func:`protocol_comparison` replays one captured
-trace under each requested protocol and collects the headline counters
-— through the flat replay kernel on a single-bus config, or through
-:func:`repro.cluster.replay.replay_clustered` (adding the inter-cluster
-network columns) when the base config partitions the machine.
+trace under each requested protocol through
+:func:`repro.cluster.replay.replay_clustered` and collects the headline
+counters, adding the inter-cluster network columns when the base config
+partitions the machine.
 :func:`format_protocol_comparison` renders them with the shared ASCII
 table formatter and :func:`comparison_report` emits the machine-readable
 JSON form (schema ``repro.obs/comparison/v1``, validated by
@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence
 from repro.analysis.formatting import format_table
 from repro.cluster.replay import replay_clustered
 from repro.core.config import SimulationConfig
-from repro.core.illinois import compare_protocols, protocol_config
+from repro.core.illinois import protocol_config
 from repro.core.protocol import protocol_names
 from repro.obs.manifest import build_manifest
 from repro.obs.schema import COMPARISON_SCHEMA
@@ -59,28 +59,20 @@ def protocol_comparison(
 ) -> Dict[str, Dict[str, float]]:
     """Replay *buffer* under each protocol (default: the full registry).
 
-    A *base* config with ``cluster.n_clusters > 1`` runs each protocol
-    through the clustered replay path instead and adds
-    ``network_messages`` / ``network_stall_cycles`` per row.
-
+    Each row holds bus cycles, shared-memory busy cycles, swap-outs,
+    cache-to-cache transfers and the miss ratio; ``("pim", "illinois")``
+    is the paper's SM ablation.  A *base* config with
+    ``cluster.n_clusters > 1`` adds ``network_messages`` /
+    ``network_stall_cycles`` per row.
     ``mode="lazypim"`` routes every replay through the speculative
     batch-coherence engine (docs/SPECULATIVE.md) and adds
     ``batch_commits`` / ``batch_rollbacks`` per row.
     """
     if protocols is None:
         protocols = protocol_names()
-    if base is None or base.cluster.n_clusters == 1:
-        return compare_protocols(
-            buffer,
-            base,
-            protocols,
-            mode=mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
     results: Dict[str, Dict[str, float]] = {}
     for name in protocols:
-        clustered = replay_clustered(
+        result = replay_clustered(
             buffer,
             protocol_config(name, base),
             n_pes,
@@ -88,16 +80,17 @@ def protocol_comparison(
             batch_refs=batch_refs,
             signature_bits=signature_bits,
         )
-        stats = clustered.stats
+        stats = result.stats
         row = {
             "bus_cycles": stats.bus_cycles_total,
             "memory_busy_cycles": stats.memory_busy_cycles,
             "swap_outs": stats.swap_outs,
             "c2c_transfers": stats.c2c_transfers,
             "miss_ratio": stats.miss_ratio,
-            "network_messages": clustered.network.messages,
-            "network_stall_cycles": clustered.network.stall_cycles,
         }
+        if result.n_clusters > 1:
+            row["network_messages"] = result.network.messages
+            row["network_stall_cycles"] = result.network.stall_cycles
         if mode == "lazypim":
             row["batch_commits"] = stats.batch_commits
             row["batch_rollbacks"] = stats.batch_rollbacks

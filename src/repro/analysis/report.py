@@ -21,7 +21,6 @@ from repro.analysis.protocols import (
 from repro.analysis.runner import Workloads
 from repro.cluster.replay import replay_clustered
 from repro.core.config import OptimizationConfig, SimulationConfig
-from repro.core.illinois import compare_protocols
 
 #: The experiments in presentation order: (title, builder taking Workloads).
 _SECTIONS = (
@@ -42,7 +41,9 @@ _SECTIONS = (
 def _sm_ablation_section(workloads: Workloads) -> str:
     rows = []
     for name in tables_module.BENCH_ORDER:
-        comparison = compare_protocols(workloads.trace(name))
+        comparison = protocol_comparison(
+            workloads.trace(name), protocols=("pim", "illinois")
+        )
         pim, illinois = comparison["pim"], comparison["illinois"]
         rows.append(
             (

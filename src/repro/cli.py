@@ -226,13 +226,7 @@ def _print_speculative_replay(trace, config, args) -> None:
     per-access (pessimistic) replay of its trace, then the same trace
     is replayed speculatively (docs/SPECULATIVE.md).
     """
-    kwargs = _mode_kwargs(args)
-    if config.cluster.n_clusters > 1:
-        from repro.cluster.replay import replay_clustered
-
-        stats = replay_clustered(trace, config, **kwargs).stats
-    else:
-        stats = replay(trace, config, **kwargs)
+    stats = replay(trace, config, **_mode_kwargs(args))
     print(f"speculative replay ({args.mode}) of the recorded trace:")
     print(f"  commits:    {stats.batch_commits:,}   "
           f"rollbacks: {stats.batch_rollbacks:,}")
@@ -633,6 +627,7 @@ def cmd_profile(args) -> int:
 def cmd_metrics(args) -> int:
     import json
 
+    from repro.cluster.replay import replay_clustered
     from repro.obs.metrics import (
         MetricsRegistry,
         cycle_ledger,
@@ -648,16 +643,12 @@ def cmd_metrics(args) -> int:
     import time as time_module
 
     started = time_module.perf_counter()
-    if config.cluster.n_clusters > 1:
-        from repro.analysis.parallel import run_clustered
-
-        clustered = run_clustered(buffer, config, n_pes=pes, jobs=1)
-        stats, network = clustered.stats, clustered.network
-    else:
-        stats = replay(buffer, config, n_pes=pes)
-        network = None
+    clustered = replay_clustered(buffer, config, n_pes=pes)
     wall = time_module.perf_counter() - started
-    ledger = cycle_ledger(stats, network=network)
+    ledger = cycle_ledger(
+        clustered.stats,
+        network=clustered.network if clustered.n_clusters > 1 else None,
+    )
     if args.openmetrics:
         registry = MetricsRegistry()
         ledger.to_registry(

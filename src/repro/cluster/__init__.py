@@ -20,7 +20,6 @@ from repro.cluster.replay import (
     new_system,
     replay_clustered,
     replay_interleaved,
-    replay_into,
     replay_machine,
     replay_shard,
     split_trace,
@@ -43,7 +42,6 @@ __all__ = [
     "new_system",
     "replay_clustered",
     "replay_interleaved",
-    "replay_into",
     "replay_machine",
     "replay_shard",
     "split_trace",

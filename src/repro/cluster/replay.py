@@ -1,27 +1,29 @@
-"""Replay paths for clustered systems: interleaved, sharded, merged.
+"""Replay paths for clustered systems: sharded, interleaved, merged.
 
-Two serial paths with identical counters:
+:func:`repro.core.replay.replay` takes any config: when
+``config.cluster.n_clusters > 1`` (or its *system* is a
+:class:`~repro.cluster.system.ClusteredSystem`) it hands off to
+:func:`_replay_clustered`, which splits the range into per-cluster
+shards (:func:`split_trace`) and replays each through the generated
+kernel into its cluster's persistent
+:class:`~repro.cluster.system.ClusterCacheSystem`.  Successive ranges
+compose exactly as they do on a flat system, which is what streaming
+(:func:`repro.serve.stream.replay_stream`) and :func:`replay_machine`
+(the statistics of an execution-driven run, from its trace) rely on.
+:func:`replay_clustered` is the same replay returning the per-cluster
+and network breakdown.
 
-* :func:`replay_interleaved` drives :meth:`ClusteredSystem.access` one
-  reference at a time in trace order — the ordering-faithful reference
-  path (and the serial baseline the clustered benchmark measures).
-* :func:`replay_clustered` splits the trace into per-cluster shards
-  (:func:`split_trace`) and runs each shard through
-  :func:`repro.core.replay.replay` (the generated kernel) with a
-  caller-built :class:`~repro.cluster.system.ClusterCacheSystem`.
-
-They agree bit-for-bit because clusters share no mutable state: a
-cluster's counters are a function of its own PEs' references *in their
-own relative order*, which sharding preserves.  That same argument
-makes the shard results independent of worker scheduling, so
+:func:`replay_interleaved` drives :meth:`ClusteredSystem.access` one
+reference at a time in trace order instead — the ordering-faithful
+reference path (and the serial baseline the clustered benchmark
+measures).  The two agree bit-for-bit because clusters share no mutable
+state: a cluster's counters are a function of its own PEs' references
+*in their own relative order*, which sharding preserves.  That same
+argument makes the shard results independent of worker scheduling, so
 :func:`repro.analysis.parallel.run_clustered` can fan shards out over
-the process pool and merge deterministically (shards are merged in
-cluster-index order regardless of completion order).
-
-:func:`replay_into` advances a persistent flat or clustered system by
-one range of a trace — the step streaming replay takes per chunk — and
-:func:`replay_machine` uses it to produce the statistics of an
-execution-driven run from the run's trace.
+the process pool (:func:`replay_shard`) and merge deterministically
+(shards are merged in cluster-index order regardless of completion
+order).
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def replay_shard(
 ) -> "tuple[SystemStats, NetworkStats]":
     """Replay one cluster's shard through :func:`repro.core.replay.replay`.
 
-    Returns ``(stats, network_stats)`` — both picklable, so this is
-    also the unit of work :func:`repro.analysis.parallel.run_clustered`
-    ships to pool workers.  *mode* selects the coherence execution
+    Returns ``(stats, network_stats)`` — both picklable: the unit of
+    work :func:`repro.analysis.parallel.run_clustered` ships to pool
+    workers.  *mode* selects the coherence execution
     mode per shard: under ``"lazypim"`` each cluster runs its own
     independent speculative batch engine over its shard — speculation
     is a per-bus mechanism, so per-cluster batching is the faithful
@@ -144,38 +146,21 @@ def replay_clustered(
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
 ) -> ClusterStats:
-    """Serial per-cluster shard replay with deterministic merge.
+    """:func:`repro.core.replay.replay` of *buffer* into a fresh
+    :class:`ClusteredSystem`, returning the per-cluster and network
+    breakdown alongside the merged stats.
 
     A blocked reference raises
     :class:`~repro.core.replay.ReplayBlockedError` with its index and
     PE in *buffer* (the first blocked shard in cluster order).
     """
-    if config is None:
-        config = SimulationConfig()
-    pes = n_pes if n_pes is not None else buffer.n_pes
-    n_clusters = config.cluster.n_clusters
-    shards = split_trace(buffer, pes, n_clusters)
-    pes_per_cluster = pes // n_clusters
-    per_cluster = []
-    networks = []
-    for cluster_index, shard in enumerate(shards):
-        try:
-            stats, network = replay_shard(
-                shard,
-                config,
-                pes_per_cluster,
-                cluster_index,
-                mode=mode,
-                batch_refs=batch_refs,
-                signature_bits=signature_bits,
-            )
-        except ReplayBlockedError as error:
-            raise unshard_error(
-                error, buffer, pes, n_clusters, cluster_index
-            ) from None
-        per_cluster.append(stats)
-        networks.append(network)
-    return ClusterStats(per_cluster, networks)
+    system = ClusteredSystem(
+        config if config is not None else SimulationConfig(),
+        n_pes if n_pes is not None else buffer.n_pes,
+    )
+    replay(buffer, system=system, mode=mode, batch_refs=batch_refs,
+           signature_bits=signature_bits)
+    return system.cluster_stats()
 
 
 def replay_interleaved(
@@ -220,28 +205,36 @@ def new_system(config: SimulationConfig, n_pes: int):
     return PIMCacheSystem(config, n_pes)
 
 
-def replay_into(
-    system,
+def _replay_clustered(
     buffer: TraceBuffer,
+    config: Optional[SimulationConfig],
+    n_pes: Optional[int],
+    system: Optional[ClusteredSystem],
     start: int = 0,
     stop: Optional[int] = None,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
-) -> None:
-    """Advance *system* (flat or clustered) by references
-    ``[start, stop)`` of *buffer*.
+    **kwargs,
+) -> SystemStats:
+    """:func:`repro.core.replay.replay` on a clustered machine: advance
+    *system* (default: a fresh :class:`ClusteredSystem` for
+    *config*/*n_pes*) by references ``[start, stop)`` of *buffer* and
+    return its merged stats.
 
-    A clustered system replays each cluster's shard of the range into
-    that cluster's persistent system, so successive ranges compose
-    exactly as they do on a flat system.  A blocked reference raises
-    :class:`~repro.core.replay.ReplayBlockedError` with its position
-    and PE in *buffer*.
+    Each cluster's shard of the range replays into that cluster's
+    persistent system with *kwargs* (mode, batching, invariant
+    period); a single cluster replays the range itself, the shard
+    being the whole of it, so no copy is made and the kernel's
+    preprocessing cache keys on the caller's buffer.  A blocked
+    reference raises :class:`~repro.core.replay.ReplayBlockedError`
+    with its position and PE in *buffer*.
     """
-    kwargs = dict(mode=mode, batch_refs=batch_refs, signature_bits=signature_bits)
-    if not isinstance(system, ClusteredSystem):
-        replay(buffer, system=system, start=start, stop=stop, **kwargs)
-        return
+    if system is None:
+        system = ClusteredSystem(
+            config, n_pes if n_pes is not None else buffer.n_pes
+        )
+    if system.n_clusters == 1:
+        replay(buffer, system=system.systems[0], start=start, stop=stop,
+               **kwargs)
+        return system.stats
     n_pes, n_clusters = system.n_pes, system.n_clusters
     shards = split_trace(buffer, n_pes, n_clusters, start, stop)
     for cluster, (sub, shard) in enumerate(zip(system.systems, shards)):
@@ -253,6 +246,7 @@ def replay_into(
             raise unshard_error(
                 error, buffer, n_pes, n_clusters, cluster, start
             ) from None
+    return system.stats
 
 
 def system_result(system):
@@ -282,11 +276,10 @@ def replay_machine(
     system = new_system(config, trace.n_pes)
     start = 0
     for mark in gc_marks:
-        replay_into(system, trace, start, mark)
+        replay(trace, system=system, start=start, stop=mark)
         system.flush_all(silent=True)
         start = mark
-    replay_into(system, trace, start, len(trace))
-    result = system_result(system)
-    if isinstance(result, ClusterStats):
-        return result.stats, result.network
-    return result, None
+    replay(trace, system=system, start=start)
+    if isinstance(system, ClusteredSystem):
+        return system.stats, system.cluster_stats().network
+    return system.stats, None

@@ -264,10 +264,6 @@ class ClusteredSystem:
 
     # -- cluster-specific surface --------------------------------------
 
-    @property
-    def networks(self) -> List[ClusterNetwork]:
-        return [system.network for system in self.systems]
-
     def cluster_stats(self) -> ClusterStats:
         """Per-cluster stats, network counters, and the merged view."""
         return ClusterStats(

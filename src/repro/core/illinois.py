@@ -7,23 +7,19 @@ shared memory, so the block becomes clean everywhere; the paper keeps
 SM because KL1's cache-to-cache rate is high enough that those copybacks
 drive up the busy ratio of the shared-memory modules.
 
-Historically this module compared exactly ``pim`` against ``illinois``;
-with the protocol registry (:mod:`repro.core.protocol`) it now replays
-one trace under any set of registered protocols — :func:`compare_protocols`
-defaults to the original pair, and passing ``protocols=protocol_names()``
-sweeps the whole registry (what ``repro compare`` and the report's
-protocol matrix do).
+This module builds the configs of such ablations; the comparison
+itself is :func:`repro.analysis.protocols.protocol_comparison`, which
+replays one trace under any set of registered protocols — pass
+``protocols=("pim", "illinois")`` for the original pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from repro.core.config import SimulationConfig
 from repro.core.protocol import get_protocol
-from repro.core.replay import replay
-from repro.trace.buffer import TraceBuffer
 
 
 def protocol_config(
@@ -43,49 +39,3 @@ def pim_config(base: SimulationConfig = None) -> SimulationConfig:
 def illinois_config(base: SimulationConfig = None) -> SimulationConfig:
     """The same config with the Illinois (no-SM) protocol."""
     return protocol_config("illinois", base)
-
-
-def compare_protocols(
-    buffer: TraceBuffer,
-    base: Optional[SimulationConfig] = None,
-    protocols: Optional[Sequence[str]] = None,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Replay *buffer* under several protocols and summarize the ablation.
-
-    Returns, per protocol, total bus cycles, shared-memory busy cycles,
-    swap-out count and cache-to-cache transfer count.  *protocols*
-    defaults to the original SM ablation pair ``("pim", "illinois")``,
-    whose expected shape (the paper's rationale for SM) is that Illinois
-    performs strictly more memory copybacks whenever dirty blocks move
-    cache-to-cache.
-
-    ``mode="lazypim"`` replays each protocol through the speculative
-    batch-coherence engine instead (docs/SPECULATIVE.md) and adds
-    ``batch_commits`` / ``batch_rollbacks`` columns.
-    """
-    if protocols is None:
-        protocols = ("pim", "illinois")
-    results = {}
-    for name in protocols:
-        stats = replay(
-            buffer,
-            protocol_config(name, base),
-            mode=mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
-        row = {
-            "bus_cycles": stats.bus_cycles_total,
-            "memory_busy_cycles": stats.memory_busy_cycles,
-            "swap_outs": stats.swap_outs,
-            "c2c_transfers": stats.c2c_transfers,
-            "miss_ratio": stats.miss_ratio,
-        }
-        if mode == "lazypim":
-            row["batch_commits"] = stats.batch_commits
-            row["batch_rollbacks"] = stats.batch_rollbacks
-        results[name] = row
-    return results

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.core.config import SimulationConfig
 from repro.core.protocol import codegen
@@ -188,23 +188,42 @@ def replay(
     interconnect backends and the invariant toggle behave identically
     in either mode.
 
-    *system* replays into a caller-built system instead of a fresh
-    ``PIMCacheSystem(config, n_pes)`` and overrides *config*/*n_pes* —
-    the hook streaming uses to carry one live system across chunks
-    (drivers of many ranges of one buffer use :func:`replay_ranges`,
-    which prepares the kernel once for all of them), and the clustered
-    path uses to run per-cluster shards (a
+    *system* replays into a caller-built system instead of a fresh one
+    built from *config*/*n_pes* (which it overrides) — the hook
+    streaming uses to carry one live system across chunks (drivers of
+    many ranges of one buffer use :func:`replay_ranges`, which prepares
+    the kernel once for all of them).  A config with
+    ``cluster.n_clusters > 1``, or a
+    :class:`~repro.cluster.system.ClusteredSystem` as *system*, replays
+    each cluster's shard of the range into that cluster's bus and
+    returns the merged machine-wide stats (docs/CLUSTER.md); a
     :class:`~repro.cluster.system.ClusterCacheSystem` keeps its
-    network-charging handler wrappers; the kernel only bypasses them
+    network-charging handler wrappers (the kernel only bypasses them
     for bus-free cache hits, which never cross the network).  Replaying
     ``[0, b)`` then ``[b, n)`` into one system equals replaying
     ``[0, n)`` (under ``"lazypim"``, for ``b`` a batch boundary), and a
-    blocked reference is reported with its position in *buffer*.
+    blocked reference is reported with its position and PE in *buffer*.
     """
     if mode is not None and mode not in ("pessimistic", "lazypim"):
         raise ValueError(
             f"unknown replay mode {mode!r}; choose from "
             "('pessimistic', 'lazypim')"
+        )
+    if system is None:
+        if config is None:
+            config = SimulationConfig()
+        clustered = config.cluster.n_clusters > 1
+    else:
+        from repro.cluster.system import ClusteredSystem
+
+        clustered = isinstance(system, ClusteredSystem)
+    if clustered:
+        from repro.cluster.replay import _replay_clustered
+
+        return _replay_clustered(
+            buffer, config, n_pes, system, start, stop,
+            check_invariants_every=check_invariants_every, mode=mode,
+            batch_refs=batch_refs, signature_bits=signature_bits,
         )
     if mode == "lazypim":
         from repro.core.speculative import (
@@ -230,8 +249,6 @@ def replay(
             stop=stop,
         )
     if system is None:
-        if config is None:
-            config = SimulationConfig()
         system = PIMCacheSystem(
             config, n_pes if n_pes is not None else buffer.n_pes
         )
@@ -291,10 +308,3 @@ def replay_ranges(
         return
     with session:
         yield session.run
-
-
-def replay_many(
-    buffer: TraceBuffer, configs: Iterable[SimulationConfig]
-) -> "list[SystemStats]":
-    """Replay the same trace against several configurations."""
-    return [replay(buffer, config) for config in configs]

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import ReplayBlockedError
-from repro.cluster.replay import new_system, replay_into, system_result
+from repro.core.replay import ReplayBlockedError, replay
+from repro.cluster.replay import new_system, system_result
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import (
     DEFAULT_CHUNK_REFS,
@@ -109,9 +109,9 @@ def replay_stream(
         if system is None:
             system = new_system(config, n_pes or chunk.n_pes)
         try:
-            replay_into(
-                system,
+            replay(
                 chunk,
+                system=system,
                 mode=mode,
                 batch_refs=batch_refs,
                 signature_bits=signature_bits,

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.parallel import (
     SweepPool,
     default_jobs,
-    merge_stats,
     run_sweep,
 )
 from repro.analysis.runner import Workloads, trace_cache_dir
@@ -130,18 +129,6 @@ class TestSweepPool:
         serial = run_sweep(trace, configs, jobs=1)
         for left, right in zip(pooled, serial):
             _assert_identical(left, right)
-
-
-class TestMergeStats:
-    def test_merge_sums_counters(self):
-        trace_a = generate_random_trace(1000, n_pes=2, seed=1)
-        trace_b = generate_random_trace(1000, n_pes=2, seed=2)
-        parts = [replay(trace_a), replay(trace_b)]
-        merged = merge_stats(parts)
-        assert merged.total_refs == sum(p.total_refs for p in parts)
-        assert merged.bus_cycles_total == sum(
-            p.bus_cycles_total for p in parts
-        )
 
 
 class TestTraceDiskCache:

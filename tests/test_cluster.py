@@ -28,7 +28,6 @@ from repro.cluster.replay import (
     new_system,
     replay_clustered,
     replay_interleaved,
-    replay_into,
     replay_shard,
     split_trace,
     system_result,
@@ -280,14 +279,17 @@ class TestMergeDeterminism:
         assert interleaved.as_dict() == sharded.as_dict()
         assert sharded.network.messages > 0
 
-    def test_pool_matches_serial_and_is_repeatable(self):
+    @pytest.mark.parametrize("interconnect", ("bus", "directory"))
+    def test_pool_matches_serial_and_is_repeatable(self, interconnect):
         buffer = generate_random_trace(6_000, n_pes=4, seed=32)
-        config = SimulationConfig().with_clusters(2)
+        config = SimulationConfig(interconnect=interconnect).with_clusters(2)
         serial = run_clustered(buffer, config, jobs=1)
         pooled = run_clustered(buffer, config, jobs=2)
         again = run_clustered(buffer, config, jobs=2)
         assert pooled.as_dict() == serial.as_dict() == again.as_dict()
         assert pooled.as_dict() == replay_clustered(buffer, config).as_dict()
+        if interconnect == "directory":
+            assert pooled.stats.directory_transactions > 0
 
     def test_four_clusters(self):
         buffer = generate_random_trace(6_000, n_pes=8, seed=33)
@@ -548,7 +550,7 @@ class TestReplayInto:
         system = new_system(config, 8)
         assert isinstance(system, ClusteredSystem)
         for start, stop in ((0, 1700), (1700, 1700), (1700, len(trace))):
-            replay_into(system, trace, start, stop)
+            replay(trace, system=system, start=start, stop=stop)
         assert (
             system_result(system).as_dict()
             == replay_clustered(trace, config).as_dict()
@@ -563,5 +565,47 @@ class TestReplayInto:
         buffer.append(3, Op.R, Area.HEAP, address)  # remotely held lock
         system = new_system(SimulationConfig().with_clusters(2), 4)
         with pytest.raises(ReplayBlockedError) as info:
-            replay_into(system, buffer, 1, len(buffer))
+            replay(buffer, system=system, start=1, stop=len(buffer))
         assert (info.value.index, info.value.pe) == (3, 3)
+
+
+class TestOneEntryPoint:
+    """``replay()`` takes any machine shape: a clustered config or a
+    ``ClusteredSystem`` replays exactly as ``replay_clustered``."""
+
+    BATCH_REFS = 32
+
+    @pytest.mark.parametrize("n_clusters", (2, 4))
+    @pytest.mark.parametrize("mode", ("pessimistic", "lazypim"))
+    @pytest.mark.parametrize("interconnect", ("bus", "directory"))
+    def test_replay_honours_the_cluster_topology(
+        self, interconnect, mode, n_clusters, tiny_workloads
+    ):
+        config = SimulationConfig(interconnect=interconnect).with_clusters(
+            n_clusters
+        )
+        kwargs = dict(mode=mode, batch_refs=self.BATCH_REFS)
+        # A lock-free round-robin head gives every cluster a multiple of
+        # BATCH_REFS references, so its end is a batch boundary in
+        # every shard; the random tail brings locks.
+        trace = TraceBuffer(n_pes=8)
+        for index in range(8 * self.BATCH_REFS):
+            trace.append(
+                index % 8, (Op.R, Op.W)[index % 3 == 0], Area.HEAP,
+                AREA_BASE[Area.HEAP] + (index * 7) % 256,
+            )
+        boundary = len(trace)
+        trace.extend(generate_random_trace(3_000, n_pes=8, seed=61))
+        want = replay_clustered(trace, config, **kwargs).stats.as_dict()
+
+        assert replay(trace, config, **kwargs).as_dict() == want
+        system = ClusteredSystem(config, 8)
+        replay(trace, system=system, stop=boundary, **kwargs)
+        ranged = replay(trace, system=system, start=boundary, **kwargs)
+        assert ranged.as_dict() == want
+
+        tri = tiny_workloads.trace("tri", 4)
+        assert (
+            tiny_workloads.replay("tri", config, 4).as_dict()
+            == replay_clustered(tri, config).stats.as_dict()
+        )

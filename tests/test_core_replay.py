@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.config import MachineConfig, OptimizationConfig, SimulationConfig
-from repro.core.replay import replay, replay_many
+from repro.core.config import MachineConfig, SimulationConfig
+from repro.core.replay import replay
 from repro.core.speculative import plan_batches
 from repro.core.system import PIMCacheSystem
 from repro.machine.machine import KL1Machine
@@ -30,18 +30,6 @@ def test_replay_default_config():
     stats = replay(trace)
     assert stats.total_refs == len(trace)
     assert stats.bus_cycles_total > 0
-
-
-def test_replay_many_matches_individual_replays():
-    trace = generate_aurora_trace(AuroraTraceConfig(n_pes=2, steps_per_pe=50))
-    configs = [
-        SimulationConfig(opts=OptimizationConfig.all()),
-        SimulationConfig(opts=OptimizationConfig.none()),
-    ]
-    many = replay_many(trace, configs)
-    assert [s.bus_cycles_total for s in many] == [
-        replay(trace, c).bus_cycles_total for c in configs
-    ]
 
 
 def test_replay_blocked_trace_raises():

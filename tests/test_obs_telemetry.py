@@ -7,6 +7,7 @@ import queue
 import pytest
 
 from repro.analysis.parallel import SweepPool, run_sweep, run_sweep_report
+from repro.cluster.replay import replay_clustered
 from repro.core.config import CacheConfig, SimulationConfig
 from repro.obs.telemetry import (
     HEARTBEAT_SCHEMA,
@@ -175,6 +176,20 @@ def test_pooled_telemetry_sweep_identical_with_manifest_summary():
     summary = report["manifest"]["extra"]["telemetry"]
     assert summary["points_completed"] == len(configs)
     assert summary["heartbeats"] >= len(configs)
+
+
+def test_clustered_sweep_replays_clustered_and_telemetry_refuses_it():
+    trace = generate_random_trace(4_000, n_pes=4, seed=23)
+    configs = [SimulationConfig().with_clusters(2)]
+    want = replay_clustered(trace, configs[0]).stats.as_dict()
+    assert run_sweep(trace, configs, jobs=1)[0].as_dict() == want
+    assert run_sweep(trace, configs, jobs=2)[0].as_dict() == want
+    with SweepTelemetry(
+        interval_seconds=0.001, chunk_refs=1024, use_processes=False
+    ) as telemetry:
+        with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
+            with pytest.raises(ValueError, match="2-cluster"):
+                pool.map(configs)
 
 
 def test_empty_trace_sweep_emits_done_heartbeat():

@@ -399,6 +399,12 @@ class Workloads:
                 self._store_trace(name, n_pes, result.trace, result)
             result.manifest["trace_cache_key"] = self.cache_key(name, n_pes)
             self._cache[key] = result
+            if not result.machine.gc_marks:
+                # Without collections the run's stats are a plain
+                # replay of its trace under the base config.
+                self._replays.setdefault(
+                    (name, n_pes, self._sim_config()), result.stats
+                )
         return self._cache[key]
 
     def _load_result(self, name: str, n_pes: int) -> Optional[BenchmarkResult]:

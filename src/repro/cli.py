@@ -11,9 +11,8 @@ Commands
 ``figures``
     Regenerate the paper's Figures 1-3 and the secondary sweeps.
 ``trace``
-    Record a benchmark's reference stream to a file, replay a trace
-    file against a chosen cache geometry, or ``convert`` a flat trace
-    into the streamable chunked container (``docs/SERVE.md``).
+    Record a benchmark's reference stream to a file, or replay a trace
+    file against a chosen cache geometry.
 ``listing``
     Show the compiled abstract-machine code of a program.
 ``bench``
@@ -310,19 +309,6 @@ def cmd_trace(args) -> int:
         print(f"{args.benchmark}/{args.scale} on {args.pes} PEs: "
               f"{len(result.trace):,} refs -> {args.output}")
         return 0
-    if args.trace_command == "convert":
-        from repro.trace.io import is_chunked_trace, write_trace_chunked
-
-        if is_chunked_trace(args.file):
-            print(f"error: {args.file} is already a chunked trace",
-                  file=sys.stderr)
-            return 2
-        buffer = read_trace(args.file)
-        refs = write_trace_chunked(buffer, args.output, chunk_refs=args.chunk)
-        n_chunks = -(-refs // args.chunk) if refs else 0
-        print(f"converted {refs:,} refs into {n_chunks} chunk(s) "
-              f"of <= {args.chunk:,} refs -> {args.output}")
-        return 0
     buffer = read_trace(args.file)
     stats = replay(buffer, _sim_config(args), **_mode_kwargs(args))
     print(f"replayed {stats.total_refs:,} refs from {args.file}")
@@ -370,12 +356,14 @@ def _serve_trace_source(args):
 def cmd_serve(args) -> int:
     from repro.obs.schema import SchemaError
     from repro.serve.jobs import JobError, JobStore
+    from repro.trace.io import TraceFormatError
 
-    # A rejected option or an unreadable ledger record is a usage
-    # error, reported as one line rather than a traceback.
+    # A rejected option, a malformed trace file or an unreadable ledger
+    # record is a usage error, reported as one line rather than a
+    # traceback.
     try:
         return _serve(args, JobStore(args.store))
-    except (JobError, SchemaError) as error:
+    except (JobError, SchemaError, TraceFormatError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -1041,16 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(replay_parser)
     _add_mode_options(replay_parser)
     replay_parser.set_defaults(handler=cmd_trace)
-    convert = trace_commands.add_parser(
-        "convert",
-        help="convert a flat trace file into the streamable chunked "
-             "container",
-    )
-    convert.add_argument("file", help="flat trace file to convert")
-    convert.add_argument("--output", "-o", required=True)
-    convert.add_argument("--chunk", type=int, default=65536,
-                         help="references per chunk (default 65536)")
-    convert.set_defaults(handler=cmd_trace)
 
     serve_parser = commands.add_parser(
         "serve",
@@ -1072,8 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="simulate a paper benchmark's trace "
                                     "(via the trace cache)")
     submit_source.add_argument("--trace",
-                               help="simulate a recorded trace file "
-                                    "(flat or chunked)")
+                               help="simulate a recorded trace file")
     submit.add_argument("--scale", default="small",
                         choices=["tiny", "small", "medium", "paper"])
     submit.add_argument("--pes", type=int, default=8,

@@ -2,9 +2,9 @@
 
 Three layers, each usable on its own:
 
-* :mod:`repro.serve.stream` — constant-memory replay over chunked
-  trace files (:mod:`repro.trace.io`'s ``PIMTRACEC`` container),
-  bit-identical to in-memory replay for flat and clustered systems.
+* :mod:`repro.serve.stream` — constant-memory replay over trace files
+  (read one range at a time by :mod:`repro.trace.io`), bit-identical
+  to in-memory replay for flat and clustered systems.
 * :mod:`repro.serve.checkpoint` — :func:`snapshot`/:func:`restore` of
   full simulator state (cache arrays, lock directories, directory
   entries, clocks, every ledger counter), schema-validated as
@@ -23,4 +23,4 @@ from repro.serve.checkpoint import (  # noqa: F401
     write_checkpoint,
 )
 from repro.serve.jobs import JobServer, JobStore  # noqa: F401
-from repro.serve.stream import chunk_stream, replay_stream  # noqa: F401
+from repro.serve.stream import replay_stream  # noqa: F401

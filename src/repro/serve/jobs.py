@@ -6,7 +6,7 @@ a :class:`JobStore` directory:
 .. code-block:: text
 
     <root>/
-      traces/<sha256-prefix>.trace     content-addressed chunked traces
+      traces/<sha256-prefix>.trace     content-addressed traces
       jobs/<id>/job.json               the ledger record (repro.obs/job/v1)
       jobs/<id>/checkpoint.json        last checkpoint (repro.obs/checkpoint/v1)
       jobs/<id>/heartbeats.jsonl       windowed progress (repro.obs/heartbeat/v1)
@@ -36,6 +36,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import time
 from pathlib import Path
@@ -54,7 +55,7 @@ from repro.obs.telemetry import heartbeat
 from repro.serve.checkpoint import restore, snapshot
 from repro.serve.stream import replay_stream
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import iter_trace_chunks, write_trace_chunked
+from repro.trace.io import trace_header, write_trace
 
 #: Environment hook: SIGKILL the worker after N chunks (first attempt
 #: only).  Exists so the retry path is exercised deterministically.
@@ -81,33 +82,20 @@ class JobStore:
 
     # -- trace storage --------------------------------------------------
 
-    def store_trace(
-        self,
-        trace: Union[TraceBuffer, str, Path],
-        chunk_refs: int = DEFAULT_CHUNK_REFS,
-    ) -> str:
+    def store_trace(self, trace: Union[TraceBuffer, str, Path]) -> str:
         """Store *trace* content-addressed; returns its key.
 
-        An in-memory buffer is serialized to the chunked container
-        first (so workers can stream it); a path is copied verbatim
-        when already chunked, converted otherwise.  Identical content
-        maps to the same key, so repeated submissions share bytes.
+        An in-memory buffer is serialized with :func:`write_trace`; a
+        path is header-checked and copied verbatim.  Workers stream
+        either by range.  Identical content maps to the same key, so
+        repeated submissions share bytes.
         """
+        scratch = self.traces_dir / f".incoming-{os.getpid()}.trace"
         if isinstance(trace, TraceBuffer):
-            scratch = self.traces_dir / f".incoming-{os.getpid()}.trace"
-            write_trace_chunked(trace, scratch, chunk_refs=chunk_refs)
+            write_trace(trace, scratch)
         else:
-            source = Path(trace)
-            from repro.trace.io import is_chunked_trace, read_trace
-
-            if is_chunked_trace(source):
-                scratch = self.traces_dir / f".incoming-{os.getpid()}.trace"
-                scratch.write_bytes(source.read_bytes())
-            else:
-                scratch = self.traces_dir / f".incoming-{os.getpid()}.trace"
-                write_trace_chunked(
-                    read_trace(source), scratch, chunk_refs=chunk_refs
-                )
+            trace_header(trace)
+            shutil.copyfile(trace, scratch)
         digest = hashlib.sha256(scratch.read_bytes()).hexdigest()[:24]
         key = f"{digest}.trace"
         final = self.traces_dir / key
@@ -154,14 +142,9 @@ class JobStore:
             )
         if mode is not None and mode not in ("pessimistic", "lazypim"):
             raise JobError(f"unknown replay mode {mode!r}")
-        trace_key = self.store_trace(trace, chunk_refs=chunk_refs)
+        trace_key = self.store_trace(trace)
         if n_pes is None:
-            if isinstance(trace, TraceBuffer):
-                n_pes = trace.n_pes
-            else:
-                n_pes = next(
-                    iter_trace_chunks(self.trace_path(trace_key))
-                ).n_pes
+            n_pes = trace_header(self.trace_path(trace_key)).n_pes
         sequence = len(list(self.jobs_dir.iterdir())) + 1
         job_id = f"{sequence:04d}-{config.protocol}-{trace_key[:8]}"
         record = {
@@ -294,7 +277,7 @@ def _job_worker(root: str, job_id: str) -> None:
         system = restore(saved["state"])
         start_chunk = saved["chunks_done"]
 
-    refs_total = _trace_refs(trace_path)
+    refs_total = trace_header(trace_path).n_refs
     started = time.monotonic()
     progress = {
         "seq": len(store.heartbeats(job_id)),
@@ -352,22 +335,17 @@ def _job_worker(root: str, job_id: str) -> None:
         if kill_after is not None and progress["replayed"] >= kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def chunks():
-        for index, chunk in enumerate(iter_trace_chunks(trace_path)):
-            # A resumed worker still reads the prefix (the container is
-            # sequential) but replays nothing until the checkpoint.
-            if index >= start_chunk:
-                yield chunk
-
     result = replay_stream(
-        chunks(),
+        trace_path,
         config=config,
         n_pes=record["n_pes"],
+        chunk_refs=record["chunk_refs"],
         system=system,
         on_chunk=on_chunk,
         mode=record.get("mode"),
         batch_refs=record.get("batch_refs"),
         signature_bits=record.get("signature_bits"),
+        start=start_chunk * record["chunk_refs"],
     )
     stats_dict = result.as_dict()
     store.append_heartbeat(
@@ -394,27 +372,6 @@ def _job_worker(root: str, job_id: str) -> None:
         },
     )
     store.update(job_id, state="done")
-
-
-def _trace_refs(path: Path) -> int:
-    """Total refs recorded in a chunked trace's end marker.
-
-    The marker is the file's last line, so this is one small tail read
-    rather than a full pass.  A malformed tail falls back to streaming
-    the chunks (which raises the precise :class:`TraceFormatError`)."""
-    with path.open("rb") as fh:
-        fh.seek(0, os.SEEK_END)
-        size = fh.tell()
-        fh.seek(max(0, size - 128))
-        tail = fh.read().splitlines()
-    for line in reversed(tail):
-        parts = line.split()
-        if len(parts) == 3 and parts[0] == b"E":
-            try:
-                return int(parts[2])
-            except ValueError:
-                break
-    return sum(len(chunk) for chunk in iter_trace_chunks(path))
 
 
 # ---------------------------------------------------------------------------

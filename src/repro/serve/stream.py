@@ -1,8 +1,8 @@
-"""Constant-memory streaming replay over chunked traces.
+"""Constant-memory streaming replay over trace files.
 
 The identity this module rides on: ``replay()`` with a persistent
 ``system=`` argument is *sequentially composable* — replaying a trace
-chunk-by-chunk into one system produces bit-identical counters to one
+range-by-range into one system produces bit-identical counters to one
 in-memory replay (the generated kernel seeds its LRU clock from the
 caches and writes it back after every call, and settles every deferred
 counter fold before returning).  For
@@ -12,60 +12,50 @@ replaying every shard into its cluster's persistent system is the same
 per-cluster subsequence an interleaved run would produce, so
 cluster-parallel streaming merges deterministically too.
 
-Peak memory is therefore bounded by one chunk (plus live simulator
-state), never by the trace: a billion-reference trace replays through
-the same few hundred kilobytes of buffer.
+A trace file is read one ``chunk_refs`` range at a time
+(:func:`repro.trace.io.iter_trace_chunks`), so peak memory is bounded
+by one chunk plus live simulator state, never by the trace: a
+billion-reference trace replays through the same few hundred
+kilobytes of buffer.  An in-memory buffer is replayed range by range
+in place, with no copies.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from repro.core.config import SimulationConfig
 from repro.core.replay import ReplayBlockedError, replay
 from repro.cluster.replay import new_system, system_result
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import (
-    DEFAULT_CHUNK_REFS,
-    is_chunked_trace,
-    iter_trace_chunks,
-    read_trace,
-)
-
-ChunkSource = Union[str, Path, TraceBuffer, Iterable[TraceBuffer]]
+from repro.trace.io import DEFAULT_CHUNK_REFS, iter_trace_chunks, trace_header
 
 
-def chunk_stream(
-    source: ChunkSource, chunk_refs: int = DEFAULT_CHUNK_REFS
-) -> Iterator[TraceBuffer]:
-    """Normalize *source* into an iterator of trace chunks.
-
-    * A path to a chunked (``PIMTRACEC``) file streams its chunks as
-      written — constant memory.
-    * A path to a flat file is loaded once and sliced (the flat
-      container is one record; convert with ``repro trace convert``
-      for true streaming).
-    * An in-memory :class:`TraceBuffer` is sliced into ``chunk_refs``
-      views; any other iterable is passed through.
-    """
-    if isinstance(source, (str, Path)):
-        if is_chunked_trace(source):
-            return iter_trace_chunks(source)
-        source = read_trace(source)
+def _segments(
+    source: Union[str, Path, TraceBuffer], chunk_refs: int, start: int
+) -> Tuple[int, Iterator[Tuple[TraceBuffer, int, int, int]]]:
+    """The source's PE count and its ``(buffer, base, lo, hi)``
+    segments: replay ``[lo, hi)`` of *buffer*, whose reference 0 sits
+    at trace position *base*."""
     if isinstance(source, TraceBuffer):
-        buffer = source
+        total = len(source)
+        return source.n_pes, (
+            (source, 0, lo, min(lo + chunk_refs, total))
+            for lo in range(start, total, chunk_refs)
+        )
 
-        def slices() -> Iterator[TraceBuffer]:
-            for start in range(0, len(buffer), chunk_refs):
-                yield buffer.slice(start, min(start + chunk_refs, len(buffer)))
+    def file_segments():
+        base = start
+        for chunk in iter_trace_chunks(source, chunk_refs, start):
+            yield chunk, base, 0, len(chunk)
+            base += len(chunk)
 
-        return slices()
-    return iter(source)
+    return trace_header(source).n_pes, file_segments()
 
 
 def replay_stream(
-    source: ChunkSource,
+    source: Union[str, Path, TraceBuffer],
     config: Optional[SimulationConfig] = None,
     n_pes: Optional[int] = None,
     chunk_refs: int = DEFAULT_CHUNK_REFS,
@@ -74,19 +64,23 @@ def replay_stream(
     mode: Optional[str] = None,
     batch_refs: Optional[int] = None,
     signature_bits: Optional[int] = None,
+    start: int = 0,
 ):
-    """Replay *source* chunk-by-chunk through one persistent system.
+    """Replay references ``[start, n)`` of *source* — a trace file or
+    an in-memory :class:`TraceBuffer` — ``chunk_refs`` at a time
+    through one persistent system.
 
     Returns the flat :class:`SystemStats` for single-bus configs or a
     :class:`ClusterStats` when ``config.cluster.n_clusters > 1`` —
     bit-identical to replaying the whole trace in memory.
 
     *system* lets a caller resume a restored checkpoint (it must match
-    the config's shape); *on_chunk* is called after every chunk with
-    ``(chunk_index, refs_done, system)`` — the hook the job service
-    checkpoints and heartbeats from.  A blocked reference raises
-    :class:`~repro.core.replay.ReplayBlockedError` with its index and
-    PE in the whole stream, flat or clustered.
+    the config's shape) at trace position *start*; *on_chunk* is called
+    after every chunk with ``(index, refs_done, system)`` — the
+    chunk's index in this call and the trace position it ended at, the
+    hook the job service checkpoints and heartbeats from.  A blocked
+    reference raises :class:`~repro.core.replay.ReplayBlockedError`
+    with its index and PE in the whole trace, flat or clustered.
 
     ``mode="lazypim"`` streams speculatively: each chunk runs as a
     closed sequence of speculative batches (chunk boundaries force a
@@ -100,29 +94,22 @@ def replay_stream(
     the stream carries no lock/flagged references (each of which resets
     the batch phase).
     """
-    chunks = chunk_stream(source, chunk_refs)
-    if config is None:
-        config = SimulationConfig()
-    refs_done = 0
-    index = 0
-    for chunk in chunks:
-        if system is None:
-            system = new_system(config, n_pes or chunk.n_pes)
+    source_pes, segments = _segments(source, chunk_refs, start)
+    if system is None:
+        system = new_system(config or SimulationConfig(), n_pes or source_pes)
+    for index, (buffer, base, lo, hi) in enumerate(segments):
         try:
             replay(
-                chunk,
+                buffer,
                 system=system,
                 mode=mode,
                 batch_refs=batch_refs,
                 signature_bits=signature_bits,
+                start=lo,
+                stop=hi,
             )
         except ReplayBlockedError as error:
-            raise error.at(refs_done) from None
-        refs_done += len(chunk)
+            raise error.at(base) from None
         if on_chunk is not None:
-            on_chunk(index, refs_done, system)
-        index += 1
-    if system is None:
-        # Empty stream: an untouched system of the requested shape.
-        system = new_system(config, n_pes or 1)
+            on_chunk(index, base + hi, system)
     return system_result(system)

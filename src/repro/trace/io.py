@@ -1,58 +1,69 @@
 """Trace file round-trip.
 
-Two on-disk containers share the same column encoding:
+One on-disk container, ``PIMTRACE`` version 1: a small ASCII header
+followed by the five raw columns, each introduced by its typecode line::
 
-* **Flat** (``PIMTRACE``): a small ASCII header (magic, version, PE
-  count, reference count) followed by the five raw columns, each
-  prefixed with its typecode.  The whole trace is one record, so the
-  reader materializes it in one go.
-* **Chunked** (``PIMTRACEC``): the same five columns repeated per
-  chunk, each chunk introduced by a ``C <index> <count>`` line and the
-  file closed by an ``E <n_chunks> <total_refs>`` marker.  Chunks can
-  be written from a generator without knowing the total length and
-  read back one at a time (:func:`iter_trace_chunks`), so a replay
-  never holds more than one chunk in memory.
+    PIMTRACE\\n
+    1 <byteorder> <n_pes> <n>\\n    version, producer endianness, PEs, refs
+    b\\n <n bytes>                  pe column
+    b\\n <n bytes>                  op column
+    b\\n <n bytes>                  area column
+    q\\n <8n bytes>                 address column
+    b\\n <n bytes>                  flags column
+
+The header's reference count fixes every column's byte offset, so any
+range ``[lo, hi)`` of references is one ``seek`` + ``array.fromfile``
+per column.  :func:`read_trace` reads ``[0, n)``;
+:func:`iter_trace_chunks` streams ``[start, n)`` one bounded range at
+a time, so a replay never holds more than one range in memory.  A file
+is checked against its header when it is opened: one shorter than the
+header requires raises :class:`TraceFormatError` before any reference
+is read.
 
 Arrays are written in machine byte order; the header records the byte
 order, and a reader on a foreign-endian machine byteswaps the columns
-on load.  :func:`read_trace` sniffs the magic, so every existing
-consumer transparently accepts both containers.
+it reads.
 """
 
 from __future__ import annotations
 
+import os
 import sys
-from array import array
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterator, NamedTuple, Tuple, Union
 
 from repro.trace.buffer import TraceBuffer
 
 MAGIC = b"PIMTRACE"
 VERSION = 1
 
-CHUNK_MAGIC = b"PIMTRACEC"
-CHUNK_VERSION = 1
+#: Magic of the retired chunked container, which shared this prefix.
+_RETIRED_MAGIC = MAGIC + b"C"
 
-#: Default chunk size for :func:`write_trace_chunked`.  Small enough
-#: that one chunk of five columns (12 bytes/ref) stays well under a
-#: megabyte, large enough that per-chunk framing overhead is noise.
+#: Default range size for :func:`iter_trace_chunks`.  Small enough that
+#: one range of five columns (12 bytes/ref) stays well under a
+#: megabyte, large enough that the per-range seeks are noise.
 DEFAULT_CHUNK_REFS = 65_536
 
 
 class TraceFormatError(ValueError):
-    """Raised when a trace file is malformed.
+    """Raised when a trace file is malformed; ``byte_offset`` is the
+    file position where it went bad, when known."""
 
-    For chunked containers the error pinpoints where the file went
-    bad: ``byte_offset`` is the file position at the failure and
-    ``chunk_index`` the chunk being read.  Both are ``None`` for flat
-    (single-record) traces.
-    """
-
-    def __init__(self, message, byte_offset=None, chunk_index=None):
+    def __init__(self, message, byte_offset=None):
         super().__init__(message)
         self.byte_offset = byte_offset
-        self.chunk_index = chunk_index
+
+
+class TraceHeader(NamedTuple):
+    """A checked trace header and the column layout it implies."""
+
+    n_pes: int
+    n_refs: int
+    #: The columns were written on a foreign-endian machine.
+    swap: bool
+    #: Byte offset of each column's first entry.
+    offsets: Tuple[int, ...]
 
 
 def write_trace(buffer: TraceBuffer, path: Union[str, Path]) -> None:
@@ -70,289 +81,133 @@ def write_trace(buffer: TraceBuffer, path: Union[str, Path]) -> None:
             column.tofile(fh)
 
 
-def read_trace(path: Union[str, Path]) -> TraceBuffer:
-    """Deserialize a trace written by :func:`write_trace` or
-    :func:`write_trace_chunked` (the magic line selects the reader)."""
+def trace_header(path: Union[str, Path]) -> TraceHeader:
+    """Parse and check *path*'s header without reading any reference."""
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic == CHUNK_MAGIC:
-            n_pes, swap = _read_chunk_header(fh, path)
-            buffer = TraceBuffer(n_pes=n_pes)
-            for chunk in _iter_chunks(fh, path, n_pes, swap):
-                buffer.extend(chunk)
-            return buffer
-        if magic != MAGIC:
-            raise TraceFormatError(f"{path}: not a PIM trace file")
-        try:
-            header = fh.readline().decode("ascii").split()
-        except UnicodeDecodeError as error:
-            raise TraceFormatError(f"{path}: non-ASCII header") from error
-        if len(header) != 4:
-            raise TraceFormatError(f"{path}: malformed header {header!r}")
-        version, byteorder, n_pes, n_refs = header
-        try:
-            version_num = int(version)
-            pe_count = int(n_pes)
-            count = int(n_refs)
-        except ValueError as error:
-            raise TraceFormatError(
-                f"{path}: malformed header {header!r}"
-            ) from error
-        if version_num != VERSION:
-            raise TraceFormatError(f"{path}: unsupported version {version}")
-        if byteorder not in ("little", "big"):
-            raise TraceFormatError(
-                f"{path}: unknown byte order {byteorder!r} in header"
-            )
-        if pe_count < 1 or count < 0:
-            raise TraceFormatError(f"{path}: malformed header {header!r}")
-        swap = byteorder != sys.byteorder
-        buffer = TraceBuffer(n_pes=pe_count)
-        for column in buffer.columns():
-            typecode = fh.readline().rstrip(b"\n").decode("ascii")
-            if typecode != column.typecode:
-                raise TraceFormatError(
-                    f"{path}: column typecode {typecode!r}, expected "
-                    f"{column.typecode!r}"
-                )
-            fresh = array(column.typecode)
-            try:
-                # fromfile raises EOFError when whole items run out and
-                # ValueError when the file ends mid-item.
-                fresh.fromfile(fh, count)
-            except (EOFError, ValueError) as error:
-                raise TraceFormatError(
-                    f"{path}: truncated trace (column {column.typecode!r} "
-                    f"has {len(fresh)} of {count} entries)"
-                ) from error
-            if swap:
-                # Traces are written in the producer's byte order; a
-                # foreign-endian file is converted in place rather than
-                # rejected (single-byte columns are unaffected).
-                fresh.byteswap()
-            column.extend(fresh)
-        return buffer
+        return _open(fh, path)
 
 
-# ---------------------------------------------------------------------------
-# Chunked container.
+def read_trace(path: Union[str, Path]) -> TraceBuffer:
+    """Deserialize a trace written by :func:`write_trace`."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        header = _open(fh, path)
+        return _read_range(fh, path, header, 0, header.n_refs)
 
 
-def is_chunked_trace(path: Union[str, Path]) -> bool:
-    """True when *path* uses the chunked (streamable) container."""
-    with Path(path).open("rb") as fh:
-        return fh.readline().rstrip(b"\n") == CHUNK_MAGIC
-
-
-def _chunk_slices(
-    buffer: TraceBuffer, chunk_refs: int
-) -> Iterator[TraceBuffer]:
-    for start in range(0, len(buffer), chunk_refs):
-        yield buffer.slice(start, min(start + chunk_refs, len(buffer)))
-
-
-def write_trace_chunked(
-    source: Union[TraceBuffer, Iterable[TraceBuffer]],
+def iter_trace_chunks(
     path: Union[str, Path],
     chunk_refs: int = DEFAULT_CHUNK_REFS,
-    n_pes: int = None,
-) -> int:
-    """Serialize *source* to *path* in the chunked container.
-
-    *source* is either a whole :class:`TraceBuffer` (sliced into
-    ``chunk_refs``-sized chunks) or an iterable of chunk buffers (each
-    written as-is, so a generator can stream a trace that never fits in
-    memory).  The writer needs no seeks: the total is recorded in the
-    trailing ``E`` marker.  Returns the number of references written.
-
-    *n_pes* is only consulted when *source* is an empty iterable (there
-    is no chunk to infer it from); it defaults to 1.
-    """
-    path = Path(path)
-    if isinstance(source, TraceBuffer):
-        n_pes = source.n_pes
-        chunks: Iterable[TraceBuffer] = _chunk_slices(source, chunk_refs)
-    else:
-        chunks = iter(source)
-    total = 0
-    index = 0
-    with path.open("wb") as fh:
-        header_written = False
-        for chunk in chunks:
-            if not header_written:
-                fh.write(CHUNK_MAGIC + b"\n")
-                fh.write(
-                    f"{CHUNK_VERSION} {sys.byteorder} {chunk.n_pes}\n".encode("ascii")
-                )
-                header_written = True
-            fh.write(f"C {index} {len(chunk)}\n".encode("ascii"))
-            for column in chunk.columns():
-                fh.write(column.typecode.encode("ascii"))
-                fh.write(b"\n")
-                column.tofile(fh)
-            total += len(chunk)
-            index += 1
-        if not header_written:
-            fh.write(CHUNK_MAGIC + b"\n")
-            fh.write(
-                f"{CHUNK_VERSION} {sys.byteorder} {n_pes or 1}\n".encode("ascii")
-            )
-        fh.write(f"E {index} {total}\n".encode("ascii"))
-    return total
-
-
-def iter_trace_chunks(path: Union[str, Path]) -> Iterator[TraceBuffer]:
-    """Yield the chunks of a chunked trace one :class:`TraceBuffer` at
-    a time, holding at most one chunk in memory.
-
-    Raises :class:`TraceFormatError` — carrying the byte offset and
-    chunk index — on truncated or malformed input, including a missing
-    ``E`` end marker (a partially written file).
-    """
+    start: int = 0,
+) -> Iterator[TraceBuffer]:
+    """Yield references ``[start, n)`` of the trace at *path* as
+    consecutive ``chunk_refs``-sized :class:`TraceBuffer` ranges (the
+    last one ragged), holding one range in memory at a time."""
+    if chunk_refs < 1 or start < 0:
+        raise ValueError(
+            f"need chunk_refs >= 1 and start >= 0, got {chunk_refs}, {start}"
+        )
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != CHUNK_MAGIC:
-            raise TraceFormatError(
-                f"{path}: not a chunked PIM trace file", byte_offset=0
-            )
-        n_pes, swap = _read_chunk_header(fh, path)
-        yield from _iter_chunks(fh, path, n_pes, swap)
+        header = _open(fh, path)
+        for lo in range(start, header.n_refs, chunk_refs):
+            hi = min(lo + chunk_refs, header.n_refs)
+            yield _read_range(fh, path, header, lo, hi)
 
 
-def _read_chunk_header(fh: IO[bytes], path: Path):
-    """Parse the one-line chunked-container header (after the magic).
-
-    Returns ``(n_pes, swap)`` where *swap* says the columns were
-    written on a foreign-endian machine."""
+def _open(fh: IO[bytes], path: Path) -> TraceHeader:
+    """Parse the header at the start of *fh* and check that the file
+    holds every column it promises."""
+    magic = fh.readline().rstrip(b"\n")
+    if magic == _RETIRED_MAGIC:
+        raise TraceFormatError(
+            f"{path}: {magic.decode()} is the retired chunked trace "
+            f"container; re-record the trace as a {MAGIC.decode()} file",
+            byte_offset=0,
+        )
+    if magic != MAGIC:
+        raise TraceFormatError(f"{path}: not a PIM trace file", byte_offset=0)
     offset = fh.tell()
     try:
         header = fh.readline().decode("ascii").split()
     except UnicodeDecodeError as error:
         raise TraceFormatError(
-            f"{path}: non-ASCII chunk header", byte_offset=offset
+            f"{path}: non-ASCII header", byte_offset=offset
         ) from error
-    if len(header) != 3:
+    if len(header) != 4:
         raise TraceFormatError(
-            f"{path}: malformed chunk header {header!r}", byte_offset=offset
+            f"{path}: malformed header {header!r}", byte_offset=offset
         )
-    version, byteorder, n_pes = header
+    version, byteorder, n_pes, n_refs = header
     try:
         version_num = int(version)
         pe_count = int(n_pes)
+        count = int(n_refs)
     except ValueError as error:
         raise TraceFormatError(
-            f"{path}: malformed chunk header {header!r}", byte_offset=offset
+            f"{path}: malformed header {header!r}", byte_offset=offset
         ) from error
-    if version_num != CHUNK_VERSION:
+    if version_num != VERSION:
         raise TraceFormatError(
-            f"{path}: unsupported chunked version {version}",
-            byte_offset=offset,
+            f"{path}: unsupported version {version}", byte_offset=offset
         )
     if byteorder not in ("little", "big"):
         raise TraceFormatError(
-            f"{path}: unknown byte order {byteorder!r} in chunk header",
+            f"{path}: unknown byte order {byteorder!r} in header",
             byte_offset=offset,
         )
-    if pe_count < 1:
+    if pe_count < 1 or count < 0:
         raise TraceFormatError(
-            f"{path}: malformed chunk header {header!r}", byte_offset=offset
+            f"{path}: malformed header {header!r}", byte_offset=offset
         )
-    return pe_count, byteorder != sys.byteorder
+    size = os.fstat(fh.fileno()).st_size
+    offset = fh.tell()
+    offsets = []
+    for column in TraceBuffer().columns():
+        fh.seek(offset)
+        typecode = fh.read(2).decode("ascii", "replace")
+        if typecode != column.typecode + "\n":
+            raise TraceFormatError(
+                f"{path}: column typecode {typecode.rstrip()!r}, expected "
+                f"{column.typecode!r}",
+                byte_offset=offset,
+            )
+        offset += 2
+        offsets.append(offset)
+        offset += count * column.itemsize
+        if offset > size:
+            have = (size - offsets[-1]) // column.itemsize
+            raise TraceFormatError(
+                f"{path}: truncated trace (column {column.typecode!r} has "
+                f"{have} of {count} entries)",
+                byte_offset=size,
+            )
+    return TraceHeader(
+        pe_count, count, byteorder != sys.byteorder, tuple(offsets)
+    )
 
 
-def _iter_chunks(
-    fh: IO[bytes], path: Path, n_pes: int, swap: bool = False
-) -> Iterator[TraceBuffer]:
-    chunk_index = 0
-    total = 0
-    while True:
-        offset = fh.tell()
-        line = fh.readline()
-        if not line:
-            raise TraceFormatError(
-                f"{path}: truncated chunked trace (missing end marker "
-                f"after chunk {chunk_index - 1})",
-                byte_offset=offset,
-                chunk_index=chunk_index,
-            )
-        parts = line.split()
-        if parts and parts[0] == b"E":
-            _check_end_marker(parts, path, offset, chunk_index, total)
-            return
-        if len(parts) != 3 or parts[0] != b"C":
-            raise TraceFormatError(
-                f"{path}: malformed chunk record {line!r}",
-                byte_offset=offset,
-                chunk_index=chunk_index,
-            )
+def _read_range(
+    fh: IO[bytes], path: Path, header: TraceHeader, lo: int, hi: int
+) -> TraceBuffer:
+    """References ``[lo, hi)`` of the opened trace *fh*."""
+    buffer = TraceBuffer(n_pes=header.n_pes)
+    for column, offset in zip(buffer.columns(), header.offsets):
+        fh.seek(offset + lo * column.itemsize)
         try:
-            index = int(parts[1])
-            count = int(parts[2])
-        except ValueError as error:
+            # fromfile raises EOFError when whole items run out and
+            # ValueError when the file ends mid-item: the file shrank
+            # after it was opened.
+            column.fromfile(fh, hi - lo)
+        except (EOFError, ValueError) as error:
             raise TraceFormatError(
-                f"{path}: malformed chunk record {line!r}",
-                byte_offset=offset,
-                chunk_index=chunk_index,
+                f"{path}: truncated trace (column {column.typecode!r} "
+                f"ends before reference {hi})",
+                byte_offset=fh.tell(),
             ) from error
-        if index != chunk_index or count < 0:
-            raise TraceFormatError(
-                f"{path}: chunk {index} out of order (expected "
-                f"{chunk_index})",
-                byte_offset=offset,
-                chunk_index=chunk_index,
-            )
-        buffer = TraceBuffer(n_pes=n_pes)
-        for column in buffer.columns():
-            col_offset = fh.tell()
-            typecode = fh.readline().rstrip(b"\n").decode("ascii", "replace")
-            if typecode != column.typecode:
-                raise TraceFormatError(
-                    f"{path}: chunk {chunk_index} column typecode "
-                    f"{typecode!r}, expected {column.typecode!r}",
-                    byte_offset=col_offset,
-                    chunk_index=chunk_index,
-                )
-            fresh = array(column.typecode)
-            try:
-                fresh.fromfile(fh, count)
-            except (EOFError, ValueError) as error:
-                raise TraceFormatError(
-                    f"{path}: truncated chunk {chunk_index} (column "
-                    f"{column.typecode!r} has {len(fresh)} of {count} "
-                    f"entries)",
-                    byte_offset=fh.tell(),
-                    chunk_index=chunk_index,
-                ) from error
-            if swap:
-                fresh.byteswap()
-            column.extend(fresh)
-        total += count
-        chunk_index += 1
-        yield buffer
-
-
-def _check_end_marker(parts, path, offset, chunk_index, total):
-    if len(parts) != 3:
-        raise TraceFormatError(
-            f"{path}: malformed end marker {parts!r}",
-            byte_offset=offset,
-            chunk_index=chunk_index,
-        )
-    try:
-        n_chunks = int(parts[1])
-        n_refs = int(parts[2])
-    except ValueError as error:
-        raise TraceFormatError(
-            f"{path}: malformed end marker {parts!r}",
-            byte_offset=offset,
-            chunk_index=chunk_index,
-        ) from error
-    if n_chunks != chunk_index or n_refs != total:
-        raise TraceFormatError(
-            f"{path}: end marker says {n_chunks} chunks/{n_refs} refs, "
-            f"read {chunk_index} chunks/{total} refs",
-            byte_offset=offset,
-            chunk_index=chunk_index,
-        )
+        if header.swap:
+            # A foreign-endian file is converted in place rather than
+            # rejected (single-byte columns are unaffected).
+            column.byteswap()
+    return buffer

@@ -47,3 +47,29 @@ def test_warm_report_emulates_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(KL1Machine, "run", refuse)
     warm = generate_report(workloads=Workloads(scale="tiny"))
     assert warm == cold
+
+
+def test_run_stats_are_the_base_config_replay(tmp_path, monkeypatch):
+    """A run without collections leaves its stats in the replay memo,
+    so the base config's replay (Table 4's "All" column, Figure 1's
+    4-word point, ...) is a memo hit, cold or warm."""
+    from repro.analysis import runner
+    from repro.core.config import SimulationConfig
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    replay = runner.replay
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "replay", counting)
+    for _ in ("cold", "warm"):
+        workloads = runner.Workloads(scale="tiny")
+        result = workloads.result("tri", 4)
+        assert not result.machine.gc_marks
+        stats = workloads.replay("tri", SimulationConfig(), 4)
+        assert calls == []
+        fresh = replay(result.trace, SimulationConfig())
+        assert stats.as_dict() == fresh.as_dict()

@@ -91,6 +91,57 @@ def test_heartbeats_are_windowed_and_monotone(tmp_path, job_trace):
     assert all(0.0 <= beat["miss_ratio"] <= 1.0 for beat in beats)
 
 
+def test_heartbeats_land_every_chunk_of_a_submitted_file(tmp_path, job_trace):
+    # However the file was written, the worker reads it in the job's
+    # own chunk size: a heartbeat (and a checkpoint) every 500 refs.
+    from repro.trace.io import write_trace
+
+    path = tmp_path / "t.trace"
+    write_trace(job_trace, path)
+    store = JobStore(tmp_path / "store")
+    job_id = _submit(store, path, chunk_refs=500)
+    assert store.job(job_id)["n_pes"] == job_trace.n_pes
+    JobServer(store).run_pending()
+    refs = [beat["refs_done"] for beat in store.heartbeats(job_id)]
+    total = len(job_trace)
+    assert refs[:-1] == [*range(500, total, 500), total]
+
+
+def test_resumed_worker_seeks_to_its_checkpoint(
+    tmp_path, job_trace, reference_stats, monkeypatch
+):
+    # A worker that finds a checkpoint after 4 of 13 chunks reads the
+    # trace from reference 2000 on: 9 chunks, no discarded prefix.
+    from repro.core.system import PIMCacheSystem
+    from repro.serve import stream
+    from repro.serve.checkpoint import snapshot
+    from repro.serve.jobs import _job_worker
+
+    store = JobStore(tmp_path / "store")
+    job_id = _submit(store, job_trace)
+    system = PIMCacheSystem(SimulationConfig(), 4)
+    replay(job_trace, system=system, stop=2_000)
+    store.write_job_checkpoint(job_id, {
+        "state": snapshot(system),
+        "chunks_done": 4,
+        "refs_done": 2_000,
+        "hits_done": system.stats.total_hits,
+    })
+    reads = []
+    iter_trace_chunks = stream.iter_trace_chunks
+
+    def counting(path, chunk_refs, start=0):
+        for chunk in iter_trace_chunks(path, chunk_refs, start):
+            reads.append((start, len(chunk)))
+            yield chunk
+
+    monkeypatch.setattr(stream, "iter_trace_chunks", counting)
+    _job_worker(str(store.root), job_id)
+    assert reads == [(2_000, 500)] * 8 + [(2_000, len(job_trace) - 6_000)]
+    assert store.job(job_id)["state"] == "done"
+    assert store.result(job_id)["stats"] == reference_stats
+
+
 def test_trace_storage_is_content_addressed(tmp_path, job_trace):
     store = JobStore(tmp_path / "store")
     first = _submit(store, job_trace)
@@ -365,10 +416,10 @@ def test_cache_limit_env_parsing(monkeypatch):
 
 def test_cli_serve_lifecycle(tmp_path, job_trace, capsys):
     from repro.cli import main
-    from repro.trace.io import write_trace_chunked
+    from repro.trace.io import write_trace
 
     trace_path = tmp_path / "t.trace"
-    write_trace_chunked(job_trace, trace_path, chunk_refs=500)
+    write_trace(job_trace, trace_path)
     store = str(tmp_path / "store")
 
     assert main(["serve", "--store", store, "submit",

@@ -2,9 +2,11 @@
 
 Fixed-example tests cover the header/typecode rejection paths; the
 hypothesis properties at the bottom pin the stronger guarantees —
-write→read identity for arbitrary buffers, foreign-endian byteswap
-transparency, and ``TraceFormatError`` (never a raw ``EOFError`` or
-``ValueError``) on a file truncated at *any* byte offset.
+write→read identity for arbitrary buffers, ranged reads equal to the
+matching slice for any range size, start and byte order, foreign-endian
+byteswap transparency, and ``TraceFormatError`` (never a raw
+``EOFError`` or ``ValueError``) on a file truncated at *any* byte
+offset, raised when the file is opened.
 """
 
 import sys
@@ -16,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import Area, Op
 from repro.trace.io import (
+    MAGIC,
     TraceFormatError,
-    is_chunked_trace,
     iter_trace_chunks,
     read_trace,
+    trace_header,
     write_trace,
-    write_trace_chunked,
 )
 from repro.trace.synthetic import generate_random_trace
 
@@ -136,86 +138,86 @@ def test_truncated_column_names_the_shortfall(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The chunked container (PIMTRACEC).
+# Ranged reads: the header fixes every column's offset.
+
+
+def _write_foreign(buffer, path):
+    """Write the file a foreign-endian producer would have written:
+    its byte order in the header, multi-byte columns byteswapped."""
+    foreign = {"little": "big", "big": "little"}[sys.byteorder]
+    with path.open("wb") as fh:
+        fh.write(
+            MAGIC + f"\n1 {foreign} {buffer.n_pes} {len(buffer)}\n".encode()
+        )
+        for column in buffer.columns():
+            swapped = array(column.typecode, column)
+            swapped.byteswap()
+            fh.write(column.typecode.encode("ascii") + b"\n")
+            swapped.tofile(fh)
 
 
 def test_chunked_roundtrip_and_sniffing(tmp_path):
+    # A flat file read range by range is the file read whole ...
     buffer = generate_random_trace(5_000, n_pes=4, seed=11)
     path = tmp_path / "c.trace"
-    refs = write_trace_chunked(buffer, path, chunk_refs=700)
-    assert refs == len(buffer)
-    assert is_chunked_trace(path)
-    # read_trace sniffs the magic and loads the chunked file whole.
-    loaded = read_trace(path)
-    assert loaded.n_pes == buffer.n_pes
-    assert list(loaded) == list(buffer)
+    write_trace(buffer, path)
+    rows = [row for chunk in iter_trace_chunks(path, 700) for row in chunk]
+    assert rows == list(read_trace(path)) == list(buffer)
+    # ... and the magic line is sniffed: a file of the retired chunked
+    # container is rejected by name, never misread.
+    retired = tmp_path / "retired.trace"
+    retired.write_bytes(
+        MAGIC + b"C\n1 little 4\nC 0 1\nb\n\x00b\n\x00b\n\x00"
+    )
+    for read in (read_trace, trace_header, lambda p: next(iter_trace_chunks(p))):
+        with pytest.raises(TraceFormatError, match="retired chunked") as info:
+            read(retired)
+        assert info.value.byte_offset == 0
 
 
 def test_chunked_iteration_yields_bounded_chunks(tmp_path):
     buffer = generate_random_trace(5_000, n_pes=4, seed=3)
     path = tmp_path / "c.trace"
-    write_trace_chunked(buffer, path, chunk_refs=700)
-    chunks = list(iter_trace_chunks(path))
-    assert all(len(chunk) <= 700 for chunk in chunks)
-    assert sum(len(chunk) for chunk in chunks) == len(buffer)
+    write_trace(buffer, path)
+    chunks = list(iter_trace_chunks(path, 700))
+    sizes = [len(chunk) for chunk in chunks]
+    assert sizes[:-1] == [700] * (len(sizes) - 1) and 0 < sizes[-1] <= 700
+    assert all(chunk.n_pes == 4 for chunk in chunks)
     rebuilt = [row for chunk in chunks for row in chunk]
     assert rebuilt == list(buffer)
-
-
-def test_chunked_writer_streams_a_generator(tmp_path):
-    # The writer never needs the whole trace: a generator of chunk
-    # buffers is written as-is, one chunk at a time.
-    buffer = generate_random_trace(2_000, n_pes=2, seed=9)
-
-    def chunks():
-        for start in range(0, len(buffer), 512):
-            yield buffer.slice(start, min(start + 512, len(buffer)))
-
-    path = tmp_path / "gen.trace"
-    assert write_trace_chunked(chunks(), path) == len(buffer)
-    assert list(read_trace(path)) == list(buffer)
+    tail = list(iter_trace_chunks(path, 700, start=4_321))
+    assert [row for chunk in tail for row in chunk] == list(buffer)[4_321:]
 
 
 def test_chunked_empty_roundtrip(tmp_path):
     path = tmp_path / "empty.trace"
-    assert write_trace_chunked(iter(()), path, n_pes=5) == 0
-    assert is_chunked_trace(path)
-    loaded = read_trace(path)
-    assert loaded.n_pes == 5
-    assert len(loaded) == 0
-    assert list(iter_trace_chunks(path)) == []
+    write_trace(TraceBuffer(n_pes=5), path)
+    header = trace_header(path)
+    assert (header.n_pes, header.n_refs) == (5, 0)
+    assert list(iter_trace_chunks(path, 700)) == []
+    assert list(iter_trace_chunks(path, 700, start=3)) == []
 
 
 def test_flat_file_is_not_chunked(tmp_path):
+    # One header, then each column once: the file is exactly as long as
+    # the offset arithmetic says, 12 bytes per reference.
     buffer = generate_random_trace(100, n_pes=2, seed=1)
     path = tmp_path / "flat.trace"
     write_trace(buffer, path)
-    assert not is_chunked_trace(path)
+    header = trace_header(path)
+    head = len(MAGIC) + len(f"\n1 {sys.byteorder} 2 100\n")
+    assert header.offsets == (
+        head + 2, head + 104, head + 206, head + 308, head + 1110
+    )
+    assert path.stat().st_size == head + 5 * 2 + 12 * 100
 
 
-def test_chunked_missing_end_marker_is_diagnosed(tmp_path):
-    buffer = generate_random_trace(1_500, n_pes=2, seed=2).slice(0, 1_400)
-    path = tmp_path / "noend.trace"
-    write_trace_chunked(buffer, path, chunk_refs=700)
-    raw = path.read_bytes()
-    # Drop the trailing "E <chunks> <refs>\n" line only: every chunk is
-    # intact, so the error must say the end marker is missing.
-    cut = raw.rfind(b"E ")
-    path.write_bytes(raw[:cut])
-    with pytest.raises(TraceFormatError, match="end marker") as info:
-        read_trace(path)
-    assert info.value.byte_offset == cut
-    assert info.value.chunk_index == 2
-
-
-def test_chunked_end_marker_count_mismatch(tmp_path):
-    buffer = generate_random_trace(1_500, n_pes=2, seed=2).slice(0, 1_400)
-    path = tmp_path / "miscount.trace"
-    write_trace_chunked(buffer, path, chunk_refs=700)
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"E 2 1400", b"E 2 1399"))
-    with pytest.raises(TraceFormatError, match="end marker"):
-        read_trace(path)
+def test_ranged_reads_reject_bad_arguments(tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(generate_random_trace(10, n_pes=2, seed=1), path)
+    for chunk_refs, start in ((0, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            next(iter_trace_chunks(path, chunk_refs, start))
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +272,28 @@ def test_property_foreign_endian_roundtrip(tmp_path_factory, refs):
     assert list(read_trace(foreign_path)) == list(buffer)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    refs=st.lists(_ref, min_size=1, max_size=120),
+    refs=st.lists(_ref, max_size=120),
     chunk_refs=st.integers(1, 40),
+    start=st.integers(0, 130),
+    foreign=st.booleans(),
 )
 def test_property_chunked_roundtrip_identity(
-    tmp_path_factory, refs, chunk_refs
+    tmp_path_factory, refs, chunk_refs, start, foreign
 ):
+    # Any range size, any start (past the end included), either byte
+    # order: the ranges concatenate to the slice [start, n).
     buffer = _buffer_from(refs)
     path = tmp_path_factory.mktemp("io") / "prop.trace"
-    assert write_trace_chunked(buffer, path, chunk_refs=chunk_refs) == len(
-        buffer
-    )
-    assert list(read_trace(path)) == list(buffer)
-    streamed = [row for chunk in iter_trace_chunks(path) for row in chunk]
-    assert streamed == list(buffer)
+    if foreign:
+        _write_foreign(buffer, path)
+    else:
+        write_trace(buffer, path)
+    chunks = list(iter_trace_chunks(path, chunk_refs, start))
+    assert all(0 < len(chunk) <= chunk_refs for chunk in chunks)
+    streamed = [row for chunk in chunks for row in chunk]
+    assert streamed == list(buffer.slice(start, len(buffer)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -294,28 +302,23 @@ def test_property_chunked_roundtrip_identity(
     chunk_refs=st.integers(1, 16),
     cut=st.integers(0, 10**9),
 )
-def test_property_chunked_truncation_carries_offset_and_chunk(
+def test_property_ranged_truncation_is_caught_at_open(
     tmp_path_factory, refs, chunk_refs, cut
 ):
-    # Truncating a chunked trace at any byte past the magic (except the
-    # final newline, which is cosmetic) raises TraceFormatError carrying
-    # the byte offset of the failure — and, once the header has parsed,
-    # the index of the chunk being read.
+    # Truncating a trace at any byte raises TraceFormatError carrying
+    # the byte offset of the failure when the file is opened, before
+    # the first range is handed out.
     buffer = _buffer_from(refs)
     path = tmp_path_factory.mktemp("io") / "whole.trace"
-    write_trace_chunked(buffer, path, chunk_refs=chunk_refs)
+    write_trace(buffer, path)
     raw = path.read_bytes()
-    magic_end = raw.index(b"\n") + 1
-    header_end = raw.index(b"\n", magic_end) + 1
-    cut = magic_end + cut % (len(raw) - 1 - magic_end)
+    cut = cut % len(raw)
     short = tmp_path_factory.mktemp("io") / "short.trace"
     short.write_bytes(raw[:cut])
     with pytest.raises(TraceFormatError) as info:
-        list(iter_trace_chunks(short))
+        next(iter_trace_chunks(short, chunk_refs))
     assert info.value.byte_offset is not None
     assert 0 <= info.value.byte_offset <= cut
-    if cut >= header_end:
-        assert info.value.chunk_index is not None
 
 
 @settings(max_examples=80, deadline=None)

@@ -30,7 +30,3 @@ def _cell(value: object) -> str:
 def format_millions(value: int) -> str:
     """Render a count in millions with one decimal (the paper's "13.0M")."""
     return f"{value / 1e6:.1f}M"
-
-
-def format_ratio(value: float) -> str:
-    return f"{value:.3f}"

@@ -85,11 +85,6 @@ def _init_worker(
     _worker_interval = interval_seconds
 
 
-def _replay_one(config: SimulationConfig) -> SystemStats:
-    assert _worker_trace is not None, "worker initializer did not run"
-    return replay(_worker_trace, config)
-
-
 def _put_heartbeat(record: dict) -> None:
     """Ship one heartbeat; telemetry loss must never kill a sweep."""
     queue = _worker_queue
@@ -173,7 +168,8 @@ def _replay_point(
 
 
 def _replay_one_indexed(task) -> SystemStats:
-    """Pool task: ``(point_index, config)`` with heartbeat streaming."""
+    """Pool task: replay ``(point_index, config)``, streaming heartbeats
+    when the pool has telemetry."""
     index, config = task
     assert _worker_trace is not None, "worker initializer did not run"
     return _replay_point(_worker_trace, config, index)
@@ -346,11 +342,9 @@ class SweepPool:
         configs = list(configs)
         if self._pool is not None:
             try:
-                if self.telemetry is not None:
-                    return list(
-                        self._pool.map(_replay_one_indexed, enumerate(configs))
-                    )
-                return list(self._pool.map(_replay_one, configs))
+                return list(
+                    self._pool.map(_replay_one_indexed, enumerate(configs))
+                )
             except BrokenProcessPool as error:
                 # Replace the dead workers before surfacing the error:
                 # a caller that catches SweepWorkerError and retries
@@ -411,7 +405,8 @@ def run_sweep(
     Workloads` disk cache, skipping the extra write).
 
     ``jobs=None`` uses one worker per usable CPU; ``jobs<=1`` (or a
-    single config) runs serially in-process with no pool at all.
+    single config) runs serially in-process, in a serial
+    :class:`SweepPool` with no worker processes.
     Results come back in input order and match a serial run bit for
     bit.
 
@@ -432,10 +427,6 @@ def run_sweep(
         jobs = default_jobs()
     jobs = min(jobs, len(configs)) if configs else 1
     logger.info("sweeping %d configs across %d workers", len(configs), jobs)
-    if jobs <= 1 and telemetry is None:
-        if isinstance(trace, (str, Path)):
-            trace = read_trace(trace)
-        return [replay(trace, config) for config in configs]
     with SweepPool(trace, jobs=jobs, telemetry=telemetry) as sweep_pool:
         return sweep_pool.map(configs)
 

@@ -160,10 +160,6 @@ class Cache:
                 self._mirror_set(block, None)
         return line
 
-    def block_of(self, line_index: int, tag: int) -> int:
-        """Reconstruct a block number from set index and tag."""
-        return (tag << self._set_shift) | line_index
-
     def lines(self) -> Iterator[Tuple[int, CacheLine]]:
         """Iterate ``(block_number, line)`` over every valid line."""
         for index, bucket in enumerate(self._sets):

@@ -100,6 +100,7 @@ __all__ = [
     "DEFAULT_SIGNATURE_BITS",
     "MODES",
     "batch_signatures",
+    "check_batch_knobs",
     "plan_batches",
     "replay_speculative",
     "signatures_conflict",
@@ -113,6 +114,24 @@ DEFAULT_BATCH_REFS = 256
 
 #: Default signature width in bits (must be a power of two).
 DEFAULT_SIGNATURE_BITS = 256
+
+
+def check_batch_knobs(
+    batch_refs: Optional[int], signature_bits: Optional[int]
+) -> None:
+    """Raise ``ValueError`` unless *batch_refs* is at least 1 and
+    *signature_bits* is a power of two of at least 2 (``None`` stands
+    for the default and passes)."""
+    if batch_refs is not None and batch_refs < 1:
+        raise ValueError(f"batch_refs must be >= 1, got {batch_refs}")
+    if signature_bits is not None and (
+        signature_bits < 2 or signature_bits & (signature_bits - 1)
+    ):
+        raise ValueError(
+            f"signature_bits must be a power of two >= 2, "
+            f"got {signature_bits}"
+        )
+
 
 _INVALIDATION = int(BusPattern.INVALIDATION)
 _BARRIER_OPS = frozenset(int(op) for op in LOCK_OPS)
@@ -326,7 +345,7 @@ def replay_speculative(
     batch knobs.  The range runs as the batches of
     :func:`plan_batches`, so replaying ``[0, b)`` and then ``[b, n)``
     into one system, with ``b`` a batch boundary of ``[0, n)``, equals
-    replaying ``[0, n)``.  ``batch_refs <= 1`` short-circuits to the
+    replaying ``[0, n)``.  ``batch_refs == 1`` short-circuits to the
     pessimistic path outright — a one-reference batch settles before
     any concurrent conflict can arise, so the degenerate mode *is* the
     per-access protocol and stays bit-identical to it, speculative
@@ -335,6 +354,7 @@ def replay_speculative(
     to pin deferral + immediate settlement counter-identical to live
     charging.
     """
+    check_batch_knobs(batch_refs, signature_bits)
     if system is None:
         if config is None:
             config = SimulationConfig()
@@ -344,7 +364,7 @@ def replay_speculative(
         check_invariants_every = invariant_check_interval()
     if stop is None:
         stop = len(buffer)
-    if batch_refs <= 1 and not force_speculation:
+    if batch_refs == 1 and not force_speculation:
         if values is not None or on_result is not None:
             return replay_access_driven(
                 buffer, system, values=values, on_result=on_result,
@@ -355,13 +375,6 @@ def replay_speculative(
             buffer, system=system,
             check_invariants_every=check_invariants_every or 0,
             start=start, stop=stop,
-        )
-    if batch_refs < 1:
-        raise ValueError(f"batch_refs must be >= 1, got {batch_refs}")
-    if signature_bits < 2 or signature_bits & (signature_bits - 1):
-        raise ValueError(
-            f"signature_bits must be a power of two >= 2, "
-            f"got {signature_bits}"
         )
     if not hasattr(system, "_bus"):
         raise TypeError(

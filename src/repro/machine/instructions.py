@@ -91,10 +91,6 @@ class CompiledClause:
         self.body_base = 0
         self.source = source
 
-    @property
-    def n_words(self) -> int:
-        return len(self.passive) + len(self.body)
-
     def listing(self) -> str:
         lines = [f"  ; {self.source}"] if self.source else []
         for offset, instr in enumerate(self.passive):

@@ -35,12 +35,6 @@ TAG_NAMES = ("REF", "ATOM", "INT", "LIST", "STR", "FUNCTOR", "HOOK")
 Word = Tuple[int, int]
 
 
-def is_unbound(tag: int, value: int, address: int) -> bool:
-    """Whether the cell at *address* containing ``(tag, value)`` is an
-    unbound variable (with or without suspended waiters)."""
-    return (tag == REF and value == address) or tag == HOOK
-
-
 # ----------------------------------------------------------------------
 # Source (parse-tree) terms
 # ----------------------------------------------------------------------

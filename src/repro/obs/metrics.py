@@ -5,9 +5,9 @@ cost bus cycles, which coherence actions removed them — but end-of-run
 aggregates only say *how many* cycles were spent, not *on what*.  This
 module closes that gap with three pieces:
 
-* a lightweight labeled **metric registry** (:class:`Counter`,
-  :class:`Gauge`, :class:`Histogram` under a :class:`MetricsRegistry`)
-  rendered in the OpenMetrics text format — the endpoint surface a
+* a lightweight labeled **metric registry** (:class:`Counter` and
+  :class:`Gauge` under a :class:`MetricsRegistry`) rendered in the
+  OpenMetrics text format — the endpoint surface a
   future ``repro serve`` exposes, usable today as a file artifact;
 * the **cycle ledger** (:func:`cycle_ledger`): per-run attribution of
   every simulated PE cycle into hit service, bus issue, bus-arbitration
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.states import BusPattern
 from repro.core.stats import SystemStats
@@ -158,61 +158,6 @@ class Gauge(Metric):
         self._series[key] = self._series.get(key, 0) + amount
 
 
-class Histogram(Metric):
-    """Cumulative-bucket histogram (OpenMetrics ``histogram``)."""
-
-    kind = "histogram"
-
-    DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-                       500.0, 1000.0)
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Optional[Iterable[float]] = None):
-        super().__init__(name, help)
-        bounds = tuple(sorted(buckets)) if buckets is not None \
-            else self.DEFAULT_BUCKETS
-        if not bounds:
-            raise ValueError("a histogram needs at least one bucket bound")
-        self.buckets = bounds
-        self._counts: Dict[Tuple[Tuple[str, str], ...], List[int]] = {}
-        self._sums: Dict[Tuple[Tuple[str, str], ...], float] = {}
-
-    def observe(self, value: Union[int, float], **labels: str) -> None:
-        key = _label_key(labels)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
-            self._sums[key] = 0.0
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
-        self._sums[key] += value
-        self._series[key] = self._series.get(key, 0) + 1  # observation count
-
-    def samples(self):
-        rows = []
-        for key in sorted(self._counts):
-            counts = self._counts[key]
-            cumulative = 0
-            for bound, count in zip(self.buckets, counts):
-                cumulative += count
-                bucket_key = key + (("le", repr(float(bound))),)
-                rows.append(("_bucket", bucket_key, cumulative))
-            cumulative += counts[-1]
-            rows.append(("_bucket", key + (("le", "+Inf"),), cumulative))
-            rows.append(("_count", key, cumulative))
-            rows.append(("_sum", key, self._sums[key]))
-        return rows
-
-    def as_dict(self) -> dict:
-        record = super().as_dict()
-        record["buckets"] = list(self.buckets)
-        return record
-
-
 class MetricsRegistry:
     """A named collection of metrics with one text exposition."""
 
@@ -236,10 +181,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._register(Gauge(name, help))  # type: ignore[return-value]
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Optional[Iterable[float]] = None) -> Histogram:
-        return self._register(Histogram(name, help, buckets))  # type: ignore[return-value]
 
     def __iter__(self):
         return iter(self._metrics.values())

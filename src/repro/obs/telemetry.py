@@ -120,10 +120,6 @@ class StallDetector:
         self._last_seen.pop(worker, None)
         self._reported.pop(worker, None)
 
-    def silent_for(self, worker: int, now: float) -> Optional[float]:
-        last = self._last_seen.get(worker)
-        return None if last is None else now - last
-
     def stalled(self, now: float) -> List[int]:
         """Workers newly past the stall deadline (each episode once)."""
         newly = []

@@ -81,7 +81,7 @@ def _cache_state(cache: Cache) -> dict:
         # Copy the data words: ``line.data`` is mutated in place by the
         # system, and a snapshot that aliases live state silently decays
         # — the JSON round trip of persisted checkpoints used to mask
-        # this, but the in-process rollback path reuses the dict as-is.
+        # this, but :func:`restore_into` reuses the dict as-is.
         "lines": [
             [
                 block,
@@ -253,12 +253,10 @@ def restore(checkpoint: dict):
 def restore_into(system, checkpoint: dict) -> None:
     """Restore a :func:`snapshot` into an *existing* live system, in place.
 
-    This is the speculative-rollback primitive
-    (:mod:`repro.core.speculative`): a conflicting batch is undone by
-    rewinding the very system object the replay loop holds, so every
-    alias into it (``stats.pe_cycles``, the interconnect's ``_stats``,
-    bound handler methods) stays valid.  The checkpoint must have been
-    taken from *this* system (same shape): config and PE count are not
+    Rewinds the very system object a caller holds, so every alias into
+    it (``stats.pe_cycles``, the interconnect's ``_stats``, bound
+    handler methods) stays valid.  The checkpoint must have been taken
+    from *this* system (same shape): config and PE count are not
     re-validated here, and unlike :func:`restore` no fresh system is
     built.
     """

@@ -42,8 +42,8 @@ import time
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.cluster.replay import system_result
 from repro.core.config import SimulationConfig
+from repro.core.speculative import check_batch_knobs
 from repro.obs.manifest import build_manifest, config_from_dict
 from repro.obs.schema import (
     JOB_SCHEMA,
@@ -64,6 +64,10 @@ FAULT_KILL_ENV = "REPRO_SERVE_FAULT_KILL_AFTER"
 DEFAULT_CHUNK_REFS = 8_192
 DEFAULT_CHECKPOINT_EVERY = 4
 DEFAULT_MAX_RETRIES = 2
+
+#: Read size when hashing a stored trace, so storing a trace holds one
+#: block of it in memory, never the whole file.
+HASH_BLOCK_BYTES = 1 << 20
 
 
 class JobError(RuntimeError):
@@ -96,8 +100,11 @@ class JobStore:
         else:
             trace_header(trace)
             shutil.copyfile(trace, scratch)
-        digest = hashlib.sha256(scratch.read_bytes()).hexdigest()[:24]
-        key = f"{digest}.trace"
+        digest = hashlib.sha256()
+        with open(scratch, "rb") as handle:
+            for block in iter(lambda: handle.read(HASH_BLOCK_BYTES), b""):
+                digest.update(block)
+        key = f"{digest.hexdigest()[:24]}.trace"
         final = self.traces_dir / key
         if final.exists():
             scratch.unlink()
@@ -142,6 +149,10 @@ class JobStore:
             )
         if mode is not None and mode not in ("pessimistic", "lazypim"):
             raise JobError(f"unknown replay mode {mode!r}")
+        try:
+            check_batch_knobs(batch_refs, signature_bits)
+        except ValueError as error:
+            raise JobError(str(error)) from None
         trace_key = self.store_trace(trace)
         if n_pes is None:
             n_pes = trace_header(self.trace_path(trace_key)).n_pes
@@ -288,8 +299,7 @@ def _job_worker(root: str, job_id: str) -> None:
 
     def on_chunk(index: int, _refs: int, live_system) -> None:
         done_index = start_chunk + index + 1
-        stats = system_result(live_system)
-        stats = stats.stats if hasattr(stats, "stats") else stats
+        stats = live_system.stats
         refs_done = stats.total_refs
         hits_done = stats.total_hits
         # Windowed metrics: this chunk's miss ratio, not the cumulative.

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.core.protocol import protocol_names
 
 
 def test_run_benchmark(capsys):
@@ -278,8 +279,6 @@ def test_verbose_flag_enables_library_logging(tmp_path, capsys):
 
 
 def test_protocols_lists_registered(capsys):
-    from repro.core.protocol import protocol_names
-
     assert main(["protocols"]) == 0
     out = capsys.readouterr().out
     for name in protocol_names():
@@ -287,10 +286,11 @@ def test_protocols_lists_registered(capsys):
     assert "write policy" in out
 
 
-def test_protocols_spec_renders_transition_table(capsys):
-    assert main(["protocols", "--spec", "write_once"]) == 0
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_protocols_spec_renders_transition_table(protocol, capsys):
+    assert main(["protocols", "--spec", protocol]) == 0
     out = capsys.readouterr().out
-    assert "write_once" in out
+    assert f"({protocol})" in out
     assert "EM" in out and "INV" in out
 
 
@@ -373,8 +373,6 @@ def test_verify_single_protocol(capsys):
 
 
 def test_verify_all_protocols(capsys):
-    from repro.core.protocol import protocol_names
-
     assert main(["verify", "--all"]) == 0
     out = capsys.readouterr().out
     for name in protocol_names():
@@ -535,21 +533,25 @@ def test_metrics_clustered_ledger_includes_network(capsys):
 
 
 def test_sweep_serial_progress_smoke(tmp_path, capsys):
-    out_file = tmp_path / "sweep.json"
-    assert main([
-        "sweep", "--benchmark", "pascal", "--scale", "tiny", "--pes", "2",
-        "--points", "2", "--jobs", "1", "--progress",
-        "--interval", "0.001", "--chunk", "1024",
-        "--output", str(out_file),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "worker" in out          # heartbeat lines streamed
-    assert "points completed" in out
-    assert out_file.exists()
     import json
 
-    report = json.loads(out_file.read_text())
-    assert report["manifest"]["extra"]["telemetry"]["points_completed"] == 2
+    from repro.obs.schema import validate_manifest
+
+    # The serial in-process sweep and a two-worker pooled one.
+    for jobs in ("1", "2"):
+        out_file = tmp_path / f"sweep-{jobs}.json"
+        assert main([
+            "sweep", "--benchmark", "pascal", "--scale", "tiny", "--pes", "2",
+            "--points", "2", "--jobs", jobs, "--progress",
+            "--interval", "0.001", "--chunk", "1024",
+            "--output", str(out_file),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "worker" in out          # heartbeat lines streamed
+        assert "2 points completed" in out
+        report = json.loads(out_file.read_text())
+        validate_manifest(report["manifest"])
+        assert report["manifest"]["extra"]["telemetry"]["points_completed"] == 2
 
 
 def test_sweep_rejects_bad_points(capsys):
@@ -586,7 +588,7 @@ def test_bench_compare_flags_injected_regression(tmp_path, capsys, monkeypatch):
         "bench", "--quick", "-o", str(out_file),
         "--compare", "--history", str(history_path),
     ]) == 0
-    capsys.readouterr()
+    assert "no baseline yet" in capsys.readouterr().out
 
     # Identical rerun stays clean.
     out_file.unlink()  # leave no no-sink-overhead reference behind

@@ -83,18 +83,6 @@ def test_openmetrics_rendering_ends_with_eof_and_total_suffix():
     assert "repro_depth 3" in text
 
 
-def test_histogram_renders_cumulative_buckets():
-    registry = MetricsRegistry()
-    histogram = registry.histogram("repro_lat", "latency", buckets=(1, 10))
-    for value in (0.5, 5, 50):
-        histogram.observe(value)
-    text = registry.render_openmetrics()
-    assert 'repro_lat_bucket{le="1.0"} 1' in text
-    assert 'repro_lat_bucket{le="10.0"} 2' in text
-    assert 'repro_lat_bucket{le="+Inf"} 3' in text
-    assert "repro_lat_count 3" in text
-
-
 @pytest.mark.parametrize(
     "raw, escaped",
     [

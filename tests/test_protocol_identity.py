@@ -15,8 +15,8 @@ Three layers of defence around the ``PIMCacheSystem`` refactor:
    DW/ER/RP/RI/R/W traces (hypothesis), with coherence invariants
    checked along the full-system pass.
 
-Tests are parametrized by protocol name so CI's protocol-matrix job can
-select one protocol with ``-k``.
+Tests are parametrized by protocol name, so ``-k <protocol>`` selects
+one protocol's gates.
 """
 
 from __future__ import annotations

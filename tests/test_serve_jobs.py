@@ -13,10 +13,12 @@ hang), the bounded LRU trace cache, and the ``repro serve`` /
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -36,6 +38,8 @@ from repro.serve.jobs import (
     JobServer,
     JobStore,
 )
+from repro.trace.buffer import TraceBuffer
+from repro.trace.io import write_trace
 from repro.trace.synthetic import generate_random_trace
 
 
@@ -151,6 +155,27 @@ def test_trace_storage_is_content_addressed(tmp_path, job_trace):
     assert first != second
     assert store.job(first)["trace"] == store.job(second)["trace"]
     assert len(list(store.traces_dir.glob("*.trace"))) == 1
+
+
+def test_store_trace_hashes_in_bounded_memory(tmp_path, job_trace):
+    big = TraceBuffer(n_pes=job_trace.n_pes)
+    for _ in range(70):
+        big.extend(job_trace)
+    path = tmp_path / "big.trace"
+    write_trace(big, path)
+    size = path.stat().st_size
+    store = JobStore(tmp_path / "store")
+    tracemalloc.start()
+    try:
+        key = store.store_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The file is hashed block by block, never held whole.
+    assert peak < size // 2, (peak, size)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:24]
+    assert key == f"{digest}.trace"
+    assert store.trace_path(key).stat().st_size == size
 
 
 def test_clustered_job(tmp_path, job_trace):
@@ -287,6 +312,22 @@ def test_submit_rejects_unknown_mode(tmp_path, job_trace):
     store = JobStore(tmp_path / "store")
     with pytest.raises(JobError):
         _submit(store, job_trace, mode="eager")
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"batch_refs": 0},
+        {"batch_refs": -5},
+        {"batch_refs": 1, "signature_bits": 3},
+    ],
+    ids=["zero-batch", "negative-batch", "odd-signature"],
+)
+def test_submit_rejects_bad_batch_knobs(tmp_path, job_trace, knobs):
+    store = JobStore(tmp_path / "store")
+    with pytest.raises(JobError, match="batch_refs|signature_bits"):
+        _submit(store, job_trace, mode="lazypim", **knobs)
+    assert list(store.jobs_dir.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import SimulationConfig
+from repro.core.config import OptimizationConfig, SimulationConfig
 from repro.core.protocol import codegen, protocol_names
 from repro.core.replay import ReplayBlockedError, replay
 from repro.core.speculative import (
@@ -218,6 +218,20 @@ def test_commit_rollback_counters_deterministic(seed):
     assert generated == interpreted
 
 
+def test_lazypim_traffic_between_unoptimized_and_commands(tiny_workloads):
+    """Speculation defers pricing, never semantics: it may only elide
+    coherence control, so on a real benchmark it sits between doing
+    nothing and the paper's data-movement-killing commands."""
+    trace = tiny_workloads.trace("tri", n_pes=4)
+    unoptimized = SimulationConfig(opts=OptimizationConfig.none())
+    unopt = replay(trace, unoptimized)
+    commands = replay(trace, SimulationConfig())
+    lazy = replay(trace, unoptimized, mode="lazypim")
+    assert lazy.batch_commits > 0
+    assert commands.bus_cycles_total < unopt.bus_cycles_total
+    assert lazy.bus_cycles_total <= unopt.bus_cycles_total
+
+
 def test_lazypim_rolls_back_on_false_sharing():
     trace = generate_false_sharing_trace(2_000, n_pes=4, seed=2)
     stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=64)
@@ -246,6 +260,10 @@ def test_cycle_ledger_exact_under_rollback_storm():
     stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=64)
     assert stats.batch_rollbacks > 0
     cycle_ledger(stats)
+    # A conflicting batch skips its attempt and runs pessimistically,
+    # so a storm of them lands exactly on pessimistic traffic.
+    pessimistic = replay(trace, SimulationConfig())
+    assert stats.bus_cycles_total == pessimistic.bus_cycles_total
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +482,15 @@ def test_driver_rejects_bad_knobs():
         )
     with pytest.raises(ValueError, match="signature_bits"):
         replay_speculative(trace, system=system, signature_bits=3)
+    # The public entry point validates before its batch-of-one
+    # short-circuit, so no bad knob silently runs pessimistically.
+    for knobs, match in (
+        ({"batch_refs": 0}, "batch_refs"),
+        ({"batch_refs": -5}, "batch_refs"),
+        ({"batch_refs": 1, "signature_bits": 3}, "signature_bits"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            replay(trace, SimulationConfig(), mode="lazypim", **knobs)
 
 
 def test_driver_rejects_clustered_systems():

@@ -145,15 +145,6 @@ def _stats_key(stats: SystemStats):
     )
 
 
-def time_sweep(
-    buffer: TraceBuffer, configs: Sequence[SimulationConfig], jobs: int
-) -> Tuple[float, List[SystemStats]]:
-    """Wall-clock seconds for one full sweep at the given job count."""
-    start = time.perf_counter()
-    results = run_sweep(buffer, configs, jobs=jobs)
-    return time.perf_counter() - start, results
-
-
 def _time_pool_sweep(
     pool: SweepPool, configs: Sequence[SimulationConfig], repeats: int
 ) -> Tuple[float, List[SystemStats]]:

@@ -129,10 +129,10 @@ def _replay_point(
     mark_refs = 0
     mark_hits = 0
     done = 0
-    with replay_ranges(trace, system) as run:
+    with replay_ranges(trace, system) as session:
         for start in range(0, total, _worker_chunk):
             done = min(start + _worker_chunk, total)
-            run(start, done)
+            session.run(start, done)
             now = time.perf_counter()
             if now - mark_time < _worker_interval and done < total:
                 continue

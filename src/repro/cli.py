@@ -88,6 +88,7 @@ from repro.core.config import (
 from repro.core.interconnect import interconnect_names, is_interconnect_registered
 from repro.core.protocol import get_protocol, is_registered, protocol_names
 from repro.core.replay import replay
+from repro.core.speculative import MODES
 from repro.machine.compiler import compile_program
 from repro.machine.machine import KL1Machine
 from repro.obs.log import configure as configure_logging
@@ -170,7 +171,7 @@ def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_mode_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", default="pessimistic",
-                        choices=["pessimistic", "lazypim"],
+                        choices=list(MODES),
                         help="coherence execution mode: per-access "
                              "(pessimistic, the default) or speculative "
                              "batch coherence (lazypim; "
@@ -915,11 +916,7 @@ def cmd_verify(args) -> int:
                     results.append(result)
                     clean = clean and result.clean
             if args.fuzz or args.fuzz_only:
-                modes = (
-                    ("pessimistic", "lazypim")
-                    if args.mode == "both"
-                    else (args.mode,)
-                )
+                modes = MODES if args.mode == "both" else (args.mode,)
                 fuzz_report = run_fuzz(
                     seed=args.seed,
                     budget=args.budget,
@@ -1371,7 +1368,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: check the bus, rotate the "
                                     "fuzz variants)")
     verify_parser.add_argument("--mode", default="pessimistic",
-                               choices=["pessimistic", "lazypim", "both"],
+                               choices=[*MODES, "both"],
                                help="execution mode(s) the fuzzer rotates "
                                     "over — 'lazypim' adds the speculative "
                                     "batch-coherence cases including a "

@@ -39,23 +39,30 @@ decisions already taken:
   bulk;
 * hit counters are not touched in the loop at all: per-cell and per-PE
   hit totals are counted from the trace columns of the replayed range
-  (``np.bincount``, or a plain loop for a short range), with the (rare)
-  fast-kind references that *fell back* to a handler subtracted out, so
-  a run of conflict-free hits is counted in bulk after the fact.
+  (``np.bincount``), with the (rare) fast-kind references that *fell
+  back* to a handler subtracted out, so a run of conflict-free hits is
+  counted in bulk after the fact.
 
 The kernel is a **session** over one position range ``[start, stop)``
 of a buffer.  :func:`open_session` classifies the dispatch cells,
 preprocesses the whole range once and attaches the flat mirror to the
-caches once; :meth:`~KernelSession.run` then replays consecutive
-sub-ranges ``[lo, hi)`` of it, each folding its own deferred counters
-(PE clocks, hits, refs, hit service, DW demotions, purges) exactly at
-its end, so the system is fully settled between ranges; and
+caches once; :meth:`~KernelSession.advance` then replays consecutive
+sub-ranges ``[lo, hi)`` of it, tallying its fallbacks and purges on the
+session; :meth:`~KernelSession.fold` settles the deferred counters (PE
+clocks, hits, refs, hit service, DW demotions, purges) of every
+position advanced since the last fold; :meth:`~KernelSession.run` is
+the two in turn, so the system is fully settled after it; and
 :meth:`~KernelSession.close` detaches the mirror.  Segment drivers —
 speculative batches, windows, telemetry chunks — pay the set-up once
 per replay instead of once per range, and a plain replay is a session
-with one range.  Every position of the range must pass through the
-session, in order: a ``run`` that does not continue where the last one
-stopped raises instead of mis-crediting clocks.  A blocked reference is
+with one range.  The speculative driver advances every span but folds
+once per replay: before each batch settlement it only credits every
+PE's deferred hit cycles up to the batch end
+(:meth:`~KernelSession.plan_credits` / :meth:`~KernelSession.credit`),
+because the settlement reads the clocks and nothing else deferred.
+Every position of the range must pass through the session, in order: an
+``advance`` that does not continue where the last one stopped raises
+instead of mis-crediting clocks.  A blocked reference is
 reported by its position in the buffer.  Preprocessing is itself
 cached (single slot, :data:`_PREP_CACHE`): the packed keys depend only
 on the buffer range, the block geometry and the cell classification,
@@ -141,10 +148,6 @@ N_TAG_BITS = 3
 MAX_KEY_BITS = 60
 MAX_FLAT_LIST = 1 << 21
 
-#: Ranges up to this many references count their fold tables in a
-#: plain loop; longer ones pay numpy's fixed per-call cost instead.
-_SHORT_RANGE = 32
-
 #: Silent-store ``is``-test emission order: hottest states first (a
 #: store hit on an exclusive-modified block is the common case).
 _SILENT_TEST_ORDER = (
@@ -187,28 +190,24 @@ class _Prep(NamedTuple):
 _PREP_CACHE: Optional[Tuple[object, Tuple[int, int], tuple, _Prep]] = None
 
 
-def _range_counts(buffer, lo, hi, kinds, n_pes):
-    """The fold tables of references ``[lo, hi)``: ``(cell_refs,
-    pe_fast)``, the ``(cell, references)`` pairs of every referenced
-    dispatch cell and the ``(pe, fast-kind references)`` pairs of every
-    PE with any."""
+def _fast_refs(buffer, lo, hi, kinds):
+    """``(cell, fast, pe)`` of references ``[lo, hi)``: each one's
+    dispatch cell, whether its cell is a fast kind, and its PE."""
     pe_col, op_col, area_col, _, _ = buffer.columns()
-    if hi - lo <= _SHORT_RANGE:
-        cell_refs: Dict[int, int] = {}
-        pe_fast: Dict[int, int] = {}
-        for i in range(lo, hi):
-            c = op_col[i] * N_AREAS + area_col[i]
-            cell_refs[c] = cell_refs.get(c, 0) + 1
-            if kinds[c] < KIND_SLOW:
-                p = pe_col[i]
-                pe_fast[p] = pe_fast.get(p, 0) + 1
-        return tuple(cell_refs.items()), tuple(pe_fast.items())
     cell = (
         np.frombuffer(op_col, np.int8)[lo:hi] * N_AREAS
         + np.frombuffer(area_col, np.int8)[lo:hi]
     )
     fast = (np.array(kinds) < KIND_SLOW)[cell]
-    pe8 = np.frombuffer(pe_col, np.int8)[lo:hi]
+    return cell, fast, np.frombuffer(pe_col, np.int8)[lo:hi]
+
+
+def _range_counts(buffer, lo, hi, kinds, n_pes):
+    """The fold tables of references ``[lo, hi)``: ``(cell_refs,
+    pe_fast)``, the ``(cell, references)`` pairs of every referenced
+    dispatch cell and the ``(pe, fast-kind references)`` pairs of every
+    PE with any."""
+    cell, fast, pe8 = _fast_refs(buffer, lo, hi, kinds)
     return (
         _nonzero_bins(np.bincount(cell, minlength=N_CELLS)),
         _nonzero_bins(np.bincount(pe8[fast], minlength=n_pes)),
@@ -335,13 +334,14 @@ class KernelSession:
     one buffer, with the flat mirror attached to the system's caches.
 
     Built by :func:`open_session`; each protocol's generated subclass
-    adds :meth:`run`.  Use it as a context manager, or call
+    adds :meth:`advance`.  Use it as a context manager, or call
     :meth:`close` when done, so the caches drop the mirror.
     """
 
     __slots__ = (
-        "system", "_buffer", "_start", "_stop", "_pos", "_kinds",
-        "_prep", "_hot", "_done", "_fast_done",
+        "system", "_buffer", "_start", "_stop", "_pos", "_folded", "_kinds",
+        "_prep", "_hot", "_done", "_fast_done", "_fallbacks", "_purges",
+        "_credits", "_credited",
     )
 
     def __init__(self, system, buffer, start, stop, table, kinds, prep):
@@ -355,13 +355,21 @@ class KernelSession:
         self._start = start
         self._stop = stop
         self._pos = start
+        self._folded = start
         self._kinds = kinds
         self._prep = prep
-        # Per PE: fast-kind references before the next position, and how
-        # many of them are accounted for (credited to the clock, or
-        # fallen back to a handler that charged its own cycles).
+        # Per PE: fast-kind references before the last folded position,
+        # and how many references before the next position are accounted
+        # for (credited to the clock, or fallen back to a handler that
+        # charged its own cycles).
         self._fast_done = [0] * n_pes
         self._done = [0] * n_pes
+        # Unfolded tallies: fallbacks per dispatch cell, and the inline
+        # purges as [dirty, clean].
+        self._fallbacks = [0] * N_CELLS
+        self._purges = [0, 0]
+        self._credits = None
+        self._credited = 0
 
         # Flat cross-PE mirror of every cache's directory, aliased under
         # every fast-kind tag so packed keys probe it unmasked — a dense
@@ -387,7 +395,7 @@ class KernelSession:
             cache._mirror = flat
             cache._mirror_bases = bases
             cache._mirror_remap = remap
-        # What the generated loop binds as locals on every run.
+        # What the generated loop binds as locals on every advance.
         self._hot = (
             probe,
             prep.prefix.item,
@@ -419,12 +427,12 @@ class KernelSession:
             cache._mirror_remap = None
 
     def _keys(self, lo: int, hi: int) -> List[int]:
-        """Claim ``[lo, hi)`` for a run and return its packed keys.
+        """Claim ``[lo, hi)`` for an advance and return its packed keys.
 
         Positions must run in order: the per-PE clock credits count the
         fast-kind references *before* each position, so a range that
         does not continue where the last one stopped would mis-credit
-        them.  The session counts as failed until the run folds.
+        them.  The session counts as failed until the advance completes.
         """
         if lo != self._pos or not lo <= hi <= self._stop:
             raise ValueError(
@@ -454,9 +462,17 @@ class KernelSession:
             )
         return keys
 
-    def _fold(self, lo, hi, fb_cells, pdirty, pclean):
-        """Fold the deferred counters of the range ``[lo, hi)`` just run:
-        clocks, hit service, hits, DW demotions, purges and refs."""
+    def run(self, lo: int, hi: int):
+        """Replay references ``[lo, hi)``, continuing where the last
+        advance stopped, and fold; returns the stats."""
+        self.advance(lo, hi)
+        return self.fold()
+
+    def fold(self):
+        """Fold the deferred counters of every position advanced since
+        the last fold — clocks, hit service, hits, DW demotions, purges
+        and refs — and return the stats."""
+        lo, hi = self._folded, self._pos
         if (lo, hi) == (self._start, self._stop):
             cell_refs, pe_fast = self._prep.counts
         else:
@@ -468,6 +484,7 @@ class KernelSession:
         pe_cycles = system._pe_cycles
         fast_done = self._fast_done
         done = self._done
+        fb_cells = self._fallbacks
         # Every non-fallback fast-kind reference (dup tails included) is
         # one bus-free cycle; fallback handlers credit their own
         # bus-free sites.
@@ -491,10 +508,45 @@ class KernelSession:
                     hits[area][op] += count
                     if kinds[c] == KIND_DW:
                         stats.dw_demotions += count
-        stats.purges_dirty += pdirty
-        stats.purges_clean += pclean
-        self._pos = hi
+        stats.purges_dirty += self._purges[0]
+        stats.purges_clean += self._purges[1]
+        self._fallbacks = [0] * N_CELLS
+        self._purges = [0, 0]
+        self._folded = hi
         return stats
+
+    def plan_credits(self, ends) -> None:
+        """Plan the positions :meth:`credit` credits the clocks up to:
+        *ends*, ascending, within ``(start, stop]``.
+
+        One numpy pass counts every PE's fast-kind references before
+        each end (a ``len(ends)`` x ``n_pes`` table), so a credit costs
+        one row, not a pass over its range.
+        """
+        n_pes = self.system.n_pes
+        start = self._start
+        _, fast, pe8 = _fast_refs(self._buffer, start, self._stop, self._kinds)
+        position = np.flatnonzero(fast)
+        # Row r counts the references before ends[r], so a reference
+        # lands in the row of the first end past it.
+        row = np.searchsorted(np.asarray(ends) - start, position, "right")
+        table = np.bincount(
+            row * n_pes + pe8[position], minlength=(len(ends) + 1) * n_pes
+        ).reshape(-1, n_pes)
+        self._credits = np.cumsum(table[:-1], axis=0)
+        self._credited = 0
+
+    def credit(self) -> None:
+        """Credit every PE's deferred hit cycles up to the next planned
+        end (see :meth:`plan_credits`), which the last advance must have
+        reached; the rest of the counters stay deferred to the fold."""
+        pe_cycles = self.system._pe_cycles
+        done = self._done
+        for p, before in enumerate(self._credits[self._credited].tolist()):
+            if before != done[p]:
+                pe_cycles[p] += before - done[p]
+                done[p] = before
+        self._credited += 1
 
 
 def _silent_store_chain(spec) -> str:
@@ -607,9 +659,9 @@ def _open(system, buffer, start, stop):
 class _Session(KernelSession):
     __slots__ = ()
 
-    def run(self, lo, hi):
-        """Replay references [lo, hi), continuing where the last run
-        stopped, and fold their deferred counters; returns the stats."""
+    def advance(self, lo, hi):
+        """Replay references [lo, hi), continuing where the last advance
+        stopped; the counters stay deferred to the fold."""
         keys = self._keys(lo, hi)
         (probe, prefix_at, W_TAG, PURGE_TAG, SLOW_TAG, DUP_TAG, KEY_MASK,
          BLK_MASK, pe_shift, shift, blocks_by_id, caches, table, pe_col,
@@ -621,7 +673,7 @@ class _Session(KernelSession):
         pe_cycles = system._pe_cycles
         drop_holder = system._drop_holder
         done = self._done
-        fb_cells = [0] * {N_CELLS}
+        fb_cells = self._fallbacks
         pdirty = pclean = 0
         gtick = max(map(_tick_of, caches))
         i = lo - 1
@@ -686,7 +738,10 @@ class _Session(KernelSession):
                 waiting.pop(pe, None)
         for cache in caches:
             cache._tick = gtick
-        return self._fold(lo, hi, fb_cells, pdirty, pclean)
+        purges = self._purges
+        purges[0] += pdirty
+        purges[1] += pclean
+        self._pos = hi
 
 
 def _kernel(system, buffer, start, stop):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Iterator, Optional
 
 from repro.core.config import SimulationConfig
 from repro.core.protocol import codegen
@@ -204,11 +205,13 @@ def replay(
     ``[0, n)`` (under ``"lazypim"``, for ``b`` a batch boundary), and a
     blocked reference is reported with its position and PE in *buffer*.
     """
-    if mode is not None and mode not in ("pessimistic", "lazypim"):
-        raise ValueError(
-            f"unknown replay mode {mode!r}; choose from "
-            "('pessimistic', 'lazypim')"
-        )
+    if mode is not None:
+        from repro.core.speculative import MODES
+
+        if mode not in MODES:
+            raise ValueError(
+                f"unknown replay mode {mode!r}; choose from {MODES}"
+            )
     if system is None:
         if config is None:
             config = SimulationConfig()
@@ -256,8 +259,40 @@ def replay(
         stop = len(buffer)
     with replay_ranges(
         buffer, system, start, stop, check_invariants_every
-    ) as run:
-        return run(start, stop)
+    ) as session:
+        return session.run(start, stop)
+
+
+class _AccessDriven:
+    """:func:`replay_ranges`' stand-in for a kernel session where the
+    kernel does not apply: each advance is a
+    :func:`replay_access_driven` call, which settles every counter as
+    it goes, so the credits and the fold have nothing to do."""
+
+    def __init__(self, buffer, system, check_invariants_every, values,
+                 on_result):
+        self.system = system
+        self._replay = partial(
+            replay_access_driven, buffer, system, values=values,
+            on_result=on_result,
+            check_invariants_every=check_invariants_every,
+        )
+
+    def advance(self, lo: int, hi: int) -> None:
+        self._replay(start=lo, stop=hi)
+
+    def fold(self) -> SystemStats:
+        return self.system.stats
+
+    def run(self, lo: int, hi: int) -> SystemStats:
+        self.advance(lo, hi)
+        return self.fold()
+
+    def plan_credits(self, ends) -> None:
+        pass
+
+    def credit(self) -> None:
+        pass
 
 
 @contextmanager
@@ -269,20 +304,23 @@ def replay_ranges(
     check_invariants_every: Optional[int] = None,
     values=None,
     on_result=None,
-) -> Iterator[Callable[[int, int], SystemStats]]:
-    """Yield ``run(lo, hi)``, which replays references ``[lo, hi)`` of
-    *buffer* into *system* and returns its stats, for consecutive
-    ranges that together cover ``[start, stop)`` in order.
+) -> Iterator["codegen.KernelSession"]:
+    """Yield a session that replays consecutive ranges covering
+    ``[start, stop)`` of *buffer* into *system*, in order.
 
-    The segment drivers' one entry point.  Where the generated kernel
-    applies — no invariant checks, no probe, no oracle hooks, and a
-    (system, trace) pair inside its envelope — this opens one
-    :class:`~repro.core.protocol.codegen.KernelSession` for the whole
-    span, so the kernel prepares once and each range only runs and
-    folds its counters; the caches drop the kernel's mirror on exit.
-    Otherwise every range runs through :func:`replay_access_driven`
-    with the given invariant period (``None`` reads the
-    ``REPRO_CHECK_INVARIANTS`` toggle) and hooks.
+    The segment drivers' one entry point.  ``session.run(lo, hi)``
+    replays ``[lo, hi)`` and returns the settled stats;
+    ``session.advance(lo, hi)`` replays it with the counters deferred
+    until ``session.fold()``, and ``session.plan_credits(ends)`` /
+    ``session.credit()`` settle only the PE clocks at planned positions
+    (see :class:`~repro.core.protocol.codegen.KernelSession`).  Where
+    the generated kernel applies — no invariant checks, no probe, no
+    oracle hooks, and a (system, trace) pair inside its envelope — this
+    is one kernel session for the whole span, so the kernel prepares
+    once; the caches drop the kernel's mirror on exit.  Otherwise every
+    advance runs :func:`replay_access_driven` with the given invariant
+    period (``None`` reads the ``REPRO_CHECK_INVARIANTS`` toggle) and
+    hooks, and nothing is deferred.
     """
     if stop is None:
         stop = len(buffer)
@@ -297,14 +335,9 @@ def replay_ranges(
     ):
         session = codegen.open_session(system, buffer, start, stop)
     if session is None:
-        def run(lo: int, hi: int) -> SystemStats:
-            return replay_access_driven(
-                buffer, system, values=values, on_result=on_result,
-                check_invariants_every=check_invariants_every,
-                start=lo, stop=hi,
-            )
-
-        yield run
+        yield _AccessDriven(
+            buffer, system, check_invariants_every, values, on_result
+        )
         return
     with session:
-        yield session.run
+        yield session

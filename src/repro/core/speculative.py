@@ -82,6 +82,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.config import SimulationConfig
 from repro.core.replay import (
     invariant_check_interval,
@@ -136,6 +138,12 @@ def check_batch_knobs(
 _INVALIDATION = int(BusPattern.INVALIDATION)
 _BARRIER_OPS = frozenset(int(op) for op in LOCK_OPS)
 _W, _DW = int(Op.W), int(Op.DW)
+
+#: Op code (read as uint8) -> batch barrier / signature writer.
+_IS_BARRIER = np.zeros(256, bool)
+_IS_BARRIER[sorted(_BARRIER_OPS)] = True
+_IS_WRITE = np.zeros(256, bool)
+_IS_WRITE[[_W, _DW]] = True
 
 
 def plan_batches(
@@ -211,6 +219,76 @@ def signatures_conflict(
     return False
 
 
+def _plan(
+    buffer: TraceBuffer,
+    batch_refs: int,
+    signature_bits: int,
+    block_shift: int,
+    start: int,
+    stop: int,
+) -> Tuple[List[Tuple[int, int, bool]], int]:
+    """The speculative driver's spans of ``[start, stop)``, planned in
+    one numpy pass.
+
+    Returns ``(spans, rollbacks)``.  ``spans`` lists ``(lo, hi,
+    commit)``: every conflict-free batch of :func:`plan_batches` is a
+    commit span, and every maximal stretch of the rest — lock and
+    flagged singletons, conflicting batches — is one pessimistic span.
+    ``rollbacks`` counts the conflicting batches.  A batch conflicts iff
+    some signature bit has a writer and at least two distinct accessing
+    PEs, which is ``signatures_conflict(*batch_signatures(...))``.
+    """
+    n = stop - start
+    if n <= 0:
+        return [], 0
+    pe_col, op_col, _, addr_col, flags_col = buffer.columns()
+    op = np.frombuffer(op_col, np.uint8)[start:stop]
+    flags = np.frombuffer(flags_col, np.int8)[start:stop]
+    barrier = _IS_BARRIER[op] | (flags != 0)
+    # Batches: every barrier is a singleton, and every barrier-free run,
+    # which starts one past the barrier before it, is chopped at
+    # batch_refs from its start.  A batch is named by its first index.
+    pos = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(barrier, pos + 1, 0))
+    head = np.where(barrier, pos, pos - (pos - run_start) % batch_refs)
+    first = np.empty(n, bool)
+    first[0] = True
+    np.not_equal(head[1:], head[:-1], out=first[1:])
+    heads = np.flatnonzero(first)
+    # Verdicts: group the speculative references by (batch, signature
+    # bit); a group with a writer and two PEs conflicts its batch.
+    spec = ~barrier
+    bit = np.frombuffer(addr_col, np.int64)[start:stop][spec] >> block_shift
+    if signature_bits <= 1 << 63:
+        # (Any wider mask keeps every 64-bit block number distinct.)
+        bit &= signature_bits - 1
+    width = signature_bits
+    if len(heads) * width >= 1 << 62:
+        # (batch, bit) keys would overflow: number the used bits densely.
+        used, bit = np.unique(bit, return_inverse=True)
+        width = len(used)
+    key = (np.cumsum(first) - 1)[spec] * width + bit
+    order = np.argsort(key)
+    key = key[order]
+    pe = np.frombuffer(pe_col, np.int8)[start:stop][spec][order]
+    write = _IS_WRITE[op[spec][order]]
+    group = np.flatnonzero(np.diff(key, prepend=-1))
+    shared = (
+        np.minimum.reduceat(pe, group) != np.maximum.reduceat(pe, group)
+    ) & np.logical_or.reduceat(write, group)
+    conflict = np.zeros(len(heads), bool)
+    conflict[key[group[shared]] // width] = True
+    commit = ~(barrier[heads] | conflict)
+    # A span opens at every commit and at the first batch after one.
+    opens = commit.copy()
+    opens[0] = True
+    opens[1:] |= commit[:-1]
+    los = heads[opens] + start
+    his = np.append(los[1:], stop)
+    spans = list(zip(los.tolist(), his.tolist(), commit[opens].tolist()))
+    return spans, int(np.count_nonzero(conflict))
+
+
 class _DeferredBus:
     """Transaction recorder installed as ``system._bus`` during an
     attempt: logs ``(pe, pattern, area, block)`` and charges nothing."""
@@ -257,8 +335,8 @@ class _DeferredNotes:
         self._backend.note_flush()
 
 
-def _attempt(system, run, start, stop) -> _DeferredBus:
-    """Execute a conflict-free batch through *run* with coherence
+def _attempt(system, advance, start, stop) -> _DeferredBus:
+    """Execute a conflict-free batch through *advance* with coherence
     deferred; returns the recorder holding its transactions and touched
     blocks."""
     recorder = _DeferredBus()
@@ -268,7 +346,7 @@ def _attempt(system, run, start, stop) -> _DeferredBus:
     if saved_dir is not None:
         system._dir = _DeferredNotes(saved_dir, recorder.touched)
     try:
-        run(start, stop)
+        advance(start, stop)
     finally:
         system._bus = saved_bus
         system._dir = saved_dir
@@ -345,7 +423,10 @@ def replay_speculative(
     batch knobs.  The range runs as the batches of
     :func:`plan_batches`, so replaying ``[0, b)`` and then ``[b, n)``
     into one system, with ``b`` a batch boundary of ``[0, n)``, equals
-    replaying ``[0, n)``.  ``batch_refs == 1`` short-circuits to the
+    replaying ``[0, n)``.  Each clean batch, and each maximal stretch
+    of pessimistic work (see :func:`_plan`), is one advance of one
+    kernel session, whose deferred counters fold once, at the end.
+    ``batch_refs == 1`` short-circuits to the
     pessimistic path outright — a one-reference batch settles before
     any concurrent conflict can arise, so the degenerate mode *is* the
     per-access protocol and stays bit-identical to it, speculative
@@ -384,29 +465,37 @@ def replay_speculative(
         )
     stats = system.stats
     every = check_invariants_every
+    spans, rollbacks = _plan(
+        buffer, batch_refs, signature_bits, system._block_shift, start, stop
+    )
     # One kernel session (or per-access loop) for every span.  Its own
     # invariant checks stay off: the directory's entry table is
-    # resynchronized at settlement, so checks run between batches.
+    # resynchronized at settlement, so checks run between spans.
     with replay_ranges(
         buffer, system, start, stop, check_invariants_every=0,
         values=values, on_result=on_result,
-    ) as run:
-        for lo, hi, speculative in plan_batches(
-            buffer, batch_refs, start, stop
-        ):
-            if not speculative:
-                run(lo, hi)
-            elif signatures_conflict(*batch_signatures(
-                buffer, lo, hi, system.n_pes, system._block_shift,
-                signature_bits,
-            )):
-                stats.batch_rollbacks += 1
-                run(lo, hi)
-            else:
-                _settle(system, _attempt(system, run, lo, hi))
+    ) as session:
+        session.plan_credits([hi for _, hi, commit in spans if commit])
+        for lo, hi, commit in spans:
+            if commit:
+                recorder = _attempt(system, session.advance, lo, hi)
+                # The settlement prices from the PE clocks: bring them
+                # up to the batch end first.
+                session.credit()
+                _settle(system, recorder)
                 stats.batch_commits += 1
+            else:
+                if every:
+                    # A merged stretch keeps the invariant period.
+                    for cut in range(lo - lo % every + every, hi, every):
+                        session.advance(lo, cut)
+                        system.check_invariants()
+                        lo = cut
+                session.advance(lo, hi)
             if every and hi // every > lo // every:
                 system.check_invariants()
+        session.fold()
+    stats.batch_rollbacks += rollbacks
     if every and stop > start:
         system.check_invariants()
     return stats

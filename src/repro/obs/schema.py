@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple
 
+from repro.core.speculative import MODES
 from repro.obs.events import EVENT_KIND_NAMES
 from repro.obs.export import HOTNESS_SCHEMA, TRACE_SCHEMA
 from repro.obs.manifest import MANIFEST_SCHEMA
@@ -314,7 +315,7 @@ JOB = obj({
     "retries": COUNT,
     # Optional speculative-mode fields (absent in pre-mode ledgers).
     # Older ledgers also carry a ``kernel`` field, which is ignored.
-    "mode": maybe(Field("str", one_of=("pessimistic", "lazypim"))),
+    "mode": maybe(Field("str", one_of=MODES)),
     "batch_refs": maybe(POSITIVE), "signature_bits": maybe(POSITIVE),
     "error": obj({"kind": STR, "detail": STR}, null=True),
     "manifest": MANIFEST,

@@ -159,9 +159,9 @@ def windowed_replay(
     total = len(buffer)
     with replay_ranges(
         buffer, system, check_invariants_every=check_invariants_every
-    ) as run:
+    ) as session:
         for start in range(0, total, window):
-            run(start, min(start + window, total))
+            session.run(start, min(start + window, total))
             metrics.close_window()
     return system.stats, metrics.windows
 

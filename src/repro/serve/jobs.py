@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.speculative import check_batch_knobs
+from repro.core.speculative import MODES, check_batch_knobs
 from repro.obs.manifest import build_manifest, config_from_dict
 from repro.obs.schema import (
     JOB_SCHEMA,
@@ -147,7 +147,7 @@ class JobStore:
             raise JobError(
                 "chunk_refs, checkpoint_every and max_retries must be >= 1"
             )
-        if mode is not None and mode not in ("pessimistic", "lazypim"):
+        if mode is not None and mode not in MODES:
             raise JobError(f"unknown replay mode {mode!r}")
         try:
             check_batch_knobs(batch_refs, signature_bits)

@@ -4,7 +4,9 @@ The engine's contract (docs/SPECULATIVE.md) is tested from four sides:
 
 * **planning** — lock operations and contended references force early
   batch commits (they run as non-speculative singletons), everything
-  else chops into ``batch_refs``-sized spans;
+  else chops into ``batch_refs``-sized spans, and the driver's one-pass
+  numpy plan matches the per-batch reference verdicts (hypothesis) and
+  runs each commit or pessimistic stretch once, folding once;
 * **signatures** — the commit test fires exactly on cross-PE write
   intersections, and its false-positive rate is monotone in the
   signature width (hypothesis);
@@ -23,11 +25,14 @@ The engine's contract (docs/SPECULATIVE.md) is tested from four sides:
 from __future__ import annotations
 
 import json
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import OptimizationConfig, SimulationConfig
+from repro.core import speculative
 from repro.core.protocol import codegen, protocol_names
 from repro.core.replay import ReplayBlockedError, replay
 from repro.core.speculative import (
@@ -162,6 +167,111 @@ def test_conflict_verdict_monotone_in_signature_width(refs):
         verdicts.append(signatures_conflict(reads, writes))
     for narrow, wide in zip(verdicts, verdicts[1:]):
         assert narrow or not wide
+
+
+def _reference_plan(trace, batch_refs, signature_bits, start, stop):
+    """The driver's spans from the per-batch definitions: each batch of
+    ``plan_batches`` commits unless it is a barrier or its signatures
+    conflict, and adjacent non-commit spans merge."""
+    spans, rollbacks = [], 0
+    for lo, hi, speculative_span in plan_batches(
+        trace, batch_refs, start, stop
+    ):
+        commit = speculative_span and not signatures_conflict(
+            *batch_signatures(trace, lo, hi, trace.n_pes, 2, signature_bits)
+        )
+        rollbacks += speculative_span and not commit
+        if not commit and spans and not spans[-1][2]:
+            spans[-1] = (spans[-1][0], hi, False)
+        else:
+            spans.append((lo, hi, commit))
+    return spans, rollbacks
+
+
+_PLAN_OPS = [Op.R, Op.R, Op.W, Op.DW, Op.ER, Op.RP, Op.RI, Op.LR, Op.UW, Op.U]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),                  # pe
+            st.sampled_from(_PLAN_OPS),         # op
+            st.integers(0, 255),                # word
+            st.integers(0, 15),                 # 0 = contended flag
+        ),
+        max_size=400,
+    ),
+    st.integers(1, 300),
+    st.sampled_from([1 << k for k in range(1, 11)]),
+    st.integers(0, 420),
+    st.integers(0, 420),
+)
+def test_one_pass_plan_matches_per_batch_reference(
+    refs, batch_refs, signature_bits, a, b
+):
+    trace = TraceBuffer(n_pes=4)
+    for pe, op, word, flag in refs:
+        trace.append(pe, op, Area.HEAP, HEAP + word,
+                     flags=FLAG_LOCK_CONTENDED if flag == 0 else 0)
+    start, stop = sorted((min(a, len(trace)), min(b, len(trace))))
+    assert speculative._plan(
+        trace, batch_refs, signature_bits, 2, start, stop
+    ) == _reference_plan(trace, batch_refs, signature_bits, start, stop)
+
+
+@pytest.mark.parametrize("signature_bits", [1 << 62, 1 << 63, 1 << 64])
+def test_one_pass_plan_with_signatures_wider_than_a_word(signature_bits):
+    # Low addresses keep the reference's one-bit-per-block ints small.
+    trace = TraceBuffer(n_pes=4)
+    for i in range(600):
+        op = Op.LR if i % 50 == 0 else (Op.R, Op.W)[i * 7 % 3 == 0]
+        trace.append(i % 4, op, Area.INSTRUCTION, i * 37 % 101)
+    spans, rollbacks = _reference_plan(trace, 16, signature_bits, 0, 600)
+    assert rollbacks and any(commit for _, _, commit in spans)
+    assert speculative._plan(trace, 16, signature_bits, 2, 0, 600) == (
+        spans, rollbacks
+    )
+
+
+def test_lazypim_runs_each_span_once_and_folds_once(monkeypatch):
+    trace = generate_contract_trace(3_000, n_pes=4, seed=7)
+    spans, rollbacks = _reference_plan(trace, 64, 256, 0, len(trace))
+    calls = Counter()
+    opened = []
+
+    class Counting:
+        def __init__(self, session):
+            self._session = session
+
+        def __getattr__(self, name):
+            method = getattr(self._session, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return counted
+
+    real = speculative.replay_ranges
+
+    @contextmanager
+    def spy(*args, **kwargs):
+        with real(*args, **kwargs) as session:
+            opened.append(session)
+            yield Counting(session)
+
+    monkeypatch.setattr(speculative, "replay_ranges", spy)
+    stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=64)
+    commits = sum(commit for _, _, commit in spans)
+    assert 0 < commits < len(spans)
+    assert (stats.batch_commits, stats.batch_rollbacks) == (commits, rollbacks)
+    assert len(opened) == 1
+    assert isinstance(opened[0], codegen.KernelSession)
+    assert calls == {
+        "plan_credits": 1, "advance": len(spans), "credit": commits,
+        "fold": 1,
+    }
 
 
 # ---------------------------------------------------------------------------

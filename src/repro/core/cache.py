@@ -36,12 +36,15 @@ class Cache:
     by the block size); the caller performs that division once so hot
     paths never recompute it.
 
-    The directory is held twice: per-set buckets (``_sets``), which give
-    replacement its candidate list, and a flat ``block -> line`` map
-    (``_lines``) that probes hit with a single dict lookup — no set
-    index/tag arithmetic on the path taken by every reference.  The two
-    views share the same :class:`CacheLine` objects and are kept in step
-    by :meth:`insert`/:meth:`remove`/:meth:`flush`.
+    Residency lives in one ``block << pe_bits | pe -> line`` dict
+    (``_resident``) that every cache of a :class:`PIMCacheSystem` shares,
+    so a probe is a single dict lookup — for the handlers and for the
+    generated replay kernel alike, which probes the very same dict.  A
+    cache built on its own gets a private one.  Beside it, per-set
+    buckets (``_sets``, ``tag -> line``) hold the same
+    :class:`CacheLine` objects only to give replacement its candidate
+    list and :meth:`lines` its order; :meth:`insert`/:meth:`remove`/
+    :meth:`flush`/:meth:`place` keep the two in step.
     """
 
     __slots__ = (
@@ -49,51 +52,36 @@ class Cache:
         "pe",
         "track_data",
         "_sets",
-        "_lines",
         "_set_mask",
         "_set_shift",
         "_tick",
-        "_mirror",
-        "_mirror_bases",
-        "_mirror_remap",
+        "_resident",
+        "_pe_bits",
     )
 
-    def __init__(self, config: CacheConfig, pe: int, track_data: bool = False):
+    def __init__(
+        self,
+        config: CacheConfig,
+        pe: int,
+        track_data: bool = False,
+        resident: Optional[Dict[int, CacheLine]] = None,
+        pe_bits: Optional[int] = None,
+    ):
         self.config = config
         self.pe = pe
         self.track_data = track_data
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(config.n_sets)]
-        self._lines: Dict[int, CacheLine] = {}
         self._set_mask = config.n_sets - 1
         self._set_shift = config.n_sets.bit_length() - 1
         self._tick = 0
-        # While a generated replay kernel runs, ``_mirror`` points at a
-        # flat cross-PE ``(kind << tag_shift | pe << pe_shift | block)
-        # -> line`` table (a dense list, or a dict for huge address
-        # spaces), aliased under every fast-kind tag so the kernel
-        # probes packed keys unmasked.  Every residency change below is
-        # mirrored under each base in ``_mirror_bases`` via
-        # :meth:`_mirror_set`; ``_mirror_remap`` (optional) maps real
-        # block numbers to the kernel's dense block ids.  ``None`` (the
-        # resting state) keeps the bookkeeping off all other paths.
-        self._mirror = None
-        self._mirror_bases: Tuple[int, ...] = ()
-        self._mirror_remap: Optional[Dict[int, int]] = None
-
-    def _mirror_set(self, block: int, line: Optional[CacheLine]) -> None:
-        """Mirror a residency change (``line`` or ``None`` for a drop)
-        under every alias base.  A block outside the kernel's remap can
-        never be probed by the running trace, so it is skipped."""
-        remap = self._mirror_remap
-        index = block if remap is None else remap.get(block)
-        if index is not None:
-            mirror = self._mirror
-            for base in self._mirror_bases:
-                mirror[base | index] = line
+        #: The residency dict, keyed ``block << _pe_bits | pe``; shared
+        #: by every cache of one system (see the class docstring).
+        self._resident: Dict[int, CacheLine] = {} if resident is None else resident
+        self._pe_bits = pe.bit_length() if pe_bits is None else pe_bits
 
     def lookup(self, block: int) -> Optional[CacheLine]:
         """Return the valid line holding *block*, touching LRU, else None."""
-        line = self._lines.get(block)
+        line = self._resident.get(block << self._pe_bits | self.pe)
         if line is None:
             return None
         self._tick += 1
@@ -102,7 +90,7 @@ class Cache:
 
     def peek(self, block: int) -> Optional[CacheLine]:
         """Like :meth:`lookup` but without disturbing LRU (for snooping)."""
-        return self._lines.get(block)
+        return self._resident.get(block << self._pe_bits | self.pe)
 
     def insert(
         self, block: int, state: CacheState, area: int, data=None
@@ -128,6 +116,8 @@ class Cache:
                 f"state {bucket[tag].state.name}; call sites must miss "
                 "before inserting"
             )
+        pe_bits = self._pe_bits
+        resident = self._resident
         victim = None
         if len(bucket) >= self.config.associativity:
             # Explicit scan instead of min(key=...): no per-line lambda
@@ -139,25 +129,40 @@ class Cache:
                     victim_tag = t
             victim_line = bucket.pop(victim_tag)
             victim_block = (victim_tag << self._set_shift) | index
-            del self._lines[victim_block]
-            if self._mirror is not None:
-                self._mirror_set(victim_block, None)
+            del resident[victim_block << pe_bits | self.pe]
             victim = (victim_block, victim_line)
         self._tick += 1
         line = CacheLine(tag, state, area, self._tick, data)
         bucket[tag] = line
-        self._lines[block] = line
-        if self._mirror is not None:
-            self._mirror_set(block, line)
+        resident[block << pe_bits | self.pe] = line
         return victim
+
+    def place(
+        self, block: int, state: CacheState, area: int, lru: int, data=None
+    ) -> None:
+        """Put back a line exactly as a snapshot recorded it (LRU stamp
+        included, nothing evicted).  Raises ``ValueError`` when *block*
+        is already resident or its set is already full: no run of the
+        cache could have produced that directory."""
+        index = block & self._set_mask
+        tag = block >> self._set_shift
+        bucket = self._sets[index]
+        if tag in bucket:
+            raise ValueError(f"block {block:#x} is listed twice")
+        if len(bucket) >= self.config.associativity:
+            raise ValueError(
+                f"set {index} already holds {len(bucket)} lines, the "
+                f"{self.config.associativity}-way maximum"
+            )
+        line = CacheLine(tag, state, area, lru, data)
+        bucket[tag] = line
+        self._resident[block << self._pe_bits | self.pe] = line
 
     def remove(self, block: int) -> Optional[CacheLine]:
         """Drop *block* (invalidate or purge).  Returns the removed line."""
-        line = self._lines.pop(block, None)
+        line = self._resident.pop(block << self._pe_bits | self.pe, None)
         if line is not None:
             del self._sets[block & self._set_mask][block >> self._set_shift]
-            if self._mirror is not None:
-                self._mirror_set(block, None)
         return line
 
     def lines(self) -> Iterator[Tuple[int, CacheLine]]:
@@ -168,16 +173,18 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return len(self._lines)
+        return sum(map(len, self._sets))
 
     def flush(self) -> None:
         """Invalidate every line (used around garbage collection)."""
-        if self._mirror is not None:
-            for block in self._lines:
-                self._mirror_set(block, None)
-        for bucket in self._sets:
+        resident = self._resident
+        shift = self._set_shift
+        pe_bits = self._pe_bits
+        pe = self.pe
+        for index, bucket in enumerate(self._sets):
+            for tag in bucket:
+                del resident[((tag << shift) | index) << pe_bits | pe]
             bucket.clear()
-        self._lines.clear()
 
     def __repr__(self) -> str:
         return (

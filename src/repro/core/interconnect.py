@@ -317,7 +317,7 @@ class DirectoryInterconnect(Interconnect):
         state = DirState.S
         for holder in holders:
             mask |= 1 << holder
-            line_state = caches[holder]._lines[block].state
+            line_state = caches[holder].peek(block).state
             if line_state is _EM:
                 state, owner = DirState.M, holder
             elif line_state is _SM:

@@ -14,17 +14,14 @@ decisions already taken:
 * every ``(op, area)`` dispatch cell is classified **once** by handler
   identity into a *kind* (plain-read, silent-store, direct-write,
   exclusive-read, read-purge, or slow);
-* the replayed range is preprocessed (numpy) into one packed integer per
-  reference — ``kind << tag_shift | pe << pe_shift | block`` — and the
-  flat cross-PE directory mirror is *aliased* under every fast-kind
-  tag, so the packed key probes it without masking; the probe itself
-  runs inside a ``zip(keys, map(probe, keys))`` iterator at C speed,
-  leaving the loop body only a threshold compare on the tag and the LRU
-  stamp per hit.  Distinct block numbers are densely renumbered when
-  the resulting key space is small (the common case), which turns the
-  mirror into a flat *list* probed by ``list.__getitem__``; otherwise
-  the mirror is a dict over the raw packed keys, still machine-word
-  integers with cheap hashes;
+* the replayed range is preprocessed (numpy) into two columns: each
+  reference's *residency key* — ``block << pe_bits | pe``, the key of
+  the system's one residency index (:mod:`repro.core.cache`), or ``-1``
+  where the reference must miss — and a ``bytes`` column of its kind.
+  The probe runs inside a ``zip(kinds, map(index.get, keys))`` iterator
+  at C speed, against the very dict the caches and handlers maintain,
+  leaving the loop body only a small-int compare on the kind and the
+  LRU stamp per hit;
 * the spec's silent-store table is compiled into an ``is``-test chain on
   the line's state (hottest state first) instead of a tuple subscript;
 * read-purge hits, and exclusive-read hits on a block's last word, are
@@ -44,32 +41,32 @@ decisions already taken:
   counted in bulk after the fact.
 
 The kernel is a **session** over one position range ``[start, stop)``
-of a buffer.  :func:`open_session` classifies the dispatch cells,
-preprocesses the whole range once and attaches the flat mirror to the
-caches once; :meth:`~KernelSession.advance` then replays consecutive
-sub-ranges ``[lo, hi)`` of it, tallying its fallbacks and purges on the
-session; :meth:`~KernelSession.fold` settles the deferred counters (PE
-clocks, hits, refs, hit service, DW demotions, purges) of every
-position advanced since the last fold; :meth:`~KernelSession.run` is
-the two in turn, so the system is fully settled after it; and
-:meth:`~KernelSession.close` detaches the mirror.  Segment drivers —
-speculative batches, windows, telemetry chunks — pay the set-up once
-per replay instead of once per range, and a plain replay is a session
-with one range.  The speculative driver advances every span but folds
-once per replay: before each batch settlement it only credits every
-PE's deferred hit cycles up to the batch end
+of a buffer.  :func:`open_session` classifies the dispatch cells and
+preprocesses the whole range once; :meth:`~KernelSession.advance` then
+replays consecutive sub-ranges ``[lo, hi)`` of it, tallying its
+fallbacks and purges on the session; :meth:`~KernelSession.fold`
+settles the deferred counters (PE clocks, hits, refs, hit service, DW
+demotions, purges) of every position advanced since the last fold;
+:meth:`~KernelSession.run` is the two in turn, so the system is fully
+settled after it; and :meth:`~KernelSession.close` ends the session.
+Segment drivers — speculative batches, windows, telemetry chunks — pay
+the set-up once per replay instead of once per range, and a plain
+replay is a session with one range.  The speculative driver advances
+every span but folds once per replay: before each batch settlement it
+only credits every PE's deferred hit cycles up to the batch end
 (:meth:`~KernelSession.plan_credits` / :meth:`~KernelSession.credit`),
 because the settlement reads the clocks and nothing else deferred.
 Every position of the range must pass through the session, in order: an
 ``advance`` that does not continue where the last one stopped raises
 instead of mis-crediting clocks.  A blocked reference is
 reported by its position in the buffer.  Preprocessing is itself
-cached (single slot, :data:`_PREP_CACHE`): the packed keys depend only
-on the buffer range, the block geometry and the cell classification,
-all of which are shared across the repeated replays of a parameter
-sweep or benchmark, so every session after the first starts straight
-at the loop.  Trace code validation (op/area ranges) happens inside
-preprocessing, raising the same ``ValueError`` as the per-access loop.
+cached (single slot, :data:`_PREP_CACHE`): the key and kind columns
+depend only on the buffer range, the block geometry, the PE count and
+the cell classification, all of which are shared across the repeated
+replays of a parameter sweep or benchmark, so every session after the
+first starts straight at the loop.  Trace code validation (op/area
+ranges) happens inside preprocessing, raising the same ``ValueError``
+as the per-access loop.
 
 Timing stays bit-exact.  ``_bus`` starts every transaction at
 ``max(pe_clock + 1, bus_free_at)``, so the requester's clock must
@@ -85,11 +82,10 @@ and a counter strictly increasing across all touches preserves every
 within-cache order.  It is synced into the requester's ``_tick`` around
 each handler call and into every cache at the end of a range.
 
-The flat mirror is kept exact by :class:`~repro.core.cache.Cache`
-itself: while a session is open, each cache carries a ``_mirror``
-reference and mirrors every ``insert``/``remove``/``flush`` into it, so
-handler-driven residency changes (fills, evictions, invalidations,
-purges) are visible to the next probe, within a range or across them.
+The kernel keeps no copy of the cache directories: it probes the
+residency index the caches themselves write, so every handler-driven
+residency change (fills, evictions, invalidations, purges) is visible
+to the next probe, within a range or across them.
 
 The pluggable interconnect needs no kernel specialization: every cycle
 a backend charges lives behind the handlers' ``system._bus`` binding
@@ -107,7 +103,7 @@ Kernels are emitted as Python source, ``compile()``d once at
 registration, and cached by spec name (:func:`get_kernel`).  A session
 does not open (:func:`open_session` returns ``None``) for an empty
 range or when a (system, trace) pair falls outside the kernel's
-envelope (packed keys would exceed :data:`MAX_KEY_BITS`, negative
+envelope (residency keys would exceed :data:`MAX_KEY_BITS`, negative
 addresses, out-of-range PEs, data tracking, no caches); the caller then
 runs :func:`repro.core.replay.replay_access_driven` instead.
 """
@@ -128,25 +124,17 @@ N_OPS = len(Op)
 N_AREAS = len(Area)
 N_CELLS = N_OPS * N_AREAS
 
-#: Reference kinds, by packed-key tag order.  The loop branches on the
-#: tag with threshold compares, so the order is load-bearing: the two
+#: Reference kinds, one byte per reference.  The loop branches on the
+#: kind with threshold compares, so the order is load-bearing: the two
 #: plain-hit kinds (R, ER) come first and share one branch, the two
-#: silent-store kinds (W, DW) share the next, fast kinds precede
-#: ``KIND_SLOW``, and ``KIND_DUP`` (collapsed run tail) sorts last so
-#: the hit branches never test for it.
+#: silent-store kinds (W, DW) share the next, and fast kinds precede
+#: ``KIND_SLOW`` and ``KIND_DUP`` (collapsed run tail), whose keys are
+#: ``-1`` so they never reach the hit branches.
 KIND_R, KIND_ER, KIND_W, KIND_DW, KIND_PURGE, KIND_SLOW, KIND_DUP = range(7)
 
-#: Packed-key layout: ``kind << tag_shift | pe << pe_shift | block``,
-#: with the pe/block widths sized per trace.  Three tag bits cover the
-#: seven kinds; beyond ``MAX_KEY_BITS`` total the trace is out of the
-#: kernel's envelope.  When the trace's *distinct* block set is small
-#: enough that a dense renumbering keeps the whole key space under
-#: ``MAX_FLAT_LIST`` slots, the directory mirror is a flat list probed
-#: by ``list.__getitem__`` (the fastest probe Python offers); otherwise
-#: it is a dict over the raw packed keys.
-N_TAG_BITS = 3
+#: Residency keys (``block << pe_bits | pe``) wider than this fall
+#: outside the kernel's envelope: they would not fit the int64 columns.
 MAX_KEY_BITS = 60
-MAX_FLAT_LIST = 1 << 21
 
 #: Silent-store ``is``-test emission order: hottest states first (a
 #: store hit on an exclusive-modified block is the common case).
@@ -166,20 +154,14 @@ class _Prep(NamedTuple):
     """A preprocessed range: everything a session needs besides the live
     system, indexed from the range's start."""
 
-    #: Packed key per reference (``KIND_DUP`` tags for run tails).
+    #: Residency key per reference (``-1``: slow kind or run tail).
     keys: List[int]
+    #: Kind per reference (``KIND_DUP`` for run tails).
+    kinds: bytes
     #: Per-PE running count of fast-kind references before each index.
     prefix: np.ndarray
     #: The whole range's fold tables (see :func:`_range_counts`).
     counts: tuple
-    pe_shift: int
-    tag_shift: int
-    #: Real block -> dense id, or ``None`` for raw block keys.
-    remap: Optional[Dict[int, int]]
-    #: Dense id -> real block (inverse of ``remap``).
-    blocks_by_id: Optional[List[int]]
-    #: Length of the flat-list mirror, or ``None`` for the dict mirror.
-    flat_size: Optional[int]
 
 
 #: Single-slot preprocessing cache: ``(buffer, (start, stop), params,
@@ -220,9 +202,9 @@ def _nonzero_bins(hist):
     return tuple(zip(used.tolist(), hist[used].tolist()))
 
 
-def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
-    """Pack ``buffer[start:stop]`` into per-reference keys plus bulk-fold
-    tables, indexed from *start*.
+def _preprocess(buffer, start, stop, shift, block_mask, n_pes, pe_bits, kinds):
+    """Turn ``buffer[start:stop]`` into per-reference residency keys and
+    kinds plus bulk-fold tables, indexed from *start*.
 
     Returns a :class:`_Prep`, or ``None`` when the trace is outside the
     generated kernel's envelope.  Raises ``ValueError`` for op/area
@@ -232,7 +214,7 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
     """
     global _PREP_CACHE
     n = stop - start
-    params = (shift, block_mask, n_pes, kinds)
+    params = (shift, block_mask, n_pes, pe_bits, kinds)
     cached = _PREP_CACHE
     if cached is not None and cached[0] is buffer \
             and cached[1] == (start, stop) and cached[2] == params:
@@ -249,49 +231,19 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
         raise ValueError("trace contains an out-of-range op or area code")
     if int(addr.min()) < 0 or int(pe8.min()) < 0 or int(pe8.max()) >= n_pes:
         return None
-    counts = _range_counts(buffer, start, stop, kinds, n_pes)
-    pe_bits = max(1, (n_pes - 1).bit_length())
-
-    # Dense block renumbering: replaying probes only blocks the trace
-    # actually references, so distinct block numbers are renumbered
-    # 0..U-1 and, when the resulting key space is small, the directory
-    # mirror becomes a flat list — probed by list.__getitem__ instead
-    # of dict hashing.  ``remap`` translates real block numbers (as
-    # handlers see them) into dense ids for the mirror bookkeeping, and
-    # ``blocks_by_id`` translates back for the inline purge path.
     blocks = addr >> shift
-    uniques, inverse = np.unique(blocks, return_inverse=True)
-    dense_bits = max(1, (len(uniques) - 1).bit_length())
-    if (KIND_DUP << (dense_bits + pe_bits)) < MAX_FLAT_LIST:
-        pe_shift = dense_bits
-        block_col = inverse.astype(np.int64)
-        unique_list = uniques.tolist()
-        remap = dict(zip(unique_list, range(len(unique_list))))
-        blocks_by_id = unique_list
-        flat_size = (KIND_DUP << (dense_bits + pe_bits)) + 1
-    else:
-        block_bits = max(1, (int(addr.max()) >> shift).bit_length())
-        if N_TAG_BITS + pe_bits + block_bits > MAX_KEY_BITS:
-            return None
-        pe_shift = block_bits
-        block_col = blocks
-        remap = None
-        blocks_by_id = None
-        flat_size = None
-    tag_shift = pe_shift + pe_bits
+    if int(blocks.max()).bit_length() + pe_bits > MAX_KEY_BITS:
+        return None
+    counts = _range_counts(buffer, start, stop, kinds, n_pes)
 
     cell = op8.astype(np.int64) * N_AREAS + area8
-    kind = np.array(kinds, np.int64)[cell]
+    kind = np.array(kinds, np.uint8)[cell]
     if KIND_ER in kinds:
         # An ER on a block's last word purges after the read; promote it
         # to the purge fast path instead of deciding per reference.
         kind[(kind == KIND_ER) & ((addr & block_mask) == block_mask)] = \
             KIND_PURGE
-    key = (
-        (kind << tag_shift)
-        | (pe8.astype(np.int64) << pe_shift)
-        | block_col
-    )
+    key = (blocks << pe_bits) | pe8.astype(np.int64)
 
     # Per-PE running count of fast-kind references before each index:
     # the slow path credits the requester's deferred hit cycles from
@@ -304,26 +256,25 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
         prefix[sel] = run - fast64[sel]
 
     if n > 1:
-        # Conflict-free same-PE runs: a reference with the same packed
-        # key as its predecessor (same PE, block, and kind) can only
-        # repeat the head's hit outcome, because no other PE intervened
-        # and a read miss always allocates — so the tail collapses to
-        # KIND_DUP no-ops; its hits, cycles and LRU stamp fold in bulk.
-        # Only the read-family kinds qualify: a store miss may write
-        # through without allocating (write-once), and a purge removes
-        # the very line its tail would need.
-        dup = (key[1:] == key[:-1]) & (kind[1:] <= KIND_ER)
-        if dup.any():
-            key[1:][dup] = KIND_DUP << tag_shift
+        # Conflict-free same-PE runs: a reference with the same key and
+        # kind as its predecessor (same PE and block) can only repeat the
+        # head's hit outcome, because no other PE intervened and a read
+        # miss always allocates — so the tail collapses to KIND_DUP
+        # no-ops; its hits, cycles and LRU stamp fold in bulk.  Only the
+        # read-family kinds qualify: a store miss may write through
+        # without allocating (write-once), and a purge removes the very
+        # line its tail would need.
+        kind[1:][
+            (key[1:] == key[:-1]) & (kind[1:] == kind[:-1])
+            & (kind[1:] <= KIND_ER)
+        ] = KIND_DUP
+    # Slow kinds and run tails must miss: key -1 is never resident.
+    key[kind >= KIND_SLOW] = -1
     payload = _Prep(
         keys=key.tolist(),
+        kinds=kind.tobytes(),
         prefix=prefix,
         counts=counts,
-        pe_shift=pe_shift,
-        tag_shift=tag_shift,
-        remap=remap,
-        blocks_by_id=blocks_by_id,
-        flat_size=flat_size,
     )
     _PREP_CACHE = (buffer, (start, stop), params, payload)
     return payload
@@ -331,11 +282,11 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, kinds):
 
 class KernelSession:
     """A generated kernel prepared over references ``[start, stop)`` of
-    one buffer, with the flat mirror attached to the system's caches.
+    one buffer of one system.
 
     Built by :func:`open_session`; each protocol's generated subclass
     adds :meth:`advance`.  Use it as a context manager, or call
-    :meth:`close` when done, so the caches drop the mirror.
+    :meth:`close` when done.
     """
 
     __slots__ = (
@@ -345,11 +296,7 @@ class KernelSession:
     )
 
     def __init__(self, system, buffer, start, stop, table, kinds, prep):
-        caches = system.caches
         n_pes = system.n_pes
-        pe_shift = prep.pe_shift
-        tag_shift = prep.tag_shift
-        remap = prep.remap
         self.system = system
         self._buffer = buffer
         self._start = start
@@ -370,45 +317,12 @@ class KernelSession:
         self._purges = [0, 0]
         self._credits = None
         self._credited = 0
-
-        # Flat cross-PE mirror of every cache's directory, aliased under
-        # every fast-kind tag so packed keys probe it unmasked — a dense
-        # list when preprocessing could renumber the blocks, else a
-        # dict; Cache.insert/remove/flush keep it exact while _mirror is
-        # attached.
-        if prep.flat_size is not None:
-            flat = [None] * prep.flat_size
-            probe = flat.__getitem__
-        else:
-            flat = {}
-            probe = flat.get
-        for p in range(n_pes):
-            cache = caches[p]
-            bases = tuple(
-                (t << tag_shift) | (p << pe_shift) for t in range(KIND_SLOW)
-            )
-            for blk, line in cache._lines.items():
-                index = blk if remap is None else remap.get(blk)
-                if index is not None:
-                    for base in bases:
-                        flat[base | index] = line
-            cache._mirror = flat
-            cache._mirror_bases = bases
-            cache._mirror_remap = remap
         # What the generated loop binds as locals on every advance.
         self._hot = (
-            probe,
+            system._resident.get,
             prep.prefix.item,
-            KIND_W << tag_shift,
-            KIND_PURGE << tag_shift,
-            KIND_SLOW << tag_shift,
-            KIND_DUP << tag_shift,
-            (1 << tag_shift) - 1,
-            (1 << pe_shift) - 1,
-            pe_shift,
             system._block_shift,
-            prep.blocks_by_id,
-            caches,
+            system.caches,
             table,
         ) + tuple(buffer.columns())
 
@@ -419,15 +333,12 @@ class KernelSession:
         self.close()
 
     def close(self) -> None:
-        """Detach the mirror from the caches; the session cannot run
-        again.  Idempotent."""
+        """End the session; it cannot run again.  Idempotent."""
         self._pos = None
-        for cache in self.system.caches:
-            cache._mirror = None
-            cache._mirror_remap = None
 
-    def _keys(self, lo: int, hi: int) -> List[int]:
-        """Claim ``[lo, hi)`` for an advance and return its packed keys.
+    def _refs(self, lo: int, hi: int) -> Tuple[List[int], bytes]:
+        """Claim ``[lo, hi)`` for an advance and return its residency
+        keys and kinds.
 
         Positions must run in order: the per-PE clock credits count the
         fast-kind references *before* each position, so a range that
@@ -443,24 +354,25 @@ class KernelSession:
             )
         self._pos = None
         prep = self._prep
-        keys = prep.keys
         a = lo - self._start
         b = hi - self._start
-        if a == 0 and b == len(keys):
-            return keys
-        keys = keys[a:b]
-        if keys and keys[0] >> prep.tag_shift == KIND_DUP:
+        if a == 0 and b == len(prep.keys):
+            return prep.keys, prep.kinds
+        keys = prep.keys[a:b]
+        kinds = prep.kinds[a:b]
+        if kinds and kinds[0] == KIND_DUP:
             # A collapsed run tail heading the range replays with its
-            # real key, so the range stands on its own.
+            # real key and kind, so the range stands on its own.
             pe_col, op_col, area_col, addr_col, _ = self._buffer.columns()
-            block = addr_col[lo] >> self.system._block_shift
+            system = self.system
             keys[0] = (
-                self._kinds[op_col[lo] * N_AREAS + area_col[lo]]
-                << prep.tag_shift
-                | pe_col[lo] << prep.pe_shift
-                | (block if prep.remap is None else prep.remap[block])
+                addr_col[lo] >> system._block_shift << system._pe_bits
+                | pe_col[lo]
             )
-        return keys
+            kinds = bytes(
+                (self._kinds[op_col[lo] * N_AREAS + area_col[lo]],)
+            ) + kinds[1:]
+        return keys, kinds
 
     def run(self, lo: int, hi: int):
         """Replay references ``[lo, hi)``, continuing where the last
@@ -596,7 +508,7 @@ def kernel_source(spec) -> str:
             f"    )"
         )
         w_branch = f"""\
-                elif k < PURGE_TAG:
+                elif kind < {KIND_PURGE}:
                     st = line.state
 {_silent_store_chain(spec)}
 """
@@ -649,7 +561,7 @@ def _open(system, buffer, start, stop):
 
     prep = _preprocess(
         buffer, start, stop, system._block_shift, system._block_mask,
-        system.n_pes, kinds,
+        system.n_pes, system._pe_bits, kinds,
     )
     if prep is None:
         return None
@@ -662,10 +574,9 @@ class _Session(KernelSession):
     def advance(self, lo, hi):
         """Replay references [lo, hi), continuing where the last advance
         stopped; the counters stay deferred to the fold."""
-        keys = self._keys(lo, hi)
-        (probe, prefix_at, W_TAG, PURGE_TAG, SLOW_TAG, DUP_TAG, KEY_MASK,
-         BLK_MASK, pe_shift, shift, blocks_by_id, caches, table, pe_col,
-         op_col, area_col, addr_col, flags_col) = self._hot
+        keys, kinds = self._refs(lo, hi)
+        (probe, prefix_at, shift, caches, table, pe_col, op_col, area_col,
+         addr_col, flags_col) = self._hot
 {aliases}
         start = self._start
         system = self.system
@@ -677,30 +588,27 @@ class _Session(KernelSession):
         pdirty = pclean = 0
         gtick = max(map(_tick_of, caches))
         i = lo - 1
-        # Probe-first: the probe runs inside the zip/map iterator at C
-        # speed for every reference, and the aliased flat mirror makes
-        # the packed key probe-ready without masking the tag off; the
-        # Python-level branch then only has to sort hits by kind.
-        for k, line in zip(keys, map(probe, keys)):
+        # Probe-first: the residency probe runs inside the zip/map
+        # iterator at C speed for every reference (slow kinds and run
+        # tails carry key -1, so they miss); the Python-level branch then
+        # only has to sort hits by kind.
+        for kind, line in zip(kinds, map(probe, keys)):
             i += 1
             if line is not None:
-                if k < W_TAG:
+                if kind < {KIND_W}:
                     gtick += 1
                     line.lru = gtick
                     continue
 {w_branch}\
-                elif k < SLOW_TAG:
-                    # Bus-free read-then-purge (RP hit, or ER hit on
-                    # the block's last word): drop the line, settle
-                    # the purge counters; hit count and cycle fold in
-                    # bulk.  The dying line's LRU stamp cannot affect
-                    # any later victim choice, so gtick is not
-                    # advanced.
-                    kk = k & KEY_MASK
-                    p = kk >> pe_shift
-                    blk = kk & BLK_MASK
-                    if blocks_by_id is not None:
-                        blk = blocks_by_id[blk]
+                else:
+                    # KIND_PURGE, the one kind left that probes: a
+                    # bus-free read-then-purge (RP hit, or ER hit on the
+                    # block's last word).  Drop the line, settle the
+                    # purge counters; hit count and cycle fold in bulk.
+                    # The dying line's LRU stamp cannot affect any later
+                    # victim choice, so gtick is not advanced.
+                    p = pe_col[i]
+                    blk = addr_col[i] >> shift
                     caches[p].remove(blk)
                     drop_holder(blk, p)
                     if line.state is _ST_EM or line.state is _ST_SM:
@@ -708,7 +616,7 @@ class _Session(KernelSession):
                     else:
                         pclean += 1
                     continue
-            elif k >= DUP_TAG:
+            elif kind == {KIND_DUP}:
                 # Collapsed tail of a conflict-free same-PE run.
                 continue
             # Slow path: credit the requester's unaccounted hit cycles,
@@ -721,7 +629,7 @@ class _Session(KernelSession):
             if before != done[pe]:
                 pe_cycles[pe] += before - done[pe]
                 done[pe] = before
-            if k < SLOW_TAG:
+            if kind < {KIND_SLOW}:
                 # A fast kind that missed: its handler charges it.
                 fb_cells[op * {N_AREAS} + area] += 1
                 done[pe] += 1

@@ -317,10 +317,10 @@ def replay_ranges(
     the generated kernel applies — no invariant checks, no probe, no
     oracle hooks, and a (system, trace) pair inside its envelope — this
     is one kernel session for the whole span, so the kernel prepares
-    once; the caches drop the kernel's mirror on exit.  Otherwise every
-    advance runs :func:`replay_access_driven` with the given invariant
-    period (``None`` reads the ``REPRO_CHECK_INVARIANTS`` toggle) and
-    hooks, and nothing is deferred.
+    once.  Otherwise every advance runs :func:`replay_access_driven`
+    with the given invariant period (``None`` reads the
+    ``REPRO_CHECK_INVARIANTS`` toggle) and hooks, and nothing is
+    deferred.
     """
     if stop is None:
         stop = len(buffer)

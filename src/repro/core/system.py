@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.cache import Cache
+from repro.core.cache import Cache, CacheLine
 from repro.core.config import SimulationConfig
 from repro.core.interconnect import (
     REQ_GETM,
@@ -101,6 +101,8 @@ class PIMCacheSystem:
         "n_pes",
         "track_data",
         "caches",
+        "_resident",
+        "_pe_bits",
         "lock_directories",
         "stats",
         "memory",
@@ -139,8 +141,15 @@ class PIMCacheSystem:
         self.config = config
         self.n_pes = n_pes
         self.track_data = config.track_data
+        #: The one residency index, ``block << _pe_bits | pe -> line``,
+        #: shared by every cache below and probed directly by the
+        #: handlers and the generated replay kernel.
+        self._pe_bits = (n_pes - 1).bit_length()
+        self._resident: Dict[int, CacheLine] = {}
         self.caches = [
-            Cache(config.cache, pe, config.track_data) for pe in range(n_pes)
+            Cache(config.cache, pe, config.track_data, self._resident,
+                  self._pe_bits)
+            for pe in range(n_pes)
         ]
         self.lock_directories = [
             LockDirectory(pe, config.lock_entries) for pe in range(n_pes)
@@ -370,15 +379,25 @@ class PIMCacheSystem:
     def check_invariants(self) -> None:
         """Raise AssertionError if any coherence invariant is violated.
 
-        Invariants: an EM/EC copy is the only copy; at most one dirty
-        (EM/SM) copy per block; the presence map matches the caches; and
+        Invariants: the residency index holds exactly the caches' lines;
+        an EM/EC copy is the only copy; at most one dirty (EM/SM) copy
+        per block; the presence map matches the caches; and
         with data tracking, all valid copies agree, and agree with memory
         when no dirty copy exists.
         """
         by_block: Dict[int, List[Tuple[int, CacheState, object]]] = {}
+        resident = self._resident
         for pe, cache in enumerate(self.caches):
             for block, line in cache.lines():
+                assert resident.get(block << self._pe_bits | pe) is line, (
+                    f"block {block:#x}: PE{pe}'s line is not under its "
+                    "residency key"
+                )
                 by_block.setdefault(block, []).append((pe, line.state, line.data))
+        assert len(resident) == sum(map(len, by_block.values())), (
+            f"residency index holds {len(resident)} lines, the caches "
+            f"{sum(map(len, by_block.values()))}"
+        )
         for block, copies in by_block.items():
             holders = self._holders.get(block, set())
             pes = {pe for pe, _, _ in copies}
@@ -520,13 +539,13 @@ class PIMCacheSystem:
     def _pick_supplier(self, block: int, remotes: List[int]):
         """Choose the supplying cache for a cache-to-cache transfer,
         preferring the owner (a dirty copy) when one exists."""
-        caches = self.caches
+        resident = self._resident
+        key = block << self._pe_bits
         first_line = None
         for other in remotes:
             # Inlined Cache.peek: one call per remote adds up when every
             # miss is served cache-to-cache.
-            cache = caches[other]
-            line = cache._lines.get(block)
+            line = resident[key | other]
             if line.state in DIRTY_STATES:
                 return other, line
             if first_line is None:
@@ -590,11 +609,11 @@ class PIMCacheSystem:
         self, pe: int, sop: int, area: int, address: int, block: int,
         value: int = 0, flags: int = 0,
     ) -> AccessResult:
-        cache = self.caches[pe]
         # Inlined Cache.lookup (dict probe + LRU touch): this is the
         # single hottest line of a trace replay.
-        line = cache._lines.get(block)
+        line = self._resident.get(block << self._pe_bits | pe)
         if line is not None:
+            cache = self.caches[pe]
             cache._tick += 1
             line.lru = cache._tick
             self._hits[area][sop] += 1
@@ -647,10 +666,10 @@ class PIMCacheSystem:
             # Pure write-through family: no store ever hits silently, so
             # skip the local probe and go straight to the through path.
             return self._through_store(pe, sop, area, address, block, value)
-        cache = self.caches[pe]
         # Inlined Cache.lookup, as in _read.
-        line = cache._lines.get(block)
+        line = self._resident.get(block << self._pe_bits | pe)
         if line is not None:
+            cache = self.caches[pe]
             cache._tick += 1
             line.lru = cache._tick
             state = line.state
@@ -804,9 +823,8 @@ class PIMCacheSystem:
         self, pe: int, sop: int, area: int, address: int, block: int,
         value: int = 0, flags: int = 0,
     ) -> AccessResult:
-        cache = self.caches[pe]
         # Inlined Cache.peek (no LRU touch, matching the original).
-        line = cache._lines.get(block)
+        line = self._resident.get(block << self._pe_bits | pe)
         if line is not None:
             # Already resident — an ordinary write hit, demoted to W
             # whether or not the address is a block boundary.  The
@@ -818,6 +836,7 @@ class PIMCacheSystem:
             state = line.state
             next_state = self._store_silent_next[state]
             if next_state is not None:
+                cache = self.caches[pe]
                 cache._tick += 1
                 line.lru = cache._tick
                 line.state = next_state
@@ -874,10 +893,10 @@ class PIMCacheSystem:
         value: int = 0, flags: int = 0,
     ) -> AccessResult:
         last_word = (address & self._block_mask) == self._block_mask
-        cache = self.caches[pe]
         # Inlined Cache.lookup, as in _read.
-        line = cache._lines.get(block)
+        line = self._resident.get(block << self._pe_bits | pe)
         if line is not None:
+            cache = self.caches[pe]
             cache._tick += 1
             line.lru = cache._tick
             # Case (ii): hit on the last word — read, then purge (RP).

@@ -83,7 +83,7 @@ class ProtocolProbe:
     ) -> None:
         system = self._system
         stats = system.stats
-        line = system.caches[pe]._lines.get(block)
+        line = system.caches[pe].peek(block)
         self.ref += 1
         self._before = (
             line.state if line is not None else CacheState.INV,
@@ -117,7 +117,7 @@ class ProtocolProbe:
         ) = self._before
         pe_clock = stats.pe_cycles[pe]
 
-        line = system.caches[pe]._lines.get(block)
+        line = system.caches[pe].peek(block)
         state_after = line.state if line is not None else CacheState.INV
         if state_after is not state_before:
             self._emit(

@@ -34,7 +34,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.core.cache import Cache, CacheLine
+from repro.core.cache import Cache
 from repro.core.config import SimulationConfig
 from repro.core.states import CacheState, LockState
 from repro.core.stats import N_AREAS, N_OPS, SystemStats
@@ -42,7 +42,7 @@ from repro.core.system import PIMCacheSystem
 from repro.cluster.network import NetworkStats
 from repro.cluster.system import ClusterCacheSystem, ClusteredSystem
 from repro.obs.manifest import config_from_dict, config_to_dict
-from repro.obs.schema import CHECKPOINT_SCHEMA, validate_checkpoint
+from repro.obs.schema import CHECKPOINT_SCHEMA, SchemaError, validate_checkpoint
 
 #: Stats scalars beyond the summed fields (restored by plain setattr).
 _STAT_SCALARS = SystemStats._SUM_FIELDS + ("lock_dir_max_occupancy",)
@@ -95,20 +95,20 @@ def _cache_state(cache: Cache) -> dict:
     }
 
 
-def _restore_cache(cache: Cache, state: dict) -> None:
+def _restore_cache(cache: Cache, state: dict, where: str) -> None:
     if cache.occupancy():
         raise ValueError("restore target cache is not empty")
-    for block, line_state, area, lru, data in state["lines"]:
-        tag = block >> cache._set_shift
-        line = CacheLine(
-            tag,
-            CacheState(line_state),
-            area,
-            lru,
-            list(data) if data is not None else None,
-        )
-        cache._sets[block & cache._set_mask][tag] = line
-        cache._lines[block] = line
+    for index, (block, line_state, area, lru, data) in enumerate(state["lines"]):
+        try:
+            cache.place(
+                block,
+                CacheState(line_state),
+                area,
+                lru,
+                list(data) if data is not None else None,
+            )
+        except ValueError as error:
+            raise SchemaError(f"{where}.lines[{index}]: {error}") from None
     cache._tick = state["tick"]
 
 
@@ -161,11 +161,17 @@ def _system_state(system: PIMCacheSystem) -> dict:
     return state
 
 
-def _restore_system(system: PIMCacheSystem, state: dict) -> None:
+def _restore_system(system: PIMCacheSystem, state: dict, where: str) -> None:
     from repro.core.protocol.directory import DirectoryEntry, DirState
 
-    for cache, cache_state in zip(system.caches, state["caches"]):
-        _restore_cache(cache, cache_state)
+    for key in ("caches", "locks"):
+        if len(state[key]) != system.n_pes:
+            raise SchemaError(
+                f"{where}.{key}: expected {system.n_pes} entries, one per "
+                f"PE, got {len(state[key])}"
+            )
+    for pe, (cache, cache_state) in enumerate(zip(system.caches, state["caches"])):
+        _restore_cache(cache, cache_state, f"{where}.caches[{pe}]")
     # The presence map is derived state: rebuild it from the restored
     # lines rather than trusting a second serialized copy of the truth.
     holders = system._holders
@@ -225,29 +231,47 @@ def snapshot(system) -> dict:
     }
 
 
+def _pairs(system, checkpoint: dict):
+    """``(flat system, its state, its path)`` for every flat system of
+    *system*, which must match the checkpoint's system count."""
+    subs = system.systems if isinstance(system, ClusteredSystem) else [system]
+    states = checkpoint["systems"]
+    if len(states) != len(subs):
+        raise SchemaError(
+            f"checkpoint.systems: expected {len(subs)} systems, got "
+            f"{len(states)}"
+        )
+    return [
+        (sub, state, f"checkpoint.systems[{index}]")
+        for index, (sub, state) in enumerate(zip(subs, states))
+    ]
+
+
 def restore(checkpoint: dict):
     """Rebuild a live system from a :func:`snapshot` checkpoint.
 
     Validates the checkpoint first, then constructs a fresh system from
     the embedded config and surgically restores every piece of state.
     The result is indistinguishable from the snapshotted system: the
-    replay suffix it produces is bit-identical.
+    replay suffix it produces is bit-identical.  A checkpoint no run
+    could have produced — a cache or lock directory missing for some
+    PE, a line listed twice, a set holding more lines than its ways —
+    raises :class:`SchemaError` naming the offending path.
     """
     validate_checkpoint(checkpoint)
     config: SimulationConfig = config_from_dict(checkpoint["config"])
     n_pes = checkpoint["n_pes"]
     if checkpoint["kind"] == "clustered":
         system = ClusteredSystem(config, n_pes)
-        for sub, state in zip(system.systems, checkpoint["systems"]):
-            _restore_system(sub, state)
-        return system
-    state = checkpoint["systems"][0]
-    if "cluster_index" in state:
-        flat = ClusterCacheSystem(config, n_pes, state["cluster_index"])
+    elif "cluster_index" in checkpoint["systems"][0]:
+        system = ClusterCacheSystem(
+            config, n_pes, checkpoint["systems"][0]["cluster_index"]
+        )
     else:
-        flat = PIMCacheSystem(config, n_pes)
-    _restore_system(flat, state)
-    return flat
+        system = PIMCacheSystem(config, n_pes)
+    for sub, state, where in _pairs(system, checkpoint):
+        _restore_system(sub, state, where)
+    return system
 
 
 def restore_into(system, checkpoint: dict) -> None:
@@ -260,20 +284,13 @@ def restore_into(system, checkpoint: dict) -> None:
     re-validated here, and unlike :func:`restore` no fresh system is
     built.
     """
-    if isinstance(system, ClusteredSystem):
-        for sub, state in zip(system.systems, checkpoint["systems"]):
-            _restore_system_into(sub, state)
-        return
-    _restore_system_into(system, checkpoint["systems"][0])
-
-
-def _restore_system_into(system: PIMCacheSystem, state: dict) -> None:
-    for cache in system.caches:
-        cache.flush()
-    entries = getattr(system.interconnect, "entries", None)
-    if entries is not None:
-        entries.clear()
-    _restore_system(system, state)
+    for sub, state, where in _pairs(system, checkpoint):
+        for cache in sub.caches:
+            cache.flush()
+        entries = getattr(sub.interconnect, "entries", None)
+        if entries is not None:
+            entries.clear()
+        _restore_system(sub, state, where)
 
 
 def write_checkpoint(checkpoint: dict, path: Union[str, Path]) -> Path:
@@ -286,7 +303,8 @@ def write_checkpoint(checkpoint: dict, path: Union[str, Path]) -> Path:
 
 
 def read_checkpoint(path: Union[str, Path]) -> dict:
-    """Load and validate a persisted checkpoint."""
+    """Load a persisted checkpoint, checking it both validates and
+    restores (see :func:`restore`)."""
     checkpoint = json.loads(Path(path).read_text())
-    validate_checkpoint(checkpoint)
+    restore(checkpoint)
     return checkpoint

@@ -589,7 +589,7 @@ class _TransientWatcher:
         if entry.state is not DirState.E or entry.owner < 0:
             return rule
         interconnect = self._interconnect
-        line = interconnect.system.caches[entry.owner]._lines.get(block)
+        line = interconnect.system.caches[entry.owner].peek(block)
         if line is None or line.state not in DIRTY_STATES:
             return rule
         for (state, req), row in interconnect._rules.items():

@@ -4,9 +4,9 @@ The heavy identity artillery — goldens and the hypothesis cross-path
 property, both parametrized over the two replay loops — lives in
 ``test_protocol_identity.py``.  This file covers the codegen machinery
 itself: source emission and caching, the envelope/fallback contract,
-both mirror schemes (dense list and raw-key dict), run collapsing,
-warm-system reuse, and error parity with the per-access loop (the
-``interpreted`` loop of ``tests/replay_loops.py``).
+small and wide residency-key spaces, run collapsing, warm-system reuse,
+and error parity with the per-access loop (the ``interpreted`` loop of
+``tests/replay_loops.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class TestKernelSource:
         source = codegen.kernel_source(get_protocol("pim"))
         # PIM stores silently on EC/EM: both states appear as is-tests
         # in the write branch, and the branch itself exists.
-        assert "elif k < PURGE_TAG:" in source
+        assert f"elif kind < {codegen.KIND_PURGE}:" in source
         assert "if st is _EM:" in source
         assert "if st is _EC:" in source
 
@@ -94,6 +94,32 @@ class TestEnvelope:
         )
         assert generated.as_dict() == interpreted.as_dict()
 
+    def test_key_beyond_max_key_bits_declines_but_replay_agrees(self):
+        # 64 PEs and an address near 2**62: its residency key needs more
+        # than MAX_KEY_BITS, so the kernel declines and replay() runs
+        # the per-access loop.
+        n_pes = 64
+        buffer = TraceBuffer(n_pes=n_pes)
+        base = AREA_BASE[Area.HEAP]
+        for i in range(8_192):
+            buffer.append(i % n_pes, Op.R, Area.HEAP, base + 4 * i)
+        far = (1 << 62) - 4
+        buffer.append(0, Op.W, Area.HEAP, far)
+        buffer.append(0, Op.R, Area.HEAP, far)
+        buffer.append(1, Op.R, Area.HEAP, far)
+        config = SimulationConfig()
+        system = PIMCacheSystem(config, n_pes)
+        pe_bits = (n_pes - 1).bit_length()
+        assert (far >> system._block_shift).bit_length() + pe_bits \
+            > codegen.MAX_KEY_BITS
+        kernel = codegen.get_kernel(system.protocol_spec)
+        assert kernel(system, buffer, 0, len(buffer)) is None
+        generated = replay(buffer, config, n_pes=n_pes)
+        interpreted = replay_through(
+            "interpreted", buffer, config, n_pes=n_pes
+        )
+        assert generated.as_dict() == interpreted.as_dict()
+
     def test_out_of_range_op_raises_like_interpreted(self):
         buffer = generate_random_trace(100, n_pes=2, seed=4)
         buffer._op[3] = 10  # >= N_OPS
@@ -113,30 +139,25 @@ class TestEnvelope:
 
 
 class TestGeneratedBehavior:
-    def test_dense_scheme_matches_interpreted(self):
-        buffer = generate_random_trace(5_000, n_pes=4, seed=5)
+    @pytest.mark.parametrize("n_pes, n_blocks", [(4, None), (64, 8_192)],
+                             ids=["small", "wide"])
+    def test_key_spaces_match_interpreted(self, n_pes, n_blocks):
+        # A random trace over a small working set, and enough PEs and
+        # distinct blocks that every residency key differs (the second
+        # pass re-reads, so it hits through the index).
+        if n_blocks is None:
+            buffer = generate_random_trace(5_000, n_pes=n_pes, seed=5)
+        else:
+            buffer = TraceBuffer(n_pes=n_pes)
+            base = AREA_BASE[Area.HEAP]
+            for sweep in range(2):
+                for i in range(n_blocks):
+                    buffer.append(i % n_pes, Op.R, Area.HEAP, base + 4 * i)
         config = SimulationConfig()
-        generated = replay(buffer, config, n_pes=4)
-        interpreted = replay_through("interpreted", buffer, config, n_pes=4)
-        assert generated.as_dict() == interpreted.as_dict()
-        # The random trace's working set is small: preprocessing must
-        # have taken the dense-renumbered flat-list mirror.
-        assert codegen._PREP_CACHE is not None
-        assert codegen._PREP_CACHE[3].flat_size is not None
-
-    def test_dict_scheme_matches_interpreted(self):
-        # Enough PEs and distinct blocks to push the dense key space
-        # past MAX_FLAT_LIST, forcing the raw-key dict mirror.
-        n_pes, n_blocks = 64, 8_192
-        buffer = TraceBuffer(n_pes=n_pes)
-        base = AREA_BASE[Area.HEAP]
-        for sweep in range(2):  # second pass re-reads: hits via the dict
-            for i in range(n_blocks):
-                buffer.append(i % n_pes, Op.R, Area.HEAP, base + 4 * i)
-        config = SimulationConfig()
-        generated = replay(buffer, config, n_pes=n_pes)
-        assert codegen._PREP_CACHE is not None
-        assert codegen._PREP_CACHE[3].flat_size is None  # dict scheme
+        system = PIMCacheSystem(config, n_pes)
+        generated = replay(buffer, system=system)
+        assert codegen._PREP_CACHE[0] is buffer  # the kernel ran
+        system.check_invariants()
         interpreted = replay_through(
             "interpreted", buffer, config, n_pes=n_pes
         )
@@ -155,15 +176,14 @@ class TestGeneratedBehavior:
         config = SimulationConfig()
         generated = replay(buffer, config, n_pes=2)
         prep = codegen._PREP_CACHE[3]
-        dup_tag = codegen.KIND_DUP << prep.tag_shift
-        assert sum(1 for k in prep.keys if k >= dup_tag) > 200
+        assert prep.kinds.count(codegen.KIND_DUP) > 200
         interpreted = replay_through("interpreted", buffer, config, n_pes=2)
         assert generated.as_dict() == interpreted.as_dict()
 
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_warm_system_mirror_stays_consistent(self, protocol):
         # Replay two different traces back to back into one system: the
-        # second run must mirror the survivors of the first (warm lines)
+        # second run must probe the survivors of the first (warm lines)
         # correctly under every protocol.
         config = SimulationConfig(protocol=protocol)
         first = generate_random_trace(1_500, n_pes=3, seed=6)
@@ -176,12 +196,10 @@ class TestGeneratedBehavior:
 
         assert run("generated").as_dict() == run("interpreted").as_dict()
 
-    def test_mirror_detached_after_replay(self):
+    def test_residency_index_consistent_after_replay(self):
         system = PIMCacheSystem(SimulationConfig(), 2)
         replay(generate_random_trace(300, n_pes=2, seed=8), system=system)
-        for cache in system.caches:
-            assert cache._mirror is None
-            assert cache._mirror_remap is None
+        system.check_invariants()
 
     def test_blocked_reference_raises_with_position(self):
         buffer = TraceBuffer(n_pes=2)
@@ -212,8 +230,7 @@ class TestSession:
                 session.run(lo, min(lo + 7, len(buffer)))
         assert system.stats.as_dict() == whole.as_dict()
         assert codegen._PREP_CACHE[1] == (0, len(buffer))
-        for cache in system.caches:
-            assert cache._mirror is None
+        system.check_invariants()
 
     def test_run_that_skips_positions_raises(self):
         buffer = generate_random_trace(200, n_pes=2, seed=10)

@@ -13,6 +13,7 @@ snapshots (caches, locks, directory entries, clocks included).
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.serve.checkpoint import (
     snapshot,
     write_checkpoint,
 )
-from repro.trace.synthetic import generate_contract_trace
+from repro.trace.synthetic import generate_contract_trace, generate_random_trace
 from tests.replay_loops import LOOPS, replay_through
 
 
@@ -142,3 +143,61 @@ def test_validate_checkpoint_rejects_malformed(contract_trace):
 def test_restore_rejects_unvalidated_garbage():
     with pytest.raises(SchemaError):
         restore({"schema": "repro.obs/checkpoint/v1", "kind": "flat"})
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints that pass the schema but describe caches no run could have
+# produced: restore (and so read_checkpoint) rejects them by path.
+
+
+def _two_pe_checkpoint():
+    system = PIMCacheSystem(SimulationConfig(), 2)
+    replay(generate_random_trace(2_000, n_pes=2, seed=3), system=system)
+    return json.loads(json.dumps(snapshot(system)))
+
+
+def _assert_rejected(checkpoint, tmp_path, where, problem):
+    validate_checkpoint(checkpoint)  # the schema alone accepts it
+    match = re.escape(where) + ": .*" + problem
+    with pytest.raises(SchemaError, match=match):
+        restore(checkpoint)
+    path = tmp_path / "ck.json"
+    write_checkpoint(checkpoint, path)
+    with pytest.raises(SchemaError, match=match):
+        read_checkpoint(path)
+
+
+def test_restore_rejects_a_line_listed_twice(tmp_path):
+    checkpoint = _two_pe_checkpoint()
+    lines = checkpoint["systems"][0]["caches"][0]["lines"]
+    lines.append(list(lines[0]))
+    _assert_rejected(
+        checkpoint, tmp_path,
+        f"checkpoint.systems[0].caches[0].lines[{len(lines) - 1}]",
+        "listed twice",
+    )
+
+
+def test_restore_rejects_an_overfull_set(tmp_path):
+    checkpoint = _two_pe_checkpoint()
+    geometry = SimulationConfig().cache
+    cache = checkpoint["systems"][0]["caches"][1]
+    _, state, area, _, data = cache["lines"][0]
+    # Ten blocks of set 0 in a 4-way cache: the fifth cannot fit.
+    cache["lines"] = [
+        [k * geometry.n_sets, state, area, k, data] for k in range(10)
+    ]
+    _assert_rejected(
+        checkpoint, tmp_path,
+        f"checkpoint.systems[0].caches[1].lines[{geometry.associativity}]",
+        "4-way maximum",
+    )
+
+
+def test_restore_rejects_a_missing_cache(tmp_path):
+    checkpoint = _two_pe_checkpoint()
+    del checkpoint["systems"][0]["caches"][1]
+    _assert_rejected(
+        checkpoint, tmp_path, "checkpoint.systems[0].caches",
+        "expected 2 entries",
+    )

@@ -552,7 +552,7 @@ def test_conflict_free_run_across_a_batch_boundary_matches():
     assert codegen._PREP_CACHE[1] == (0, len(trace))
 
 
-def test_blocked_reference_mid_session_detaches_the_mirror():
+def test_blocked_reference_mid_session_leaves_caches_consistent():
     # Disjoint working sets commit; the blocked read heads the last,
     # speculative, batch.
     trace = TraceBuffer(n_pes=2)
@@ -569,8 +569,7 @@ def test_blocked_reference_mid_session_detaches_the_mirror():
     assert info.value.index == 601
     assert system.stats.batch_commits > 0
     assert system._bus == bus
-    for cache in system.caches:
-        assert cache._mirror is None
+    system.check_invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ class Cache:
     __slots__ = (
         "config",
         "pe",
-        "track_data",
         "_sets",
         "_set_mask",
         "_set_shift",
@@ -63,13 +62,11 @@ class Cache:
         self,
         config: CacheConfig,
         pe: int,
-        track_data: bool = False,
         resident: Optional[Dict[int, CacheLine]] = None,
         pe_bits: Optional[int] = None,
     ):
         self.config = config
         self.pe = pe
-        self.track_data = track_data
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(config.n_sets)]
         self._set_mask = config.n_sets - 1
         self._set_shift = config.n_sets.bit_length() - 1

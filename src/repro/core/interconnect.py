@@ -82,7 +82,15 @@ REQ_WT = 6
 #: iterate or measure it.
 _NO_REMOTES: Tuple[int, ...] = ()
 
+# Module aliases of every enum member read per transaction (an Enum
+# class attribute lookup costs more than an empty call).
 _EM, _SM, _EC = CacheState.EM, CacheState.SM, CacheState.EC
+_DIR_I, _DIR_S, _DIR_E = DirState.I, DirState.S, DirState.E
+_DIR_M, _DIR_O = DirState.M, DirState.O
+_FWD_OWNER, _FWD_SHARER = DirAction.FWD_OWNER, DirAction.FWD_SHARER
+_OWNER_COPYBACK = DirAction.OWNER_COPYBACK
+_INVAL_SHARERS = DirAction.INVAL_SHARERS
+_UPDATE_SHARERS = DirAction.UPDATE_SHARERS
 
 
 class DirectoryProtocolError(AssertionError):
@@ -248,18 +256,18 @@ class DirectoryInterconnect(Interconnect):
         invals = 0
         supplier_forwarded = False
         for action in rule.actions:
-            if action is DirAction.FWD_OWNER:
+            if action is _FWD_OWNER:
                 if owner >= 0 and owner != pe:
                     forwards += 1
                     supplier_forwarded = True
                     if observer is not None:
                         observer("forward", pe, block, entry, rule)
-            elif action is DirAction.FWD_SHARER:
+            elif action is _FWD_SHARER:
                 forwards += 1
                 supplier_forwarded = True
                 if observer is not None:
                     observer("forward", pe, block, entry, rule)
-            elif action is DirAction.OWNER_COPYBACK:
+            elif action is _OWNER_COPYBACK:
                 if owner >= 0 and owner != pe:
                     forwards += 1
                     # The recall also tells the owner its fate, so no
@@ -267,7 +275,7 @@ class DirectoryInterconnect(Interconnect):
                     supplier_forwarded = True
                     if observer is not None:
                         observer("copyback", pe, block, entry, rule)
-            elif action is DirAction.INVAL_SHARERS:
+            elif action is _INVAL_SHARERS:
                 # One message per surviving remote sharer; the supplier
                 # (when one was forwarded to) learns its fate from the
                 # forward itself.
@@ -281,7 +289,7 @@ class DirectoryInterconnect(Interconnect):
                     if observer is not None:
                         observer("inval", pe, block, entry, rule)
                 invals += sent
-            elif action is DirAction.UPDATE_SHARERS:
+            elif action is _UPDATE_SHARERS:
                 invals += len(remotes)
                 if observer is not None:
                     for _ in remotes:
@@ -310,20 +318,20 @@ class DirectoryInterconnect(Interconnect):
         system = self.system
         holders = system._holders.get(block)
         if not holders:
-            return DirState.I, -1, 0
+            return _DIR_I, -1, 0
         caches = system.caches
         mask = 0
         owner = -1
-        state = DirState.S
+        state = _DIR_S
         for holder in holders:
             mask |= 1 << holder
             line_state = caches[holder].peek(block).state
             if line_state is _EM:
-                state, owner = DirState.M, holder
+                state, owner = _DIR_M, holder
             elif line_state is _SM:
-                state, owner = DirState.O, holder
+                state, owner = _DIR_O, holder
             elif line_state is _EC:
-                state, owner = DirState.E, holder
+                state, owner = _DIR_E, holder
         return state, owner, mask
 
     # -- residency notes (bus-free copy movement) ----------------------
@@ -343,13 +351,11 @@ class DirectoryInterconnect(Interconnect):
             # is dead data by the read-once contract): survivors are
             # plain sharers.
             entry.owner = -1
-            entry.state = DirState.S
+            entry.state = _DIR_S
 
     def note_exclusive(self, pe: int, block: int) -> None:
         """A DW allocated the block dirty with zero bus traffic."""
-        self.entries[block] = DirectoryEntry(
-            DirState.M, owner=pe, sharers=1 << pe
-        )
+        self.entries[block] = DirectoryEntry(_DIR_M, owner=pe, sharers=1 << pe)
 
     def note_flush(self) -> None:
         self.entries.clear()

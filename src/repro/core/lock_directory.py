@@ -18,6 +18,10 @@ from typing import Dict, Optional
 
 from repro.core.states import LockState
 
+# Module aliases of the members read per lock operation (an Enum class
+# attribute lookup costs more than an empty call).
+_EMP, _LCK, _LWAIT = LockState.EMP, LockState.LCK, LockState.LWAIT
+
 
 class LockDirectory:
     """Word-granularity lock entries owned by one PE."""
@@ -33,11 +37,11 @@ class LockDirectory:
 
     def state(self, address: int) -> LockState:
         """Current lock state of *address* (``EMP`` when not present)."""
-        return self.entries.get(address, LockState.EMP)
+        return self.entries.get(address, _EMP)
 
     def lock(self, address: int) -> None:
         """Register *address* as locked (``LCK``) by this PE."""
-        self.entries[address] = LockState.LCK
+        self.entries[address] = _LCK
         occupancy = len(self.entries)
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
@@ -47,7 +51,7 @@ class LockDirectory:
     def mark_waiting(self, address: int) -> None:
         """Record that another PE is now busy-waiting on *address*."""
         if address in self.entries:
-            self.entries[address] = LockState.LWAIT
+            self.entries[address] = _LWAIT
 
     def unlock(self, address: int) -> Optional[LockState]:
         """Release *address*; returns its prior state, or None if absent."""

@@ -77,16 +77,22 @@ N_AREAS = len(Area)
 #: allocation per cache hit on the replay hot loop).
 _HIT = (1, 0, None)
 
-# Pre-resolved enum members for the miss paths: attribute access on an
-# Enum class costs ~130ns per lookup, which adds up at one command and
-# one or two pattern lookups per miss.
+# Module aliases of every enum member the handlers read: looking a
+# member up on its Enum class costs more than an empty call, reading a
+# global costs next to nothing.  They are the same member objects, so
+# states are compared with ``is``.  tests/test_hot_path_enums.py keeps
+# member lookups out of the handlers.
 _F, _FI, _I = BusCommand.F, BusCommand.FI, BusCommand.I
+_LK, _UL = BusCommand.LK, BusCommand.UL
 _INVALIDATION = BusPattern.INVALIDATION
 _C2C = BusPattern.C2C
 _C2C_WITH_SWAP_OUT = BusPattern.C2C_WITH_SWAP_OUT
 _SWAP_IN = BusPattern.SWAP_IN
 _SWAP_IN_WITH_SWAP_OUT = BusPattern.SWAP_IN_WITH_SWAP_OUT
+_SWAP_OUT_ONLY = BusPattern.SWAP_OUT_ONLY
+_WRITE_THROUGH = BusPattern.WRITE_THROUGH
 _EM, _EC, _SM, _S = CacheState.EM, CacheState.EC, CacheState.SM, CacheState.S
+_EMP, _LWAIT = LockState.EMP, LockState.LWAIT
 
 #: Shared empty remote-holder list: callers only iterate or truth-test
 #: the result, so misses on unshared blocks avoid a list allocation.
@@ -147,8 +153,7 @@ class PIMCacheSystem:
         self._pe_bits = (n_pes - 1).bit_length()
         self._resident: Dict[int, CacheLine] = {}
         self.caches = [
-            Cache(config.cache, pe, config.track_data, self._resident,
-                  self._pe_bits)
+            Cache(config.cache, pe, self._resident, self._pe_bits)
             for pe in range(n_pes)
         ]
         self.lock_directories = [
@@ -639,13 +644,13 @@ class PIMCacheSystem:
                 self._writeback(block, supplier)
             supplier.state = next_state
             stats.c2c_transfers += 1
-            victim_dirty = self._fill(pe, block, CacheState.S, area, data)
+            victim_dirty = self._fill(pe, block, _S, area, data)
             pattern = (
                 _C2C_WITH_SWAP_OUT if victim_dirty else _C2C
             )
         else:
             data = self._memory_read(block)
-            victim_dirty = self._fill(pe, block, CacheState.EC, area, data)
+            victim_dirty = self._fill(pe, block, _EC, area, data)
             pattern = (
                 _SWAP_IN_WITH_SWAP_OUT
                 if victim_dirty
@@ -711,7 +716,7 @@ class PIMCacheSystem:
                     line.state = promoted
                 stats.memory_busy_cycles += self._mem_cycles
                 cycles = self._bus(
-                    pe, BusPattern.WRITE_THROUGH, area, block, REQ_WT, remotes
+                    pe, _WRITE_THROUGH, area, block, REQ_WT, remotes
                 )
                 return (cycles, 0, None)
             # Invalidation hit (S/SM under PIM/Illinois): I broadcast.
@@ -774,7 +779,7 @@ class PIMCacheSystem:
             self.memory[address] = value
         self.stats.memory_busy_cycles += self._mem_cycles
         cycles = self._bus(
-            pe, BusPattern.WRITE_THROUGH, area, block, REQ_WT, remotes
+            pe, _WRITE_THROUGH, area, block, REQ_WT, remotes
         )
         return (cycles, 0, None)
 
@@ -800,9 +805,9 @@ class PIMCacheSystem:
             self._invalidate_remotes(pe, block, remotes)
             self.stats.c2c_transfers += 1
             if final_state is None:
-                final_state = CacheState.EM if dirty else CacheState.EC
-            elif final_state == CacheState.EC and dirty:
-                final_state = CacheState.EM
+                final_state = _EM if dirty else _EC
+            elif final_state is _EC and dirty:
+                final_state = _EM
             victim_dirty = self._fill(pe, block, final_state, area, data)
             pattern = (
                 _C2C_WITH_SWAP_OUT if victim_dirty else _C2C
@@ -810,7 +815,7 @@ class PIMCacheSystem:
         else:
             data = self._memory_read(block)
             if final_state is None:
-                final_state = CacheState.EC
+                final_state = _EC
             victim_dirty = self._fill(pe, block, final_state, area, data)
             pattern = (
                 _SWAP_IN_WITH_SWAP_OUT
@@ -865,7 +870,7 @@ class PIMCacheSystem:
         if self.track_data:
             base = block << self._block_shift
             data = [self.memory.get(base + i, 0) for i in range(self._block_words)]
-        victim_dirty = self._fill(pe, block, CacheState.EM, area, data)
+        victim_dirty = self._fill(pe, block, _EM, area, data)
         if self._dir is not None:
             # The only bus-free fill: the home node must still learn of
             # the new exclusive-dirty owner.
@@ -873,7 +878,7 @@ class PIMCacheSystem:
         if self.track_data:
             self.caches[pe].peek(block).data[address & self._block_mask] = value
         if victim_dirty:
-            cycles = self._bus(pe, BusPattern.SWAP_OUT_ONLY, area)
+            cycles = self._bus(pe, _SWAP_OUT_ONLY, area)
             return (cycles, 0, None)
         self.stats.pe_cycles[pe] += 1
         self.stats.hit_service_cycles += 1
@@ -1045,20 +1050,16 @@ class PIMCacheSystem:
                 for other in remotes
             )
             self._invalidate_remotes(pe, block, remotes)
-            line.state = (
-                CacheState.EM
-                if remote_dirty or line.state == CacheState.SM
-                else CacheState.EC
-            )
+            line.state = _EM if remote_dirty or line.state is _SM else _EC
             self._register_lock(pe, address, block)
             self.stats.lr_bus += 1
             self.stats.command_counts[_I] += 1
-            self.stats.command_counts[BusCommand.LK] += 1
+            self.stats.command_counts[_LK] += 1
             cycles = self._bus(pe, _INVALIDATION, area, block, REQ_UPGR, remotes)
             return (cycles, out_flags, value)
         # Miss: FI + LK.
         self.stats.lr_bus += 1
-        self.stats.command_counts[BusCommand.LK] += 1
+        self.stats.command_counts[_LK] += 1
         cycles = self._fetch_exclusive(pe, area, block, None)
         self._register_lock(pe, address, block)
         if self.track_data:
@@ -1090,7 +1091,7 @@ class PIMCacheSystem:
     ) -> AccessResult:
         directory = self.lock_directories[pe]
         prior = directory.state(address)
-        if prior == LockState.EMP:
+        if prior is _EMP:
             self.stats.spurious_unlocks += 1
             if write:
                 return self._write(pe, sop, area, address, block, value)
@@ -1112,11 +1113,11 @@ class PIMCacheSystem:
             total = self._no_bus(pe)
         directory.unlock(address)
         self._release_lock(pe, address, block)
-        had_waiter = prior == LockState.LWAIT or bool(flags & FLAG_LOCK_CONTENDED)
+        had_waiter = prior is _LWAIT or bool(flags & FLAG_LOCK_CONTENDED)
         out_flags = 0
         if had_waiter:
             self.stats.unlocks_with_waiter += 1
-            self.stats.command_counts[BusCommand.UL] += 1
+            self.stats.command_counts[_UL] += 1
             total += self._bus(pe, _INVALIDATION, area)
             out_flags = FLAG_LOCK_CONTENDED
             # Busy-waiting PEs will retry; clear their episode markers so

@@ -159,7 +159,7 @@ def collect(machine) -> GCStats:
     fresh = HeapStore(machine.n_pes, limit=machine.heap.limit)
     fresh.cells = collector.cells
     machine.heap = fresh
-    machine.gc_marks.append(len(machine.trace))
+    machine.gc_marks.append(machine.port.total_refs)
     machine.gc_collections += 1
     after = fresh.total_words()
     machine.gc_words_reclaimed += before - after

@@ -12,10 +12,16 @@ what the cache answers, so emulating first and simulating after counts
 exactly what driving the cache live would.
 
 All the ``*_i`` methods are the *instrumented* accessors the engines
-use: they touch the backing store and issue the architecturally correct
-memory operation — ``DW`` for heap/goal-record creation, ``ER``/``RP``
-for dead-record reads, ``RI`` for message reads, ``LR``/``UW``/``U``
-around bindings — through the port.
+use: they touch the backing store and record the architecturally
+correct memory operation — ``DW`` for heap/goal-record creation,
+``ER``/``RP`` for dead-record reads, ``RI`` for message reads,
+``LR``/``UW``/``U`` around bindings.  Each appends one packed int,
+``address << 24 | pe << 16 | CODE | flags``, to the port's ``words``
+array, where ``CODE`` is a module constant per (operation, area) pair
+(``_R_HEAP``, ``_DW_GOAL``, ...): one call and one append per
+reference, no enum lookup.  When the run ends — normally or by an
+exception — :meth:`~repro.machine.port.MemoryPort.flush` splits the
+words into the trace's five columns with numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.machine.errors import (
     ProgramFailure,
 )
 from repro.machine.parser import parse_goal
-from repro.machine.port import MemoryPort
+from repro.machine.port import MemoryPort, code
 from repro.machine.store import (
     CommArea,
     GOAL_BASE,
@@ -65,6 +71,32 @@ from repro.machine.terms import (
 )
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import Area, Op
+
+# The packed (op, area) field of every reference the instrumented
+# helpers record as ``address << 24 | pe << 16 | CODE | flags`` — the
+# port's ADDRESS_SHIFT and PE_SHIFT, written as literals.
+_R_INSTRUCTION = code(Op.R, Area.INSTRUCTION)
+_R_HEAP = code(Op.R, Area.HEAP)
+_DW_HEAP = code(Op.DW, Area.HEAP)
+_LR_HEAP = code(Op.LR, Area.HEAP)
+_UW_HEAP = code(Op.UW, Area.HEAP)
+_U_HEAP = code(Op.U, Area.HEAP)
+_DW_GOAL = code(Op.DW, Area.GOAL)
+_ER_GOAL = code(Op.ER, Area.GOAL)
+_RP_GOAL = code(Op.RP, Area.GOAL)
+_R_GOAL = code(Op.R, Area.GOAL)
+_W_GOAL = code(Op.W, Area.GOAL)
+_LR_GOAL = code(Op.LR, Area.GOAL)
+_UW_GOAL = code(Op.UW, Area.GOAL)
+_U_GOAL = code(Op.U, Area.GOAL)
+_R_SUSP = code(Op.R, Area.SUSPENSION)
+_W_SUSP = code(Op.W, Area.SUSPENSION)
+_R_COMM = code(Op.R, Area.COMMUNICATION)
+_RI_COMM = code(Op.RI, Area.COMMUNICATION)
+_W_COMM = code(Op.W, Area.COMMUNICATION)
+_LR_COMM = code(Op.LR, Area.COMMUNICATION)
+_UW_COMM = code(Op.UW, Area.COMMUNICATION)
+_U_COMM = code(Op.U, Area.COMMUNICATION)
 
 
 @dataclass
@@ -143,6 +175,8 @@ class KL1Machine:
         self.port = MemoryPort(
             self.trace, conflict_rate=config.lock_conflict_rate, seed=config.seed
         )
+        #: Appends one packed reference (see the module docstring).
+        self._record = self.port.words.append
         self.heap = HeapStore(config.n_pes)
         self.goal_area = RecordArea(GOAL_BASE, config.n_pes, config.goal_record_words)
         self.susp_area = RecordArea(SUSP_BASE, config.n_pes, SUSP_STRIDE)
@@ -168,35 +202,35 @@ class KL1Machine:
 
     def fetch(self, pe: int, address: int) -> None:
         """One instruction fetch."""
-        self.port.issue(pe, Op.R, Area.INSTRUCTION, address)
+        self._record(address << 24 | pe << 16 | _R_INSTRUCTION)
 
     # -- heap ---------------------------------------------------------
 
     def heap_read_i(self, pe: int, address: int) -> Word:
-        self.port.issue(pe, Op.R, Area.HEAP, address)
+        self._record(address << 24 | pe << 16 | _R_HEAP)
         return self.heap.read(address)
 
     def heap_alloc_i(self, pe: int, word: Word) -> int:
         """Push *word* on PE's heap top (a direct write)."""
         address = self.heap.allocate(pe, word[0], word[1])
-        self.port.issue(pe, Op.DW, Area.HEAP, address)
+        self._record(address << 24 | pe << 16 | _DW_HEAP)
         return address
 
     def heap_alloc_unbound_i(self, pe: int) -> int:
         address = self.heap.allocate_unbound(pe)
-        self.port.issue(pe, Op.DW, Area.HEAP, address)
+        self._record(address << 24 | pe << 16 | _DW_HEAP)
         return address
 
     def heap_lock_read_i(self, pe: int, address: int, flags: int) -> Word:
-        self.port.issue(pe, Op.LR, Area.HEAP, address, flags)
+        self._record(address << 24 | pe << 16 | _LR_HEAP | flags)
         return self.heap.read(address)
 
     def heap_unlock_write_i(self, pe: int, address: int, word: Word, flags: int) -> None:
         self.heap.write(address, word[0], word[1])
-        self.port.issue(pe, Op.UW, Area.HEAP, address, flags)
+        self._record(address << 24 | pe << 16 | _UW_HEAP | flags)
 
     def heap_unlock_i(self, pe: int, address: int, flags: int) -> None:
-        self.port.issue(pe, Op.U, Area.HEAP, address, flags)
+        self._record(address << 24 | pe << 16 | _U_HEAP | flags)
 
     # -- goal area ------------------------------------------------------
 
@@ -204,73 +238,76 @@ class KL1Machine:
         """Record-creation write (direct write; the controller demotes
         non-boundary words to plain writes)."""
         self.goal_area.write(address, value)
-        self.port.issue(pe, Op.DW, Area.GOAL, address)
+        self._record(address << 24 | pe << 16 | _DW_GOAL)
 
     def read_goal_record(self, pe: int, record: int) -> List[object]:
         """Read a dequeued record's words: ER for all but the last used
         word, RP for the last — the record is dead after this."""
-        arity = self.goal_area.read(record + 2)
-        used = 3 + arity
+        read = self.goal_area.read
+        record_word = self._record
+        used = 3 + read(record + 2)
+        last = record + used - 1
         words = []
-        for index in range(used):
-            op = Op.RP if index == used - 1 else Op.ER
-            self.port.issue(pe, op, Area.GOAL, record + index)
-            words.append(self.goal_area.read(record + index))
+        for address in range(record, last + 1):
+            kind = _RP_GOAL if address == last else _ER_GOAL
+            record_word(address << 24 | pe << 16 | kind)
+            words.append(read(address))
         return words
 
     def goal_read_word_i(self, pe: int, address: int) -> object:
         """Plain read of one goal-record word (link-chain walking)."""
-        self.port.issue(pe, Op.R, Area.GOAL, address)
+        self._record(address << 24 | pe << 16 | _R_GOAL)
         return self.goal_area.read(address)
 
     def goal_relink_i(self, pe: int, address: int, value: object) -> None:
         """Rewrite a live record's link word (chaining stolen goals)."""
         self.goal_area.write(address, value)
-        self.port.issue(pe, Op.W, Area.GOAL, address)
+        self._record(address << 24 | pe << 16 | _W_GOAL)
 
     def goal_lock_read_i(self, pe: int, address: int, flags: int) -> object:
-        self.port.issue(pe, Op.LR, Area.GOAL, address, flags)
+        self._record(address << 24 | pe << 16 | _LR_GOAL | flags)
         return self.goal_area.read(address)
 
     def goal_unlock_write_i(self, pe: int, address: int, value: object, flags: int) -> None:
         self.goal_area.write(address, value)
-        self.port.issue(pe, Op.UW, Area.GOAL, address, flags)
+        self._record(address << 24 | pe << 16 | _UW_GOAL | flags)
 
     def goal_unlock_i(self, pe: int, address: int, flags: int) -> None:
-        self.port.issue(pe, Op.U, Area.GOAL, address, flags)
+        self._record(address << 24 | pe << 16 | _U_GOAL | flags)
 
     # -- suspension area -------------------------------------------------
 
     def susp_read_i(self, pe: int, address: int) -> object:
-        self.port.issue(pe, Op.R, Area.SUSPENSION, address)
+        self._record(address << 24 | pe << 16 | _R_SUSP)
         return self.susp_area.read(address)
 
     def susp_write_i(self, pe: int, address: int, value: object) -> None:
         self.susp_area.write(address, value)
-        self.port.issue(pe, Op.W, Area.SUSPENSION, address)
+        self._record(address << 24 | pe << 16 | _W_SUSP)
 
     # -- communication area -----------------------------------------------
 
     def comm_read_i(self, pe: int, address: int, invalidate: bool) -> object:
         """Read a mailbox word — with RI when the word will be rewritten
         right after (message consumption), plain R for flag polling."""
-        self.port.issue(pe, Op.RI if invalidate else Op.R, Area.COMMUNICATION, address)
+        kind = _RI_COMM if invalidate else _R_COMM
+        self._record(address << 24 | pe << 16 | kind)
         return self.comm.read(address)
 
     def comm_write_i(self, pe: int, address: int, value: object) -> None:
         self.comm.write(address, value)
-        self.port.issue(pe, Op.W, Area.COMMUNICATION, address)
+        self._record(address << 24 | pe << 16 | _W_COMM)
 
     def comm_lock_read_i(self, pe: int, address: int, flags: int) -> object:
-        self.port.issue(pe, Op.LR, Area.COMMUNICATION, address, flags)
+        self._record(address << 24 | pe << 16 | _LR_COMM | flags)
         return self.comm.read(address)
 
     def comm_unlock_write_i(self, pe: int, address: int, value: object, flags: int) -> None:
         self.comm.write(address, value)
-        self.port.issue(pe, Op.UW, Area.COMMUNICATION, address, flags)
+        self._record(address << 24 | pe << 16 | _UW_COMM | flags)
 
     def comm_unlock_i(self, pe: int, address: int, flags: int) -> None:
-        self.port.issue(pe, Op.U, Area.COMMUNICATION, address, flags)
+        self._record(address << 24 | pe << 16 | _U_COMM | flags)
 
     # ------------------------------------------------------------------
     # Goal creation and query setup
@@ -329,38 +366,42 @@ class KL1Machine:
             raise ProgramFailure(
                 f"query names undefined procedure {goal.name}/{len(goal.args)}"
             )
-        self.query_roots = {}
-        args = tuple(self.build_term(0, arg, self.query_roots) for arg in goal.args)
-        record = self.create_goal(0, functor_id, args)
-        self.engines[0].goal_list.append(record)
-        self.runnable += 1
-
         cap = max_reductions if max_reductions is not None else self.config.max_reductions
         gc_threshold = self.config.gc_threshold_words
         engines = self.engines
         n_pes = self.n_pes
         sweep = 0
         started = time.perf_counter()
-        while True:
-            if self.runnable == 0 and self.in_flight == 0:
-                if self.floating == 0:
-                    break
-                raise DeadlockError(
-                    f"{self.floating} goal(s) suspended forever; "
-                    "the program is waiting on variables nobody will bind"
-                )
-            offset = sweep % n_pes
-            for position in range(n_pes):
-                engines[(position + offset) % n_pes].step()
-            sweep += 1
-            if self.total_reductions > cap:
-                raise LimitExceededError(
-                    f"exceeded {cap} reductions; raise max_reductions if intended"
-                )
-            if gc_threshold is not None and any(
-                self.heap.top(pe) > gc_threshold for pe in range(n_pes)
-            ):
-                self.collect()
+        # The packed references become the trace's columns when the run
+        # ends, also when it raises: a cut-off run keeps its prefix.
+        try:
+            self.query_roots = {}
+            args = tuple(self.build_term(0, arg, self.query_roots) for arg in goal.args)
+            record = self.create_goal(0, functor_id, args)
+            engines[0].goal_list.append(record)
+            self.runnable += 1
+            while True:
+                if self.runnable == 0 and self.in_flight == 0:
+                    if self.floating == 0:
+                        break
+                    raise DeadlockError(
+                        f"{self.floating} goal(s) suspended forever; "
+                        "the program is waiting on variables nobody will bind"
+                    )
+                offset = sweep % n_pes
+                for position in range(n_pes):
+                    engines[(position + offset) % n_pes].step()
+                sweep += 1
+                if self.total_reductions > cap:
+                    raise LimitExceededError(
+                        f"exceeded {cap} reductions; raise max_reductions if intended"
+                    )
+                if gc_threshold is not None and any(
+                    self.heap.top(pe) > gc_threshold for pe in range(n_pes)
+                ):
+                    self.collect()
+        finally:
+            self.port.flush()
         wall = time.perf_counter() - started
         stats = network = None
         if self.sim_config is not None:

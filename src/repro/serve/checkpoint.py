@@ -61,16 +61,39 @@ def _stats_state(stats: SystemStats) -> dict:
     }
 
 
-def _restore_stats(stats: SystemStats, state: dict) -> None:
+#: Per-area, per-pattern, per-command and per-PE stats lists.
+_STAT_LISTS = (
+    "pattern_counts",
+    "pattern_cycles",
+    "bus_cycles_by_area",
+    "command_counts",
+    "pe_cycles",
+)
+
+
+def _restore_stats(stats: SystemStats, state: dict, where: str) -> None:
+    """Restore *state* into *stats* in place.  Every list must have the
+    live system's shape; a wrong length raises :class:`SchemaError`
+    naming its path, before anything is written."""
+
+    def expect(path: str, want: int, got: list) -> None:
+        if len(got) != want:
+            raise SchemaError(
+                f"{where}.{path}: expected {want} entries, got {len(got)}"
+            )
+
+    for key in ("refs", "hits"):
+        expect(key, N_AREAS, state[key])
+        for area, row in enumerate(state[key]):
+            expect(f"{key}[{area}]", N_OPS, row)
+    for key in _STAT_LISTS:
+        expect(key, len(getattr(stats, key)), state[key])
     for a in range(N_AREAS):
         for o in range(N_OPS):
             stats.refs[a][o] = state["refs"][a][o]
             stats.hits[a][o] = state["hits"][a][o]
-    stats.pattern_counts[:] = state["pattern_counts"]
-    stats.pattern_cycles[:] = state["pattern_cycles"]
-    stats.bus_cycles_by_area[:] = state["bus_cycles_by_area"]
-    stats.command_counts[:] = state["command_counts"]
-    stats.pe_cycles[:] = state["pe_cycles"]
+    for key in _STAT_LISTS:
+        getattr(stats, key)[:] = state[key]
     for name, value in state["scalars"].items():
         setattr(stats, name, value)
 
@@ -195,7 +218,7 @@ def _restore_system(system: PIMCacheSystem, state: dict, where: str) -> None:
         for block, pairs in state["locked_words"]
     }
     system._waiting = {pe: block for pe, block in state["waiting"]}
-    _restore_stats(system.stats, state["stats"])
+    _restore_stats(system.stats, state["stats"], f"{where}.stats")
     system.interconnect.free_at = state["interconnect"]["free_at"]
     dir_entries = state["interconnect"].get("entries")
     if dir_entries is not None:

@@ -1,9 +1,12 @@
 """Tests for the remaining machine pieces: symbols, terms, the memory
 port, and machine-level configuration wiring."""
 
+import pytest
+
 from repro.core.config import MachineConfig
 from repro.machine.machine import KL1Machine
 from repro.machine.port import MemoryPort
+from repro.machine.store import COMM_BASE
 from repro.machine.symbols import SymbolTable
 from repro.machine.terms import (
     Clause,
@@ -75,6 +78,61 @@ class TestMemoryPort:
         assert port.roll_conflict(shared=False) == 0
         silent = MemoryPort(TraceBuffer(1), conflict_rate=0.0)
         assert silent.roll_conflict(shared=True) == 0
+
+    def test_helpers_pack_as_issue_does(self):
+        machine = KL1Machine(
+            "main(R) :- R = ok.", MachineConfig(n_pes=2), sim_config=None
+        )
+        comm = COMM_BASE + 5
+        machine.fetch(1, 0x1234)
+        machine.comm_unlock_i(1, comm, FLAG_LOCK_CONTENDED)
+        port = MemoryPort(TraceBuffer(2))
+        port.issue(1, Op.R, Area.INSTRUCTION, 0x1234)
+        port.issue(1, Op.U, Area.COMMUNICATION, comm, FLAG_LOCK_CONTENDED)
+        assert machine.port.words == port.words
+        machine.port.flush()
+        assert list(machine.trace) == [
+            (1, Op.R, Area.INSTRUCTION, 0x1234, 0),
+            (1, Op.U, Area.COMMUNICATION, comm, FLAG_LOCK_CONTENDED),
+        ]
+        assert not machine.port.words
+
+    @pytest.mark.parametrize(
+        "pe, op, area, address, flags",
+        [
+            (128, Op.R, Area.HEAP, 0, 0),
+            (-1, Op.R, Area.HEAP, 0, 0),
+            (0, Op.R, Area.HEAP, 0, 128),
+            (0, 9, Area.HEAP, 0, 0),
+            (0, Op.R, 5, 0, 0),
+            (0, Op.R, Area.HEAP, -1, 0),
+            (0, Op.R, Area.HEAP, 1 << 39, 0),
+        ],
+    )
+    def test_issue_rejects_fields_out_of_range(self, pe, op, area, address, flags):
+        port = MemoryPort(TraceBuffer(1))
+        with pytest.raises(ValueError):
+            port.issue(pe, op, area, address, flags)
+        assert port.total_refs == 0
+
+    @pytest.mark.parametrize(
+        "word",
+        [200 << 16, 200, -1 << 24],
+        ids=["pe", "flags", "address"],
+    )
+    def test_flush_rejects_a_field_its_column_cannot_hold(self, word):
+        port = MemoryPort(TraceBuffer(1))
+        port.issue(0, Op.R, Area.HEAP, 7)
+        port.flush()
+        port.words.append(word)
+        with pytest.raises(ValueError, match="out of range"):
+            port.flush()
+        assert list(port.trace) == [(0, Op.R, Area.HEAP, 7, 0)]
+        assert port.total_refs == 1
+
+    def test_rejects_more_pes_than_a_column_holds(self):
+        with pytest.raises(ValueError, match="at most 128 PEs"):
+            MemoryPort(TraceBuffer(129))
 
 
 class TestMachineWiring:

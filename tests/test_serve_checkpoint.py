@@ -22,6 +22,7 @@ from repro.cluster.system import ClusteredSystem
 from repro.core.config import SimulationConfig
 from repro.core.protocol import protocol_names
 from repro.core.replay import replay
+from repro.core.stats import N_AREAS, N_OPS
 from repro.core.system import PIMCacheSystem
 from repro.obs.schema import SchemaError, validate_checkpoint
 from repro.serve.checkpoint import (
@@ -200,4 +201,50 @@ def test_restore_rejects_a_missing_cache(tmp_path):
     _assert_rejected(
         checkpoint, tmp_path, "checkpoint.systems[0].caches",
         "expected 2 entries",
+    )
+
+
+def test_restore_rejects_an_extra_pe_clock(tmp_path):
+    checkpoint = _two_pe_checkpoint()
+    stats = checkpoint["systems"][0]["stats"]
+    stats["pe_cycles"].append(stats["pe_cycles"][0])
+    _assert_rejected(
+        checkpoint, tmp_path, "checkpoint.systems[0].stats.pe_cycles",
+        "expected 2 entries, got 3",
+    )
+
+
+def test_restore_rejects_a_missing_refs_row(tmp_path):
+    checkpoint = _two_pe_checkpoint()
+    stats = checkpoint["systems"][0]["stats"]
+    stats["refs"] = stats["refs"][:1]
+    _assert_rejected(
+        checkpoint, tmp_path, "checkpoint.systems[0].stats.refs",
+        f"expected {N_AREAS} entries, got 1",
+    )
+
+
+@pytest.mark.parametrize("key", ["refs", "hits"])
+def test_restore_rejects_a_short_matrix_row(tmp_path, key):
+    checkpoint = _two_pe_checkpoint()
+    row = checkpoint["systems"][0]["stats"][key][2]
+    row.pop()
+    _assert_rejected(
+        checkpoint, tmp_path, f"checkpoint.systems[0].stats.{key}[2]",
+        f"expected {N_OPS} entries, got {N_OPS - 1}",
+    )
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["pattern_counts", "pattern_cycles", "bus_cycles_by_area", "command_counts"],
+)
+def test_restore_rejects_a_resized_stats_list(tmp_path, key):
+    checkpoint = _two_pe_checkpoint()
+    values = checkpoint["systems"][0]["stats"][key]
+    want = len(values)
+    values.append(0)
+    _assert_rejected(
+        checkpoint, tmp_path, f"checkpoint.systems[0].stats.{key}",
+        f"expected {want} entries, got {want + 1}",
     )

@@ -1,10 +1,13 @@
 """Setuptools shim.
 
 The canonical metadata lives in pyproject.toml; this file exists so the
-package installs in environments without the ``wheel`` package (where
-PEP 660 editable installs are unavailable)::
+package installs in development mode where the ``wheel`` package is
+missing (PEP 660 editable installs need it)::
 
-    pip install -e . --no-build-isolation
+    python setup.py develop --no-deps
+
+That links ``src/`` into the environment and installs the ``pim-cache``
+script; install ``numpy`` (the one runtime dependency) separately.
 """
 
 from setuptools import setup

@@ -57,6 +57,13 @@ Commands
     comes from
     ``REPRO_TRACE_CACHE_BYTES``.
 
+``profile``, ``metrics``, ``sweep``, ``events``, ``compare`` and
+``serve submit`` take one trace source: ``--benchmark NAME`` replays a
+paper benchmark's trace (via the trace cache) on ``--pes`` PEs, 8 by
+default; ``--trace FILE`` replays a recorded trace on the trace's own
+PE count, which ``--pes`` may raise but not lower.  ``--pes 0`` means
+the default of either.
+
 ``run``, ``compare`` and ``bench`` accept ``--clusters K`` to simulate
 a hierarchical machine: K cluster buses joined by the
 :mod:`repro.cluster` inter-cluster network.  Replay-driving commands
@@ -72,6 +79,7 @@ Global ``-v``/``-vv`` and ``-q`` control library logging (the
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -92,8 +100,9 @@ from repro.core.speculative import MODES
 from repro.machine.compiler import compile_program
 from repro.machine.machine import KL1Machine
 from repro.obs.log import configure as configure_logging
+from repro.programs import SCALES
 from repro.programs import names as benchmark_names
-from repro.trace.io import read_trace, write_trace
+from repro.trace.io import read_trace, trace_header, write_trace
 
 TABLES = {
     "1": tables_module.table1,
@@ -112,85 +121,92 @@ FIGURES = {
     "details": figures_module.optimization_details,
 }
 
+#: PEs of an emulated run, and of a ``--benchmark`` trace source.
+DEFAULT_PES = 8
+
+
+class UsageError(Exception):
+    """A rejected option or input: :func:`main` prints it as one
+    ``error:`` line on stderr and exits 2."""
+
 
 def _sim_config(args) -> SimulationConfig:
-    cache = CacheConfig.from_capacity(
-        args.capacity, block_words=args.block_words, associativity=args.ways
-    )
-    opts = OptimizationConfig.none() if args.no_opt else OptimizationConfig.all()
+    """The machine the cache, protocol and cluster options describe.
+
+    ``compare`` takes a list of protocols instead of one; its base
+    config keeps the default protocol.
+    """
     config = SimulationConfig(
-        cache=cache,
+        cache=CacheConfig.from_capacity(
+            args.capacity, block_words=args.block_words, associativity=args.ways
+        ),
         bus=BusConfig(width_words=args.bus_width),
-        opts=opts,
-        protocol=args.protocol,
-        interconnect=getattr(args, "interconnect", "bus"),
+        opts=OptimizationConfig.none() if args.no_opt else OptimizationConfig.all(),
+        protocol=getattr(args, "protocol", "pim"),
+        interconnect=args.interconnect,
     )
-    return _apply_clusters(config, args)
-
-
-def _apply_clusters(config: SimulationConfig, args) -> SimulationConfig:
-    clusters = getattr(args, "clusters", 1)
-    if clusters and clusters > 1:
-        config = config.with_clusters(
-            clusters, hop_cycles=getattr(args, "hop_cycles", 4)
-        )
+    if getattr(args, "clusters", 1) > 1:
+        config = config.with_clusters(args.clusters, hop_cycles=args.hop_cycles)
     return config
 
 
-def _add_cache_options(
-    parser: argparse.ArgumentParser, protocol: bool = True
-) -> None:
-    parser.add_argument("--capacity", type=int, default=4096,
-                        help="cache data capacity in words (default 4096)")
-    parser.add_argument("--block-words", type=int, default=4,
-                        help="cache block size in words (default 4)")
-    parser.add_argument("--ways", type=int, default=4,
-                        help="set associativity (default 4)")
-    parser.add_argument("--bus-width", type=int, default=1,
-                        help="bus width in words (default 1)")
-    if protocol:
-        parser.add_argument("--protocol", default="pim",
-                            choices=list(protocol_names()),
-                            help="registered coherence protocol "
-                                 "(see `repro protocols`)")
-    parser.add_argument("--no-opt", action="store_true",
-                        help="demote DW/ER/RP/RI to plain reads and writes")
-    parser.add_argument("--interconnect", default="bus",
-                        help="registered interconnect backend "
-                             "(see `repro protocols`; default bus)")
-
-
-def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--clusters", type=int, default=1,
-                        help="partition the PEs into K clusters joined by "
-                             "an inter-cluster network (default 1: one bus)")
-    parser.add_argument("--hop-cycles", type=int, default=4,
-                        help="inter-cluster latency per ring hop "
-                             "(default 4; needs --clusters > 1)")
-
-
-def _add_mode_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", default="pessimistic",
-                        choices=list(MODES),
-                        help="coherence execution mode: per-access "
-                             "(pessimistic, the default) or speculative "
-                             "batch coherence (lazypim; "
-                             "docs/SPECULATIVE.md)")
-    parser.add_argument("--batch-refs", type=int, default=None,
-                        help="lazypim: references per speculative batch "
-                             "(default 256)")
-    parser.add_argument("--signature-bits", type=int, default=None,
-                        help="lazypim: read/write signature width in "
-                             "bits, a power of two (default 256)")
-
-
 def _mode_kwargs(args) -> dict:
-    """The replay-mode keyword arguments of a mode-aware command."""
+    """The replay-mode keyword arguments of the mode options."""
     return {
-        "mode": getattr(args, "mode", "pessimistic"),
-        "batch_refs": getattr(args, "batch_refs", None),
-        "signature_bits": getattr(args, "signature_bits", None),
+        "mode": args.mode,
+        "batch_refs": args.batch_refs,
+        "signature_bits": args.signature_bits,
     }
+
+
+def _trace_source(args, load: bool = True):
+    """Resolve the trace-source options into (trace, name, pes, key).
+
+    ``--benchmark`` goes through the :class:`Workloads` trace cache
+    (recording its cache key for the manifest) on ``--pes`` PEs, 8 by
+    default.  ``--trace`` reads a recorded trace file and replays it on
+    the trace's own PE count, which ``--pes`` may raise but not lower.
+    ``--pes 0`` means the default of either.  With ``load=False`` a
+    ``--trace`` stays a path and only its header is read.
+    """
+    if args.benchmark:
+        pes = args.pes or DEFAULT_PES
+        workloads = Workloads(scale=args.scale)
+        return (
+            workloads.trace(args.benchmark, pes),
+            f"{args.benchmark}-{args.scale}-{pes}pe",
+            pes,
+            workloads.cache_key(args.benchmark, pes),
+        )
+    trace = read_trace(args.trace) if load else args.trace
+    own = trace.n_pes if load else trace_header(args.trace).n_pes
+    pes = args.pes or own
+    if pes < own:
+        raise UsageError(
+            f"--pes {pes} is fewer than the {own} PEs recorded in {args.trace}"
+        )
+    return trace, Path(args.trace).stem, pes, None
+
+
+def _protocol_list(text: str) -> list:
+    """The registered protocols a comma-separated ``--protocol`` names."""
+    names = [p.strip() for p in text.split(",") if p.strip()]
+    unknown = [p for p in names if not is_registered(p)]
+    if unknown:
+        raise UsageError(f"unknown protocol(s) {', '.join(unknown)} "
+                         f"(choose from {', '.join(protocol_names())})")
+    return names
+
+
+def _write_json(record: dict, validate, args, what: str) -> None:
+    """Validate *record*, then write it to ``--output`` or print it."""
+    validate(record)
+    text = json.dumps(record, indent=2)
+    if args.output:
+        Path(args.output).write_text(text + "\n")
+        print(f"{what} written: {args.output}")
+    else:
+        print(text)
 
 
 def _print_run_summary(result) -> None:
@@ -217,88 +233,62 @@ def _print_run_summary(result) -> None:
               f"net stall: {network.stall_cycles:,} cycles")
 
 
-def _print_speculative_replay(trace, config, args) -> None:
-    """Replay *trace* through the batch-coherence engine and print the
-    speculative counters.
-
-    ``run --mode lazypim`` defines speculation as a property of the
-    recorded reference stream: the run's own statistics come from a
-    per-access (pessimistic) replay of its trace, then the same trace
-    is replayed speculatively (docs/SPECULATIVE.md).
-    """
-    stats = replay(trace, config, **_mode_kwargs(args))
-    print(f"speculative replay ({args.mode}) of the recorded trace:")
-    print(f"  commits:    {stats.batch_commits:,}   "
-          f"rollbacks: {stats.batch_rollbacks:,}")
-    print(f"  settles:    {stats.signature_settles:,}   "
-          f"elided invalidations: {stats.batch_elided_invalidations:,}")
-    print(f"  bus cycles: {stats.bus_cycles_total:,}")
-
-
 def cmd_run(args) -> int:
     machine_config = MachineConfig(
         n_pes=args.pes, seed=args.seed, gc_threshold_words=args.gc
     )
+    config = _sim_config(args)
     if args.program in benchmark_names():
         result = run_benchmark(
             args.program,
             scale=args.scale,
             n_pes=args.pes,
-            sim_config=_sim_config(args),
+            sim_config=config,
             machine_config=machine_config,
         )
         print(f"benchmark {args.program!r} at scale {args.scale!r} "
               f"on {args.pes} PEs  [answer verified]")
-        _print_run_summary(result)
-        if args.mode == "lazypim":
-            _print_speculative_replay(result.trace, _sim_config(args), args)
-        if args.output:
-            write_trace(result.trace, args.output)
-            print(f"trace written: {args.output} ({len(result.trace):,} refs)")
-        return 0
-    path = Path(args.program)
-    if not path.exists():
-        print(f"error: {args.program!r} is neither a benchmark "
-              f"({', '.join(benchmark_names())}) nor a file", file=sys.stderr)
-        return 2
-    if not args.query:
-        print("error: running a source file requires --query", file=sys.stderr)
-        return 2
-    machine = KL1Machine(path.read_text(), machine_config, _sim_config(args))
-    result = machine.run(args.query)
+    else:
+        path = Path(args.program)
+        if not path.exists():
+            raise UsageError(f"{args.program!r} is neither a benchmark "
+                             f"({', '.join(benchmark_names())}) nor a file")
+        if not args.query:
+            raise UsageError("running a source file requires --query")
+        result = KL1Machine(path.read_text(), machine_config, config).run(
+            args.query
+        )
     _print_run_summary(result)
     if args.mode == "lazypim":
-        _print_speculative_replay(result.trace, _sim_config(args), args)
+        # Speculation is a property of the recorded reference stream:
+        # the run's own statistics come from a per-access (pessimistic)
+        # replay of its trace, then the same trace is replayed
+        # speculatively (docs/SPECULATIVE.md).
+        stats = replay(result.trace, config, **_mode_kwargs(args))
+        print(f"speculative replay ({args.mode}) of the recorded trace:")
+        print(f"  commits:    {stats.batch_commits:,}   "
+              f"rollbacks: {stats.batch_rollbacks:,}")
+        print(f"  settles:    {stats.signature_settles:,}   "
+              f"elided invalidations: {stats.batch_elided_invalidations:,}")
+        print(f"  bus cycles: {stats.bus_cycles_total:,}")
     if args.output:
         write_trace(result.trace, args.output)
         print(f"trace written: {args.output} ({len(result.trace):,} refs)")
     return 0
 
 
-def cmd_tables(args) -> int:
+def cmd_artifacts(args) -> int:
+    """``tables`` and ``figures``: render the ``--which`` entries of
+    :data:`TABLES` or :data:`FIGURES`."""
+    registry = TABLES if args.command == "tables" else FIGURES
+    which = args.which.split(",") if args.which else list(registry)
+    unknown = [key for key in which if key not in registry]
+    if unknown:
+        raise UsageError(f"unknown {args.command[:-1]} {unknown[0]!r} "
+                         f"(choose from {', '.join(registry)})")
     workloads = Workloads(scale=args.scale)
-    which = args.which.split(",") if args.which else list(TABLES)
     for key in which:
-        builder = TABLES.get(key)
-        if builder is None:
-            print(f"error: unknown table {key!r} (choose from 1-5)",
-                  file=sys.stderr)
-            return 2
-        print(builder(workloads).render())
-        print()
-    return 0
-
-
-def cmd_figures(args) -> int:
-    workloads = Workloads(scale=args.scale)
-    which = args.which.split(",") if args.which else list(FIGURES)
-    for key in which:
-        builder = FIGURES.get(key)
-        if builder is None:
-            print(f"error: unknown figure {key!r} "
-                  f"(choose from {', '.join(FIGURES)})", file=sys.stderr)
-            return 2
-        print(builder(workloads).render())
+        print(registry[key](workloads).render())
         print()
     return 0
 
@@ -346,14 +336,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _serve_trace_source(args):
-    """Resolve a serve-submit source into a TraceBuffer or a path."""
-    if args.benchmark:
-        workloads = Workloads(scale=args.scale)
-        return workloads.trace(args.benchmark, args.pes), args.pes
-    return args.trace, (args.pes if args.pes else None)
-
-
 def cmd_serve(args) -> int:
     from repro.obs.schema import SchemaError
     from repro.serve.jobs import JobError, JobStore
@@ -365,15 +347,15 @@ def cmd_serve(args) -> int:
     try:
         return _serve(args, JobStore(args.store))
     except (JobError, SchemaError, TraceFormatError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(str(error)) from None
 
 
 def _serve(args, store) -> int:
     from repro.serve.jobs import JobServer
 
     if args.serve_command == "submit":
-        trace, pes = _serve_trace_source(args)
+        # A --trace file is submitted as its path: the store copies it.
+        trace, _, pes, _ = _trace_source(args, load=False)
         job_id = store.submit(
             _sim_config(args),
             trace,
@@ -434,8 +416,6 @@ def _serve(args, store) -> int:
                       f"{len(beats)} heartbeat(s)")
         return 0
     # result
-    import json
-
     record = store.job(args.job)
     result = store.result(args.job)
     if result is None:
@@ -454,9 +434,7 @@ def cmd_listing(args) -> int:
     else:
         path = Path(args.program)
         if not path.exists():
-            print(f"error: no such benchmark or file: {args.program!r}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"no such benchmark or file: {args.program!r}")
         source = path.read_text()
     print(compile_program(source).listing())
     return 0
@@ -475,21 +453,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import json
-
     from repro.analysis import bench
 
     if args.repeats is not None and args.repeats < 1:
-        print("error: --repeats must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("--repeats must be at least 1")
     if args.jobs is not None and args.jobs < 2:
-        print("error: --jobs must be at least 2 (the sweep is timed "
-              "against a serial jobs=1 run)", file=sys.stderr)
-        return 2
+        raise UsageError("--jobs must be at least 2 (the sweep is timed "
+                         "against a serial jobs=1 run)")
     if args.clusters < 2 or 8 % args.clusters != 0:
-        print("error: --clusters must be 2, 4 or 8 (the clustered section "
-              "shards the 8-PE hot trace)", file=sys.stderr)
-        return 2
+        raise UsageError("--clusters must be 2, 4 or 8 (the clustered "
+                         "section shards the 8-PE hot trace)")
     # The previously written report (if any) is the no-sink-overhead
     # reference; read it before write_report replaces it.
     recorded = None
@@ -500,9 +473,8 @@ def cmd_bench(args) -> int:
         except (OSError, ValueError):
             recorded = None
     if args.assert_overhead is not None and recorded is None:
-        print(f"error: --assert-overhead needs an existing recorded "
-              f"report at {args.output}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--assert-overhead needs an existing recorded "
+                         f"report at {args.output}")
     report = bench.run_bench(
         quick=args.quick,
         jobs=args.jobs,
@@ -513,9 +485,7 @@ def cmd_bench(args) -> int:
         ),
         clusters=args.clusters,
         interconnect=args.interconnect,
-        mode=args.mode,
-        batch_refs=args.batch_refs,
-        signature_bits=args.signature_bits,
+        **_mode_kwargs(args),
     )
     print(bench.format_report(report))
     path = bench.write_report(report, args.output)
@@ -562,29 +532,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _replay_source(args):
-    """Resolve a profile/events source into (buffer, name, pes, key).
-
-    ``--benchmark`` goes through the :class:`Workloads` trace cache
-    (recording its cache key for the manifest); ``--trace`` reads a
-    recorded trace file.
-    """
-    if args.benchmark:
-        workloads = Workloads(scale=args.scale)
-        buffer = workloads.trace(args.benchmark, args.pes)
-        name = f"{args.benchmark}-{args.scale}-{args.pes}pe"
-        return buffer, name, args.pes, workloads.cache_key(
-            args.benchmark, args.pes
-        )
-    buffer = read_trace(args.trace)
-    pes = args.pes if args.pes else buffer.n_pes
-    return buffer, Path(args.trace).stem, pes, None
-
-
 def cmd_profile(args) -> int:
     from repro.obs.profile import profile_trace, write_profile
 
-    buffer, name, pes, cache_key = _replay_source(args)
+    buffer, name, pes, cache_key = _trace_source(args)
     result = profile_trace(
         buffer,
         config=_sim_config(args),
@@ -614,7 +565,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    import json
+    import time
 
     from repro.cluster.replay import replay_clustered
     from repro.obs.metrics import (
@@ -627,13 +578,11 @@ def cmd_metrics(args) -> int:
     from repro.obs.manifest import build_manifest
     from repro.obs.schema import validate_metrics
 
-    buffer, name, pes, cache_key = _replay_source(args)
+    buffer, name, pes, cache_key = _trace_source(args)
     config = _sim_config(args)
-    import time as time_module
-
-    started = time_module.perf_counter()
+    started = time.perf_counter()
     clustered = replay_clustered(buffer, config, n_pes=pes)
-    wall = time_module.perf_counter() - started
+    wall = time.perf_counter() - started
     ledger = cycle_ledger(
         clustered.stats,
         network=clustered.network if clustered.n_clusters > 1 else None,
@@ -659,13 +608,7 @@ def cmd_metrics(args) -> int:
                        "n_pes": pes},
             ),
         )
-        validate_metrics(record)
-        text = json.dumps(record, indent=2)
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-            print(f"metrics written: {args.output}")
-        else:
-            print(text)
+        _write_json(record, validate_metrics, args, "metrics")
         return 0
     print(f"cycle ledger for {name} ({len(buffer):,} refs, {pes} PEs, "
           f"{config.protocol})")
@@ -674,19 +617,15 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import json
-
     from repro.analysis.parallel import default_jobs, run_sweep_report
-    from repro.core.config import CacheConfig as _CacheConfig
     from repro.obs.telemetry import SweepTelemetry, format_heartbeat
 
     if args.points < 1:
-        print("error: --points must be at least 1", file=sys.stderr)
-        return 2
-    buffer, name, pes, cache_key = _replay_source(args)
+        raise UsageError("--points must be at least 1")
+    buffer, name, pes, cache_key = _trace_source(args)
     configs = [
         SimulationConfig(
-            cache=_CacheConfig(n_sets=64 << i), protocol=args.protocol
+            cache=CacheConfig(n_sets=64 << i), protocol=args.protocol
         )
         for i in range(args.points)
     ]
@@ -733,7 +672,7 @@ def cmd_events(args) -> int:
     from repro.obs.sink import CollectorSink, write_events_jsonl
     from repro.obs.windows import windowed_replay
 
-    buffer, name, pes, _ = _replay_source(args)
+    buffer, name, pes, _ = _trace_source(args)
     sink = CollectorSink()
     windowed_replay(
         buffer, _sim_config(args), n_pes=pes, probe=ProtocolProbe(sink)
@@ -743,10 +682,9 @@ def cmd_events(args) -> int:
         wanted = {k.strip().lower() for k in args.kind.split(",")}
         unknown = wanted - set(EVENT_KIND_NAMES)
         if unknown:
-            print(f"error: unknown event kind(s) {', '.join(sorted(unknown))} "
-                  f"(choose from {', '.join(EVENT_KIND_NAMES)})",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown event kind(s) "
+                             f"{', '.join(sorted(unknown))} "
+                             f"(choose from {', '.join(EVENT_KIND_NAMES)})")
         events = [e for e in events if EVENT_KIND_NAMES[e.kind] in wanted]
     if args.output:
         path = write_events_jsonl(events, args.output)
@@ -768,10 +706,9 @@ def cmd_protocols(args) -> int:
         try:
             spec = get_protocol(args.spec)
         except KeyError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
+            raise UsageError(error.args[0]) from None
         print(spec.render_table())
-        if getattr(args, "interconnect", "bus") == "directory":
+        if args.interconnect == "directory":
             from repro.core.protocol import build_directory_spec
 
             print()
@@ -801,8 +738,6 @@ def cmd_protocols(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    import json
-
     from repro.analysis.protocols import (
         comparison_report,
         format_protocol_comparison,
@@ -810,30 +745,9 @@ def cmd_compare(args) -> int:
     )
     from repro.obs.schema import validate_comparison
 
-    if args.protocol:
-        protocols = [p.strip() for p in args.protocol.split(",") if p.strip()]
-        unknown = [p for p in protocols if not is_registered(p)]
-        if unknown:
-            print(f"error: unknown protocol(s) {', '.join(unknown)} "
-                  f"(choose from {', '.join(protocol_names())})",
-                  file=sys.stderr)
-            return 2
-    else:
-        protocols = None
-    buffer, name, pes, cache_key = _replay_source(args)
-    cache = CacheConfig.from_capacity(
-        args.capacity, block_words=args.block_words, associativity=args.ways
-    )
-    opts = OptimizationConfig.none() if args.no_opt else OptimizationConfig.all()
-    base = _apply_clusters(
-        SimulationConfig(
-            cache=cache,
-            bus=BusConfig(width_words=args.bus_width),
-            opts=opts,
-            interconnect=getattr(args, "interconnect", "bus"),
-        ),
-        args,
-    )
+    protocols = _protocol_list(args.protocols) if args.protocols else None
+    buffer, name, pes, cache_key = _trace_source(args)
+    base = _sim_config(args)
     comparison = protocol_comparison(
         buffer, base, protocols, n_pes=pes, **_mode_kwargs(args)
     )
@@ -844,13 +758,7 @@ def cmd_compare(args) -> int:
             extra={"source": name, "refs": len(buffer), "pes": pes,
                    "trace_cache_key": cache_key, "mode": args.mode},
         )
-        validate_comparison(report)
-        text = json.dumps(report, indent=2)
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-            print(f"comparison written: {args.output}")
-        else:
-            print(text)
+        _write_json(report, validate_comparison, args, "comparison")
         return 0
     print(format_protocol_comparison(
         comparison,
@@ -861,7 +769,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import json
     import time
 
     from repro.obs.manifest import build_manifest
@@ -870,27 +777,18 @@ def cmd_verify(args) -> int:
     from repro.verify.model import broken_demo_spec
 
     if args.all and args.protocol:
-        print("error: --all and --protocol are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.protocol:
-        names = [p.strip() for p in args.protocol.split(",") if p.strip()]
-        unknown = [p for p in names if not is_registered(p)]
-        if unknown:
-            print(f"error: unknown protocol(s) {', '.join(unknown)} "
-                  f"(choose from {', '.join(protocol_names())})",
-                  file=sys.stderr)
-            return 2
-    else:
-        names = list(protocol_names())
+        raise UsageError("--all and --protocol are mutually exclusive")
+    names = (
+        _protocol_list(args.protocol) if args.protocol
+        else list(protocol_names())
+    )
     try:
         cluster_counts = tuple(
             int(k) for k in args.clusters.split(",") if k.strip()
         )
     except ValueError:
-        print(f"error: --clusters expects comma-separated integers, "
-              f"got {args.clusters!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--clusters expects comma-separated integers, "
+                         f"got {args.clusters!r}") from None
 
     started = time.time()
     results = []
@@ -929,8 +827,7 @@ def cmd_verify(args) -> int:
                 )
                 clean = clean and fuzz_report.clean
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(str(error)) from None
     wall = time.time() - started
 
     if args.json or args.output:
@@ -946,13 +843,7 @@ def cmd_verify(args) -> int:
                 extra={"kind": "verify"},
             ),
         }
-        validate_verify(report)
-        text = json.dumps(report, indent=2)
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-            print(f"verification report written: {args.output}")
-        else:
-            print(text)
+        _write_json(report, validate_verify, args, "verification report")
         return 0 if clean else 1
     for result in results:
         print(result.render())
@@ -961,6 +852,21 @@ def cmd_verify(args) -> int:
     verdict = "clean" if clean else "FAILED"
     print(f"verify: {verdict} in {wall:.1f}s")
     return 0 if clean else 1
+
+
+def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An option group: a help-less parser that subcommands inherit
+    through ``parents=``.  Options show in the order they were added,
+    parents' first, so ``_group(own, shared)`` puts *shared* after the
+    options already in *own*."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _command(commands, name: str, handler, *groups, **kwargs):
+    """Add subcommand *name*, made of *groups* in order, run by *handler*."""
+    parser = commands.add_parser(name, parents=list(groups), **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -975,57 +881,96 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only log errors")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = commands.add_parser(
-        "run", help="run a benchmark or an FGHC source file"
-    )
-    run_parser.add_argument("program",
-                            help="benchmark name (tri/semi/puzzle/pascal) or .fghc path")
-    run_parser.add_argument("--query", help="query goal for source files")
-    run_parser.add_argument("--scale", default="small",
-                            choices=["tiny", "small", "medium", "paper"])
-    run_parser.add_argument("--pes", type=int, default=8)
-    run_parser.add_argument("--seed", type=int, default=1)
-    run_parser.add_argument("--gc", type=int, default=None,
-                            help="per-PE heap words triggering stop-and-copy GC")
-    run_parser.add_argument("--output", "-o",
-                            help="write the trace to a file (with --gc it "
-                                 "carries no collection points: replaying "
-                                 "it alone never flushes the caches)")
-    _add_cache_options(run_parser)
-    _add_cluster_options(run_parser)
-    _add_mode_options(run_parser)
-    run_parser.set_defaults(handler=cmd_run)
+    # The option groups the subcommands share, each declared once.
+    scale = _group()
+    scale.add_argument("--scale", default="small", choices=SCALES)
+    machine = _group(scale)
+    machine.add_argument("--pes", type=int, default=DEFAULT_PES)
+    # The trace source, resolved by _trace_source.
+    source = _group()
+    one_source = source.add_mutually_exclusive_group(required=True)
+    one_source.add_argument("--benchmark", choices=list(benchmark_names()),
+                            help="replay a paper benchmark's trace "
+                                 "(via the trace cache)")
+    one_source.add_argument("--trace", help="replay a recorded trace file")
+    source = _group(source, scale)
+    source.add_argument("--pes", type=int, default=None,
+                        help="PE count (default 8 with --benchmark, the "
+                             "trace's own with --trace; 0 means the default)")
+    geometry = _group()
+    geometry.add_argument("--capacity", type=int, default=4096,
+                          help="cache data capacity in words (default 4096)")
+    geometry.add_argument("--block-words", type=int, default=4,
+                          help="cache block size in words (default 4)")
+    geometry.add_argument("--ways", type=int, default=4,
+                          help="set associativity (default 4)")
+    geometry.add_argument("--bus-width", type=int, default=1,
+                          help="bus width in words (default 1)")
+    protocol = _group()
+    protocol.add_argument("--protocol", default="pim",
+                          choices=list(protocol_names()),
+                          help="registered coherence protocol "
+                               "(see `repro protocols`)")
+    # The paper's commands on or off, and the coherence transport.
+    transport = _group()
+    transport.add_argument("--no-opt", action="store_true",
+                           help="demote DW/ER/RP/RI to plain reads and "
+                                "writes")
+    transport.add_argument("--interconnect", default="bus",
+                           help="registered interconnect backend "
+                                "(see `repro protocols`; default bus)")
+    cache = _group(geometry, protocol, transport)
+    clusters = _group()
+    clusters.add_argument("--clusters", type=int, default=1,
+                          help="partition the PEs into K clusters joined by "
+                               "an inter-cluster network (default 1: one bus)")
+    clusters.add_argument("--hop-cycles", type=int, default=4,
+                          help="inter-cluster latency per ring hop "
+                               "(default 4; needs --clusters > 1)")
+    mode = _group()
+    mode.add_argument("--mode", default="pessimistic", choices=list(MODES),
+                      help="coherence execution mode: per-access "
+                           "(pessimistic, the default) or speculative "
+                           "batch coherence (lazypim; docs/SPECULATIVE.md)")
+    mode.add_argument("--batch-refs", type=int, default=None,
+                      help="lazypim: references per speculative batch "
+                           "(default 256)")
+    mode.add_argument("--signature-bits", type=int, default=None,
+                      help="lazypim: read/write signature width in bits, "
+                           "a power of two (default 256)")
 
-    tables_parser = commands.add_parser("tables", help="regenerate Tables 1-5")
-    tables_parser.add_argument("--scale", default="small",
-                               choices=["tiny", "small", "medium", "paper"])
-    tables_parser.add_argument("--which", help="comma-separated subset, e.g. 2,4")
-    tables_parser.set_defaults(handler=cmd_tables)
+    run = _group()
+    run.add_argument("program",
+                     help="benchmark name (tri/semi/puzzle/pascal) or .fghc path")
+    run.add_argument("--query", help="query goal for source files")
+    run = _group(run, machine)
+    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--gc", type=int, default=None,
+                     help="per-PE heap words triggering stop-and-copy GC")
+    run.add_argument("--output", "-o",
+                     help="write the trace to a file (with --gc it carries "
+                          "no collection points: replaying it alone never "
+                          "flushes the caches)")
+    _command(commands, "run", cmd_run, run, cache, clusters, mode,
+             help="run a benchmark or an FGHC source file")
 
-    figures_parser = commands.add_parser("figures",
-                                         help="regenerate Figures 1-3 and sweeps")
-    figures_parser.add_argument("--scale", default="small",
-                                choices=["tiny", "small", "medium", "paper"])
-    figures_parser.add_argument("--which",
-                                help="comma-separated subset of "
-                                     "1,2,3,assoc,width,details")
-    figures_parser.set_defaults(handler=cmd_figures)
+    _command(commands, "tables", cmd_artifacts, scale,
+             help="regenerate Tables 1-5",
+             ).add_argument("--which", help="comma-separated subset, e.g. 2,4")
+    _command(commands, "figures", cmd_artifacts, scale,
+             help="regenerate Figures 1-3 and sweeps",
+             ).add_argument("--which", help="comma-separated subset of "
+                                            + ",".join(FIGURES))
 
     trace_parser = commands.add_parser("trace", help="record or replay traces")
     trace_commands = trace_parser.add_subparsers(dest="trace_command",
                                                  required=True)
-    record = trace_commands.add_parser("record")
+    record = _command(trace_commands, "record", cmd_trace, machine)
     record.add_argument("benchmark", choices=list(benchmark_names()))
-    record.add_argument("--scale", default="small",
-                        choices=["tiny", "small", "medium", "paper"])
-    record.add_argument("--pes", type=int, default=8)
     record.add_argument("--output", "-o", required=True)
-    record.set_defaults(handler=cmd_trace)
-    replay_parser = trace_commands.add_parser("replay")
-    replay_parser.add_argument("file")
-    _add_cache_options(replay_parser)
-    _add_mode_options(replay_parser)
-    replay_parser.set_defaults(handler=cmd_trace)
+    _command(trace_commands, "replay", cmd_trace, cache, mode).add_argument(
+        "file"
+    )
 
     serve_parser = commands.add_parser(
         "serve",
@@ -1038,21 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="job-store directory (default ./serve)")
     serve_commands = serve_parser.add_subparsers(dest="serve_command",
                                                  required=True)
-    submit = serve_commands.add_parser(
-        "submit", help="enqueue one simulation (config + trace)"
-    )
-    submit_source = submit.add_mutually_exclusive_group(required=True)
-    submit_source.add_argument("--benchmark",
-                               choices=list(benchmark_names()),
-                               help="simulate a paper benchmark's trace "
-                                    "(via the trace cache)")
-    submit_source.add_argument("--trace",
-                               help="simulate a recorded trace file")
-    submit.add_argument("--scale", default="small",
-                        choices=["tiny", "small", "medium", "paper"])
-    submit.add_argument("--pes", type=int, default=8,
-                        help="PE count (with --trace, 0 means the "
-                             "trace's own)")
+    submit = _group(source)
     submit.add_argument("--chunk", type=int, default=8192,
                         help="references per replay chunk — the "
                              "heartbeat cadence (default 8192)")
@@ -1063,30 +994,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "fails (default 2)")
     submit.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the provenance manifest")
-    _add_cache_options(submit)
-    _add_cluster_options(submit)
-    _add_mode_options(submit)
-    submit.set_defaults(handler=cmd_serve)
-    serve_run = serve_commands.add_parser(
-        "run", help="run queued/checkpointed jobs under the supervisor"
-    )
-    serve_run.add_argument("job", nargs="?",
-                           help="one job id (default: all pending)")
-    serve_run.set_defaults(handler=cmd_serve)
-    serve_status = serve_commands.add_parser(
-        "status", help="show the ledger (or one job's progress)"
-    )
-    serve_status.add_argument("job", nargs="?",
-                              help="one job id (default: all jobs)")
-    serve_status.set_defaults(handler=cmd_serve)
-    serve_result = serve_commands.add_parser(
-        "result", help="print a finished job's result record"
-    )
-    serve_result.add_argument("job")
-    serve_result.set_defaults(handler=cmd_serve)
+    _command(serve_commands, "submit", cmd_serve, submit, cache, clusters,
+             mode, help="enqueue one simulation (config + trace)")
+    _command(serve_commands, "run", cmd_serve,
+             help="run queued/checkpointed jobs under the supervisor",
+             ).add_argument("job", nargs="?",
+                            help="one job id (default: all pending)")
+    _command(serve_commands, "status", cmd_serve,
+             help="show the ledger (or one job's progress)",
+             ).add_argument("job", nargs="?",
+                            help="one job id (default: all jobs)")
+    _command(serve_commands, "result", cmd_serve,
+             help="print a finished job's result record",
+             ).add_argument("job")
 
-    cache_parser = commands.add_parser(
-        "cache",
+    cache_parser = _command(
+        commands, "cache", cmd_cache,
         help="inspect or prune the Workloads disk trace cache",
     )
     cache_parser.add_argument("--stats", action="store_true",
@@ -1098,188 +1021,125 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("--max-bytes", type=int, default=None,
                               help="with --prune, override the limit "
                                    "(default REPRO_TRACE_CACHE_BYTES)")
-    cache_parser.set_defaults(handler=cmd_cache)
 
-    listing_parser = commands.add_parser(
-        "listing", help="show a program's compiled abstract-machine code"
-    )
-    listing_parser.add_argument("program")
-    listing_parser.set_defaults(handler=cmd_listing)
+    _command(commands, "listing", cmd_listing,
+             help="show a program's compiled abstract-machine code",
+             ).add_argument("program")
 
-    report_parser = commands.add_parser(
-        "report", help="regenerate the full experiment report"
-    )
-    report_parser.add_argument("--scale", default="small",
-                               choices=["tiny", "small", "medium", "paper"])
-    report_parser.add_argument("--output", "-o",
-                               help="write to a file instead of stdout")
-    report_parser.set_defaults(handler=cmd_report)
+    _command(commands, "report", cmd_report, scale,
+             help="regenerate the full experiment report",
+             ).add_argument("--output", "-o",
+                            help="write to a file instead of stdout")
 
-    bench_parser = commands.add_parser(
-        "bench", help="measure replay throughput and sweep wall time"
-    )
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="smaller workloads, no emulated trace "
-                                   "(CI smoke mode)")
-    bench_parser.add_argument("--jobs", type=int, default=None,
-                              help="worker count for the parallel sweep "
-                                   "(default: min(4, cpus), at least 2)")
-    bench_parser.add_argument("--repeats", type=int, default=None,
-                              help="repeats per measurement "
-                                   "(default: 5, or 3 with --quick)")
-    bench_parser.add_argument("--output", "-o", default="BENCH_replay.json",
-                              help="report path (default BENCH_replay.json)")
-    bench_parser.add_argument("--assert-overhead", type=float, nargs="?",
-                              const=0.95, default=None, metavar="RATIO",
-                              help="fail (exit 1) if any workload's refs/sec "
-                                   "drops below RATIO (default 0.95) of the "
-                                   "recorded report at --output")
-    bench_parser.add_argument("--assert-sweep", action="store_true",
-                              help="fail (exit 1) if the persistent-pool "
-                                   "sweep is slower than serial "
-                                   "(parallel_speedup < 1.0) on a "
-                                   "multi-CPU host")
-    bench_parser.add_argument("--clusters", type=int, default=2,
-                              help="cluster count for the clustered-replay "
-                                   "section (default 2)")
-    bench_parser.add_argument("--interconnect", default="bus",
-                              help="interconnect backend the replay "
-                                   "measurements run under (default bus)")
-    bench_parser.add_argument("--compare", action="store_true",
-                              help="diff this run against the same-host "
-                                   "bench history (noise-aware threshold) "
-                                   "before appending it; exit 1 on "
-                                   "regression")
-    bench_parser.add_argument("--history", metavar="PATH", default=None,
-                              help="history JSONL path (default "
-                                   "BENCH_history.jsonl; appended whenever "
-                                   "given or --compare is set)")
-    _add_mode_options(bench_parser)
-    bench_parser.set_defaults(handler=cmd_bench)
+    bench = _group()
+    bench.add_argument("--quick", action="store_true",
+                       help="smaller workloads, no emulated trace "
+                            "(CI smoke mode)")
+    bench.add_argument("--jobs", type=int, default=None,
+                       help="worker count for the parallel sweep "
+                            "(default: min(4, cpus), at least 2)")
+    bench.add_argument("--repeats", type=int, default=None,
+                       help="repeats per measurement "
+                            "(default: 5, or 3 with --quick)")
+    bench.add_argument("--output", "-o", default="BENCH_replay.json",
+                       help="report path (default BENCH_replay.json)")
+    bench.add_argument("--assert-overhead", type=float, nargs="?",
+                       const=0.95, default=None, metavar="RATIO",
+                       help="fail (exit 1) if any workload's refs/sec "
+                            "drops below RATIO (default 0.95) of the "
+                            "recorded report at --output")
+    bench.add_argument("--assert-sweep", action="store_true",
+                       help="fail (exit 1) if the persistent-pool "
+                            "sweep is slower than serial "
+                            "(parallel_speedup < 1.0) on a "
+                            "multi-CPU host")
+    bench.add_argument("--clusters", type=int, default=2,
+                       help="cluster count for the clustered-replay "
+                            "section (default 2)")
+    bench.add_argument("--interconnect", default="bus",
+                       help="interconnect backend the replay "
+                            "measurements run under (default bus)")
+    bench.add_argument("--compare", action="store_true",
+                       help="diff this run against the same-host "
+                            "bench history (noise-aware threshold) "
+                            "before appending it; exit 1 on "
+                            "regression")
+    bench.add_argument("--history", metavar="PATH", default=None,
+                       help="history JSONL path (default "
+                            "BENCH_history.jsonl; appended whenever "
+                            "given or --compare is set)")
+    _command(commands, "bench", cmd_bench, bench, mode,
+             help="measure replay throughput and sweep wall time")
 
-    profile_parser = commands.add_parser(
-        "profile",
-        help="replay with the protocol probe attached and write the "
-             "observability bundle",
-    )
-    profile_source = profile_parser.add_mutually_exclusive_group(required=True)
-    profile_source.add_argument("--benchmark",
-                                choices=list(benchmark_names()),
-                                help="profile a paper benchmark's trace "
-                                     "(via the trace cache)")
-    profile_source.add_argument("--trace", help="profile a recorded trace file")
-    profile_parser.add_argument("--scale", default="small",
-                                choices=["tiny", "small", "medium", "paper"])
-    profile_parser.add_argument("--pes", type=int, default=8,
-                                help="PE count (with --trace, 0 means "
-                                     "the trace's own)")
-    profile_parser.add_argument("--window", type=int, default=4096,
-                                help="references per metrics window "
-                                     "(default 4096)")
-    profile_parser.add_argument("--events", type=int, default=65536,
-                                help="event ring capacity; oldest events "
-                                     "drop past this (default 65536)")
-    profile_parser.add_argument("--top", type=int, default=20,
-                                help="blocks kept in the hotness report "
-                                     "(default 20)")
-    profile_parser.add_argument("--out-dir", default="profile",
-                                help="artifact directory (default ./profile)")
-    _add_cache_options(profile_parser)
-    profile_parser.set_defaults(handler=cmd_profile)
+    profile = _group(source)
+    profile.add_argument("--window", type=int, default=4096,
+                         help="references per metrics window "
+                              "(default 4096)")
+    profile.add_argument("--events", type=int, default=65536,
+                         help="event ring capacity; oldest events "
+                              "drop past this (default 65536)")
+    profile.add_argument("--top", type=int, default=20,
+                         help="blocks kept in the hotness report "
+                              "(default 20)")
+    profile.add_argument("--out-dir", default="profile",
+                         help="artifact directory (default ./profile)")
+    _command(commands, "profile", cmd_profile, profile, cache,
+             help="replay with the protocol probe attached and write the "
+                  "observability bundle")
 
-    metrics_parser = commands.add_parser(
-        "metrics",
-        help="replay and print the cycle ledger (every PE cycle "
-             "attributed, sums checked against the PE clocks)",
-    )
-    metrics_source = metrics_parser.add_mutually_exclusive_group(required=True)
-    metrics_source.add_argument("--benchmark",
-                                choices=list(benchmark_names()),
-                                help="meter a paper benchmark's trace "
-                                     "(via the trace cache)")
-    metrics_source.add_argument("--trace",
-                                help="meter a recorded trace file")
-    metrics_parser.add_argument("--scale", default="small",
-                                choices=["tiny", "small", "medium", "paper"])
-    metrics_parser.add_argument("--pes", type=int, default=8,
-                                help="PE count (with --trace, 0 means "
-                                     "the trace's own)")
-    metrics_parser.add_argument("--json", action="store_true",
-                                help="emit the schema-validated "
-                                     "repro.obs/metrics/v1 JSON instead of "
-                                     "the table")
-    metrics_parser.add_argument("--output", "-o",
-                                help="write the JSON record to a file "
-                                     "(implies --json)")
-    metrics_parser.add_argument("--openmetrics", metavar="PATH",
-                                help="also write an OpenMetrics text "
-                                     "exposition of the ledger")
-    _add_cache_options(metrics_parser)
-    _add_cluster_options(metrics_parser)
-    metrics_parser.set_defaults(handler=cmd_metrics)
+    metrics = _group(source)
+    metrics.add_argument("--json", action="store_true",
+                         help="emit the schema-validated "
+                              "repro.obs/metrics/v1 JSON instead of "
+                              "the table")
+    metrics.add_argument("--output", "-o",
+                         help="write the JSON record to a file "
+                              "(implies --json)")
+    metrics.add_argument("--openmetrics", metavar="PATH",
+                         help="also write an OpenMetrics text "
+                              "exposition of the ledger")
+    _command(commands, "metrics", cmd_metrics, metrics, cache, clusters,
+             help="replay and print the cycle ledger (every PE cycle "
+                  "attributed, sums checked against the PE clocks)")
 
-    sweep_parser = commands.add_parser(
-        "sweep",
-        help="run a capacity sweep over worker processes with live "
-             "fleet telemetry",
-    )
-    sweep_source = sweep_parser.add_mutually_exclusive_group(required=True)
-    sweep_source.add_argument("--benchmark",
-                              choices=list(benchmark_names()),
-                              help="sweep a paper benchmark's trace "
-                                   "(via the trace cache)")
-    sweep_source.add_argument("--trace", help="sweep a recorded trace file")
-    sweep_parser.add_argument("--scale", default="small",
-                              choices=["tiny", "small", "medium", "paper"])
-    sweep_parser.add_argument("--pes", type=int, default=8,
-                              help="PE count (with --trace, 0 means "
-                                   "the trace's own)")
-    sweep_parser.add_argument("--points", type=int, default=4,
-                              help="capacity points, doubling set counts "
-                                   "from 64 (default 4)")
-    sweep_parser.add_argument("--protocol", default="pim",
-                              choices=list(protocol_names()),
-                              help="coherence protocol for every point")
-    sweep_parser.add_argument("--jobs", type=int, default=None,
-                              help="worker processes (default: one per "
-                                   "usable CPU; 1 = in-process)")
-    sweep_parser.add_argument("--progress", action="store_true",
-                              help="print a line per worker heartbeat")
-    sweep_parser.add_argument("--interval", type=float, default=0.5,
-                              help="seconds between worker heartbeats "
-                                   "(default 0.5)")
-    sweep_parser.add_argument("--chunk", type=int, default=32768,
-                              help="references per worker replay chunk — "
-                                   "the heartbeat check cadence "
-                                   "(default 32768)")
-    sweep_parser.add_argument("--output", "-o",
-                              help="write the JSON sweep report "
-                                   "(points + telemetry manifest)")
-    sweep_parser.set_defaults(handler=cmd_sweep)
+    sweep = _group(source)
+    sweep.add_argument("--points", type=int, default=4,
+                       help="capacity points, doubling set counts "
+                            "from 64 (default 4)")
+    sweep = _group(sweep, protocol)
+    sweep.add_argument("--jobs", type=int, default=None,
+                       help="worker processes (default: one per "
+                            "usable CPU; 1 = in-process)")
+    sweep.add_argument("--progress", action="store_true",
+                       help="print a line per worker heartbeat")
+    sweep.add_argument("--interval", type=float, default=0.5,
+                       help="seconds between worker heartbeats "
+                            "(default 0.5)")
+    sweep.add_argument("--chunk", type=int, default=32768,
+                       help="references per worker replay chunk — "
+                            "the heartbeat check cadence "
+                            "(default 32768)")
+    sweep.add_argument("--output", "-o",
+                       help="write the JSON sweep report "
+                            "(points + telemetry manifest)")
+    _command(commands, "sweep", cmd_sweep, sweep,
+             help="run a capacity sweep over worker processes with live "
+                  "fleet telemetry")
 
-    events_parser = commands.add_parser(
-        "events", help="print or export a replay's protocol event stream"
-    )
-    events_source = events_parser.add_mutually_exclusive_group(required=True)
-    events_source.add_argument("--benchmark",
-                               choices=list(benchmark_names()),
-                               help="replay a paper benchmark's trace")
-    events_source.add_argument("--trace", help="replay a recorded trace file")
-    events_parser.add_argument("--scale", default="small",
-                               choices=["tiny", "small", "medium", "paper"])
-    events_parser.add_argument("--pes", type=int, default=8)
-    events_parser.add_argument("--kind",
-                               help="comma-separated filter: transition, bus, "
-                                    "demotion, purge, lock")
-    events_parser.add_argument("--limit", type=int, default=50,
-                               help="events printed (0 = all; default 50)")
-    events_parser.add_argument("--output", "-o",
-                               help="write JSONL instead of printing")
-    _add_cache_options(events_parser)
-    events_parser.set_defaults(handler=cmd_events)
+    events = _group(source)
+    events.add_argument("--kind",
+                        help="comma-separated filter: transition, bus, "
+                             "demotion, purge, lock")
+    events.add_argument("--limit", type=int, default=50,
+                        help="events printed (0 = all; default 50)")
+    events.add_argument("--output", "-o",
+                        help="write JSONL instead of printing")
+    _command(commands, "events", cmd_events, events, cache,
+             help="print or export a replay's protocol event stream")
 
-    protocols_parser = commands.add_parser(
-        "protocols", help="list the registered coherence protocols"
+    protocols_parser = _command(
+        commands, "protocols", cmd_protocols,
+        help="list the registered coherence protocols",
     )
     protocols_parser.add_argument("--spec", metavar="NAME",
                                   help="render one protocol's transition "
@@ -1288,104 +1148,86 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="with --spec, 'directory' also "
                                        "renders the derived home-node "
                                        "directory table (default bus)")
-    protocols_parser.set_defaults(handler=cmd_protocols)
 
-    compare_parser = commands.add_parser(
-        "compare",
-        help="replay one trace under several protocols and compare",
-    )
-    compare_source = compare_parser.add_mutually_exclusive_group(required=True)
-    compare_source.add_argument("--benchmark",
-                                choices=list(benchmark_names()),
-                                help="compare on a paper benchmark's trace "
-                                     "(via the trace cache)")
-    compare_source.add_argument("--trace",
-                                help="compare on a recorded trace file")
-    compare_parser.add_argument("--scale", default="small",
-                                choices=["tiny", "small", "medium", "paper"])
-    compare_parser.add_argument("--pes", type=int, default=8,
-                                help="PE count (with --trace, 0 means "
-                                     "the trace's own)")
-    compare_parser.add_argument("--protocol", metavar="A,B,...",
-                                help="comma-separated protocols to compare "
-                                     "(default: every registered protocol)")
-    compare_parser.add_argument("--json", action="store_true",
-                                help="emit the schema-validated "
-                                     "repro.obs/comparison/v1 JSON instead "
-                                     "of the table")
-    compare_parser.add_argument("--output", "-o",
-                                help="write the JSON comparison to a file "
-                                     "(implies --json)")
-    _add_cache_options(compare_parser, protocol=False)
-    _add_cluster_options(compare_parser)
-    _add_mode_options(compare_parser)
-    compare_parser.set_defaults(handler=cmd_compare)
+    compare = _group(source)
+    compare.add_argument("--protocol", dest="protocols", metavar="A,B,...",
+                         help="comma-separated protocols to compare "
+                              "(default: every registered protocol)")
+    compare.add_argument("--json", action="store_true",
+                         help="emit the schema-validated "
+                              "repro.obs/comparison/v1 JSON instead "
+                              "of the table")
+    compare.add_argument("--output", "-o",
+                         help="write the JSON comparison to a file "
+                              "(implies --json)")
+    _command(commands, "compare", cmd_compare, compare, geometry, transport,
+             clusters, mode,
+             help="replay one trace under several protocols and compare")
 
-    verify_parser = commands.add_parser(
-        "verify",
+    verify = _command(
+        commands, "verify", cmd_verify,
         help="model-check the protocol specs and differentially fuzz "
              "every replay path against a flat-memory oracle",
     )
-    verify_parser.add_argument("--all", action="store_true",
-                               help="model-check every registered protocol "
-                                    "(the default; spelled out for scripts)")
-    verify_parser.add_argument("--protocol", metavar="A,B,...",
-                               help="comma-separated protocols to verify "
-                                    "(default: every registered protocol)")
-    verify_parser.add_argument("--fuzz", action="store_true",
-                               help="also run the differential fuzzer "
-                                    "after model checking")
-    verify_parser.add_argument("--fuzz-only", action="store_true",
-                               help="skip model checking, only fuzz")
-    verify_parser.add_argument("--seed", type=int, default=0,
-                               help="fuzzer base seed (default 0)")
-    verify_parser.add_argument("--budget", type=int, default=10_000,
-                               help="fuzzer reference budget "
-                                    "(default 10000)")
-    verify_parser.add_argument("--pes", type=int, default=2,
-                               help="model-check PE count (default 2)")
-    verify_parser.add_argument("--blocks", type=int, default=1,
-                               help="model-check blocks per cache "
-                                    "(default 1)")
-    verify_parser.add_argument("--words", type=int, default=2,
-                               help="model-check words per block, a power "
-                                    "of two (default 2)")
-    verify_parser.add_argument("--max-states", type=int, default=200_000,
-                               help="abort the state enumeration past this "
-                                    "many states (default 200000)")
-    verify_parser.add_argument("--fuzz-pes", type=int, default=4,
-                               help="fuzzer PE count (default 4)")
-    verify_parser.add_argument("--refs-per-case", type=int, default=2_000,
-                               help="references per fuzz case "
-                                    "(default 2000)")
-    verify_parser.add_argument("--clusters", default="1,2",
-                               metavar="K,K,...",
-                               help="cluster counts the fuzzer cross-checks "
-                                    "(default 1,2)")
-    verify_parser.add_argument("--interconnect", default=None,
-                               help="force one interconnect backend in "
-                                    "both the model check and the fuzzer "
-                                    "(default: check the bus, rotate the "
-                                    "fuzz variants)")
-    verify_parser.add_argument("--mode", default="pessimistic",
-                               choices=[*MODES, "both"],
-                               help="execution mode(s) the fuzzer rotates "
-                                    "over — 'lazypim' adds the speculative "
-                                    "batch-coherence cases including a "
-                                    "forced-conflict rollback drill "
-                                    "(default pessimistic)")
-    verify_parser.add_argument("--demo-broken", action="store_true",
-                               help="model-check a deliberately broken pim "
-                                    "variant and print its counterexample "
-                                    "(exits 1)")
-    verify_parser.add_argument("--json", action="store_true",
-                               help="emit the schema-validated "
-                                    "repro.obs/verify/v1 JSON instead of "
-                                    "text")
-    verify_parser.add_argument("--output", "-o",
-                               help="write the JSON report to a file "
-                                    "(implies --json)")
-    verify_parser.set_defaults(handler=cmd_verify)
+    verify.add_argument("--all", action="store_true",
+                        help="model-check every registered protocol "
+                             "(the default; spelled out for scripts)")
+    verify.add_argument("--protocol", metavar="A,B,...",
+                        help="comma-separated protocols to verify "
+                             "(default: every registered protocol)")
+    verify.add_argument("--fuzz", action="store_true",
+                        help="also run the differential fuzzer "
+                             "after model checking")
+    verify.add_argument("--fuzz-only", action="store_true",
+                        help="skip model checking, only fuzz")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="fuzzer base seed (default 0)")
+    verify.add_argument("--budget", type=int, default=10_000,
+                        help="fuzzer reference budget "
+                             "(default 10000)")
+    verify.add_argument("--pes", type=int, default=2,
+                        help="model-check PE count (default 2)")
+    verify.add_argument("--blocks", type=int, default=1,
+                        help="model-check blocks per cache "
+                             "(default 1)")
+    verify.add_argument("--words", type=int, default=2,
+                        help="model-check words per block, a power "
+                             "of two (default 2)")
+    verify.add_argument("--max-states", type=int, default=200_000,
+                        help="abort the state enumeration past this "
+                             "many states (default 200000)")
+    verify.add_argument("--fuzz-pes", type=int, default=4,
+                        help="fuzzer PE count (default 4)")
+    verify.add_argument("--refs-per-case", type=int, default=2_000,
+                        help="references per fuzz case "
+                             "(default 2000)")
+    verify.add_argument("--clusters", default="1,2",
+                        metavar="K,K,...",
+                        help="cluster counts the fuzzer cross-checks "
+                             "(default 1,2)")
+    verify.add_argument("--interconnect", default=None,
+                        help="force one interconnect backend in "
+                             "both the model check and the fuzzer "
+                             "(default: check the bus, rotate the "
+                             "fuzz variants)")
+    verify.add_argument("--mode", default="pessimistic",
+                        choices=[*MODES, "both"],
+                        help="execution mode(s) the fuzzer rotates "
+                             "over — 'lazypim' adds the speculative "
+                             "batch-coherence cases including a "
+                             "forced-conflict rollback drill "
+                             "(default pessimistic)")
+    verify.add_argument("--demo-broken", action="store_true",
+                        help="model-check a deliberately broken pim "
+                             "variant and print its counterexample "
+                             "(exits 1)")
+    verify.add_argument("--json", action="store_true",
+                        help="emit the schema-validated "
+                             "repro.obs/verify/v1 JSON instead of "
+                             "text")
+    verify.add_argument("--output", "-o",
+                        help="write the JSON report to a file "
+                             "(implies --json)")
 
     return parser
 
@@ -1393,15 +1235,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose, args.quiet)
-    # Every subcommand that takes --interconnect shares one friendly
-    # unknown-name error (mirrors the unknown-protocol message).
-    backend = getattr(args, "interconnect", None)
-    if backend is not None and not is_interconnect_registered(backend):
-        print(f"error: unknown interconnect {backend!r} "
-              f"(choose from {', '.join(interconnect_names())})",
-              file=sys.stderr)
+    try:
+        # Every subcommand that takes --interconnect shares one friendly
+        # unknown-name error (mirrors the unknown-protocol message).
+        backend = getattr(args, "interconnect", None)
+        if backend is not None and not is_interconnect_registered(backend):
+            raise UsageError(f"unknown interconnect {backend!r} "
+                             f"(choose from {', '.join(interconnect_names())})")
+        return args.handler(args)
+    except UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,14 +45,6 @@ class TraceBuffer:
         """Record a :class:`MemRef`."""
         self.append(ref.pe, ref.op, ref.area, ref.address, ref.flags)
 
-    def set_flags(self, index: int, flags: int) -> None:
-        """Rewrite the flags of an already-recorded reference.
-
-        The emulator uses this to mark an ``LR`` as contended
-        retroactively, once the conflicting access actually arrives.
-        """
-        self._flags[index] = flags
-
     def __len__(self) -> int:
         return len(self._op)
 

@@ -610,3 +610,68 @@ def test_bench_compare_flags_injected_regression(tmp_path, capsys, monkeypatch):
     assert "regression" in captured.err
     # Every run appended its record, regressed or not.
     assert len(history.load_history(history_path)) == 3
+
+
+# ---------------------------------------------------------------------------
+# The trace source: with --trace, --pes follows the trace.
+
+
+@pytest.fixture(scope="module")
+def pe_traces(tmp_path_factory):
+    """Tiny tri traces recorded on 16 and on 4 PEs."""
+    from repro.analysis.runner import run_benchmark
+    from repro.trace.io import write_trace
+
+    root = tmp_path_factory.mktemp("pe-traces")
+    paths = {}
+    for pes in (16, 4):
+        paths[pes] = root / f"t{pes}.trace"
+        write_trace(run_benchmark("tri", scale="tiny", n_pes=pes).trace,
+                    paths[pes])
+    return paths
+
+
+@pytest.mark.parametrize("pes", [16, 4])
+def test_metrics_trace_replays_on_the_traces_own_pes(pe_traces, pes, capsys):
+    assert main(["metrics", "--trace", str(pe_traces[pes])]) == 0
+    assert f" refs, {pes} PEs, pim)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pes", [16, 4])
+def test_compare_trace_replays_on_the_traces_own_pes(pe_traces, pes, capsys):
+    assert main([
+        "compare", "--trace", str(pe_traces[pes]), "--protocol", "pim,illinois",
+    ]) == 0
+    assert f" refs, {pes} PEs)" in capsys.readouterr().out
+
+
+def test_serve_submit_trace_takes_the_traces_own_pes(pe_traces, tmp_path, capsys):
+    assert main(["serve", "--store", str(tmp_path / "store"), "submit",
+                 "--trace", str(pe_traces[4])]) == 0
+    assert "(4 PEs)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["metrics"], ["compare"], ["events"], ["profile"], ["sweep"],
+     ["serve", "--store", "unused", "submit"]],
+    ids=lambda command: command[-1],
+)
+def test_pes_below_the_traces_own_is_a_one_line_error(pe_traces, command, capsys):
+    assert main([*command, "--trace", str(pe_traces[16]), "--pes", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "--pes 4" in err and "16 PEs" in err
+
+
+def test_pes_above_the_traces_own_is_honoured(pe_traces, capsys):
+    assert main(["metrics", "--trace", str(pe_traces[4]), "--pes", "8"]) == 0
+    assert " refs, 8 PEs, pim)" in capsys.readouterr().out
+
+
+def test_pes_zero_means_the_default_of_either_source(pe_traces, capsys):
+    assert main(["metrics", "--trace", str(pe_traces[4]), "--pes", "0"]) == 0
+    assert " refs, 4 PEs, pim)" in capsys.readouterr().out
+    assert main(["metrics", "--benchmark", "pascal", "--scale", "tiny",
+                 "--pes", "0"]) == 0
+    assert " refs, 8 PEs, pim)" in capsys.readouterr().out

@@ -35,13 +35,6 @@ def test_append_ref_and_refs_roundtrip():
     assert list(buffer.refs()) == [original]
 
 
-def test_set_flags_rewrites():
-    buffer = TraceBuffer()
-    buffer.append(0, Op.LR, Area.HEAP, 5)
-    buffer.set_flags(0, 1)
-    assert buffer[0][4] == 1
-
-
 def test_extend_preserves_order_and_pes():
     a = TraceBuffer(n_pes=2)
     a.append(0, Op.R, Area.HEAP, 1)

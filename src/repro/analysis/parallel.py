@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro.cluster.replay import (
+    default_jobs,
     replay_clustered,
     replay_shard,
     split_trace,
@@ -179,20 +180,6 @@ def _warm_task(_index: int) -> int:
     """No-op pool task: proves a worker is up with its trace loaded."""
     assert _worker_trace is not None, "worker initializer did not run"
     return len(_worker_trace)
-
-
-def default_jobs() -> int:
-    """Worker count used when ``jobs`` is not given: one per *usable* CPU.
-
-    ``os.sched_getaffinity`` sees cgroup/taskset restrictions, so a
-    container pinned to one core gets 1 here even when the host machine
-    has more — ``os.cpu_count`` reports the host and oversubscribes.
-    Platforms without affinity support fall back to ``os.cpu_count``.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 class SweepWorkerError(RuntimeError):

@@ -178,8 +178,13 @@ def _trace_source(args, load: bool = True):
             pes,
             workloads.cache_key(args.benchmark, pes),
         )
-    trace = read_trace(args.trace) if load else args.trace
-    own = trace.n_pes if load else trace_header(args.trace).n_pes
+    try:
+        trace = read_trace(args.trace) if load else args.trace
+        own = trace.n_pes if load else trace_header(args.trace).n_pes
+    except OSError as error:
+        raise UsageError(
+            f"cannot read trace {args.trace}: {error.strerror or error}"
+        ) from None
     pes = args.pes or own
     if pes < own:
         raise UsageError(
@@ -854,6 +859,20 @@ def cmd_verify(args) -> int:
     return 0 if clean else 1
 
 
+def _pe_count(minimum: int):
+    """An argparse type: a PE count of at least *minimum*."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"a PE count must be at least {minimum}, not {value}"
+            )
+        return value
+
+    parse.__name__ = "PE count"  # argparse names the type in errors
+    return parse
+
+
 def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """An option group: a help-less parser that subcommands inherit
     through ``parents=``.  Options show in the order they were added,
@@ -885,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = _group()
     scale.add_argument("--scale", default="small", choices=SCALES)
     machine = _group(scale)
-    machine.add_argument("--pes", type=int, default=DEFAULT_PES)
+    machine.add_argument("--pes", type=_pe_count(1), default=DEFAULT_PES)
     # The trace source, resolved by _trace_source.
     source = _group()
     one_source = source.add_mutually_exclusive_group(required=True)
@@ -894,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(via the trace cache)")
     one_source.add_argument("--trace", help="replay a recorded trace file")
     source = _group(source, scale)
-    source.add_argument("--pes", type=int, default=None,
+    source.add_argument("--pes", type=_pe_count(0), default=None,
                         help="PE count (default 8 with --benchmark, the "
                              "trace's own with --trace; 0 means the default)")
     geometry = _group()

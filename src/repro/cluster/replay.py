@@ -24,10 +24,20 @@ argument makes the shard results independent of worker scheduling, so
 the process pool (:func:`replay_shard`) and merge deterministically
 (shards are merged in cluster-index order regardless of completion
 order).
+
+:class:`MachineReplay` is the replay of an execution-driven run: one
+live system fed the trace in ranges, flushed at the run's garbage
+collections.  :func:`replay_machine` feeds it the whole trace after
+the run; a :class:`ReplayWorker` runs it in a forked process fed each
+chunk as the machine records it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
@@ -257,6 +267,46 @@ def system_result(system):
     return system.stats
 
 
+class MachineReplay:
+    """The replay of an execution-driven run, fed its trace in ranges.
+
+    One live system for *config* takes references ``[done, stop)`` at
+    each :meth:`feed`, invalidated without charge at every garbage
+    collection mark it passes, as the collector relocates the heap
+    under the caches.  Replaying ``[0, b)`` then ``[b, n)`` into one
+    system equals replaying ``[0, n)``, so any split of the trace gives
+    the same :meth:`result`: :func:`replay_machine` feeds the whole
+    trace at once, a :class:`ReplayWorker` feeds it as it is recorded.
+    """
+
+    def __init__(self, config: SimulationConfig, n_pes: int):
+        self.system = new_system(config, n_pes)
+        #: References replayed so far.
+        self.done = 0
+        self._flushed = 0
+
+    def feed(self, trace: TraceBuffer, gc_marks: Sequence[int], stop: int) -> None:
+        """Replay references ``[done, stop)`` of *trace*, flushing the
+        caches at each of *gc_marks* (the run's, in order) up to *stop*."""
+        system = self.system
+        while self._flushed < len(gc_marks) and gc_marks[self._flushed] <= stop:
+            mark = gc_marks[self._flushed]
+            replay(trace, system=system, start=self.done, stop=mark)
+            system.flush_all(silent=True)
+            self.done = mark
+            self._flushed += 1
+        replay(trace, system=system, start=self.done, stop=stop)
+        self.done = stop
+
+    def result(self) -> Tuple[SystemStats, Optional[NetworkStats]]:
+        """``(stats, None)`` on one bus, ``(merged stats, merged network
+        counters)`` on a clustered machine."""
+        system = self.system
+        if isinstance(system, ClusteredSystem):
+            return system.stats, system.cluster_stats().network
+        return system.stats, None
+
+
 def replay_machine(
     trace: TraceBuffer,
     config: SimulationConfig,
@@ -269,17 +319,168 @@ def replay_machine(
     cache live would have counted: ``(stats, None)`` on one bus,
     ``(merged stats, merged network counters)`` when
     ``config.cluster.n_clusters > 1``.  *gc_marks* are the trace
-    positions of the run's garbage collections; at each one every
-    cache is invalidated without charge, as the collector relocates the
-    heap under them.
+    positions of the run's garbage collections (see
+    :class:`MachineReplay`).
     """
-    system = new_system(config, trace.n_pes)
-    start = 0
-    for mark in gc_marks:
-        replay(trace, system=system, start=start, stop=mark)
-        system.flush_all(silent=True)
-        start = mark
-    replay(trace, system=system, start=start)
-    if isinstance(system, ClusteredSystem):
-        return system.stats, system.cluster_stats().network
-    return system.stats, None
+    consumer = MachineReplay(config, trace.n_pes)
+    consumer.feed(trace, gc_marks, len(trace))
+    return consumer.result()
+
+
+def default_jobs() -> int:
+    """Worker count used when ``jobs`` is not given: one per *usable* CPU.
+
+    ``os.sched_getaffinity`` sees cgroup/taskset restrictions, so a
+    container pinned to one core gets 1 here even when the host machine
+    has more — ``os.cpu_count`` reports the host and oversubscribes.
+    Platforms without affinity support fall back to ``os.cpu_count``.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def replay_worker_available() -> bool:
+    """Whether a run may fork a :class:`ReplayWorker`: the fork start
+    method exists, at least two CPUs are usable, this process is not
+    daemonic (those may not have children) and no other Python thread
+    is alive (forking one is unsafe)."""
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and default_jobs() >= 2
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+    )
+
+
+class ReplayWorkerError(RuntimeError):
+    """The replay worker of a run died without sending its result
+    (SIGKILL, OOM-kill, ``os._exit``); :attr:`exitcode` says how."""
+
+    def __init__(self, exitcode: Optional[int]):
+        super().__init__(
+            f"the replay worker exited with code {exitcode} before "
+            "returning the run's statistics"
+        )
+        self.exitcode = exitcode
+
+
+class ReplayWorker:
+    """A forked process that replays a run's trace while it is recorded.
+
+    The child inherits the references and GC marks recorded so far and
+    replays them into a :class:`MachineReplay` at once.  Each
+    :meth:`feed` sends it, over a pipe, the references and marks
+    recorded since the last one, which it replays while the machine
+    goes on emulating; :meth:`result` sends the end and returns the
+    child's ``(stats, network)`` — the same as :func:`replay_machine`
+    of the whole trace, since only the split differs.
+
+    A replay error in the child is re-raised by :meth:`result` as it
+    was raised.  A child that dies without a result raises
+    :class:`ReplayWorkerError`: the parent holds no copy of the child's
+    pipe ends, so a send sees a broken pipe and a receive sees EOF,
+    never a hang.  :meth:`result` and :meth:`close` each leave no
+    process behind.
+    """
+
+    def __init__(
+        self, trace: TraceBuffer, config: SimulationConfig, gc_marks: List[int]
+    ):
+        context = multiprocessing.get_context("fork")
+        chunks_in, self._chunks = context.Pipe(duplex=False)
+        self._results, results_out = context.Pipe(duplex=False)
+        self._trace = trace
+        self._marks = gc_marks
+        self._sent = len(trace)
+        self._sent_marks = len(gc_marks)
+        self._broken = False
+        self._process = context.Process(
+            target=_serve_replay,
+            args=(chunks_in, self._chunks, results_out, trace, config,
+                  list(gc_marks)),
+            name="replay-worker",
+            daemon=True,
+        )
+        try:
+            self._process.start()
+        finally:
+            chunks_in.close()
+            results_out.close()
+
+    def feed(self) -> None:
+        """Send the references and GC marks recorded since the last
+        feed.  Blocks while the child is still replaying earlier ones
+        and the pipe is full; after the child died it sends nothing."""
+        stop = len(self._trace)
+        if not self._broken:
+            try:
+                self._chunks.send(self._marks[self._sent_marks:])
+                for column in self._trace.columns():
+                    size = column.itemsize
+                    self._chunks.send_bytes(
+                        column, self._sent * size, (stop - self._sent) * size
+                    )
+            except OSError:  # the child is gone: result() says why
+                self._broken = True
+        self._sent = stop
+        self._sent_marks = len(self._marks)
+
+    def result(self) -> Tuple[SystemStats, Optional[NetworkStats]]:
+        """Send the rest of the trace and return the replay's result."""
+        try:
+            self.feed()
+            if not self._broken:
+                try:
+                    self._chunks.send(None)
+                except OSError:
+                    pass
+            try:
+                status, payload = self._results.recv()
+            except EOFError:
+                self._process.join()
+                raise ReplayWorkerError(self._process.exitcode) from None
+            self._process.join()
+        finally:
+            self.close()
+        if status == "error":
+            raise payload
+        return payload
+
+    def close(self) -> None:
+        """Stop the child if it still runs and release the pipes."""
+        if self._process.is_alive():
+            self._process.terminate()
+        self._process.join()
+        self._chunks.close()
+        self._results.close()
+
+
+def _serve_replay(chunks, chunks_writer, results, trace, config, gc_marks):
+    """The body of a :class:`ReplayWorker`'s child process."""
+    # Ctrl-C reaches the whole process group; the parent decides.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Without this copy of the writer, a parent that dies leaves the
+    # child's receive waiting forever instead of seeing EOF.
+    chunks_writer.close()
+    try:
+        consumer = MachineReplay(config, trace.n_pes)
+        consumer.feed(trace, gc_marks, len(trace))
+        columns = trace.columns()
+        while True:
+            marks = chunks.recv()
+            if marks is None:
+                break
+            gc_marks.extend(marks)
+            for column in columns:
+                column.frombytes(chunks.recv_bytes())
+            consumer.feed(trace, gc_marks, len(trace))
+        outcome = ("ok", consumer.result())
+    except EOFError:  # the parent is gone
+        return
+    except Exception as error:
+        # A parent still sending now sees a broken pipe, not a full one.
+        chunks.close()
+        outcome = ("error", error)
+    results.send(outcome)

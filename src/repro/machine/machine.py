@@ -6,10 +6,15 @@ stores, the per-PE engines, the scheduler, and the
 trace.  :meth:`KL1Machine.run` executes a query to completion,
 interleaving the PEs one scheduler turn at a time (the paper's tools
 synchronize at each bus request; one reduction per turn is the
-emulation quantum here), then replays the trace through the cache
+emulation quantum here), and replays the trace through the cache
 system for the run's statistics — the interleaving never depends on
-what the cache answers, so emulating first and simulating after counts
-exactly what driving the cache live would.
+what the cache answers, so simulating apart from emulating counts
+exactly what driving the cache live would.  Once a run has recorded
+:data:`REPLAY_CHUNK_REFS` references, a forked
+:class:`~repro.cluster.replay.ReplayWorker` replays the trace on a
+second CPU while the run goes on, fed one chunk at a time; shorter
+runs, and hosts where :func:`~repro.cluster.replay.replay_worker_available`
+says no, replay after emulating.
 
 All the ``*_i`` methods are the *instrumented* accessors the engines
 use: they touch the backing store and record the architecturally
@@ -20,8 +25,9 @@ correct memory operation — ``DW`` for heap/goal-record creation,
 array, where ``CODE`` is a module constant per (operation, area) pair
 (``_R_HEAP``, ``_DW_GOAL``, ...): one call and one append per
 reference, no enum lookup.  When the run ends — normally or by an
-exception — :meth:`~repro.machine.port.MemoryPort.flush` splits the
-words into the trace's five columns with numpy.
+exception — and at each hand-off to a replay worker,
+:meth:`~repro.machine.port.MemoryPort.flush` splits the words into the
+trace's five columns with numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.cluster.network import NetworkStats
-from repro.cluster.replay import replay_machine
+from repro.cluster.replay import (
+    ReplayWorker,
+    replay_machine,
+    replay_worker_available,
+)
 from repro.core.config import MachineConfig, SimulationConfig
 from repro.core.stats import SystemStats
 from repro.machine import builtins as builtin_module
@@ -98,6 +108,10 @@ _LR_COMM = code(Op.LR, Area.COMMUNICATION)
 _UW_COMM = code(Op.UW, Area.COMMUNICATION)
 _U_COMM = code(Op.U, Area.COMMUNICATION)
 
+#: References recorded between hand-offs to a run's replay worker; a
+#: run shorter than one chunk replays after emulating instead.
+REPLAY_CHUNK_REFS = 1 << 16
+
 
 @dataclass
 class MachineResult:
@@ -111,7 +125,9 @@ class MachineResult:
     instructions: int
     #: Total memory references, instruction + data.
     memory_refs: int
-    #: Emulation wall time (recording the trace; the replay is excluded).
+    #: Emulation wall time: recording the trace.  The replay is excluded,
+    #: and so is the time spent starting and feeding a replay worker
+    #: (blocked on a lagging one included), which is subtracted.
     wall_seconds: float
     #: Heap words allocated across all PEs.
     heap_words: int
@@ -371,40 +387,66 @@ class KL1Machine:
         engines = self.engines
         n_pes = self.n_pes
         sweep = 0
+        # Past one chunk of references, a forked worker replays the
+        # trace while it is recorded, if the host allows one.
+        words = self.port.words
+        stream = self.sim_config is not None and replay_worker_available()
+        chunk = REPLAY_CHUNK_REFS
+        worker: Optional[ReplayWorker] = None
+        handoff = 0.0
         started = time.perf_counter()
         # The packed references become the trace's columns when the run
         # ends, also when it raises: a cut-off run keeps its prefix.
         try:
-            self.query_roots = {}
-            args = tuple(self.build_term(0, arg, self.query_roots) for arg in goal.args)
-            record = self.create_goal(0, functor_id, args)
-            engines[0].goal_list.append(record)
-            self.runnable += 1
-            while True:
-                if self.runnable == 0 and self.in_flight == 0:
-                    if self.floating == 0:
-                        break
-                    raise DeadlockError(
-                        f"{self.floating} goal(s) suspended forever; "
-                        "the program is waiting on variables nobody will bind"
-                    )
-                offset = sweep % n_pes
-                for position in range(n_pes):
-                    engines[(position + offset) % n_pes].step()
-                sweep += 1
-                if self.total_reductions > cap:
-                    raise LimitExceededError(
-                        f"exceeded {cap} reductions; raise max_reductions if intended"
-                    )
-                if gc_threshold is not None and any(
-                    self.heap.top(pe) > gc_threshold for pe in range(n_pes)
-                ):
-                    self.collect()
-        finally:
-            self.port.flush()
-        wall = time.perf_counter() - started
+            try:
+                self.query_roots = {}
+                args = tuple(
+                    self.build_term(0, arg, self.query_roots) for arg in goal.args
+                )
+                record = self.create_goal(0, functor_id, args)
+                engines[0].goal_list.append(record)
+                self.runnable += 1
+                while True:
+                    if self.runnable == 0 and self.in_flight == 0:
+                        if self.floating == 0:
+                            break
+                        raise DeadlockError(
+                            f"{self.floating} goal(s) suspended forever; "
+                            "the program is waiting on variables nobody will bind"
+                        )
+                    offset = sweep % n_pes
+                    for position in range(n_pes):
+                        engines[(position + offset) % n_pes].step()
+                    sweep += 1
+                    if self.total_reductions > cap:
+                        raise LimitExceededError(
+                            f"exceeded {cap} reductions; raise max_reductions if intended"
+                        )
+                    if gc_threshold is not None and any(
+                        self.heap.top(pe) > gc_threshold for pe in range(n_pes)
+                    ):
+                        self.collect()
+                    if stream and len(words) >= chunk:
+                        self.port.flush()
+                        handed = time.perf_counter()
+                        if worker is None:
+                            worker = ReplayWorker(
+                                self.trace, self.sim_config, self.gc_marks
+                            )
+                        else:
+                            worker.feed()
+                        handoff += time.perf_counter() - handed
+            finally:
+                self.port.flush()
+        except BaseException:
+            if worker is not None:
+                worker.close()
+            raise
+        wall = time.perf_counter() - started - handoff
         stats = network = None
-        if self.sim_config is not None:
+        if worker is not None:
+            stats, network = worker.result()
+        elif self.sim_config is not None:
             stats, network = replay_machine(
                 self.trace, self.sim_config, self.gc_marks
             )

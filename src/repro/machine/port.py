@@ -13,11 +13,15 @@ one Python call and one append; :meth:`MemoryPort.issue` packs the
 same word from its fields and checks them.  :meth:`MemoryPort.flush`
 splits the pending words into the five columns of a
 :class:`~repro.trace.buffer.TraceBuffer` in one numpy pass per column;
-``KL1Machine.run`` calls it when the run ends, also when it raises.
-The stream does not depend on the cache — PEs interleave at reduction
-granularity whatever the cache answers — so the machine only records
-it, and every cache statistic of a run comes from replaying the trace
-(:func:`repro.cluster.replay.replay_machine`).
+``KL1Machine.run`` calls it when the run ends, also when it raises,
+and, while a replay worker streams the run, each time a chunk of
+references is pending.  The stream does not depend on the cache — PEs
+interleave at reduction granularity whatever the cache answers — so
+the machine only records it, and every cache statistic of a run comes
+from replaying the trace: after the run
+(:func:`repro.cluster.replay.replay_machine`), or in a forked
+:class:`~repro.cluster.replay.ReplayWorker` that the machine hands
+each drained range to while it goes on emulating.
 
 Lock-conflict injection
 -----------------------

@@ -664,6 +664,45 @@ def test_pes_below_the_traces_own_is_a_one_line_error(pe_traces, command, capsys
     assert "--pes 4" in err and "16 PEs" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["metrics"], ["compare"], ["events"], ["profile"], ["sweep"],
+     ["serve", "--store", "unused", "submit"]],
+    ids=lambda command: command[-1],
+)
+def test_missing_trace_file_is_a_one_line_error(
+    tmp_path, monkeypatch, command, capsys
+):
+    monkeypatch.chdir(tmp_path)  # serve's store is made in the cwd
+    missing = tmp_path / "missing.trace"
+    assert main([*command, "--trace", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(missing) in err and "No such file" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["metrics", "--benchmark", "pascal"], ["run", "pascal"],
+     ["trace", "record", "pascal", "-o", "unused.trace"]],
+    ids=lambda command: command[0],
+)
+def test_negative_pes_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exit:
+        main([*command, "--scale", "tiny", "--pes", "-1"])
+    assert exit.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --pes: a PE count must be at least" in err
+    assert "-1" in err
+
+
+def test_run_on_zero_pes_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "pascal", "--scale", "tiny", "--pes", "0"])
+    assert exit.value.code == 2
+    assert "at least 1, not 0" in capsys.readouterr().err
+
+
 def test_pes_above_the_traces_own_is_honoured(pe_traces, capsys):
     assert main(["metrics", "--trace", str(pe_traces[4]), "--pes", "8"]) == 0
     assert " refs, 8 PEs, pim)" in capsys.readouterr().out

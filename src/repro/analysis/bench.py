@@ -23,9 +23,9 @@ Throughput is CPU time (``time.process_time``), best of N repeats, so
 numbers are comparable on shared machines; the sweep section times wall
 clock (``time.perf_counter``), because wall time is what
 :class:`~repro.analysis.parallel.SweepPool` parallelism improves.  The
-sweep timing holds a warm persistent pool per job count so pool
-startup and per-worker trace loads stay out of the measurement (they
-amortize across real sweep campaigns the same way), and records the
+sweep timing holds a warm persistent pool per job count so the fork
+stays out of the measurement (it amortizes across real sweep campaigns
+the same way), and records the
 *effective* job count and pool kind so numbers stay comparable across
 hosts.  On a host with a single usable CPU the serial/parallel
 comparison is meaningless and is recorded as the explicit marker
@@ -252,10 +252,10 @@ def bench_clustered(
     ClusteredSystem` one reference at a time in global trace order (the
     order the emulator issued them in); the parallel side shards the
     trace per cluster and runs each shard through the generated
-    kernel, fanned out to the process pool when the host has the CPUs
+    kernel, fanned out to forked workers when the host has the CPUs
     for it (``jobs=None`` uses one worker per CPU, capped at the
     cluster count — on a single-CPU host the shards run in-process,
-    which is the same fast path minus the pool hand-off).  Both sides
+    which is the same fast path minus the hand-off).  Both sides
     are timed wall-clock (parallelism is a wall-clock effect), with
     serial/parallel repeats interleaved so host drift cancels, and the
     merged counters are asserted identical before any rate is reported.

@@ -450,9 +450,9 @@ class Workloads:
 
     def trace_path(self, name: str, n_pes: int = 8) -> Optional[Path]:
         """Path of the cached trace file (materializing it if needed),
-        or None when the disk cache is disabled.  Lets
-        :func:`repro.analysis.parallel.run_sweep` ship the existing file
-        to workers instead of re-serializing the buffer."""
+        or None when the disk cache is disabled, for callers that take
+        a trace file (:func:`repro.analysis.parallel.run_sweep` reads
+        one once, in the parent)."""
         path = self._cache_path(name, n_pes)
         if path is None:
             return None

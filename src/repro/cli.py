@@ -130,23 +130,33 @@ class UsageError(Exception):
     ``error:`` line on stderr and exits 2."""
 
 
-def _sim_config(args) -> SimulationConfig:
-    """The machine the cache, protocol and cluster options describe.
+def _sim_config(args, n_pes: int) -> SimulationConfig:
+    """The machine the cache, protocol and cluster options describe, on
+    *n_pes* PEs; a value the config refuses is a :class:`UsageError`.
 
     ``compare`` takes a list of protocols instead of one; its base
     config keeps the default protocol.
     """
-    config = SimulationConfig(
-        cache=CacheConfig.from_capacity(
-            args.capacity, block_words=args.block_words, associativity=args.ways
-        ),
-        bus=BusConfig(width_words=args.bus_width),
-        opts=OptimizationConfig.none() if args.no_opt else OptimizationConfig.all(),
-        protocol=getattr(args, "protocol", "pim"),
-        interconnect=args.interconnect,
-    )
-    if getattr(args, "clusters", 1) > 1:
-        config = config.with_clusters(args.clusters, hop_cycles=args.hop_cycles)
+    clusters = getattr(args, "clusters", 1)
+    try:
+        config = SimulationConfig(
+            cache=CacheConfig.from_capacity(
+                args.capacity, block_words=args.block_words,
+                associativity=args.ways,
+            ),
+            bus=BusConfig(width_words=args.bus_width),
+            opts=OptimizationConfig.none() if args.no_opt else OptimizationConfig.all(),
+            protocol=getattr(args, "protocol", "pim"),
+            interconnect=args.interconnect,
+        )
+        if clusters != 1:
+            config = config.with_clusters(clusters, hop_cycles=args.hop_cycles)
+    except ValueError as error:
+        raise UsageError(str(error)) from None
+    if n_pes % clusters:
+        raise UsageError(
+            f"--clusters {clusters} does not divide the {n_pes} PEs evenly"
+        )
     return config
 
 
@@ -242,7 +252,7 @@ def cmd_run(args) -> int:
     machine_config = MachineConfig(
         n_pes=args.pes, seed=args.seed, gc_threshold_words=args.gc
     )
-    config = _sim_config(args)
+    config = _sim_config(args, args.pes)
     if args.program in benchmark_names():
         result = run_benchmark(
             args.program,
@@ -306,7 +316,7 @@ def cmd_trace(args) -> int:
               f"{len(result.trace):,} refs -> {args.output}")
         return 0
     buffer = read_trace(args.file)
-    stats = replay(buffer, _sim_config(args), **_mode_kwargs(args))
+    stats = replay(buffer, _sim_config(args, buffer.n_pes), **_mode_kwargs(args))
     print(f"replayed {stats.total_refs:,} refs from {args.file}")
     print(f"miss ratio:  {stats.miss_ratio:.4f}")
     print(f"bus cycles:  {stats.bus_cycles_total:,}")
@@ -362,7 +372,7 @@ def _serve(args, store) -> int:
         # A --trace file is submitted as its path: the store copies it.
         trace, _, pes, _ = _trace_source(args, load=False)
         job_id = store.submit(
-            _sim_config(args),
+            _sim_config(args, pes),
             trace,
             n_pes=pes,
             chunk_refs=args.chunk,
@@ -543,7 +553,7 @@ def cmd_profile(args) -> int:
     buffer, name, pes, cache_key = _trace_source(args)
     result = profile_trace(
         buffer,
-        config=_sim_config(args),
+        config=_sim_config(args, pes),
         n_pes=pes,
         window=args.window,
         event_capacity=args.events,
@@ -584,7 +594,7 @@ def cmd_metrics(args) -> int:
     from repro.obs.schema import validate_metrics
 
     buffer, name, pes, cache_key = _trace_source(args)
-    config = _sim_config(args)
+    config = _sim_config(args, pes)
     started = time.perf_counter()
     clustered = replay_clustered(buffer, config, n_pes=pes)
     wall = time.perf_counter() - started
@@ -639,19 +649,18 @@ def cmd_sweep(args) -> int:
     if args.progress:
         def on_heartbeat(record):
             print(format_heartbeat(record), flush=True)
-    with SweepTelemetry(
+    telemetry = SweepTelemetry(
         interval_seconds=args.interval,
         chunk_refs=args.chunk,
         on_heartbeat=on_heartbeat,
-        use_processes=jobs > 1,
-    ) as telemetry:
-        report = run_sweep_report(
-            buffer,
-            configs,
-            jobs=jobs,
-            trace_cache_key=cache_key,
-            telemetry=telemetry,
-        )
+    )
+    report = run_sweep_report(
+        buffer,
+        configs,
+        jobs=jobs,
+        trace_cache_key=cache_key,
+        telemetry=telemetry,
+    )
     summary = report["manifest"]["extra"]["telemetry"]
     print(f"sweep of {name}: {len(configs)} points x {len(buffer):,} refs "
           f"on {min(jobs, len(configs))} worker(s) "
@@ -680,7 +689,7 @@ def cmd_events(args) -> int:
     buffer, name, pes, _ = _trace_source(args)
     sink = CollectorSink()
     windowed_replay(
-        buffer, _sim_config(args), n_pes=pes, probe=ProtocolProbe(sink)
+        buffer, _sim_config(args, pes), n_pes=pes, probe=ProtocolProbe(sink)
     )
     events = sink.events
     if args.kind:
@@ -752,7 +761,7 @@ def cmd_compare(args) -> int:
 
     protocols = _protocol_list(args.protocols) if args.protocols else None
     buffer, name, pes, cache_key = _trace_source(args)
-    base = _sim_config(args)
+    base = _sim_config(args, pes)
     comparison = protocol_comparison(
         buffer, base, protocols, n_pes=pes, **_mode_kwargs(args)
     )

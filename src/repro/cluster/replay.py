@@ -21,19 +21,30 @@ state: a cluster's counters are a function of its own PEs' references
 *in their own relative order*, which sharding preserves.  That same
 argument makes the shard results independent of worker scheduling, so
 :func:`repro.analysis.parallel.run_clustered` can fan shards out over
-the process pool (:func:`replay_shard`) and merge deterministically
-(shards are merged in cluster-index order regardless of completion
-order).
+forked workers (:func:`cluster_shard`, :func:`replay_shard`) and merge
+deterministically (shards are merged in cluster-index order regardless
+of completion order).
 
 :class:`MachineReplay` is the replay of an execution-driven run: one
 live system fed the trace in ranges, flushed at the run's garbage
 collections.  :func:`replay_machine` feeds it the whole trace after
 the run; a :class:`ReplayWorker` runs it in a forked process fed each
 chunk as the machine records it.
+
+:class:`Worker` is the one way replay leaves the parent process: a
+child forked after the parent holds the trace, serving one pipe of
+requests and answering each with a result, a heartbeat record or the
+exception it raised.  The :class:`ReplayWorker` of a run, the workers
+of a :class:`~repro.analysis.parallel.SweepPool` and so the clustered
+fan-out are all :class:`Worker` processes: one fork, behind one gate
+(:func:`replay_worker_available`), with one death path, EOF or a
+broken pipe turned into a :class:`ReplayWorkerError` naming the exit
+code.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -60,11 +71,25 @@ def split_trace(
     stop: Optional[int] = None,
 ) -> List[TraceBuffer]:
     """Partition references ``[start, stop)`` of *buffer* (the whole
-    buffer by default) into per-cluster shards.
+    buffer by default) into per-cluster shards (see
+    :func:`cluster_shard`)."""
+    return [
+        cluster_shard(buffer, n_pes, n_clusters, cluster, start, stop)
+        for cluster in range(n_clusters)
+    ]
 
-    Each shard holds the references of one cluster's PEs, in their
-    original relative order, with PE indices renumbered to
-    cluster-local (``pe - cluster * pes_per_cluster``).
+
+def cluster_shard(
+    buffer: TraceBuffer,
+    n_pes: int,
+    n_clusters: int,
+    cluster: int,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> TraceBuffer:
+    """The references of *cluster*'s PEs among ``[start, stop)`` of
+    *buffer*, in their original relative order, with PE indices
+    renumbered to cluster-local (``pe - cluster * pes_per_cluster``).
 
     The split is on the parallel fast path (it runs once per clustered
     replay, over the full trace), so it avoids a per-reference Python
@@ -76,25 +101,23 @@ def split_trace(
             f"n_pes ({n_pes}) must divide evenly into {n_clusters} clusters"
         )
     pes_per_cluster = n_pes // n_clusters
-    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
+    lo = cluster * pes_per_cluster
     window = slice(start, stop)
+    pe_col, op_col, area_col, addr_col, flags_col = buffer.columns()
     pe = np.frombuffer(pe_col, dtype=np.int8)[window]
-    op = np.frombuffer(op_col, dtype=np.int8)[window]
-    area = np.frombuffer(area_col, dtype=np.int8)[window]
-    addr = np.frombuffer(addr_col, dtype=np.int64)[window]
-    flags = np.frombuffer(flags_col, dtype=np.int8)[window]
-    shards = []
-    for cluster in range(n_clusters):
-        lo = cluster * pes_per_cluster
-        mask = (pe >= lo) & (pe < lo + pes_per_cluster)
-        shard = TraceBuffer(pes_per_cluster)
-        shard._pe = array("b", (pe[mask] - lo).tobytes())
-        shard._op = array("b", op[mask].tobytes())
-        shard._area = array("b", area[mask].tobytes())
-        shard._addr = array("q", addr[mask].tobytes())
-        shard._flags = array("b", flags[mask].tobytes())
-        shards.append(shard)
-    return shards
+    mask = (pe >= lo) & (pe < lo + pes_per_cluster)
+
+    def pick(column: array) -> array:
+        view = np.frombuffer(column, dtype=column.typecode)[window]
+        return array(column.typecode, view[mask].tobytes())
+
+    shard = TraceBuffer(pes_per_cluster)
+    shard._pe = array("b", (pe[mask] - lo).tobytes())
+    shard._op = pick(op_col)
+    shard._area = pick(area_col)
+    shard._addr = pick(addr_col)
+    shard._flags = pick(flags_col)
+    return shard
 
 
 def unshard_error(
@@ -341,89 +364,163 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def replay_worker_available() -> bool:
-    """Whether a run may fork a :class:`ReplayWorker`: the fork start
-    method exists, at least two CPUs are usable, this process is not
-    daemonic (those may not have children) and no other Python thread
-    is alive (forking one is unsafe)."""
+def replay_worker_available(jobs: Optional[int] = None) -> bool:
+    """Whether *jobs* replay workers may be forked: the fork start
+    method exists, *jobs* (default :func:`default_jobs`) is at least
+    two, this process is not daemonic (those may not have children)
+    and no other Python thread is alive (forking one is unsafe).  Every
+    :class:`Worker` is forked only after this said yes."""
+    if jobs is None:
+        jobs = default_jobs()
     return (
         "fork" in multiprocessing.get_all_start_methods()
-        and default_jobs() >= 2
+        and jobs >= 2
         and not multiprocessing.current_process().daemon
         and threading.active_count() == 1
     )
 
 
 class ReplayWorkerError(RuntimeError):
-    """The replay worker of a run died without sending its result
-    (SIGKILL, OOM-kill, ``os._exit``); :attr:`exitcode` says how."""
+    """A replay worker died without answering (SIGKILL, OOM-kill,
+    ``os._exit``); :attr:`exitcode` says how."""
 
-    def __init__(self, exitcode: Optional[int]):
+    def __init__(self, exitcode: Optional[int], message: Optional[str] = None):
         super().__init__(
-            f"the replay worker exited with code {exitcode} before "
-            "returning the run's statistics"
+            message
+            or f"a replay worker exited with code {exitcode} before answering"
         )
         self.exitcode = exitcode
 
 
+#: What a worker's message carries: a task's result, the exception the
+#: task raised, or a heartbeat record sent while it runs.
+RESULT, ERROR, BEAT = range(3)
+
+
+class Worker:
+    """A forked process that answers requests over one pipe.
+
+    The child inherits the parent's memory, the trace above all, so a
+    request carries only what differs between tasks.  For each request
+    the child calls ``handle(request, conn)``: it may send ``(BEAT,
+    record)`` heartbeats or read more from *conn*, and its return value,
+    or the exception it raised, is the answer.  A ``None`` request, or
+    the parent's end closing, ends the child.
+
+    This is the one death path: a send that finds the pipe broken or a
+    receive that finds EOF raises :class:`ReplayWorkerError` with the
+    child's exit code.  The parent holds no copy of the child's end, so
+    a dead child is seen at once, never as a hang.  *siblings* are the
+    parent's ends of earlier workers' pipes, closed in the child for
+    the same reason the other way round.
+    """
+
+    def __init__(self, handle, siblings: Sequence = ()):
+        context = multiprocessing.get_context("fork")
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_serve,
+            args=(handle, child, [self.conn, *siblings]),
+            name="replay-worker",
+            daemon=True,
+        )
+        try:
+            self.process.start()
+        finally:
+            child.close()
+
+    def send(self, request) -> None:
+        """Send one request."""
+        try:
+            self.conn.send(request)
+        except OSError:
+            raise self.death() from None
+
+    def receive(self) -> tuple:
+        """The next ``(kind, payload)`` message (see :data:`RESULT`)."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            raise self.death() from None
+
+    def death(self) -> ReplayWorkerError:
+        """The error of a child that is gone, once it is reaped."""
+        self.close()
+        return ReplayWorkerError(self.process.exitcode)
+
+    def close(self) -> None:
+        """Stop the child if it still runs and release the pipe."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def _serve(handle, conn, inherited) -> None:
+    """The body of a :class:`Worker`'s child process."""
+    # Ctrl-C reaches the whole process group; the parent decides.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if request is None:
+            return
+        try:
+            answer = (RESULT, handle(request, conn))
+        except Exception as error:
+            answer = (ERROR, error)
+        try:
+            conn.send(answer)
+        except OSError:  # the parent is gone
+            return
+
+
 class ReplayWorker:
-    """A forked process that replays a run's trace while it is recorded.
+    """A :class:`Worker` that replays a run's trace while it is recorded.
 
     The child inherits the references and GC marks recorded so far and
     replays them into a :class:`MachineReplay` at once.  Each
-    :meth:`feed` sends it, over a pipe, the references and marks
+    :meth:`feed` sends it, as raw column bytes, the references and marks
     recorded since the last one, which it replays while the machine
     goes on emulating; :meth:`result` sends the end and returns the
     child's ``(stats, network)`` — the same as :func:`replay_machine`
     of the whole trace, since only the split differs.
 
     A replay error in the child is re-raised by :meth:`result` as it
-    was raised.  A child that dies without a result raises
-    :class:`ReplayWorkerError`: the parent holds no copy of the child's
-    pipe ends, so a send sees a broken pipe and a receive sees EOF,
-    never a hang.  :meth:`result` and :meth:`close` each leave no
-    process behind.
+    was raised; a dead child raises :class:`ReplayWorkerError` from the
+    next :meth:`feed` or :meth:`result`.  :meth:`result` and
+    :meth:`close` each leave no process behind.
     """
 
     def __init__(
         self, trace: TraceBuffer, config: SimulationConfig, gc_marks: List[int]
     ):
-        context = multiprocessing.get_context("fork")
-        chunks_in, self._chunks = context.Pipe(duplex=False)
-        self._results, results_out = context.Pipe(duplex=False)
         self._trace = trace
         self._marks = gc_marks
         self._sent = len(trace)
         self._sent_marks = len(gc_marks)
-        self._broken = False
-        self._process = context.Process(
-            target=_serve_replay,
-            args=(chunks_in, self._chunks, results_out, trace, config,
-                  list(gc_marks)),
-            name="replay-worker",
-            daemon=True,
-        )
-        try:
-            self._process.start()
-        finally:
-            chunks_in.close()
-            results_out.close()
+        self._worker = Worker(functools.partial(_replay_run, trace, gc_marks))
+        self._worker.send(config)
 
     def feed(self) -> None:
         """Send the references and GC marks recorded since the last
         feed.  Blocks while the child is still replaying earlier ones
-        and the pipe is full; after the child died it sends nothing."""
+        and the pipe is full."""
         stop = len(self._trace)
-        if not self._broken:
-            try:
-                self._chunks.send(self._marks[self._sent_marks:])
-                for column in self._trace.columns():
-                    size = column.itemsize
-                    self._chunks.send_bytes(
-                        column, self._sent * size, (stop - self._sent) * size
-                    )
-            except OSError:  # the child is gone: result() says why
-                self._broken = True
+        conn = self._worker.conn
+        try:
+            conn.send(self._marks[self._sent_marks:])
+            for column in self._trace.columns():
+                size = column.itemsize
+                conn.send_bytes(
+                    column, self._sent * size, (stop - self._sent) * size
+                )
+        except OSError:
+            raise self._worker.death() from None
         self._sent = stop
         self._sent_marks = len(self._marks)
 
@@ -431,56 +528,41 @@ class ReplayWorker:
         """Send the rest of the trace and return the replay's result."""
         try:
             self.feed()
-            if not self._broken:
-                try:
-                    self._chunks.send(None)
-                except OSError:
-                    pass
-            try:
-                status, payload = self._results.recv()
-            except EOFError:
-                self._process.join()
-                raise ReplayWorkerError(self._process.exitcode) from None
-            self._process.join()
+            self._worker.send(None)
+            kind, payload = self._worker.receive()
         finally:
             self.close()
-        if status == "error":
+        if kind == ERROR:
             raise payload
         return payload
 
     def close(self) -> None:
-        """Stop the child if it still runs and release the pipes."""
-        if self._process.is_alive():
-            self._process.terminate()
-        self._process.join()
-        self._chunks.close()
-        self._results.close()
+        """Stop the child if it still runs and release the pipe."""
+        self._worker.close()
 
 
-def _serve_replay(chunks, chunks_writer, results, trace, config, gc_marks):
-    """The body of a :class:`ReplayWorker`'s child process."""
-    # Ctrl-C reaches the whole process group; the parent decides.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Without this copy of the writer, a parent that dies leaves the
-    # child's receive waiting forever instead of seeing EOF.
-    chunks_writer.close()
-    try:
-        consumer = MachineReplay(config, trace.n_pes)
-        consumer.feed(trace, gc_marks, len(trace))
-        columns = trace.columns()
-        while True:
-            marks = chunks.recv()
-            if marks is None:
-                break
-            gc_marks.extend(marks)
-            for column in columns:
-                column.frombytes(chunks.recv_bytes())
-            consumer.feed(trace, gc_marks, len(trace))
-        outcome = ("ok", consumer.result())
-    except EOFError:  # the parent is gone
-        return
-    except Exception as error:
-        # A parent still sending now sees a broken pipe, not a full one.
-        chunks.close()
-        outcome = ("error", error)
-    results.send(outcome)
+def _replay_run(trace, gc_marks, config, conn):
+    """A :class:`ReplayWorker` child's one task: replay the inherited
+    prefix, then each feed, until the ``None`` that ends the run.  After
+    a replay error it reads the feeds to the end without replaying, so
+    the parent is never left blocked on a full pipe."""
+    error = None
+    consumer = MachineReplay(config, trace.n_pes)
+    columns = trace.columns()
+    while True:
+        if error is None:
+            try:
+                consumer.feed(trace, gc_marks, len(trace))
+            except Exception as caught:
+                error = caught
+        marks = conn.recv()
+        if marks is None:
+            break
+        gc_marks.extend(marks)
+        for column in columns:
+            data = conn.recv_bytes()
+            if error is None:
+                column.frombytes(data)
+    if error is not None:
+        raise error
+    return consumer.result()

@@ -85,6 +85,9 @@ class CacheConfig:
     ) -> "CacheConfig":
         """Build a config of the given data capacity (in words)."""
         _require_power_of_two("capacity_words", capacity_words)
+        _require_power_of_two("block_words", block_words)
+        if associativity < 1:
+            raise ValueError(f"associativity must be >= 1, got {associativity}")
         n_sets = capacity_words // (block_words * associativity)
         if n_sets < 1:
             raise ValueError(

@@ -54,7 +54,7 @@ class ReplayBlockedError(RuntimeError):
 
     def __reduce__(self):
         # Rebuild from the constructor's arguments, so the error crosses
-        # a process pool intact instead of failing to unpickle.
+        # a worker's pipe intact instead of failing to unpickle.
         return (
             ReplayBlockedError,
             (self.index, self.pe, self.op, self.area, self.address),

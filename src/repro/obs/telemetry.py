@@ -4,33 +4,29 @@ A parallel sweep fans points out to worker processes that are silent
 until they return — a fleet you cannot watch.  This module gives each
 worker a **heartbeat stream**: periodic progress records (current sweep
 point, references done, replay rate, a windowed miss-ratio snapshot)
-sent over a multiprocessing queue to a collector thread in the parent.
+sent over the worker's own pipe to the parent, whose dispatch loop
+folds each one into a collector as it arrives.
 
 The pieces are deliberately layered for testability:
 
 * :func:`heartbeat` / :data:`HEARTBEAT_SCHEMA` — the record format
-  (plain dicts: pickle-friendly across ``fork`` and ``spawn``, JSON-
-  friendly for manifests);
+  (plain dicts: picklable, JSON-friendly for manifests);
 * :class:`StallDetector` — pure bookkeeping over injected timestamps
   (``observe``/``stalled``), so stall logic is tested without clocks,
   sleeps or processes;
-* :class:`TelemetryCollector` — drains a queue on a background thread,
-  keeps the latest record per worker, logs a ``repro.obs.log`` warning
-  when a worker goes quiet, and renders progress lines;
-* :class:`SweepTelemetry` — the wiring: owns the
-  ``multiprocessing.Manager`` queue (a proxy, so it pickles into
-  ``ProcessPoolExecutor`` initargs under both start methods) and the
-  collector, exposed as a context manager.
+* :class:`TelemetryCollector` — keeps the latest record per worker,
+  logs a ``repro.obs.log`` warning when a worker goes quiet, and hands
+  each record to a progress hook;
+* :class:`SweepTelemetry` — the settings a sweep replays its points
+  with (heartbeat interval, chunk size) and the collector they feed.
 
-The worker-side emission loop lives in
-:mod:`repro.analysis.parallel` (it needs the replay machinery); this
+The worker-side emission loop and the parent's dispatch loop live in
+:mod:`repro.analysis.parallel` (they need the replay machinery); this
 module has no dependency on it.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -132,7 +128,7 @@ class StallDetector:
 
 
 class TelemetryCollector:
-    """Drain heartbeats from a queue on a background thread.
+    """Fold in heartbeats as the sweep's dispatch loop receives them.
 
     Keeps the latest record per worker, counts totals, warns through
     :mod:`repro.obs.log` when the :class:`StallDetector` trips, and
@@ -140,49 +136,38 @@ class TelemetryCollector:
     ``repro sweep --progress`` renders live lines from.
     """
 
-    _POLL_SECONDS = 0.1
-
     def __init__(
         self,
-        source,
         detector: Optional[StallDetector] = None,
         on_heartbeat: Optional[Callable[[dict], None]] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self._source = source
         self.detector = detector if detector is not None else StallDetector()
         self._on_heartbeat = on_heartbeat
         self._clock = clock
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
         self.latest: Dict[int, dict] = {}
         self.heartbeats = 0
         self.points_completed = 0
 
-    # -- queue draining ------------------------------------------------
-
     def handle(self, record: dict) -> None:
-        """Fold one heartbeat record in (the thread calls this)."""
+        """Fold one heartbeat record in."""
         worker = record.get("worker", -1)
-        with self._lock:
-            self.heartbeats += 1
-            self.latest[worker] = record
-            if record.get("done"):
-                # A ``done`` record closes one sweep point; the worker
-                # goes idle (or picks up another point, whose first
-                # heartbeat re-arms the detector), so stop watching it.
-                self.points_completed += 1
-                self.detector.forget(worker)
-            else:
-                self.detector.observe(worker, self._clock())
+        self.heartbeats += 1
+        self.latest[worker] = record
+        if record.get("done"):
+            # A ``done`` record closes one sweep point; the worker goes
+            # idle (or picks up another point, whose first heartbeat
+            # re-arms the detector), so stop watching it.
+            self.points_completed += 1
+            self.detector.forget(worker)
+        else:
+            self.detector.observe(worker, self._clock())
         if self._on_heartbeat is not None:
             self._on_heartbeat(record)
 
     def check_stalls(self) -> List[int]:
         """Run the stall detector once, warning on new episodes."""
-        with self._lock:
-            newly = self.detector.stalled(self._clock())
+        newly = self.detector.stalled(self._clock())
         for worker in newly:
             logger.warning(
                 "sweep worker %d missed %d heartbeats (silent > %.1fs) — "
@@ -191,56 +176,11 @@ class TelemetryCollector:
             )
         return newly
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                record = self._source.get(timeout=self._POLL_SECONDS)
-            except queue_module.Empty:
-                self.check_stalls()
-                continue
-            if record is None:  # shutdown sentinel
-                break
-            self.handle(record)
-            self.check_stalls()
-
-    def start(self) -> "TelemetryCollector":
-        if self._thread is not None:
-            raise RuntimeError("collector already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-telemetry", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-        self.drain()
-
-    def drain(self) -> None:
-        """Synchronously fold in everything currently queued.
-
-        Worker ``put`` calls complete before the worker returns its
-        sweep point, so once a sweep's results are in hand a drain makes
-        the collector's totals complete — no racing the poll thread.
-        """
-        while True:
-            try:
-                record = self._source.get_nowait()
-            except (queue_module.Empty, OSError, EOFError):
-                break
-            if record is not None:
-                self.handle(record)
-
     # -- summaries -----------------------------------------------------
 
     def progress(self) -> dict:
         """Aggregate fleet progress (refs done / total over live points)."""
-        with self._lock:
-            latest = dict(self.latest)
+        latest = self.latest
         refs_done = sum(r.get("refs_done", 0) for r in latest.values())
         refs_total = sum(r.get("refs_total", 0) for r in latest.values())
         rate = sum(
@@ -257,15 +197,14 @@ class TelemetryCollector:
 
     def summary(self) -> dict:
         """JSON-ready fleet summary for the run manifest."""
-        with self._lock:
-            return {
-                "heartbeats": self.heartbeats,
-                "workers": len(self.latest),
-                "points_completed": self.points_completed,
-                "stall_events": self.detector.stall_events,
-                "interval_seconds": self.detector.interval_seconds,
-                "stall_misses": self.detector.misses,
-            }
+        return {
+            "heartbeats": self.heartbeats,
+            "workers": len(self.latest),
+            "points_completed": self.points_completed,
+            "stall_events": self.detector.stall_events,
+            "interval_seconds": self.detector.interval_seconds,
+            "stall_misses": self.detector.misses,
+        }
 
 
 def format_heartbeat(record: dict) -> str:
@@ -283,17 +222,15 @@ def format_heartbeat(record: dict) -> str:
 
 
 class SweepTelemetry:
-    """The parent side of sweep-fleet telemetry, wired and owned.
+    """The parent side of sweep-fleet telemetry.
 
-    Builds the ``multiprocessing.Manager`` queue workers stream to (a
-    managed proxy — unlike a bare ``mp.Queue`` it pickles into
-    ``ProcessPoolExecutor`` initargs under both ``fork`` and ``spawn``)
-    plus the collector thread that drains it.  Use as a context
-    manager; pass to :class:`~repro.analysis.parallel.SweepPool`::
+    Holds the heartbeat interval and chunk size a sweep replays its
+    points with, and the :class:`TelemetryCollector` their heartbeats
+    go to.  Pass it to :class:`~repro.analysis.parallel.SweepPool`::
 
-        with SweepTelemetry(on_heartbeat=print) as telemetry:
-            with SweepPool(trace, jobs=4, telemetry=telemetry) as pool:
-                results = pool.map(grid)
+        telemetry = SweepTelemetry(on_heartbeat=print)
+        with SweepPool(trace, jobs=4, telemetry=telemetry) as pool:
+            results = pool.map(grid)
         summary = telemetry.summary()
     """
 
@@ -303,42 +240,15 @@ class SweepTelemetry:
         stall_misses: int = DEFAULT_STALL_MISSES,
         chunk_refs: int = DEFAULT_CHUNK_REFS,
         on_heartbeat: Optional[Callable[[dict], None]] = None,
-        use_processes: bool = True,
     ):
         if chunk_refs < 1:
             raise ValueError(f"chunk_refs must be >= 1, got {chunk_refs}")
         self.interval_seconds = interval_seconds
         self.chunk_refs = chunk_refs
-        if use_processes:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-            self.queue = self._manager.Queue()
-        else:
-            # Serial sweeps emit from the parent process itself; a plain
-            # in-process queue avoids spawning a manager for nothing.
-            self._manager = None
-            self.queue = queue_module.Queue()
         self.collector = TelemetryCollector(
-            self.queue,
             detector=StallDetector(interval_seconds, stall_misses),
             on_heartbeat=on_heartbeat,
         )
-        self.collector.start()
 
     def summary(self) -> dict:
-        self.collector.drain()
         return self.collector.summary()
-
-    def close(self) -> None:
-        self.collector.stop()
-        manager = self._manager
-        if manager is not None:
-            manager.shutdown()
-            self._manager = None
-
-    def __enter__(self) -> "SweepTelemetry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,6 +1,8 @@
 """Parallel sweep executor and trace disk cache tests."""
 
+import multiprocessing
 import os
+import tempfile
 
 import pytest
 
@@ -102,21 +104,27 @@ class TestSweepPool:
             _assert_identical(left, right)
             _assert_identical(mid, right)
 
-    def test_owns_and_cleans_its_temp_trace(self):
+    def test_close_leaves_no_worker_process(self):
         trace = generate_random_trace(300, n_pes=2, seed=5)
         pool = SweepPool(trace, jobs=2)
-        tmp = pool._tmp_path
-        assert tmp is not None and os.path.exists(tmp)
+        assert pool.kind == "persistent" and len(pool.pids) == 2
+        assert {child.pid for child in multiprocessing.active_children()} == set(
+            pool.pids
+        )
         pool.close()
-        assert not os.path.exists(tmp)
-        assert pool._tmp_path is None
+        assert pool.pids == []
+        assert multiprocessing.active_children() == []
 
-    def test_reuses_trace_file_without_copying(self, tmp_path):
+    def test_reuses_trace_file_without_copying(self, tmp_path, monkeypatch):
         trace = generate_random_trace(600, n_pes=2, seed=6)
         path = tmp_path / "pool.trace"
         write_trace(trace, path)
+
+        def no_temp_copy(*args, **kwargs):
+            raise AssertionError("the pool wrote a temp copy of its trace")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_temp_copy)
         with SweepPool(path, jobs=2) as pool:
-            assert pool._tmp_path is None  # no temp copy for path input
             (stats,) = pool.map([SimulationConfig()])
         _assert_identical(stats, replay(trace, SimulationConfig()))
 

@@ -657,7 +657,10 @@ def test_serve_submit_trace_takes_the_traces_own_pes(pe_traces, tmp_path, capsys
      ["serve", "--store", "unused", "submit"]],
     ids=lambda command: command[-1],
 )
-def test_pes_below_the_traces_own_is_a_one_line_error(pe_traces, command, capsys):
+def test_pes_below_the_traces_own_is_a_one_line_error(
+    tmp_path, monkeypatch, pe_traces, command, capsys
+):
+    monkeypatch.chdir(tmp_path)  # serve's store is made in the cwd
     assert main([*command, "--trace", str(pe_traces[16]), "--pes", "4"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
@@ -679,6 +682,30 @@ def test_missing_trace_file_is_a_one_line_error(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(missing) in err and "No such file" in err
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (["--capacity", "-5"], "capacity_words must be a positive power of two"),
+        (["--block-words", "3"], "block_words must be a positive power of two"),
+        (["--ways", "3"], "n_sets must be a positive power of two"),
+        (["--ways", "0"], "associativity must be >= 1"),
+        (["--bus-width", "-1"], "width_words must be >= 1"),
+        (["--clusters", "3"], "--clusters 3 does not divide the 8 PEs"),
+        (["--clusters", "2", "--hop-cycles", "-2"], "hop_cycles must be >= 1"),
+    ],
+    ids=["capacity", "block-words", "ways", "zero-ways", "bus-width",
+         "clusters", "hop-cycles"],
+)
+def test_bad_cache_or_cluster_option_is_a_one_line_error(
+    options, message, capsys
+):
+    command = ["metrics", "--benchmark", "pascal", "--scale", "tiny"]
+    assert main([*command, *options]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
 
 
 @pytest.mark.parametrize(

@@ -17,14 +17,19 @@ The identity gates mirror ``test_protocol_identity``:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import parallel
 from repro.analysis.parallel import run_clustered
 from repro.cluster.network import ClusterNetwork, NetworkStats
 from repro.cluster.replay import (
+    ReplayWorkerError,
     new_system,
     replay_clustered,
     replay_interleaved,
@@ -297,8 +302,27 @@ class TestMergeDeterminism:
         interleaved = replay_interleaved(buffer, config)
         sharded = replay_clustered(buffer, config)
         assert interleaved.as_dict() == sharded.as_dict()
+        # Four shards on two workers: each worker serves two clusters.
+        assert run_clustered(buffer, config, jobs=2).as_dict() == sharded.as_dict()
         # Ring hops: some forwards cross more than one hop at K=4.
         assert interleaved.network.messages > 0
+
+    def test_killed_shard_worker_raises_a_structured_error(self, monkeypatch):
+        # The shard task looks replay_shard up in repro.analysis.parallel;
+        # the forked workers inherit the patch, and cluster 1's dies.
+        def die_on_cluster_one(shard, config, pes_per_cluster, cluster):
+            if cluster == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return replay_shard(shard, config, pes_per_cluster, cluster)
+
+        monkeypatch.setattr(parallel, "replay_shard", die_on_cluster_one)
+        buffer = generate_random_trace(6_000, n_pes=4, seed=34)
+        config = SimulationConfig().with_clusters(2)
+        with pytest.raises(ReplayWorkerError) as caught:
+            run_clustered(buffer, config, jobs=2)
+        assert caught.value.exitcode == -signal.SIGKILL
+        assert f"code {-signal.SIGKILL}" in str(caught.value)
+        assert multiprocessing.active_children() == []
 
 
 class TestClusteredSystemSurface:

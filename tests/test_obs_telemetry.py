@@ -2,7 +2,8 @@
 collector, and heartbeat-streaming sweeps staying counter-identical."""
 
 import logging
-import queue
+import multiprocessing
+import threading
 
 import pytest
 
@@ -78,9 +79,8 @@ def test_detector_rejects_bad_parameters():
 
 
 def test_collector_tracks_latest_and_completions():
-    source = queue.Queue()
     seen = []
-    collector = TelemetryCollector(source, on_heartbeat=seen.append)
+    collector = TelemetryCollector(on_heartbeat=seen.append)
     collector.handle(heartbeat(1, 0, 0, 0, 100, 400, 50.0, 0.25))
     collector.handle(heartbeat(1, 1, 0, 0, 400, 400, 60.0, 0.25, done=True))
     collector.handle(heartbeat(2, 0, 1, 0, 10, 400, 5.0, 0.5))
@@ -96,22 +96,9 @@ def test_collector_tracks_latest_and_completions():
     assert summary["points_completed"] == 1
 
 
-def test_collector_drain_folds_queued_records():
-    source = queue.Queue()
-    collector = TelemetryCollector(source)
-    source.put(heartbeat(1, 0, 0, 0, 5, 10, 1.0, 0.0))
-    source.put(None)  # sentinel is skipped, not folded
-    source.put(heartbeat(1, 1, 0, 0, 10, 10, 1.0, 0.0, done=True))
-    collector.drain()
-    assert collector.heartbeats == 2
-    assert collector.points_completed == 1
-
-
 def test_collector_warns_on_stall(caplog):
     clock = [0.0]
-    source = queue.Queue()
     collector = TelemetryCollector(
-        source,
         detector=StallDetector(interval_seconds=1.0, misses=2),
         clock=lambda: clock[0],
     )
@@ -148,13 +135,12 @@ def test_serial_telemetry_sweep_identical_and_streams():
     configs = sweep_grid()
     plain = [s.as_dict() for s in run_sweep(trace, configs, jobs=1)]
     records = []
-    with SweepTelemetry(
-        interval_seconds=0.001, chunk_refs=4096,
-        on_heartbeat=records.append, use_processes=False,
-    ) as telemetry:
-        with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
-            streamed = [s.as_dict() for s in pool.map(configs)]
-        summary = telemetry.summary()
+    telemetry = SweepTelemetry(
+        interval_seconds=0.001, chunk_refs=4096, on_heartbeat=records.append,
+    )
+    with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
+        streamed = [s.as_dict() for s in pool.map(configs)]
+    summary = telemetry.summary()
     assert streamed == plain
     assert summary["points_completed"] == len(configs)
     assert summary["heartbeats"] >= len(configs)  # at least one done each
@@ -170,12 +156,46 @@ def test_pooled_telemetry_sweep_identical_with_manifest_summary():
     trace = generate_random_trace(8_000, n_pes=4, seed=22)
     configs = sweep_grid(2)
     plain = [s.as_dict() for s in run_sweep(trace, configs, jobs=1)]
-    with SweepTelemetry(interval_seconds=0.001, chunk_refs=2048) as telemetry:
-        report = run_sweep_report(trace, configs, jobs=2, telemetry=telemetry)
+    telemetry = SweepTelemetry(interval_seconds=0.001, chunk_refs=2048)
+    report = run_sweep_report(trace, configs, jobs=2, telemetry=telemetry)
     assert [p["stats"] for p in report["points"]] == plain
     summary = report["manifest"]["extra"]["telemetry"]
     assert summary["points_completed"] == len(configs)
     assert summary["heartbeats"] >= len(configs)
+
+
+def test_pooled_telemetry_sweep_runs_on_one_thread_and_no_manager():
+    # Heartbeats ride the workers' own pipes into the parent's dispatch
+    # loop: no collector thread, no queue, no Manager process.
+    assert threading.active_count() == 1
+    trace = generate_random_trace(20_000, n_pes=4, seed=24)
+    configs = sweep_grid(4)
+    plain = [s.as_dict() for s in run_sweep(trace, configs, jobs=1)]
+    records = []
+    seen = []
+
+    def on_heartbeat(record):
+        records.append(record)
+        seen.append(
+            (threading.active_count(), multiprocessing.active_children())
+        )
+
+    telemetry = SweepTelemetry(
+        interval_seconds=0.001, chunk_refs=2048, on_heartbeat=on_heartbeat
+    )
+    with SweepPool(trace, jobs=2, telemetry=telemetry) as pool:
+        assert pool.kind == "persistent"
+        workers = set(pool.pids)
+        streamed = [s.as_dict() for s in pool.map(configs)]
+    assert streamed == plain
+    done = [r for r in records if r["done"]]
+    assert sorted(r["point"] for r in done) == list(range(len(configs)))
+    assert {r["worker"] for r in records} <= workers
+    for threads, children in seen:
+        assert threads == 1
+        assert {child.pid for child in children} == workers
+    assert telemetry.summary()["points_completed"] == len(configs)
+    assert multiprocessing.active_children() == []
 
 
 def test_clustered_sweep_replays_clustered_and_telemetry_refuses_it():
@@ -184,22 +204,18 @@ def test_clustered_sweep_replays_clustered_and_telemetry_refuses_it():
     want = replay_clustered(trace, configs[0]).stats.as_dict()
     assert run_sweep(trace, configs, jobs=1)[0].as_dict() == want
     assert run_sweep(trace, configs, jobs=2)[0].as_dict() == want
-    with SweepTelemetry(
-        interval_seconds=0.001, chunk_refs=1024, use_processes=False
-    ) as telemetry:
-        with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
-            with pytest.raises(ValueError, match="2-cluster"):
-                pool.map(configs)
+    telemetry = SweepTelemetry(interval_seconds=0.001, chunk_refs=1024)
+    with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
+        with pytest.raises(ValueError, match="2-cluster"):
+            pool.map(configs)
 
 
 def test_empty_trace_sweep_emits_done_heartbeat():
     trace = generate_random_trace(0, n_pes=2, seed=1)
-    with SweepTelemetry(
-        interval_seconds=0.001, chunk_refs=64, use_processes=False
-    ) as telemetry:
-        with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
-            pool.map(sweep_grid(1))
-        summary = telemetry.summary()
+    telemetry = SweepTelemetry(interval_seconds=0.001, chunk_refs=64)
+    with SweepPool(trace, jobs=1, telemetry=telemetry) as pool:
+        pool.map(sweep_grid(1))
+    summary = telemetry.summary()
     assert summary["points_completed"] == 1
 
 

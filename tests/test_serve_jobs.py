@@ -341,7 +341,7 @@ def test_sweep_pool_worker_death_raises_structured_error(job_trace):
         if pool.kind != "persistent":
             pytest.skip("single-CPU host: no worker processes to kill")
         pool.warm()
-        victim = next(iter(pool._pool._processes))
+        victim = pool.pids[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 30
         with pytest.raises(SweepWorkerError) as info:
@@ -350,11 +350,12 @@ def test_sweep_pool_worker_death_raises_structured_error(job_trace):
         assert info.value.jobs == 2
         assert info.value.n_configs == 2
         assert "repro serve" in str(info.value)
+        assert info.value.exitcode == -signal.SIGKILL
 
 
 def test_sweep_pool_retry_after_restart_is_bit_identical(job_trace):
-    """Respawned workers initialize from the pool's construction-time
-    state, so a retried map reproduces the sweep bit for bit."""
+    """Respawned workers fork from the pool's own trace, so a retried
+    map reproduces the sweep bit for bit."""
     from repro.analysis.parallel import SweepPool, SweepWorkerError
 
     configs = [SimulationConfig(), SimulationConfig(protocol="illinois")]
@@ -363,7 +364,7 @@ def test_sweep_pool_retry_after_restart_is_bit_identical(job_trace):
             pytest.skip("single-CPU host: no worker processes to kill")
         pool.warm()
         baseline = [stats.as_dict() for stats in pool.map(configs)]
-        victim = next(iter(pool._pool._processes))
+        victim = pool.pids[0]
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 30
         with pytest.raises(SweepWorkerError):

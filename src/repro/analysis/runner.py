@@ -448,21 +448,6 @@ class Workloads:
         self._traces[key] = trace
         return trace
 
-    def trace_path(self, name: str, n_pes: int = 8) -> Optional[Path]:
-        """Path of the cached trace file (materializing it if needed),
-        or None when the disk cache is disabled, for callers that take
-        a trace file (:func:`repro.analysis.parallel.run_sweep` reads
-        one once, in the parent)."""
-        path = self._cache_path(name, n_pes)
-        if path is None:
-            return None
-        if not path.exists():
-            self._store_trace(
-                name, n_pes, self.trace(name, n_pes),
-                self._cache.get((name, n_pes)),
-            )
-        return path if path.exists() else None
-
     def _cache_path(self, name: str, n_pes: int) -> Optional[Path]:
         root = trace_cache_dir()
         if root is None:

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -1270,10 +1271,18 @@ def main(argv=None) -> int:
         if backend is not None and not is_interconnect_registered(backend):
             raise UsageError(f"unknown interconnect {backend!r} "
                              f"(choose from {', '.join(interconnect_names())})")
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
     except UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``): stop quietly.
+        # Standard output now points at devnull, so the flush at exit
+        # has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,9 +49,9 @@ _REGISTRY: Dict[str, ProtocolSpec] = {}
 def register(spec: ProtocolSpec, replace: bool = False) -> ProtocolSpec:
     """Register *spec* under its name; returns it for chaining.
 
-    Registration also compiles the spec's generated replay kernel
-    (:mod:`repro.core.protocol.codegen`), so a bad spec fails loudly
-    here rather than at first replay.
+    The spec's replay kernel and handlers
+    (:mod:`repro.core.protocol.codegen`) are compiled when a system
+    first uses it, so a process pays only for the protocols it runs.
     """
     if spec.name in _REGISTRY and not replace:
         raise ValueError(
@@ -59,12 +59,6 @@ def register(spec: ProtocolSpec, replace: bool = False) -> ProtocolSpec:
             "(pass replace=True to override)"
         )
     _REGISTRY[spec.name] = spec
-    # Imported here, not at module top: codegen needs only states and
-    # trace events, but importing it before the registry finishes its
-    # built-in registrations would tangle the package import order.
-    from repro.core.protocol import codegen
-
-    codegen.get_kernel(spec)
     return spec
 
 
@@ -77,11 +71,8 @@ def temporarily_register(spec: ProtocolSpec) -> Iterator[ProtocolSpec]:
     one-off or deliberately broken specs without polluting the global
     registry.
     """
-    from repro.core.protocol import codegen
-
     previous = _REGISTRY.get(spec.name)
     _REGISTRY[spec.name] = spec
-    codegen.get_kernel(spec)
     try:
         yield spec
     finally:

@@ -14,7 +14,7 @@ Protocol summary (Section 3, DESIGN.md has the full rationale):
   :class:`~repro.core.protocol.ProtocolSpec` says so.  All protocol
   variant points — the store table, the supplier table, and the
   FI-copyback policy — are compiled from the registered spec in
-  ``__init__``; the handlers below are the protocol-agnostic controller.
+  ``__init__``.
 * write hit in S/SM → ``I`` broadcast (the cache cannot know whether
   sharers actually exist — that is exactly what EM/EC save); write miss
   → ``FI``.
@@ -32,6 +32,14 @@ Protocol summary (Section 3, DESIGN.md has the full rationale):
   a remotely locked word draws ``LH``, flips the holder's entry to
   ``LWAIT``, and busy-waits for ``UL``; ``U``/``UW`` broadcast ``UL``
   only from ``LWAIT``.
+
+The handlers of the miss shapes the replay kernel runs inline — ``R``,
+``DW``, ``LR``, ``UW``/``U``, and the ``_fill``/``_pick_supplier`` the
+other handlers share — are not written here: they are emitted per spec
+by :mod:`repro.core.protocol.codegen` from the same templates as the
+kernel's miss path, and bound in ``__init__``.  The handlers below are
+the rest of the controller: write misses and write-through stores, the
+``ER``/``RP``/``RI`` misses, and the bookkeeping helpers.
 """
 
 from __future__ import annotations
@@ -43,23 +51,16 @@ from repro.core.config import SimulationConfig
 from repro.core.interconnect import (
     REQ_GETM,
     REQ_GETM_NA,
-    REQ_GETS,
     REQ_GETS_NA,
     REQ_UPGR,
     REQ_WT,
     build_interconnect,
 )
 from repro.core.lock_directory import LockDirectory
-from repro.core.protocol import RemoteAction, get_protocol
-from repro.core.states import (
-    DIRTY_STATES,
-    BusCommand,
-    BusPattern,
-    CacheState,
-    LockState,
-)
+from repro.core.protocol import RemoteAction, codegen, get_protocol
+from repro.core.states import DIRTY_STATES, BusCommand, BusPattern, CacheState
 from repro.core.stats import SystemStats
-from repro.trace.events import FLAG_LOCK_CONTENDED, Area, Op
+from repro.trace.events import Area, Op
 
 #: Sentinel returned by :meth:`PIMCacheSystem.access` when the reference
 #: is inhibited by a remote lock and the PE must busy-wait and retry.
@@ -83,16 +84,13 @@ _HIT = (1, 0, None)
 # states are compared with ``is``.  tests/test_hot_path_enums.py keeps
 # member lookups out of the handlers.
 _F, _FI, _I = BusCommand.F, BusCommand.FI, BusCommand.I
-_LK, _UL = BusCommand.LK, BusCommand.UL
 _INVALIDATION = BusPattern.INVALIDATION
 _C2C = BusPattern.C2C
 _C2C_WITH_SWAP_OUT = BusPattern.C2C_WITH_SWAP_OUT
 _SWAP_IN = BusPattern.SWAP_IN
 _SWAP_IN_WITH_SWAP_OUT = BusPattern.SWAP_IN_WITH_SWAP_OUT
-_SWAP_OUT_ONLY = BusPattern.SWAP_OUT_ONLY
 _WRITE_THROUGH = BusPattern.WRITE_THROUGH
-_EM, _EC, _SM, _S = CacheState.EM, CacheState.EC, CacheState.SM, CacheState.S
-_EMP, _LWAIT = LockState.EMP, LockState.LWAIT
+_EM, _EC = CacheState.EM, CacheState.EC
 
 #: Shared empty remote-holder list: callers only iterate or truth-test
 #: the result, so misses on unshared blocks avoid a list allocation.
@@ -119,7 +117,6 @@ class PIMCacheSystem:
         "_block_mask",
         "_block_shift",
         "protocol_spec",
-        "_supplier_rules",
         "_fi_copyback",
         "_store_silent_next",
         "_store_through",
@@ -139,6 +136,14 @@ class PIMCacheSystem:
         "_dir",
         "_probe",
         "_base_op_table",
+        # The generated handlers (repro.core.protocol.codegen).
+        "_read",
+        "_direct_write",
+        "_lock_read",
+        "_unlock_write",
+        "_unlock_plain",
+        "_fill",
+        "_pick_supplier",
     )
 
     def __init__(self, config: SimulationConfig, n_pes: int):
@@ -183,8 +188,6 @@ class PIMCacheSystem:
         #: registry or spec lookup.
         spec = get_protocol(config.protocol)
         self.protocol_spec = spec
-        #: (next supplier state, copyback?) when servicing a remote F.
-        self._supplier_rules = spec.supplier_rules()
         #: Dirty data consumed by FI / an RP transfer copies back to memory.
         self._fi_copyback = spec.fetch_inval_copyback
         #: Next state of a silent (zero-bus) store hit, or None where the
@@ -222,16 +225,19 @@ class PIMCacheSystem:
         self._dir = (
             self.interconnect if self.interconnect.tracks_residency else None
         )
+        for name, handler in codegen.bind_handlers(self).items():
+            setattr(self, name, handler)
         # Handler dispatch, indexed ``_op_table[op][area]``.  Demotion of
         # optimized commands the controller does not honour is folded into
         # the table (the plain R/W handler is installed directly), so the
         # hot path never consults ``opts.honours``.  All handlers share the
         # signature ``(pe, sop, area, address, block, value, flags)``.
         honours = config.opts.honours
-        # Bind each handler exactly once: every ``self._read`` access
-        # creates a *new* bound-method object, and the generated replay
-        # kernel classifies handlers by identity (``h is read_h``), so
-        # all table cells for one handler must share one object.
+        # Bind each method handler exactly once: every ``self._write``
+        # access creates a *new* bound-method object, and the generated
+        # replay kernel classifies handlers by identity (``h is
+        # read_h``), so all table cells for one handler must share one
+        # object.  The generated handlers are plain attributes already.
         read, write = self._read, self._write
         direct_write, exclusive_read = self._direct_write, self._exclusive_read
         read_purge, read_invalidate = self._read_purge, self._read_invalidate
@@ -304,10 +310,10 @@ class PIMCacheSystem:
         handlers themselves are untouched, so detaching restores the
         exact uninstrumented table and a system that never attaches a
         probe pays nothing.  The generated replay kernel
-        (:mod:`repro.core.protocol.codegen`) inlines cache hits past the
-        dispatch table, so :func:`repro.core.replay.replay` drives a
-        probed system through the per-access loop instead, and the
-        probe sees every reference.
+        (:mod:`repro.core.protocol.codegen`) inlines cache hits and the
+        common misses past the dispatch table, so
+        :func:`repro.core.replay.replay` drives a probed system through
+        the per-access loop instead, and the probe sees every reference.
         """
         if self._probe is not None:
             raise RuntimeError("a probe is already attached; detach it first")
@@ -516,46 +522,11 @@ class PIMCacheSystem:
         if self._dir is not None:
             self._dir.note_drop(block, pe)
 
-    def _fill(self, pe: int, block: int, state: CacheState, area: int, data) -> bool:
-        """Insert a block, evicting as needed.  Returns True if the victim
-        was dirty (a swap-out rides on this bus transaction)."""
-        victim = self.caches[pe].insert(block, state, area, data)
-        holders = self._holders.get(block)
-        if holders is None:
-            self._holders[block] = {pe}
-        else:
-            holders.add(pe)
-        if victim is None:
-            return False
-        victim_block, victim_line = victim
-        self._drop_holder(victim_block, pe)
-        if victim_line.state in DIRTY_STATES:
-            self.stats.swap_outs += 1
-            self._writeback(victim_block, victim_line)
-            return True
-        return False
-
     def _remote_holders(self, pe: int, block: int) -> "list[int]":
         holders = self._holders.get(block)
         if not holders:
             return _NO_REMOTES
         return [other for other in holders if other != pe]
-
-    def _pick_supplier(self, block: int, remotes: List[int]):
-        """Choose the supplying cache for a cache-to-cache transfer,
-        preferring the owner (a dirty copy) when one exists."""
-        resident = self._resident
-        key = block << self._pe_bits
-        first_line = None
-        for other in remotes:
-            # Inlined Cache.peek: one call per remote adds up when every
-            # miss is served cache-to-cache.
-            line = resident[key | other]
-            if line.state in DIRTY_STATES:
-                return other, line
-            if first_line is None:
-                first_line = line
-        return remotes[0], first_line
 
     def _invalidate_remotes(
         self, pe: int, block: int, remotes: Optional[List[int]] = None
@@ -609,59 +580,6 @@ class PIMCacheSystem:
     # repeated attribute chains, ``_no_bus`` inlined) because they carry
     # the bulk of every trace replay.
     # ------------------------------------------------------------------
-
-    def _read(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        # Inlined Cache.lookup (dict probe + LRU touch): this is the
-        # single hottest line of a trace replay.
-        line = self._resident.get(block << self._pe_bits | pe)
-        if line is not None:
-            cache = self.caches[pe]
-            cache._tick += 1
-            line.lru = cache._tick
-            self._hits[area][sop] += 1
-            self._pe_cycles[pe] += 1
-            self.stats.hit_service_cycles += 1
-            if self.track_data:
-                return (1, 0, line.data[address & self._block_mask])
-            return _HIT
-        if self._locked_words and self._check_locks(pe, area, block):
-            return (BLOCKED, 0, None)
-        stats = self.stats
-        stats.command_counts[_F] += 1
-        remotes = self._remote_holders(pe, block)
-        if remotes:
-            supplier_pe, supplier = self._pick_supplier(block, remotes)
-            data = list(supplier.data) if self.track_data else None
-            # The spec's supplier table: what the supplying copy drops to
-            # and whether dirty data copies back to memory on the way
-            # (the Illinois behaviour; the PIM SM state skips it).
-            next_state, copyback = self._supplier_rules[supplier.state]
-            if copyback:
-                stats.swap_outs += 1
-                self._writeback(block, supplier)
-            supplier.state = next_state
-            stats.c2c_transfers += 1
-            victim_dirty = self._fill(pe, block, _S, area, data)
-            pattern = (
-                _C2C_WITH_SWAP_OUT if victim_dirty else _C2C
-            )
-        else:
-            data = self._memory_read(block)
-            victim_dirty = self._fill(pe, block, _EC, area, data)
-            pattern = (
-                _SWAP_IN_WITH_SWAP_OUT
-                if victim_dirty
-                else _SWAP_IN
-            )
-        cycles = self._bus(pe, pattern, area, block, REQ_GETS, remotes)
-        value = None
-        if self.track_data:
-            line = self.caches[pe].peek(block)
-            value = line.data[address & self._block_mask]
-        return (cycles, 0, value)
 
     def _write(
         self, pe: int, sop: int, area: int, address: int, block: int,
@@ -795,7 +713,7 @@ class PIMCacheSystem:
         self.stats.command_counts[_FI] += 1
         remotes = self._remote_holders(pe, block)
         if remotes:
-            supplier_pe, supplier = self._pick_supplier(block, remotes)
+            supplier = self._pick_supplier(block, remotes)
             data = list(supplier.data) if self.track_data else None
             dirty = supplier.state in DIRTY_STATES
             if dirty and self._fi_copyback:
@@ -823,66 +741,6 @@ class PIMCacheSystem:
                 else _SWAP_IN
             )
         return self._bus(pe, pattern, area, block, REQ_GETM, remotes)
-
-    def _direct_write(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        # Inlined Cache.peek (no LRU touch, matching the original).
-        line = self._resident.get(block << self._pe_bits | pe)
-        if line is not None:
-            # Already resident — an ordinary write hit, demoted to W
-            # whether or not the address is a block boundary.  The
-            # dominant DW outcome is re-writing a block this PE already
-            # owns, so the EM/EC write hit is finished inline rather
-            # than paying a second probe inside ``_write``; the
-            # shared/write-through cases still take the full path.
-            self.stats.dw_demotions += 1
-            state = line.state
-            next_state = self._store_silent_next[state]
-            if next_state is not None:
-                cache = self.caches[pe]
-                cache._tick += 1
-                line.lru = cache._tick
-                line.state = next_state
-                self._hits[area][sop] += 1
-                self._pe_cycles[pe] += 1
-                self.stats.hit_service_cycles += 1
-                if self.track_data:
-                    line.data[address & self._block_mask] = value
-                return _HIT
-            return self._write(pe, sop, area, address, block, value)
-        if (address & self._block_mask) or self._holders.get(block):
-            # Demote: either not a block boundary (the controller
-            # replaces DW with W) or a remote copy exists, violating the
-            # software contract ("no remote copy") — demote rather than
-            # break coherence.
-            self.stats.dw_demotions += 1
-            return self._write(pe, sop, area, address, block, value)
-        # Allocate without fetching: zero bus cycles unless a dirty
-        # victim must be swapped out (the 5-cycle swap-out-only pattern).
-        # The words not yet written are architecturally undefined (the
-        # software contract says they will be written before being read);
-        # the model gives them the shared-memory contents so that even a
-        # contract-violating read stays deterministic.
-        self.stats.dw_allocations += 1
-        data = None
-        if self.track_data:
-            base = block << self._block_shift
-            data = [self.memory.get(base + i, 0) for i in range(self._block_words)]
-        victim_dirty = self._fill(pe, block, _EM, area, data)
-        if self._dir is not None:
-            # The only bus-free fill: the home node must still learn of
-            # the new exclusive-dirty owner.
-            self._dir.note_exclusive(pe, block)
-        if self.track_data:
-            self.caches[pe].peek(block).data[address & self._block_mask] = value
-        if victim_dirty:
-            cycles = self._bus(pe, _SWAP_OUT_ONLY, area)
-            return (cycles, 0, None)
-        self.stats.pe_cycles[pe] += 1
-        self.stats.hit_service_cycles += 1
-        return _HIT
 
     def _purge(self, pe: int, area: int, block: int, line) -> None:
         """Forcibly drop a local block; a dirty purge is a swap-out avoided."""
@@ -947,7 +805,7 @@ class PIMCacheSystem:
             # Case (ii): supplier invalidated after the transfer; the
             # fetched block is consumed without being allocated.
             self.stats.command_counts[_FI] += 1
-            supplier_pe, supplier = self._pick_supplier(block, remotes)
+            supplier = self._pick_supplier(block, remotes)
             data = list(supplier.data) if self.track_data else None
             if supplier.state in DIRTY_STATES:
                 if self._fi_copyback:
@@ -990,144 +848,6 @@ class PIMCacheSystem:
         if self.track_data:
             value = self.caches[pe].peek(block).data[address & self._block_mask]
         return (cycles, 0, value)
-
-    # ------------------------------------------------------------------
-    # Lock operations
-    # ------------------------------------------------------------------
-
-    def _register_lock(self, pe: int, address: int, block: int) -> None:
-        directory = self.lock_directories[pe]
-        overflows_before = directory.overflows
-        directory.lock(address)
-        self._locked_words.setdefault(block, []).append((pe, address))
-        stats = self.stats
-        if directory.max_occupancy > stats.lock_dir_max_occupancy:
-            stats.lock_dir_max_occupancy = directory.max_occupancy
-        stats.lock_dir_overflows += directory.overflows - overflows_before
-
-    def _release_lock(self, pe: int, address: int, block: int) -> None:
-        locked = self._locked_words.get(block)
-        if locked is not None:
-            try:
-                locked.remove((pe, address))
-            except ValueError:
-                pass
-            if not locked:
-                del self._locked_words[block]
-
-    def _lock_read(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        if self._locked_words and self._check_locks(pe, area, block):
-            return (BLOCKED, 0, None)
-        out_flags = 0
-        if flags & FLAG_LOCK_CONTENDED:
-            # Trace replay: re-enact the LH + busy-wait recorded at
-            # generation time (replay order serializes the conflict away).
-            self.stats.lh_responses += 1
-            self._bus(pe, _INVALIDATION, area)
-            out_flags = FLAG_LOCK_CONTENDED
-        line = self.caches[pe].lookup(block)
-        value = None
-        if line is not None:
-            self.stats.hits[area][sop] += 1
-            if self.track_data:
-                value = line.data[address & self._block_mask]
-            if line.state in _EXCLUSIVE:
-                # The whole point of the hardware lock: zero bus cycles.
-                self._register_lock(pe, address, block)
-                self.stats.lr_no_bus += 1
-                self._no_bus(pe)
-                return (1, out_flags, value)
-            # Shared hit: I + LK to gain exclusivity before locking.
-            # A remote SM owner dies in the broadcast without supplying
-            # data, so its copy-back duty must transfer to this copy
-            # (the copies agree word-for-word): end dirty, not EC.
-            remotes = self._remote_holders(pe, block)
-            remote_dirty = any(
-                self.caches[other].peek(block).state in DIRTY_STATES
-                for other in remotes
-            )
-            self._invalidate_remotes(pe, block, remotes)
-            line.state = _EM if remote_dirty or line.state is _SM else _EC
-            self._register_lock(pe, address, block)
-            self.stats.lr_bus += 1
-            self.stats.command_counts[_I] += 1
-            self.stats.command_counts[_LK] += 1
-            cycles = self._bus(pe, _INVALIDATION, area, block, REQ_UPGR, remotes)
-            return (cycles, out_flags, value)
-        # Miss: FI + LK.
-        self.stats.lr_bus += 1
-        self.stats.command_counts[_LK] += 1
-        cycles = self._fetch_exclusive(pe, area, block, None)
-        self._register_lock(pe, address, block)
-        if self.track_data:
-            value = self.caches[pe].peek(block).data[address & self._block_mask]
-        return (cycles, out_flags, value)
-
-    def _unlock_write(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        return self._unlock(pe, sop, area, address, block, True, value, flags)
-
-    def _unlock_plain(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        return self._unlock(pe, sop, area, address, block, False, value, flags)
-
-    def _unlock(
-        self,
-        pe: int,
-        sop: int,
-        area: int,
-        address: int,
-        block: int,
-        write: bool,
-        value: int,
-        flags: int,
-    ) -> AccessResult:
-        directory = self.lock_directories[pe]
-        prior = directory.state(address)
-        if prior is _EMP:
-            self.stats.spurious_unlocks += 1
-            if write:
-                return self._write(pe, sop, area, address, block, value)
-            self._no_bus(pe)
-            return (1, 0, None)
-        total = 0
-        if write:
-            # The LR acquired the block exclusively, so this is normally a
-            # silent write hit; a miss (local eviction since LR) refetches.
-            # Perform the write while still holding the lock, so a rare
-            # conflict with another lock in the same block can be retried
-            # without having dropped our own entry.
-            result = self._write(pe, sop, area, address, block, value)
-            if result[0] == BLOCKED:
-                return result
-            total = result[0]
-        else:
-            self.stats.hits[area][sop] += 1
-            total = self._no_bus(pe)
-        directory.unlock(address)
-        self._release_lock(pe, address, block)
-        had_waiter = prior is _LWAIT or bool(flags & FLAG_LOCK_CONTENDED)
-        out_flags = 0
-        if had_waiter:
-            self.stats.unlocks_with_waiter += 1
-            self.stats.command_counts[_UL] += 1
-            total += self._bus(pe, _INVALIDATION, area)
-            out_flags = FLAG_LOCK_CONTENDED
-            # Busy-waiting PEs will retry; clear their episode markers so
-            # the retry performs a fresh (now unobstructed) lock check.
-            for waiter, waited_block in list(self._waiting.items()):
-                if waited_block == block:
-                    del self._waiting[waiter]
-        else:
-            self.stats.unlocks_no_waiter += 1
-        return (total, out_flags, None)
 
     def __repr__(self) -> str:
         return (

@@ -172,16 +172,9 @@ class TestTraceDiskCache:
         assert list(regenerated) == list(trace)
         assert ("pascal", 2) in fresh._cache  # re-emulated
 
-    def test_trace_path_materializes_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        workloads = Workloads(scale="tiny")
-        path = workloads.trace_path("pascal", 2)
-        assert path is not None and path.exists()
-
     def test_disabled_cache_still_works(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
         workloads = Workloads(scale="tiny")
-        assert workloads.trace_path("pascal", 2) is None
         assert len(workloads.trace("pascal", 2)) > 0
 
 

@@ -554,6 +554,35 @@ def test_sweep_serial_progress_smoke(tmp_path, capsys):
         assert report["manifest"]["extra"]["telemetry"]["points_completed"] == 2
 
 
+def test_sweep_progress_into_a_closed_pipe_stops_quietly(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    # The reader is gone before the first line: every write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        REPRO_TRACE_CACHE=str(tmp_path / "traces"),
+    )
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--benchmark", "pascal",
+             "--scale", "tiny", "--pes", "2", "--points", "2", "--jobs", "1",
+             "--progress", "--interval", "0.001", "--chunk", "1024"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert completed.returncode == 1
+    assert completed.stderr == ""
+
+
 def test_sweep_rejects_bad_points(capsys):
     assert main([
         "sweep", "--benchmark", "pascal", "--scale", "tiny", "--points", "0",

@@ -93,7 +93,10 @@ def test_every_hot_module_names_an_enum():
 
 
 def test_scan_catches_a_planted_read():
-    enums = _enum_classes("core/system.py")
+    enums = {
+        **_enum_classes("core/system.py"),
+        **_enum_classes("core/lock_directory.py"),
+    }
     planted = (
         "_EC = CacheState.EC\n"
         "def _fill(self):\n"

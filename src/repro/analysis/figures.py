@@ -8,7 +8,7 @@ paper plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.analysis.formatting import format_table
 from repro.analysis.runner import Workloads
@@ -22,6 +22,11 @@ from repro.core.config import (
 from repro.trace.events import Area
 
 
+#: Value formats (``format()`` specs): counts with thousands separators,
+#: ratios and percentage shares with fixed decimals.
+COUNT, RATIO, SHARE = ",.0f", ".4f", ".2f"
+
+
 @dataclass
 class Sweep:
     """One parameter sweep: per-benchmark series over an x-axis."""
@@ -31,12 +36,18 @@ class Sweep:
     x_values: List[object]
     #: metric name -> benchmark -> series (one value per x).
     series: Dict[str, Dict[str, List[float]]]
+    #: metric name -> the format of its values, or one format per x
+    #: where a series mixes counts and ratios.
+    formats: Dict[str, Union[str, Tuple[str, ...]]]
 
     def render(self) -> str:
         parts = []
         for metric, per_bench in self.series.items():
+            spec = self.formats[metric]
+            specs = (spec,) * len(self.x_values) if isinstance(spec, str) \
+                else spec
             rows = [
-                [bench] + [_fmt(v) for v in values]
+                [bench] + [format(v, f) for v, f in zip(values, specs)]
                 for bench, values in per_bench.items()
             ]
             parts.append(
@@ -47,14 +58,6 @@ class Sweep:
                 )
             )
         return "\n\n".join(parts)
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and value < 1:
-        return f"{value:.4f}"
-    if isinstance(value, float):
-        return f"{value:,.0f}"
-    return str(value)
 
 
 def figure1(
@@ -84,6 +87,7 @@ def figure1(
         x_label="block words",
         x_values=list(block_sizes),
         series={"miss ratio": miss, "bus cycles": bus},
+        formats={"miss ratio": RATIO, "bus cycles": COUNT},
     )
 
 
@@ -113,6 +117,7 @@ def figure2(
         x_label="capacity (words)",
         x_values=list(capacities),
         series={"miss ratio": miss, "bus cycles": bus},
+        formats={"miss ratio": RATIO, "bus cycles": COUNT},
     )
     sweep.total_bits = bits  # type: ignore[attr-defined]
     return sweep
@@ -147,6 +152,10 @@ def figure3(
             "comm % of bus": comm_share,
             "heap % of bus": heap_share,
         },
+        formats={
+            "bus cycles": COUNT, "comm % of bus": SHARE,
+            "heap % of bus": SHARE,
+        },
     )
 
 
@@ -170,6 +179,7 @@ def associativity_sweep(
         x_label="ways",
         x_values=list(ways),
         series={"bus cycles": bus, "relative to 4-way": relative},
+        formats={"bus cycles": COUNT, "relative to 4-way": RATIO},
     )
 
 
@@ -190,6 +200,7 @@ def bus_width_study(workloads: Workloads) -> Sweep:
         x_label="measure",
         x_values=["1-word cycles", "2-word cycles", "ratio"],
         series={"bus": ratio},
+        formats={"bus": (COUNT, COUNT, RATIO)},
     )
 
 

@@ -12,9 +12,9 @@ per registered spec, a straight-line Python replay loop with those
 decisions already taken:
 
 * every ``(op, area)`` dispatch cell is classified **once** by handler
-  identity into a *kind* (plain-read, silent-store, direct-write,
-  exclusive-read, read-purge, lock-read, unlock-write, unlock, or
-  slow);
+  identity into a *kind* (plain-read, exclusive-read,
+  read-invalidate, store, direct-write, read-purge, lock-read,
+  unlock-write, unlock, or slow);
 * the replayed range is preprocessed (numpy) into two columns: each
   reference's *residency key* — ``block << pe_bits | pe``, the key of
   the system's one residency index (:mod:`repro.core.cache`), or ``-1``
@@ -31,25 +31,37 @@ decisions already taken:
   dispatch;
 * consecutive read-family references by the same PE to the same block
   are *conflict-free runs*: no other PE intervenes and a read miss
-  always allocates, so only the head of the run can change any state
-  and the rest are collapsed to no-ops during preprocessing
-  (``KIND_DUP``), their hits, cycles and net LRU stamp all folded in
-  bulk;
+  (``R``, ``ER`` or ``RI``) always allocates, so only the head of the
+  run can change any state and the rest are collapsed to no-ops during
+  preprocessing (``KIND_DUP``), their hits, cycles and net LRU stamp
+  all folded in bulk;
 * hit counters are not touched in the loop at all: per-cell and per-PE
   hit totals are counted from the trace columns of the replayed range
   (``np.bincount``), with the (rare) fast-kind references that *fell
   back* to the slow path subtracted out, so a run of conflict-free hits
   is counted in bulk after the fact.
 
-**The miss path.**  The slow path runs the miss shapes that dominate a
-full-trace replay inline too, with no handler call:
+**The miss path.**  The slow path runs every miss shape inline too,
+with no handler call:
 
 * a read miss → ``F``, served cache-to-cache following the spec's
   supplier rows (owner first; the rows compiled into ``is`` tests) or
   from memory, with LRU victim choice, swap-out and holder bookkeeping;
+* a ``W``, from the spec's store table: a miss with write-allocate
+  (``FI``: the supplier picked, a dirty one copied back where
+  ``fetch_inval_copyback`` says so, every other copy killed, the block
+  filled), an invalidation hit on ``S``/``SM`` (an ``I`` broadcast),
+  or a through-store (write-once ``S``/``SM`` hits, the no-allocate
+  miss, every store of the write-through family, ``write_update``
+  patching the remote copies in place);
 * a ``DW`` on a block-boundary miss with no remote copy: allocated with
-  no bus transaction, or a ``SWAP_OUT_ONLY`` for a dirty victim;
-* an ``LR`` hitting an ``EM``/``EC`` line: locked in zero bus cycles;
+  no bus transaction, or a ``SWAP_OUT_ONLY`` for a dirty victim; any
+  other ``DW`` that misses the fast path is demoted to the ``W`` shape;
+* an ``LR``: on an ``EM``/``EC`` line locked in zero bus cycles, on a
+  shared line ``I`` + ``LK``, on a miss ``FI`` + ``LK``;
+* the ``ER`` miss (a read invalidate through ``FI``, or a demotion to
+  the read miss), the ``RP`` miss (a cache-to-cache purge or a memory
+  read-through, nothing allocated) and the ``RI`` miss (``FI``);
 * a ``UW`` (silent store hit) or ``U`` whose lock has no waiter.
 
 Their counters go into locals of the session's loop, settled by
@@ -57,22 +69,27 @@ Their counters go into locals of the session's loop, settled by
 is inlined too while ``system._bus`` is the plain
 :meth:`SnoopingBus.transact <repro.core.interconnect.SnoopingBus.transact>`;
 any other binding — the directory backend, the speculative recorder —
-is called.  Everything else dispatches through the table: the other
-misses, a reference to a block with a locked word, a contended lock
-flag, and every cell whose handler is wrapped (a
+is called.  What still dispatches through the table: a reference to a
+block with a locked word (its LH check may inhibit it), a contended
+lock flag, a ``UW``/``U`` that is not the no-waiter shape above (a
+waiter, a lock not held, a ``UW`` whose line is gone or whose spec has
+no silent store), and every cell whose handler is wrapped (a
 :class:`~repro.cluster.system.ClusterCacheSystem`'s network charge).
 
 **One template, two emissions.**  Each miss shape is written once, as
-a template (``_FILL``, ``_READ_MISS``, ``_DW_ALLOC``, ...).  The kernel
-emission inlines it into the loop; the handler emission wraps it in the
-dispatch-table handler :class:`~repro.core.system.PIMCacheSystem`
-installs (``_read``, ``_direct_write``, ``_lock_read``,
-``_unlock_write``, ``_unlock_plain``, and the ``_fill`` and
-``_pick_supplier`` its hand-written handlers share), which
-``access()``, the oracle's data-tracking pass and the model checker
-call.  A template marks what differs: ``$counter`` is ``stats.counter``
-in a handler and a loop local in the kernel; a line starting ``?``
-(data tracking) appears only in the handler; ``@bus``, ``@tick`` and
+a template (``_FILL``, ``_READ_MISS``, ``_FETCH_EXCLUSIVE``,
+``_LOCK_READ``, ...; the store path is built from the spec's store
+table by :func:`_store`).  The kernel emission inlines it into the
+loop; the handler emission wraps it in the dispatch-table handlers
+:class:`~repro.core.system.PIMCacheSystem` installs (``_read``,
+``_write``, ``_direct_write``, ``_exclusive_read``, ``_read_purge``,
+``_read_invalidate``, ``_lock_read``, ``_unlock_write``,
+``_unlock_plain``, and the ``_fill`` they share), which ``access()``,
+the oracle's data-tracking pass and the model checker call; no handler
+is written by hand.  A template marks what differs: ``$counter`` is
+``stats.counter`` in a handler and a loop local in the kernel; a line
+starting ``?`` (data tracking, the LH check the kernel has already
+ruled out) appears only in the handler; ``@bus``, ``@tick`` and
 ``@return`` expand to a call, the cache's LRU tick and ``return`` in a
 handler, to the inlined transaction, the kernel-wide tick and
 ``continue`` in the kernel; ``@name args`` includes another template.
@@ -135,8 +152,10 @@ per advance, so a driver may swap ``_bus`` and ``_dir`` between ranges
 bit-identical to the per-access loop under either backend, which the
 goldens and the differential oracle check.
 
-Kernels and handlers are emitted as Python source, ``compile()``d when
-a system first uses the spec, and cached by spec name
+Kernels and handlers are emitted as Python source (about 1,600 to
+1,900 lines per built-in spec, 20 to 30 ms to emit and compile),
+``compile()``d when a system first uses the spec, and cached by spec
+name
 (:func:`get_kernel`, :func:`bind_handlers`).  A session
 does not open (:func:`open_session` returns ``None``) for an empty
 range or when a (system, trace) pair falls outside the kernel's
@@ -156,6 +175,7 @@ import numpy as np
 from repro.core.cache import CacheLine
 from repro.core.interconnect import SnoopingBus
 from repro.core.protocol.directory import DirRequest
+from repro.core.protocol.spec import RemoteAction
 from repro.core.states import BusCommand, BusPattern, CacheState, LockState
 from repro.trace.events import FLAG_LOCK_CONTENDED, Area, Op
 
@@ -173,14 +193,14 @@ N_CELLS = N_OPS * N_AREAS
 N_PATTERNS = len(BusPattern)
 
 #: Reference kinds, one byte per reference.  The loop branches on the
-#: kind with threshold compares, so the order is load-bearing: the two
-#: plain-hit kinds (R, ER) come first and share one branch, the two
-#: silent-store kinds (W, DW) share the next, and fast kinds precede
+#: kind with threshold compares, so the order is load-bearing: the
+#: three plain-hit kinds (R, ER, RI) come first and share one branch,
+#: the two store kinds (W, DW) share the next, and fast kinds precede
 #: ``KIND_SLOW``, the lock kinds (slow, each with an inline shape) and
 #: ``KIND_DUP`` (collapsed run tail), whose keys are ``-1`` so they
 #: never reach the hit branches.
-(KIND_R, KIND_ER, KIND_W, KIND_DW, KIND_PURGE, KIND_SLOW, KIND_LR, KIND_UW,
- KIND_U, KIND_DUP) = range(10)
+(KIND_R, KIND_ER, KIND_RI, KIND_W, KIND_DW, KIND_PURGE, KIND_SLOW, KIND_LR,
+ KIND_UW, KIND_U, KIND_DUP) = range(11)
 
 #: Residency keys (``block << pe_bits | pe``) wider than this fall
 #: outside the kernel's envelope: they would not fit the int64 columns.
@@ -198,17 +218,25 @@ _SILENT_TEST_ORDER = (
 #: The miss path's deferred counters, in the order the kernel's loop
 #: yields them to :meth:`KernelSession.fold`: ``$name`` in a template is
 #: the :class:`~repro.core.stats.SystemStats` field ``name`` in a handler
-#: and the loop local ``n_name`` in the kernel.  All are sums except
-#: ``fetches`` (``command_counts[F]``) and ``lock_dir_max_occupancy``,
-#: a maximum.
+#: and the loop local ``n_name`` in the kernel.  All are sums;
+#: ``lock_dir_max_occupancy`` is a maximum, and the names in
+#: :data:`_COMMANDS` count bus commands (``command_counts``).
 _DEFERRED = (
     "fetches",
+    "fetch_invals",
+    "invalidations",
+    "lock_broadcasts",
     "swap_ins",
     "swap_outs",
     "memory_busy_cycles",
     "c2c_transfers",
+    "supplier_invalidations",
+    "ri_exclusive_fetches",
+    "er_demotions",
     "dw_allocations",
+    "dw_demotions",
     "lr_no_bus",
+    "lr_bus",
     "hit_service_cycles",
     "lock_dir_overflows",
     "lock_dir_max_occupancy",
@@ -218,7 +246,13 @@ _DEFERRED = (
     "purges_clean",
 )
 
-_CMD_F = int(BusCommand.F)
+#: The deferred counters that count a bus command: name -> command.
+_COMMANDS = {
+    "fetches": int(BusCommand.F),
+    "fetch_invals": int(BusCommand.FI),
+    "invalidations": int(BusCommand.I),
+    "lock_broadcasts": int(BusCommand.LK),
+}
 
 #: ``$NAME`` constants, the same in both emissions.
 _CONSTANTS = {
@@ -230,11 +264,10 @@ _CONSTANTS = {
 
 _HANDLER_NAMES = {
     **{name: f"stats.{name}" for name in _DEFERRED},
-    "fetches": f"stats.command_counts[{_CMD_F}]",
+    **{name: f"stats.command_counts[{c}]" for name, c in _COMMANDS.items()},
     "tick": "cache._tick",
     "data": "data",
     "dir": "system._dir",
-    "sets": "caches[pe]._sets",
     "locked": "system._locked_words",
     "sop": "sop",
 }
@@ -244,7 +277,6 @@ _KERNEL_NAMES = {
     "tick": "gtick",
     "data": "None",
     "dir": "dir_",
-    "sets": "sets_of[pe]",
     "locked": "locked_words",
     "sop": "op",
 }
@@ -256,6 +288,7 @@ _KERNEL_NAMES = {
 _BINDINGS = """\
 stats = system.stats
 caches = system.caches
+sets_of = [cache._sets for cache in caches]
 resident = system._resident
 holder_map = system._holders
 pe_bits = system._pe_bits
@@ -290,6 +323,12 @@ pe_cycles[pe] += 1
 $hit_service_cycles += 1
 """
 
+#: The handler-only LH check of a bus request by ``pe`` to ``block``.
+_LOCK_CHECK = """\
+?if $locked and system._check_locks(pe, area, block):
+?    return _BLOCKED
+"""
+
 #: Copy the dirty ``$line`` of ``$block`` back to shared memory.
 _WRITEBACK = """\
 ?if track_data and $line.data is not None:
@@ -297,6 +336,18 @@ _WRITEBACK = """\
 ?    for offset, word in enumerate($line.data):
 ?        system.memory[base + offset] = word
 $memory_busy_cycles += mem_cycles
+"""
+
+#: Read ``block`` from shared memory (a swap-in); ``data`` holds its
+#: words in a handler.
+_MEMORY_READ = """\
+$swap_ins += 1
+$memory_busy_cycles += mem_cycles
+?if track_data:
+?    base = block << shift
+?    data = [system.memory.get(base + i, 0) for i in range(block_words)]
+?else:
+?    data = None
 """
 
 #: Drop ``$pe`` from the holders of ``$block`` and tell a directory
@@ -311,11 +362,23 @@ if $dir is not None:
     $dir.note_drop($block, $pe)
 """
 
+#: Purge ``line``, ``$pe``'s copy of ``$block``: a dirty purge is a
+#: swap-out avoided (the data is dead by the software contract).
+_PURGE = """\
+del resident[$block << pe_bits | $pe]
+del sets_of[$pe][$block & set_mask][$block >> set_shift]
+@drop_holder $block, $pe
+if line.state is _EM or line.state is _SM:
+    $purges_dirty += 1
+else:
+    $purges_clean += 1
+"""
+
 #: Fill ``block`` into ``pe``'s cache in ``$state`` as ``line``: LRU
 #: victim choice, the victim's holder entry, residency note and
 #: swap-out, then the new line's holder entry.  Sets ``victim_dirty``.
 _FILL = """\
-bucket = $sets[block & set_mask]
+bucket = sets_of[pe][block & set_mask]
 ?if block >> set_shift in bucket:
 ?    raise ValueError(
 ?        f"PE{pe}: block {block:#x} is already resident; call sites "
@@ -366,6 +429,42 @@ else:
     supplier = first
 """
 
+#: The other holders of ``block``, for a request by a PE that may hold
+#: it itself.
+_REMOTES = """\
+held = holder_map.get(block)
+remotes = [other for other in held if other != pe] if held else _NO_REMOTES
+key = block << pe_bits
+"""
+
+#: Kill the copies in ``remotes``; the caller updates the holder entry.
+_KILL_REMOTES = """\
+for other in remotes:
+    del resident[key | other]
+    del sets_of[other][block & set_mask][block >> set_shift]
+"""
+
+#: Kill the remote copies of a block the requester keeps.
+_INVALIDATE = """\
+if remotes:
+    @kill_remotes
+    held.difference_update(remotes)
+    if not held:
+        del holder_map[block]
+"""
+
+#: Flush any dirty copy in ``remotes`` before an invalidation that
+#: hands over no ownership (a through-store's): its copy-back duty is
+#: discharged, not dropped.  Reachable only where a DW allocation
+#: dirtied a block under a through-store protocol.
+_COPYBACK_REMOTES = """\
+for other in remotes:
+    remote = resident[key | other]
+    if remote.state is _EM or remote.state is _SM:
+        $swap_outs += 1
+        @writeback remote, block
+"""
+
 #: A read miss: ``F``, served cache-to-cache (no copyback under the
 #: PIM supplier rows; Illinois-style where the spec says so) or from
 #: memory, filled ``S`` or ``EC``.
@@ -382,13 +481,7 @@ if held:
     state = _S
 else:
     remotes = _NO_REMOTES
-    $swap_ins += 1
-    $memory_busy_cycles += mem_cycles
-    ?if track_data:
-    ?    base = block << shift
-    ?    data = [system.memory.get(base + i, 0) for i in range(block_words)]
-    ?else:
-    ?    data = None
+    @memory_read
     state = _EC
 @fill state
 if remotes:
@@ -398,6 +491,37 @@ else:
 @bus pattern, block, $REQ_GETS, remotes
 ?value = line.data[address & mask] if track_data else None
 @return (cycles, 0, value)
+"""
+
+#: ``FI`` on a miss: fetch ``block`` and invalidate every other copy,
+#: filled in ``$c2c`` after a cache-to-cache transfer (``dirty`` tells
+#: whether the consumed copy was dirty and kept its data out of
+#: memory) or ``$mem`` after a swap-in.  Leaves ``line`` and
+#: ``cycles``.
+_FETCH_EXCLUSIVE = """\
+$fetch_invals += 1
+held = holder_map.get(block)
+if held:
+    remotes = list(held)
+    key = block << pe_bits
+    @supplier
+    ?data = list(supplier.data) if track_data else None
+    dirty = supplier.state is _EM or supplier.state is _SM
+    @fi_copyback
+    @kill_remotes
+    del holder_map[block]
+    $c2c_transfers += 1
+    state = $c2c
+else:
+    remotes = _NO_REMOTES
+    @memory_read
+    state = $mem
+@fill state
+if remotes:
+    pattern = $P_C2C_WITH_SWAP_OUT if victim_dirty else $P_C2C
+else:
+    pattern = $P_SWAP_IN_WITH_SWAP_OUT if victim_dirty else $P_SWAP_IN
+@bus pattern, block, $REQ_GETM, remotes
 """
 
 #: A DW allocation (a block-boundary miss, no remote copy): no fetch
@@ -427,6 +551,63 @@ $hit_service_cycles += 1
 @return _HIT
 """
 
+#: An ``ER`` miss: a read invalidate when another cache holds the block
+#: and this is not its last word, else a plain read.
+_ER_MISS = """\
+if address & mask != mask and holder_map.get(block):
+    # Case (i): read invalidate, a cache-to-cache transfer after which
+    # the supplier's copy is invalidated.
+    @lock_check
+    $supplier_invalidations += 1
+    @fetch_exclusive _EM if dirty else _EC, _EC
+    ?value = line.data[address & mask] if track_data else None
+    @return (cycles, 0, value)
+# Case (iii): the controller replaces ER with plain R.
+$er_demotions += 1
+@lock_check
+@read_miss
+"""
+
+#: An ``RP`` miss: from a remote copy, which is invalidated after the
+#: transfer, or read through shared memory; either way nothing is
+#: allocated.
+_RP_MISS = """\
+held = holder_map.get(block)
+if held:
+    # Case (ii): the supplier is invalidated after the transfer; the
+    # fetched block is consumed without being allocated.
+    remotes = list(held)
+    key = block << pe_bits
+    $fetch_invals += 1
+    @supplier
+    ?data = list(supplier.data) if track_data else None
+    if supplier.state is _EM or supplier.state is _SM:
+        @rp_copyback
+        $purges_dirty += 1
+    else:
+        $purges_clean += 1
+    @kill_remotes
+    del holder_map[block]
+    $supplier_invalidations += 1
+    $c2c_transfers += 1
+    @bus $P_C2C, block, $REQ_GETM_NA, remotes
+    ?value = data[address & mask] if track_data else None
+    @return (cycles, 0, value)
+$fetches += 1
+@memory_read
+@bus $P_SWAP_IN, block, $REQ_GETS_NA, _NO_REMOTES
+?value = data[address & mask] if track_data else None
+@return (cycles, 0, value)
+"""
+
+#: An ``RI`` miss: ``FI``, so the rewrite that follows needs no ``I``.
+_RI_MISS = """\
+$ri_exclusive_fetches += 1
+@fetch_exclusive _EM if dirty else _EC, _EC
+?value = line.data[address & mask] if track_data else None
+@return (cycles, 0, value)
+"""
+
 #: Register ``pe``'s lock of ``address`` (in ``block``).
 _LOCK = """\
 directory = lock_dirs[pe]
@@ -447,13 +628,48 @@ else:
     words.append((pe, address))
 """
 
-#: An LR hit on an exclusive line, after its touch and hit count: the
-#: whole point of the hardware lock, zero bus cycles.
-_LR_EXCLUSIVE = """\
+#: An ``LR`` past its lock check and contention flag: on an exclusive
+#: line it locks in zero bus cycles (the whole point of the hardware
+#: lock); on a shared line it gains exclusivity with ``I`` + ``LK``; a
+#: miss rides ``FI`` + ``LK``.
+_LOCK_READ = """\
+line = resident.get(block << pe_bits | pe)
+if line is not None:
+    @touch
+    hits[area][$sop] += 1
+    ?if track_data:
+    ?    value = line.data[address & mask]
+    if line.state is _EM or line.state is _EC:
+        @lock
+        $lr_no_bus += 1
+        pe_cycles[pe] += 1
+        $hit_service_cycles += 1
+        @return (1, out_flags, value)
+    # Shared hit: I + LK.  A remote SM owner dies in the broadcast
+    # without supplying data, so its copy-back duty moves to this copy
+    # (the copies agree word for word): end dirty, not EC.
+    @remotes
+    remote_dirty = False
+    for other in remotes:
+        state = resident[key | other].state
+        if state is _EM or state is _SM:
+            remote_dirty = True
+    @invalidate
+    line.state = _EM if remote_dirty or line.state is _SM else _EC
+    @lock
+    $lr_bus += 1
+    $invalidations += 1
+    $lock_broadcasts += 1
+    @bus $P_INVALIDATION, block, $REQ_UPGR, remotes
+    @return (cycles, out_flags, value)
+# Miss: FI + LK.
+$lr_bus += 1
+$lock_broadcasts += 1
+@fetch_exclusive _EM if dirty else _EC, _EC
 @lock
-$lr_no_bus += 1
-pe_cycles[pe] += 1
-$hit_service_cycles += 1
+?if track_data:
+?    value = line.data[address & mask]
+@return (cycles, out_flags, value)
 """
 
 #: Release ``pe``'s lock of ``address`` from ``entries`` (its lock
@@ -527,15 +743,6 @@ if prior is _LWAIT or flags & $CONTENDED:
 return (total, 0, None)
 """
 
-#: The kernel's LR shape, past its guards (no contended flag, no locked
-#: word in the block, an exclusive line).
-_LR_SHAPE = """\
-@touch
-hits[area][op] += 1
-@lr_exclusive
-@return
-"""
-
 #: The kernel's UW shape, past its guards (the lock held, nobody
 #: waiting, the line resident): a silent store hit, then the release.
 _UW_SHAPE = """\
@@ -575,13 +782,24 @@ _TEMPLATES = {
     "fill_body": (("state",), _FILL),
     "touch": ((), _TOUCH),
     "no_bus_hit": ((), _NO_BUS_HIT),
+    "lock_check": ((), _LOCK_CHECK),
     "writeback": (("line", "block"), _WRITEBACK),
+    "memory_read": ((), _MEMORY_READ),
     "drop_holder": (("block", "pe"), _DROP_HOLDER),
+    "purge": (("block", "pe"), _PURGE),
     "supplier": ((), _SUPPLIER),
+    "remotes": ((), _REMOTES),
+    "kill_remotes": ((), _KILL_REMOTES),
+    "invalidate": ((), _INVALIDATE),
+    "copyback_remotes": ((), _COPYBACK_REMOTES),
     "read_miss": ((), _READ_MISS),
+    "fetch_exclusive": (("c2c", "mem"), _FETCH_EXCLUSIVE),
     "dw_alloc": ((), _DW_ALLOC),
+    "er_miss": ((), _ER_MISS),
+    "rp_miss": ((), _RP_MISS),
+    "ri_miss": ((), _RI_MISS),
     "lock": ((), _LOCK),
-    "lr_exclusive": ((), _LR_EXCLUSIVE),
+    "lock_read": ((), _LOCK_READ),
     "release": ((), _RELEASE),
     "unlock_done": ((), _UNLOCK_DONE),
     "unlock_tail": ((), _UNLOCK_TAIL),
@@ -599,33 +817,72 @@ def _read(pe, sop, area, address, block, value=0, flags=0):
         if track_data:
             return (1, 0, line.data[address & mask])
         return _HIT
-    if system._locked_words and system._check_locks(pe, area, block):
-        return _BLOCKED
+    @lock_check
     @read_miss
+"""
+
+_H_WRITE = """\
+def _write(pe, sop, area, address, block, value=0, flags=0):
+    @store
 """
 
 _H_DIRECT_WRITE = """\
 def _direct_write(pe, sop, area, address, block, value=0, flags=0):
     line = resident.get(block << pe_bits | pe)
+    if line is None and not address & mask and not holder_map.get(block):
+        @dw_alloc
+    # Demote to W: already resident (an ordinary write hit, block
+    # boundary or not), not a block boundary (the controller replaces
+    # DW with W), or a remote copy exists, violating the software
+    # contract ("no remote copy") — demote rather than break coherence.
+    $dw_demotions += 1
+    @store
+"""
+
+_H_EXCLUSIVE_READ = """\
+def _exclusive_read(pe, sop, area, address, block, value=0, flags=0):
+    line = resident.get(block << pe_bits | pe)
     if line is not None:
-        # Already resident: an ordinary write hit, demoted to W whether
-        # or not the address is a block boundary.
-        stats.dw_demotions += 1
-        @silent_hit
-        return system._write(pe, sop, area, address, block, value)
-    if address & mask or holder_map.get(block):
-        # Demote: not a block boundary (the controller replaces DW with
-        # W), or a remote copy exists, violating the software contract
-        # ("no remote copy") — demote rather than break coherence.
-        stats.dw_demotions += 1
-        return system._write(pe, sop, area, address, block, value)
-    @dw_alloc
+        @touch
+        @no_bus_hit
+        value = line.data[address & mask] if track_data else None
+        if address & mask == mask:
+            # Case (ii): a hit on the last word reads, then purges (RP).
+            @purge block, pe
+        return (1, 0, value)
+    @er_miss
+"""
+
+_H_READ_PURGE = """\
+def _read_purge(pe, sop, area, address, block, value=0, flags=0):
+    line = resident.get(block << pe_bits | pe)
+    if line is not None:
+        # Case (i): read, then forcibly purge.
+        @touch
+        @no_bus_hit
+        value = line.data[address & mask] if track_data else None
+        @purge block, pe
+        return (1, 0, value)
+    @lock_check
+    @rp_miss
+"""
+
+_H_READ_INVALIDATE = """\
+def _read_invalidate(pe, sop, area, address, block, value=0, flags=0):
+    line = resident.get(block << pe_bits | pe)
+    if line is not None:
+        # RI targets data just written by another PE; on a hit it
+        # behaves as a plain read.
+        @touch
+        @no_bus_hit
+        return (1, 0, line.data[address & mask] if track_data else None)
+    @lock_check
+    @ri_miss
 """
 
 _H_LOCK_READ = """\
 def _lock_read(pe, sop, area, address, block, value=0, flags=0):
-    if system._locked_words and system._check_locks(pe, area, block):
-        return _BLOCKED
+    @lock_check
     out_flags = 0
     if flags & $CONTENDED:
         # Trace replay: re-enact the LH + busy-wait recorded at
@@ -633,45 +890,8 @@ def _lock_read(pe, sop, area, address, block, value=0, flags=0):
         stats.lh_responses += 1
         system._bus(pe, $P_INVALIDATION, area)
         out_flags = $CONTENDED
-    line = resident.get(block << pe_bits | pe)
     value = None
-    if line is not None:
-        @touch
-        hits[area][sop] += 1
-        if track_data:
-            value = line.data[address & mask]
-        if line.state is _EM or line.state is _EC:
-            @lr_exclusive
-            return (1, out_flags, value)
-        # Shared hit: I + LK to gain exclusivity before locking.  A
-        # remote SM owner dies in the broadcast without supplying data,
-        # so its copy-back duty moves to this copy (the copies agree
-        # word for word): end dirty, not EC.
-        remotes = system._remote_holders(pe, block)
-        key = block << pe_bits
-        remote_dirty = False
-        for other in remotes:
-            state = resident[key | other].state
-            if state is _EM or state is _SM:
-                remote_dirty = True
-        system._invalidate_remotes(pe, block, remotes)
-        line.state = _EM if remote_dirty or line.state is _SM else _EC
-        @lock
-        stats.lr_bus += 1
-        stats.command_counts[$CMD_I] += 1
-        stats.command_counts[$CMD_LK] += 1
-        cycles = system._bus(
-            pe, $P_INVALIDATION, area, block, $REQ_UPGR, remotes
-        )
-        return (cycles, out_flags, value)
-    # Miss: FI + LK.
-    stats.lr_bus += 1
-    stats.command_counts[$CMD_LK] += 1
-    cycles = system._fetch_exclusive(pe, area, block, None)
-    @lock
-    if track_data:
-        value = resident[block << pe_bits | pe].data[address & mask]
-    return (cycles, out_flags, value)
+    @lock_read
 """
 
 _H_UNLOCK_WRITE = """\
@@ -715,23 +935,19 @@ def _fill(pe, block, state, area, data):
     return victim_dirty
 """
 
-_H_PICK_SUPPLIER = """\
-def _pick_supplier(block, remotes):
-    \"\"\"The supplying line of a cache-to-cache transfer of block.\"\"\"
-    key = block << pe_bits
-    @supplier
-    return supplier
-"""
-
 _HANDLERS = (
     ("_read", _H_READ),
+    ("_write", _H_WRITE),
     ("_direct_write", _H_DIRECT_WRITE),
+    ("_exclusive_read", _H_EXCLUSIVE_READ),
+    ("_read_purge", _H_READ_PURGE),
+    ("_read_invalidate", _H_READ_INVALIDATE),
     ("_lock_read", _H_LOCK_READ),
     ("_unlock_write", _H_UNLOCK_WRITE),
     ("_unlock_plain", _H_UNLOCK_PLAIN),
     ("_fill", _H_FILL),
-    ("_pick_supplier", _H_PICK_SUPPLIER),
 )
+
 
 _NAME = re.compile(r"\$(\w+)")
 
@@ -851,12 +1067,12 @@ def _preprocess(buffer, start, stop, shift, block_mask, n_pes, pe_bits, kinds):
         # head's hit outcome, because no other PE intervened and a read
         # miss always allocates — so the tail collapses to KIND_DUP
         # no-ops; its hits, cycles and LRU stamp fold in bulk.  Only the
-        # read-family kinds qualify: a store miss may write through
-        # without allocating (write-once), and a purge removes the very
-        # line its tail would need.
+        # read-family kinds qualify (an RI miss allocates too): a store
+        # miss may write through without allocating (write-once), and a
+        # purge removes the very line its tail would need.
         kind[1:][
             (key[1:] == key[:-1]) & (kind[1:] == kind[:-1])
-            & (kind[1:] <= KIND_ER)
+            & (kind[1:] < KIND_W)
         ] = KIND_DUP
     # Slow kinds and run tails must miss: key -1 is never resident.
     key[kind >= KIND_SLOW] = -1
@@ -1014,7 +1230,8 @@ class KernelSession:
         fb_cells[:] = [0] * N_CELLS
         *counts, pattern_counts = self._gen.send(None)
         deferred = dict(zip(_DEFERRED, counts))
-        stats.command_counts[_CMD_F] += deferred.pop("fetches")
+        for name, command in _COMMANDS.items():
+            stats.command_counts[command] += deferred.pop(name)
         top = deferred.pop("lock_dir_max_occupancy")
         if top > stats.lock_dir_max_occupancy:
             stats.lock_dir_max_occupancy = top
@@ -1081,6 +1298,13 @@ class _Emitter:
             "supplier_rows": ((), _supplier_rows(spec)),
             "silent_store": ((), _silent_store(spec)),
             "silent_hit": ((), _SILENT_HIT if silent_states else ""),
+            "store": ((), _store(spec)),
+            "fi_copyback": (
+                (), _FI_COPYBACK if spec.fetch_inval_copyback else ""
+            ),
+            "rp_copyback": (
+                (), _COPYBACK if spec.fetch_inval_copyback else ""
+            ),
         }
 
     def emit(self, text: str, indent: int) -> str:
@@ -1140,14 +1364,157 @@ def _silent_store(spec) -> str:
     """The state change of a silent store hit on ``line`` (its state in
     ``st``), one ``is`` test per state the store changes."""
     silent = spec.silent_store_next()
+    return "\n".join(_moves("st", [
+        (state, silent[state]) for state in _SILENT_TEST_ORDER
+        if silent[state] is not None
+    ]))
+
+
+#: A consumed dirty supplier's data copied back to memory.
+_COPYBACK = "$swap_outs += 1\n@writeback supplier, block"
+
+#: ``FI``'s copyback of a dirty supplier, where the spec has one.
+_FI_COPYBACK = """\
+if dirty:
+    $swap_outs += 1
+    @writeback supplier, block
+    dirty = False
+"""
+
+
+def _state(state) -> str:
+    """The emitted name of *state*: a loop-local alias, or the module
+    global for ``INV``."""
+    if state is CacheState.INV:
+        return "_ST_INV"
+    return f"_{state.name}"
+
+
+def _moves(var, moves) -> List[str]:
+    """``line.state`` set per ``(state, next state)`` pair, one ``is``
+    test on *var* each; pairs that change nothing emit nothing."""
     lines = []
-    for state in _SILENT_TEST_ORDER:
-        next_state = silent[state]
-        if next_state is None or next_state is state:
+    for state, next_state in moves:
+        if next_state is state:
             continue
-        lines.append(f"{'elif' if lines else 'if'} st is _{state.name}:")
-        lines.append(f"    line.state = _{next_state.name}")
-    return "\n".join(lines)
+        lines.append(f"{'elif' if lines else 'if'} {var} is _{state.name}:")
+        lines.append(f"    line.state = {_state(next_state)}")
+    return lines
+
+
+def _promotion(spec) -> List[str]:
+    """A through-store's promotion of the local ``line`` once the
+    remote copies are dead (the store table's next states)."""
+    moves = _moves("state", [
+        (s, spec.store[s].next_state) for s in _SILENT_TEST_ORDER
+        if spec.store[s].next_state is not None
+    ])
+    return ["state = line.state", *moves] if moves else []
+
+
+def _through(spec, promote: List[str]) -> List[str]:
+    """One word written through to shared memory over the bus, no
+    allocation: remote copies patched in place (``UPDATE`` specs) or
+    killed, then the *promote* lines."""
+    if spec.store[CacheState.INV].remote is RemoteAction.UPDATE:
+        remote = [
+            "?if track_data:",
+            "?    for other in remotes:",
+            "?        resident[key | other].data[address & mask] = value",
+        ]
+    else:
+        remote = ["@copyback_remotes", "@invalidate"]
+    return [
+        "@remotes",
+        *remote,
+        *promote,
+        "?if track_data:",
+        "?    system.memory[address] = value",
+        "$memory_busy_cycles += mem_cycles",
+        "@bus $P_WRITE_THROUGH, block, $REQ_WT, remotes",
+        "@return (cycles, 0, None)",
+    ]
+
+
+def _indented(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _store(spec) -> str:
+    """The ``W`` path compiled from the spec's store table.  ``line`` is
+    the requester's probed copy or None (the handler probes it here);
+    an all-through spec probes after its lock check instead, and
+    promotes only under invalidation."""
+    store = spec.store
+    inv = CacheState.INV
+    write = [
+        "hits[area][$sop] += 1",
+        "?if track_data:",
+        "?    line.data[address & mask] = value",
+    ]
+    if spec.all_through:
+        promote = _promotion(spec)
+        if promote and store[inv].remote is not RemoteAction.UPDATE:
+            promote = ["if line is not None:", *_indented(promote)]
+        else:
+            promote = []
+        return "\n".join([
+            "@lock_check",
+            "line = resident.get(block << pe_bits | pe)",
+            "if line is not None:",
+            *_indented(["@touch", *write]),
+            *_through(spec, promote),
+        ])
+    bus_states = [s for s in _SILENT_TEST_ORDER if not store[s].silent]
+    through = [s for s in bus_states if store[s].through]
+    upgrade = [s for s in bus_states if not store[s].through]
+    # An invalidation hit (an I broadcast): the block is *perhaps*
+    # shared, so the transaction is mandatory.
+    nexts = [(s, store[s].next_state or s) for s in upgrade]
+    if len({n for _, n in nexts}) == 1 and all(n is not s for s, n in nexts):
+        next_state = [f"line.state = {_state(nexts[0][1])}"]
+    else:
+        next_state = ["state = line.state", *_moves("state", nexts)]
+    invalidation = [
+        "@remotes",
+        "@invalidate",
+        *next_state,
+        "$invalidations += 1",
+        "@bus $P_INVALIDATION, block, $REQ_UPGR, remotes",
+        "@return (cycles, 0, None)",
+    ]
+    through_hit = _through(spec, _promotion(spec))
+    if through and upgrade:
+        hit = [
+            "state = line.state",
+            "if " + " or ".join(f"state is _{s.name}" for s in through) + ":",
+            *_indented(through_hit),
+            *invalidation,
+        ]
+    else:
+        hit = through_hit if through else invalidation
+    miss = store[inv]
+    if miss.allocate:
+        final = miss.next_state or inv
+        if final is CacheState.EC:
+            c2c, mem = "_EM if dirty else _EC", "_EC"
+        else:
+            c2c = mem = _state(final)
+        miss_lines = [
+            f"@fetch_exclusive {c2c}, {mem}",
+            "?if track_data:",
+            "?    line.data[address & mask] = value",
+            "@return (cycles, 0, None)",
+        ]
+    else:
+        miss_lines = _through(spec, [])
+    return "\n".join([
+        "?line = resident.get(block << pe_bits | pe)",
+        "if line is not None:",
+        *_indented(["?@silent_hit", "@touch", "@lock_check", *write, *hit]),
+        "@lock_check",
+        *miss_lines,
+    ])
 
 
 def _silent_store_chain(spec) -> str:
@@ -1180,18 +1547,19 @@ def kernel_source(spec) -> str:
     (``_open``, ``_loop``, ``_kernel``) and the dispatch-table handlers
     (``_bind``), both expanded from the one set of miss-path templates
     (see module docstring)."""
+    return "\n\n".join(_source_units(spec))
+
+
+def _source_units(spec) -> Tuple[str, str]:
+    """The generated source of *spec* as two compile units: the
+    handlers (``_bind``) and the kernel (``_open``, ``_loop``,
+    ``_kernel``).  They are compiled one at a time because the
+    compiler's transient syntax tree, and with it the process's peak
+    memory, grows with the unit."""
     handler = _Emitter(spec, handler=True)
     kernel = _Emitter(spec, handler=False)
-    silent = spec.has_silent_stores
-    if silent:
-        classify = (
-            f"    write_h = table[{int(Op.W)}][0]\n"
-            f"    dw_h = next(\n"
-            f"        (h for h in table[{int(Op.DW)}] if h is not write_h),"
-            " None\n"
-            f"    )\n"
-            f"    uw_h = system._unlock_write"
-        )
+    if spec.has_silent_stores:
+        uw_classify = "system._unlock_write"
         w_branch = f"""\
             elif kind < {KIND_PURGE}:
                 st = line.state
@@ -1208,15 +1576,18 @@ def kernel_source(spec) -> str:
 """
     else:
         # Pure write-through family: no hit state absorbs a store, so
-        # no write fast path is emitted, W/DW cells classify slow, and
-        # a UW (never a silent store) is left to its handler.
-        classify = "    write_h = dw_h = None\n    uw_h = None"
-        w_branch = ""
+        # every W/DW hit takes the slow path, and a UW (never a silent
+        # store) is left to its handler.
+        uw_classify = "None"
+        w_branch = f"""\
+            elif kind < {KIND_PURGE}:
+                pass
+"""
         uw_branch = ""
     handlers = "\n\n".join(handler.emit(text, 4) for _, text in _HANDLERS)
     returned = ", ".join(f"{name!r}: {name}" for name, _ in _HANDLERS)
     counters = ", ".join(f"n_{name}" for name in _DEFERRED)
-    return f'''\
+    bind = f'''\
 def _bind(system):
     """Bind the {spec.name!r} dispatch-table handlers to system.
 
@@ -1228,8 +1599,8 @@ def _bind(system):
 {handlers}
 
     return {{{returned}}}
-
-
+'''
+    kernel_unit = f'''\
 def _open(system, buffer, start, stop):
     """Open a {spec.name!r} kernel session over [start, stop) of buffer.
 
@@ -1245,14 +1616,14 @@ def _open(system, buffer, start, stop):
     # session instead of once per reference.
     table = system._op_table
     read_h = table[0][0]
-    er_h = next(
-        (h for h in table[{int(Op.ER)}] if h is not read_h), None
+    er_h, ri_h, rp_h = (
+        next((h for h in table[op] if h is not read_h), None)
+        for op in ({int(Op.ER)}, {int(Op.RI)}, {int(Op.RP)})
     )
-    rp_h = next(
-        (h for h in table[{int(Op.RP)}] if h is not read_h), None
-    )
-{classify}
+    write_h = table[{int(Op.W)}][0]
+    dw_h = next((h for h in table[{int(Op.DW)}] if h is not write_h), None)
     lr_h = system._lock_read
+    uw_h = {uw_classify}
     u_h = system._unlock_plain
     kinds = []
     for row in table:
@@ -1261,6 +1632,8 @@ def _open(system, buffer, start, stop):
                 kinds.append({KIND_R})
             elif h is er_h:
                 kinds.append({KIND_ER})
+            elif h is ri_h:
+                kinds.append({KIND_RI})
             elif h is write_h:
                 kinds.append({KIND_W})
             elif h is dw_h:
@@ -1284,16 +1657,18 @@ def _open(system, buffer, start, stop):
     if prep is None:
         return None
     session = KernelSession(system, buffer, start, stop, table, kinds, prep)
-    # The read and DW misses run inline only where the cell holds the
-    # system's own handler (not a network-charging wrapper).
+    # A miss runs inline only where its cell holds the system's own
+    # handler (not a network-charging wrapper).
     session._gen = _loop(
-        session, read_h is system._read, dw_h is system._direct_write
+        session, read_h is system._read, write_h is system._write,
+        dw_h is system._direct_write, er_h is system._exclusive_read,
+        ri_h is system._read_invalidate, rp_h is system._read_purge,
     )
     next(session._gen)
     return session
 
 
-def _loop(session, own_read, own_dw):
+def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
     """The {spec.name!r} replay loop of one session, its locals bound
     once: each send((lo, hi, keys, kinds)) replays [lo, hi); a send of
     None yields the deferred counters and zeroes them."""
@@ -1310,7 +1685,6 @@ def _loop(session, own_read, own_dw):
     ic = system.interconnect
     cost = system._pattern_cost
     area_cycles = stats.bus_cycles_by_area
-    sets_of = [cache._sets for cache in caches]
     {" = ".join(f"n_{name}" for name in _DEFERRED)} = 0
     pat_n = [0] * {N_PATTERNS}
     msg = yield
@@ -1354,20 +1728,15 @@ def _loop(session, own_read, own_dw):
                     # victim choice, so gtick is not advanced.
                     p = pe_col[i]
                     blk = addr_col[i] >> shift
-                    del resident[blk << pe_bits | p]
-                    del sets_of[p][blk & set_mask][blk >> set_shift]
-{kernel.emit("@drop_holder blk, p", 20)}
-                    if line.state is _EM or line.state is _SM:
-                        n_purges_dirty += 1
-                    else:
-                        n_purges_clean += 1
+{kernel.emit("@purge blk, p", 20)}
                     continue
             elif kind == {KIND_DUP}:
                 # Collapsed tail of a conflict-free same-PE run.
                 continue
             # Slow path: credit the requester's unaccounted hit cycles,
             # then run its miss shape inline or dispatch through the
-            # table exactly as access() does.
+            # table exactly as access() does.  No shape runs inline on a
+            # block with a locked word: its LH check may inhibit it.
             pe = pe_col[i]
             op = op_col[i]
             area = area_col[i]
@@ -1381,26 +1750,40 @@ def _loop(session, own_read, own_dw):
                 fb_cells[op * {N_AREAS} + area] += 1
                 done[pe] += 1
             block = address >> shift
-            if kind == {KIND_DW}:
-                if own_dw and line is None and not address & mask \\
+            if kind == {KIND_DW} and own_dw:
+                if line is None and not address & mask \\
                         and not holder_map.get(block):
 {kernel.emit("@dw_alloc", 20)}
+                if own_write and block not in locked_words:
+                    # Demoted: the W shape below serves it.
+                    n_dw_demotions += 1
+                    kind = {KIND_W}
+            if kind == {KIND_W}:
+                if own_write and block not in locked_words:
+{kernel.emit("@store", 20)}
             elif kind == {KIND_R}:
                 if own_read and block not in locked_words:
 {kernel.emit("@read_miss", 20)}
             elif kind == {KIND_LR}:
                 if not flags_col[i] & {FLAG_LOCK_CONTENDED} \\
                         and block not in locked_words:
-                    line = probe(block << pe_bits | pe)
-                    if line is not None \\
-                            and (line.state is _EM or line.state is _EC):
-{kernel.emit(_LR_SHAPE, 24)}
+{kernel.emit("@lock_read", 20)}
 {_indent(uw_branch, 4)}
             elif kind == {KIND_U}:
                 entries = lock_dirs[pe].entries
                 if entries.get(address) is _LCK \\
                         and not flags_col[i] & {FLAG_LOCK_CONTENDED}:
 {kernel.emit(_U_SHAPE, 20)}
+            elif kind == {KIND_RI}:
+                if own_ri and block not in locked_words:
+{kernel.emit("@ri_miss", 20)}
+            elif kind == {KIND_ER} or kind == {KIND_PURGE}:
+                if block not in locked_words:
+                    if op == {int(Op.RP)}:
+                        if own_rp:
+{kernel.emit("@rp_miss", 28)}
+                    elif own_er:
+{kernel.emit("@er_miss", 24)}
             cache = caches[pe]
             cache._tick = gtick
             ic.free_at = free_at
@@ -1430,10 +1813,10 @@ def _kernel(system, buffer, start, stop):
     with session:
         return session.run(start, stop)
 '''
+    return bind, kernel_unit
 
 
 def _compile(spec) -> dict:
-    source = kernel_source(spec)
     namespace = {f"_ST_{s.name}": s for s in CacheState}
     namespace.update({f"_LS_{s.name}": s for s in LockState})
     namespace["_preprocess"] = _preprocess
@@ -1445,8 +1828,8 @@ def _compile(spec) -> dict:
     namespace["_NO_REMOTES"] = ()
     namespace["CacheLine"] = CacheLine
     namespace["_SNOOP_TRANSACT"] = SnoopingBus.transact
-    code = compile(source, f"<repro-codegen:{spec.name}>", "exec")
-    exec(code, namespace)
+    for unit in _source_units(spec):
+        exec(compile(unit, f"<repro-codegen:{spec.name}>", "exec"), namespace)
     return namespace
 
 
@@ -1474,9 +1857,8 @@ def get_kernel(spec) -> Callable:
 
 def bind_handlers(system) -> Dict[str, Callable]:
     """*system*'s generated dispatch-table handlers, by attribute name
-    (``_read``, ``_direct_write``, ``_lock_read``, ``_unlock_write``,
-    ``_unlock_plain``, ``_fill``, ``_pick_supplier``), compiled from
-    its protocol spec."""
+    (the names of :data:`_HANDLERS`), compiled from its protocol
+    spec."""
     return _compiled(system.protocol_spec)["_bind"](system)
 
 

@@ -33,13 +33,15 @@ Protocol summary (Section 3, DESIGN.md has the full rationale):
   ``LWAIT``, and busy-waits for ``UL``; ``U``/``UW`` broadcast ``UL``
   only from ``LWAIT``.
 
-The handlers of the miss shapes the replay kernel runs inline — ``R``,
-``DW``, ``LR``, ``UW``/``U``, and the ``_fill``/``_pick_supplier`` the
-other handlers share — are not written here: they are emitted per spec
-by :mod:`repro.core.protocol.codegen` from the same templates as the
-kernel's miss path, and bound in ``__init__``.  The handlers below are
-the rest of the controller: write misses and write-through stores, the
-``ER``/``RP``/``RI`` misses, and the bookkeeping helpers.
+No operation handler is written here.  Every one — ``R``, ``W`` (its
+write-allocate ``FI``, ``S``/``SM`` upgrade and write-through stores),
+``DW``, ``ER``/``RP``/``RI``, ``LR``, ``UW``/``U``, and the ``_fill``
+they share — is emitted per spec by :mod:`repro.core.protocol.codegen`
+from the same templates as the replay kernel's miss path, and bound in
+``__init__``; ``tests/test_handler_declarations.py`` keeps hand-written
+copies out of this module.  What stays here is the system's state, the
+LH check (``_check_locks``), ``flush_all``, the invariants and the
+probe layer.
 """
 
 from __future__ import annotations
@@ -48,17 +50,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.cache import Cache, CacheLine
 from repro.core.config import SimulationConfig
-from repro.core.interconnect import (
-    REQ_GETM,
-    REQ_GETM_NA,
-    REQ_GETS_NA,
-    REQ_UPGR,
-    REQ_WT,
-    build_interconnect,
-)
+from repro.core.interconnect import build_interconnect
 from repro.core.lock_directory import LockDirectory
-from repro.core.protocol import RemoteAction, codegen, get_protocol
-from repro.core.states import DIRTY_STATES, BusCommand, BusPattern, CacheState
+from repro.core.protocol import codegen, get_protocol
+from repro.core.states import DIRTY_STATES, BusPattern, CacheState
 from repro.core.stats import SystemStats
 from repro.trace.events import Area, Op
 
@@ -74,27 +69,11 @@ _EXCLUSIVE = (CacheState.EM, CacheState.EC)
 N_OPS = len(Op)
 N_AREAS = len(Area)
 
-#: Shared hit result for the no-data-tracking fast path (avoids one tuple
-#: allocation per cache hit on the replay hot loop).
-_HIT = (1, 0, None)
-
-# Module aliases of every enum member the handlers read: looking a
+# A module alias of the enum member the LH check reads: looking a
 # member up on its Enum class costs more than an empty call, reading a
-# global costs next to nothing.  They are the same member objects, so
-# states are compared with ``is``.  tests/test_hot_path_enums.py keeps
-# member lookups out of the handlers.
-_F, _FI, _I = BusCommand.F, BusCommand.FI, BusCommand.I
+# global costs next to nothing.  tests/test_hot_path_enums.py keeps
+# member lookups out of the per-reference methods.
 _INVALIDATION = BusPattern.INVALIDATION
-_C2C = BusPattern.C2C
-_C2C_WITH_SWAP_OUT = BusPattern.C2C_WITH_SWAP_OUT
-_SWAP_IN = BusPattern.SWAP_IN
-_SWAP_IN_WITH_SWAP_OUT = BusPattern.SWAP_IN_WITH_SWAP_OUT
-_WRITE_THROUGH = BusPattern.WRITE_THROUGH
-_EM, _EC = CacheState.EM, CacheState.EC
-
-#: Shared empty remote-holder list: callers only iterate or truth-test
-#: the result, so misses on unshared blocks avoid a list allocation.
-_NO_REMOTES: "list[int]" = []
 
 
 class PIMCacheSystem:
@@ -117,15 +96,6 @@ class PIMCacheSystem:
         "_block_mask",
         "_block_shift",
         "protocol_spec",
-        "_fi_copyback",
-        "_store_silent_next",
-        "_store_through",
-        "_store_next",
-        "_through_promote",
-        "_store_remote_update",
-        "_store_miss_allocate",
-        "_store_miss_state",
-        "_all_through",
         "_mem_cycles",
         "_pattern_cost",
         "_op_table",
@@ -138,12 +108,15 @@ class PIMCacheSystem:
         "_base_op_table",
         # The generated handlers (repro.core.protocol.codegen).
         "_read",
+        "_write",
         "_direct_write",
+        "_exclusive_read",
+        "_read_purge",
+        "_read_invalidate",
         "_lock_read",
         "_unlock_write",
         "_unlock_plain",
         "_fill",
-        "_pick_supplier",
     )
 
     def __init__(self, config: SimulationConfig, n_pes: int):
@@ -182,35 +155,9 @@ class PIMCacheSystem:
         self._block_words = config.cache.block_words
         self._block_mask = self._block_words - 1
         self._block_shift = self._block_words.bit_length() - 1
-        #: The declarative protocol spec this controller was compiled
-        #: from.  The tables below are flat per-state tuples (indexed by
-        #: ``CacheState``) so the hot handlers pay one subscript, never a
-        #: registry or spec lookup.
-        spec = get_protocol(config.protocol)
-        self.protocol_spec = spec
-        #: Dirty data consumed by FI / an RP transfer copies back to memory.
-        self._fi_copyback = spec.fetch_inval_copyback
-        #: Next state of a silent (zero-bus) store hit, or None where the
-        #: store needs the bus.
-        self._store_silent_next = spec.silent_store_next()
-        store = [spec.store[s] for s in CacheState]
-        #: Per-state: this store writes one word through to shared memory.
-        self._store_through = tuple(r.through for r in store)
-        #: Per-state next state of a bus-visible store hit.
-        self._store_next = tuple(
-            r.next_state if r.next_state is not None else s
-            for s, r in zip(CacheState, store)
-        )
-        #: Promotion applied by a through-store once remotes are dead.
-        self._through_promote = tuple(r.next_state for r in store)
-        self._store_remote_update = (
-            store[0].remote is RemoteAction.UPDATE
-        )
-        self._store_miss_allocate = store[0].allocate
-        self._store_miss_state = self._store_next[0]
-        #: Every store goes through (pure write-through family): _write
-        #: short-circuits to _through_store without probing the cache.
-        self._all_through = spec.all_through
+        #: The declarative protocol spec this controller's handlers are
+        #: compiled from (its store, supplier and FI-copyback tables).
+        self.protocol_spec = get_protocol(config.protocol)
         self._mem_cycles = config.bus.memory_access_cycles
         self._pattern_cost = [
             config.bus.pattern_cycles(p, self._block_words) for p in BusPattern
@@ -232,32 +179,31 @@ class PIMCacheSystem:
         # the table (the plain R/W handler is installed directly), so the
         # hot path never consults ``opts.honours``.  All handlers share the
         # signature ``(pe, sop, area, address, block, value, flags)``.
-        honours = config.opts.honours
-        # Bind each method handler exactly once: every ``self._write``
-        # access creates a *new* bound-method object, and the generated
-        # replay kernel classifies handlers by identity (``h is
-        # read_h``), so all table cells for one handler must share one
-        # object.  The generated handlers are plain attributes already.
-        read, write = self._read, self._write
-        direct_write, exclusive_read = self._direct_write, self._exclusive_read
-        read_purge, read_invalidate = self._read_purge, self._read_invalidate
-        per_op = {
-            Op.R: lambda area: read,
-            Op.W: lambda area: write,
-            Op.LR: lambda area: self._lock_read,
-            Op.UW: lambda area: self._unlock_write,
-            Op.U: lambda area: self._unlock_plain,
-            Op.DW: lambda area: (direct_write if honours(Op.DW, area) else write),
-            Op.ER: lambda area: (
-                exclusive_read if honours(Op.ER, area) else read
-            ),
-            Op.RP: lambda area: (read_purge if honours(Op.RP, area) else read),
-            Op.RI: lambda area: (
-                read_invalidate if honours(Op.RI, area) else read
-            ),
+        # All table cells for one handler are one object: the generated
+        # replay kernel classifies cells by handler identity.
+        handlers = {
+            Op.R: self._read,
+            Op.W: self._write,
+            Op.LR: self._lock_read,
+            Op.UW: self._unlock_write,
+            Op.U: self._unlock_plain,
+            Op.DW: self._direct_write,
+            Op.ER: self._exclusive_read,
+            Op.RP: self._read_purge,
+            Op.RI: self._read_invalidate,
         }
+        demoted = {
+            Op.DW: self._write, Op.ER: self._read, Op.RP: self._read,
+            Op.RI: self._read,
+        }
+        honours = config.opts.honours
         self._op_table = [
-            [per_op[op](area) for area in Area] for op in Op
+            [
+                handlers[op]
+                if op not in demoted or honours(op, area) else demoted[op]
+                for area in Area
+            ]
+            for op in Op
         ]
         # Observability: the unwrapped table is kept so a probe can be
         # attached (handlers wrapped) and detached (table restored) at
@@ -479,72 +425,12 @@ class PIMCacheSystem:
         (read-only view of the active backend's timeline)."""
         return self.interconnect.free_at
 
-    def _no_bus(self, pe: int) -> int:
-        """Advance the PE clock for a bus-free access (cache hit)."""
-        self._pe_cycles[pe] += 1
-        self.stats.hit_service_cycles += 1
-        return 1
-
-    def _copyback_dirty_remotes(self, block: int, remotes: List[int]) -> None:
-        """Flush any dirty copy in *remotes* before an invalidation that
-        transfers no ownership (a through-store's I broadcast): the dying
-        copy's copy-back duty is discharged, not dropped.  Reachable only
-        when an optimized command (DW's fetch-free allocation) dirtied a
-        block under a through-store protocol — pure through protocols
-        never dirty a copy on their own."""
-        for other in remotes:
-            line = self.caches[other].peek(block)
-            if line.state in DIRTY_STATES:
-                self.stats.swap_outs += 1
-                self._writeback(block, line)
-
     def _writeback(self, block: int, line) -> None:
         if self.track_data and line.data is not None:
             base = block << self._block_shift
             for offset, word in enumerate(line.data):
                 self.memory[base + offset] = word
         self.stats.memory_busy_cycles += self._mem_cycles
-
-    def _memory_read(self, block: int) -> Optional[List[int]]:
-        self.stats.swap_ins += 1
-        self.stats.memory_busy_cycles += self._mem_cycles
-        if not self.track_data:
-            return None
-        base = block << self._block_shift
-        return [self.memory.get(base + i, 0) for i in range(self._block_words)]
-
-    def _drop_holder(self, block: int, pe: int) -> None:
-        holders = self._holders.get(block)
-        if holders is not None:
-            holders.discard(pe)
-            if not holders:
-                del self._holders[block]
-        if self._dir is not None:
-            self._dir.note_drop(block, pe)
-
-    def _remote_holders(self, pe: int, block: int) -> "list[int]":
-        holders = self._holders.get(block)
-        if not holders:
-            return _NO_REMOTES
-        return [other for other in holders if other != pe]
-
-    def _invalidate_remotes(
-        self, pe: int, block: int, remotes: Optional[List[int]] = None
-    ) -> None:
-        """Remove every remote copy of *block*; callers that already
-        computed the remote-holder list pass it to avoid a recompute."""
-        if remotes is None:
-            remotes = self._remote_holders(pe, block)
-        if not remotes:
-            return
-        caches = self.caches
-        for other in remotes:
-            caches[other].remove(block)
-        holders = self._holders.get(block)
-        if holders is not None:
-            holders.difference_update(remotes)
-            if not holders:
-                del self._holders[block]
 
     def _check_locks(self, pe: int, area: int, block: int) -> bool:
         """True when a bus request by *pe* to *block* is inhibited by a
@@ -570,284 +456,6 @@ class PIMCacheSystem:
             self.stats.pe_cycles[pe] += 1  # one spin cycle
             self.stats.lock_spin_cycles += 1
         return True
-
-    # ------------------------------------------------------------------
-    # Operation handlers.  ``sop`` is the operation as issued by software
-    # (before any demotion) so the statistics reflect Table 3's view.
-    # All handlers share the dispatch-table signature
-    # ``(pe, sop, area, address, block, value, flags)``; the hit paths of
-    # ``_read`` and ``_write`` are hand-hoisted (locals instead of
-    # repeated attribute chains, ``_no_bus`` inlined) because they carry
-    # the bulk of every trace replay.
-    # ------------------------------------------------------------------
-
-    def _write(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        if self._all_through:
-            # Pure write-through family: no store ever hits silently, so
-            # skip the local probe and go straight to the through path.
-            return self._through_store(pe, sop, area, address, block, value)
-        # Inlined Cache.lookup, as in _read.
-        line = self._resident.get(block << self._pe_bits | pe)
-        if line is not None:
-            cache = self.caches[pe]
-            cache._tick += 1
-            line.lru = cache._tick
-            state = line.state
-            next_state = self._store_silent_next[state]
-            if next_state is not None:
-                # Silent store hit (EM/EC under the copy-back protocols):
-                # zero bus cycles, local state per the spec's store table.
-                line.state = next_state
-                self._hits[area][sop] += 1
-                self._pe_cycles[pe] += 1
-                self.stats.hit_service_cycles += 1
-                if self.track_data:
-                    line.data[address & self._block_mask] = value
-                return _HIT
-            stats = self.stats
-            # The block is *perhaps* shared — a bus transaction is
-            # mandatory even if no copy actually exists elsewhere.
-            if self._locked_words and self._check_locks(pe, area, block):
-                return (BLOCKED, 0, None)
-            if self._store_through[state]:
-                # Through-store hit (write-once in S/SM): one word to
-                # shared memory, remotes handled, copy promoted in place.
-                stats.hits[area][sop] += 1
-                if self.track_data:
-                    line.data[address & self._block_mask] = value
-                remotes = self._remote_holders(pe, block)
-                if self._store_remote_update:
-                    if self.track_data:
-                        offset = address & self._block_mask
-                        for other in remotes:
-                            self.caches[other].peek(block).data[offset] = value
-                else:
-                    self._copyback_dirty_remotes(block, remotes)
-                    self._invalidate_remotes(pe, block, remotes)
-                if self.track_data:
-                    self.memory[address] = value
-                promoted = self._through_promote[state]
-                if promoted is not None:
-                    line.state = promoted
-                stats.memory_busy_cycles += self._mem_cycles
-                cycles = self._bus(
-                    pe, _WRITE_THROUGH, area, block, REQ_WT, remotes
-                )
-                return (cycles, 0, None)
-            # Invalidation hit (S/SM under PIM/Illinois): I broadcast.
-            stats.hits[area][sop] += 1
-            remotes = self._remote_holders(pe, block)
-            self._invalidate_remotes(pe, block, remotes)
-            line.state = self._store_next[state]
-            if self.track_data:
-                line.data[address & self._block_mask] = value
-            stats.command_counts[_I] += 1
-            cycles = self._bus(pe, _INVALIDATION, area, block, REQ_UPGR, remotes)
-            return (cycles, 0, None)
-        if not self._store_miss_allocate:
-            # Miss without write-allocate (write-once): the word goes
-            # through; _through_store performs its own lock check.
-            return self._through_store(pe, sop, area, address, block, value)
-        # Write miss: fetch-on-write via FI.
-        if self._locked_words and self._check_locks(pe, area, block):
-            return (BLOCKED, 0, None)
-        cycles = self._fetch_exclusive(pe, area, block, self._store_miss_state)
-        if self.track_data:
-            self.caches[pe].peek(block).data[address & self._block_mask] = value
-        return (cycles, 0, None)
-
-    def _through_store(
-        self, pe: int, sop: int, area: int, address: int, block: int, value: int
-    ) -> AccessResult:
-        """Write one word through to shared memory over the bus, with no
-        write-allocate.  Under an *invalidate* remote action remote
-        copies are killed and the sole survivor is promoted per the
-        spec's store table; under the *update* action (``write_update``)
-        remotes are patched in place (a broadcast write), so blocks are
-        never dirtied and sharers persist."""
-        if self._locked_words and self._check_locks(pe, area, block):
-            return (BLOCKED, 0, None)
-        line = self.caches[pe].lookup(block)
-        if line is not None:
-            self.stats.hits[area][sop] += 1
-            if self.track_data:
-                line.data[address & self._block_mask] = value
-        remotes = self._remote_holders(pe, block)
-        if self._store_remote_update:
-            for other in remotes:
-                if self.track_data:
-                    remote = self.caches[other].peek(block)
-                    remote.data[address & self._block_mask] = value
-        else:
-            self._copyback_dirty_remotes(block, remotes)
-            self._invalidate_remotes(pe, block, remotes)
-            if line is not None:
-                # Now the sole copy: apply the spec's promotion (under
-                # the built-in through policies S->EC and SM->EM — the
-                # write went through, so a clean block stays clean, and
-                # a dirty block keeps its copy-back duty for its *other*
-                # words).
-                promoted = self._through_promote[line.state]
-                if promoted is not None:
-                    line.state = promoted
-        if self.track_data:
-            self.memory[address] = value
-        self.stats.memory_busy_cycles += self._mem_cycles
-        cycles = self._bus(
-            pe, _WRITE_THROUGH, area, block, REQ_WT, remotes
-        )
-        return (cycles, 0, None)
-
-    def _fetch_exclusive(
-        self, pe: int, area: int, block: int, final_state: Optional[CacheState]
-    ) -> int:
-        """Issue FI: fetch *block* and invalidate every other copy.
-
-        ``final_state`` of None means "EM if the data was dirty somewhere,
-        else EC" (used by LR / RI, whose write may be silent later).
-        Returns the bus cycles charged.
-        """
-        self.stats.command_counts[_FI] += 1
-        remotes = self._remote_holders(pe, block)
-        if remotes:
-            supplier = self._pick_supplier(block, remotes)
-            data = list(supplier.data) if self.track_data else None
-            dirty = supplier.state in DIRTY_STATES
-            if dirty and self._fi_copyback:
-                self.stats.swap_outs += 1
-                self._writeback(block, supplier)
-                dirty = False
-            self._invalidate_remotes(pe, block, remotes)
-            self.stats.c2c_transfers += 1
-            if final_state is None:
-                final_state = _EM if dirty else _EC
-            elif final_state is _EC and dirty:
-                final_state = _EM
-            victim_dirty = self._fill(pe, block, final_state, area, data)
-            pattern = (
-                _C2C_WITH_SWAP_OUT if victim_dirty else _C2C
-            )
-        else:
-            data = self._memory_read(block)
-            if final_state is None:
-                final_state = _EC
-            victim_dirty = self._fill(pe, block, final_state, area, data)
-            pattern = (
-                _SWAP_IN_WITH_SWAP_OUT
-                if victim_dirty
-                else _SWAP_IN
-            )
-        return self._bus(pe, pattern, area, block, REQ_GETM, remotes)
-
-    def _purge(self, pe: int, area: int, block: int, line) -> None:
-        """Forcibly drop a local block; a dirty purge is a swap-out avoided."""
-        self.caches[pe].remove(block)
-        self._drop_holder(block, pe)
-        if line.state in DIRTY_STATES:
-            self.stats.purges_dirty += 1
-        else:
-            self.stats.purges_clean += 1
-
-    def _exclusive_read(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        last_word = (address & self._block_mask) == self._block_mask
-        # Inlined Cache.lookup, as in _read.
-        line = self._resident.get(block << self._pe_bits | pe)
-        if line is not None:
-            cache = self.caches[pe]
-            cache._tick += 1
-            line.lru = cache._tick
-            # Case (ii): hit on the last word — read, then purge (RP).
-            self.stats.hits[area][sop] += 1
-            value = line.data[address & self._block_mask] if self.track_data else None
-            if last_word:
-                self._purge(pe, area, block, line)
-            self.stats.pe_cycles[pe] += 1
-            self.stats.hit_service_cycles += 1
-            return (1, 0, value)
-        remotes = self._remote_holders(pe, block)
-        if remotes and not last_word:
-            # Case (i): read invalidate — cache-to-cache transfer after
-            # which the supplier's copy is invalidated.
-            if self._locked_words and self._check_locks(pe, area, block):
-                return (BLOCKED, 0, None)
-            self.stats.supplier_invalidations += 1
-            cycles = self._fetch_exclusive(pe, area, block, None)
-            value = None
-            if self.track_data:
-                value = self.caches[pe].peek(block).data[address & self._block_mask]
-            return (cycles, 0, value)
-        # Case (iii): the controller replaces ER with plain R.
-        self.stats.er_demotions += 1
-        return self._read(pe, sop, area, address, block)
-
-    def _read_purge(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        line = self.caches[pe].lookup(block)
-        if line is not None:
-            # Case (i): read, then forcibly purge.
-            self.stats.hits[area][sop] += 1
-            value = line.data[address & self._block_mask] if self.track_data else None
-            self._purge(pe, area, block, line)
-            self._no_bus(pe)
-            return (1, 0, value)
-        if self._locked_words and self._check_locks(pe, area, block):
-            return (BLOCKED, 0, None)
-        remotes = self._remote_holders(pe, block)
-        if remotes:
-            # Case (ii): supplier invalidated after the transfer; the
-            # fetched block is consumed without being allocated.
-            self.stats.command_counts[_FI] += 1
-            supplier = self._pick_supplier(block, remotes)
-            data = list(supplier.data) if self.track_data else None
-            if supplier.state in DIRTY_STATES:
-                if self._fi_copyback:
-                    self.stats.swap_outs += 1
-                    self._writeback(block, supplier)
-                self.stats.purges_dirty += 1
-            else:
-                self.stats.purges_clean += 1
-            self._invalidate_remotes(pe, block, remotes)
-            self.stats.supplier_invalidations += 1
-            self.stats.c2c_transfers += 1
-            cycles = self._bus(pe, _C2C, area, block, REQ_GETM_NA, remotes)
-            value = data[address & self._block_mask] if self.track_data else None
-            return (cycles, 0, value)
-        # Miss with no remote copy: read through shared memory, nothing
-        # to purge or allocate.
-        self.stats.command_counts[_F] += 1
-        data = self._memory_read(block)
-        cycles = self._bus(pe, _SWAP_IN, area, block, REQ_GETS_NA)
-        value = data[address & self._block_mask] if self.track_data else None
-        return (cycles, 0, value)
-
-    def _read_invalidate(
-        self, pe: int, sop: int, area: int, address: int, block: int,
-        value: int = 0, flags: int = 0,
-    ) -> AccessResult:
-        line = self.caches[pe].lookup(block)
-        if line is not None:
-            # RI targets data just written by another PE; on a hit it
-            # behaves as a plain read.
-            self.stats.hits[area][sop] += 1
-            self._no_bus(pe)
-            value = line.data[address & self._block_mask] if self.track_data else None
-            return (1, 0, value)
-        if self._locked_words and self._check_locks(pe, area, block):
-            return (BLOCKED, 0, None)
-        self.stats.ri_exclusive_fetches += 1
-        cycles = self._fetch_exclusive(pe, area, block, None)
-        value = None
-        if self.track_data:
-            value = self.caches[pe].peek(block).data[address & self._block_mask]
-        return (cycles, 0, value)
 
     def __repr__(self) -> str:
         return (

@@ -106,6 +106,37 @@ class TestFigures:
         for series in sweep.series["bus cycles"].values():
             assert series[0] >= series[1]
 
+    def test_render_formats_each_series_by_its_kind(self):
+        # A ratio or share is never rounded to an integer, whatever its
+        # magnitude; counts get thousands separators.
+        sweep = figures.Sweep(
+            title="Associativity",
+            x_label="ways",
+            x_values=[1, 2, 4],
+            series={
+                "bus cycles": {"tri": [346531.0, 98583.0, 72416.0]},
+                "relative to 4-way": {"tri": [4.7853, 1.3613, 1.0]},
+                "comm % of bus": {"tri": [0.0, 0.9704, 29.6]},
+                "bus": {"tri": [72416.0, 53892.0, 0.7442]},
+            },
+            formats={
+                "bus cycles": figures.COUNT,
+                "relative to 4-way": figures.RATIO,
+                "comm % of bus": figures.SHARE,
+                "bus": (figures.COUNT, figures.COUNT, figures.RATIO),
+            },
+        )
+        rows = [
+            line.split()[1:] for line in sweep.render().splitlines()
+            if line.strip().startswith("tri")
+        ]
+        assert rows == [
+            ["346,531", "98,583", "72,416"],
+            ["4.7853", "1.3613", "1.0000"],
+            ["0.00", "0.97", "29.60"],
+            ["72,416", "53,892", "0.7442"],
+        ]
+
     def test_bus_width_ratio_below_one(self, tiny_workloads):
         sweep = figures.bus_width_study(tiny_workloads)
         for series in sweep.series["bus"].values():

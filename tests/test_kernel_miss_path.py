@@ -1,14 +1,17 @@
 """The generated kernel's inline miss path against the per-access loop.
 
-The kernel runs the common misses inline — read-miss fills, DW
-allocations, LR on an exclusive line, UW/U with no waiter — from the
+The kernel runs the misses inline — read-miss fills, DW allocations and
+demotions, W misses (``FI``, or a write-through), ``S``/``SM`` upgrades,
+every LR shape, the ER/RP/RI misses, UW/U with no waiter — from the
 same templates the dispatch-table handlers are emitted from.  Here a
 miss-heavy random trace (4 sets, 1 way, a one-entry lock directory)
 replays through both loops under every built-in spec, both
 interconnects and K in {1, 2}, and must give identical counters; the
 counters of every shape must be nonzero, so the trace reaches them; and
 on a flat bus system, spies on the generated handlers show the kernel
-served those shapes without dispatching.
+served those shapes without dispatching: a store, a read or an LR
+leaves the loop only for a block with a locked word or a contended
+lock flag.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import pytest
 
 from repro.core.config import CacheConfig, ClusterConfig, SimulationConfig
 from repro.core.replay import replay
+from repro.core.states import BusPattern
 from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import Op
+from repro.trace.events import FLAG_LOCK_CONTENDED, Op
 from repro.trace.synthetic import generate_random_trace
 from tests.replay_loops import route_through
 
@@ -30,7 +34,14 @@ INTERCONNECTS = ("bus", "directory")
 CLUSTERS = (1, 2)
 #: The handlers codegen emits, as PIMCacheSystem attributes.
 GENERATED = (
-    "_read", "_direct_write", "_lock_read", "_unlock_write", "_unlock_plain",
+    "_read", "_write", "_direct_write", "_exclusive_read", "_read_purge",
+    "_read_invalidate", "_lock_read", "_unlock_write", "_unlock_plain",
+)
+#: The handlers whose every shape the kernel inlines: it dispatches to
+#: them only for a block with a locked word or a contended lock flag.
+INLINED = (
+    "_read", "_write", "_direct_write", "_exclusive_read", "_read_purge",
+    "_read_invalidate", "_lock_read",
 )
 
 
@@ -70,6 +81,21 @@ def test_kernel_matches_per_access(
     assert kernel["lr_no_bus"] > 0
     assert kernel["lock_dir_overflows"] > 0
     assert kernel["unlocks_no_waiter"] > 0
+    # Write misses (FI), upgrades (I), LR shared hits and misses, and
+    # the ER/RP/RI misses.
+    assert kernel["command_counts"]["FI"] > 0
+    assert kernel["command_counts"]["I"] > 0
+    assert kernel["lr_bus"] > 0
+    assert kernel["supplier_invalidations"] > 0
+    assert kernel["ri_exclusive_fetches"] > 0
+    assert kernel["er_demotions"] > 0
+    assert kernel["dw_demotions"] > 0
+    assert kernel["purges_dirty"] > 0 and kernel["purges_clean"] > 0
+    if protocol in ("write_once", "write_through", "write_update"):
+        # Through-stores: write-once S/SM hits and no-allocate misses,
+        # every store of the write-through family (write_update patching
+        # remote copies in place).
+        assert kernel["pattern_counts"]["write_through"] > 0
     if protocol == "illinois":
         # A copyback supplier row: dirty cache-to-cache transfers.
         assert kernel["c2c_transfers"] > 0
@@ -77,18 +103,31 @@ def test_kernel_matches_per_access(
 
 
 def _spied_system(config, n_pes):
-    """A flat system whose generated handlers count their calls; the
+    """A flat system whose generated handlers count their dispatches
+    (calls from the loop, not one handler's call of another); the
     dispatch table holds the spies under the same identities the kernel
-    classifies cells by, so the kernel still inlines their shapes."""
+    classifies cells by, so the kernel still inlines their shapes.  A
+    dispatch of an :data:`INLINED` handler for a block with no locked
+    word and no contended flag is listed in ``calls["unforced"]``."""
     system = PIMCacheSystem(config, n_pes)
     calls = Counter()
+    depth = [0]
     spies = {}
     for name in GENERATED:
         handler = getattr(system, name)
 
         def spy(*args, _handler=handler, _name=name):
-            calls[_name] += 1
-            return _handler(*args)
+            if not depth[0]:
+                calls[_name] += 1
+                pe, sop, area, address, block, value, flags = args
+                if _name in INLINED and not flags & FLAG_LOCK_CONTENDED \
+                        and block not in system._locked_words:
+                    calls["unforced"] += 1
+            depth[0] += 1
+            try:
+                return _handler(*args)
+            finally:
+                depth[0] -= 1
 
         spies[handler] = spy
         setattr(system, name, spy)
@@ -101,26 +140,37 @@ def _op_refs(stats, op):
     return sum(row[op] for row in stats.refs)
 
 
-def test_read_misses_and_dw_allocations_run_inline(trace):
-    # Only R, W and DW: no lock makes a read miss dispatch, and no ER
-    # calls the read handler itself.
+@pytest.mark.parametrize("protocol", SPECS)
+def test_misses_run_inline_without_locks(trace, protocol):
+    # No lock op: no block ever has a locked word, so no read, store or
+    # ER/RP/RI reference dispatches at all.
     plain = TraceBuffer(n_pes=trace.n_pes)
     for pe, op, area, address, flags in trace:
-        if op in (Op.R, Op.W, Op.DW):
+        if op not in (Op.LR, Op.UW, Op.U):
             plain.append(pe, op, area, address, flags)
-    system, calls = _spied_system(_config("pim"), plain.n_pes)
+    system, calls = _spied_system(_config(protocol), plain.n_pes)
     stats = replay(plain, system=system)
     assert stats.command_counts[0] > 0 and stats.dw_allocations > 0
-    assert calls["_read"] == 0
-    # Only demoted DWs dispatch (a shared hit, or a miss off a block
-    # boundary or with a remote copy); allocations never do.
-    assert calls["_direct_write"] <= stats.dw_demotions
+    assert stats.dw_demotions > 0 and stats.er_demotions > 0
+    assert stats.supplier_invalidations > 0
+    assert stats.ri_exclusive_fetches > 0
+    assert stats.purges_dirty + stats.purges_clean > 0
+    if protocol in ("pim", "illinois"):
+        # W misses (FI) and S/SM upgrades (I).
+        assert stats.command_counts[1] > 0 and stats.command_counts[2] > 0
+    else:
+        assert stats.pattern_counts[BusPattern.WRITE_THROUGH] > 0
+    assert not calls, calls
 
 
 def test_lock_shapes_run_inline(trace):
     system, calls = _spied_system(_config("pim"), trace.n_pes)
     stats = replay(trace, system=system)
     assert stats.lr_no_bus > 0 and stats.unlocks_no_waiter > 0
+    # LR shared hits (I + LK) and misses (FI + LK) run inline too: a
+    # store, a read or an LR dispatches only where a lock forces it.
+    assert stats.lr_bus > 0 and stats.command_counts[2] > 0
+    assert calls["unforced"] == 0
     assert calls["_lock_read"] < _op_refs(stats, Op.LR)
     assert calls["_unlock_write"] < _op_refs(stats, Op.UW)
     assert calls["_unlock_plain"] < _op_refs(stats, Op.U)
@@ -132,6 +182,7 @@ def test_spies_see_every_per_access_dispatch(trace, monkeypatch):
     route_through("interpreted", monkeypatch)
     system, calls = _spied_system(_config("pim"), trace.n_pes)
     stats = replay(trace, system=system)
+    assert calls["unforced"] > 0
     assert calls["_lock_read"] == _op_refs(stats, Op.LR)
     assert calls["_unlock_write"] == _op_refs(stats, Op.UW)
     assert calls["_unlock_plain"] == _op_refs(stats, Op.U)

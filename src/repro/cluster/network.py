@@ -223,6 +223,22 @@ class ClusterNetwork:
         self.stats.stall_cycles += stall
         return stall
 
+    def charge(
+        self, now: int, home: int, fetches: int, writes: int, invals: int
+    ) -> int:
+        """Forward one reference's traffic to *home*, from cycle *now*:
+        its fetches, then its writes, then its invalidations, each
+        message issued when the last one released the PE.  Returns the
+        issuing PE's total stall."""
+        stall = 0
+        for _ in range(fetches):
+            stall += self.fetch_forward(now + stall, home)
+        for _ in range(writes):
+            stall += self.write_forward(now + stall, home)
+        for _ in range(invals):
+            stall += self.inval_forward(now + stall, home)
+        return stall
+
     def occupancy(self, elapsed: Optional[int] = None) -> float:
         """Fraction of elapsed cycles the outbound link was busy."""
         if elapsed is None:

@@ -2,14 +2,15 @@
 
 :class:`ClusterCacheSystem` is one cluster: a standard
 :class:`~repro.core.system.PIMCacheSystem` over the cluster's local PEs
-whose dispatch-table handlers are wrapped (exactly the
-:meth:`~repro.core.system.PIMCacheSystem.attach_probe` pattern) so that
-accesses to blocks homed in *another* cluster charge the inter-cluster
-network.  The wrapper diffs ``pattern_counts`` across the handler call —
-the same counters every replay path maintains — so the charge is
-identical whether the access came through :meth:`access`, the windowed
-observer, or the generated replay kernel (which bypasses wrappers
-only for bus-free cache hits, and a hit never generates a pattern).
+plus a :class:`~repro.cluster.network.ClusterNetwork` interface.  It
+adds no handler and wraps none: the generated handlers and the replay
+kernel (:mod:`repro.core.protocol.codegen`) read ``network`` when they
+are bound, count each reference's transactions to a block homed in
+*another* cluster (fetches, write-throughs, invalidations, and the
+directory's third-party messages), and charge them to the network at
+the reference's end.  So the charge is the same whether the access
+came through :meth:`access`, the windowed observer, or the replay
+kernel, which runs every miss shape of a K ≥ 2 cluster inline.
 
 :class:`ClusteredSystem` partitions ``n_pes`` PEs contiguously into the
 K clusters of ``config.cluster`` and routes each access to the owning
@@ -20,26 +21,20 @@ state — the substitution that makes sharded per-cluster replay
 bit-identical to an interleaved run and therefore parallelizable with a
 deterministic merge (docs/CLUSTER.md states the argument precisely).
 
-With ``K == 1`` no wrapping is installed and the facade delegates to a
-bare, untouched ``PIMCacheSystem`` — counter-for-counter identical to
-the flat model, which the golden tests pin down bit-for-bit.
+With ``K == 1`` every block is homed locally, nothing is charged, and
+the facade delegates to one ``PIMCacheSystem`` — counter-for-counter
+identical to the flat model, which the golden tests pin down
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.core.config import SimulationConfig
-from repro.core.states import BusPattern
 from repro.core.stats import SystemStats
-from repro.core.system import BLOCKED, PIMCacheSystem
+from repro.core.system import PIMCacheSystem
 from repro.cluster.network import ClusterNetwork, NetworkStats
-from repro.obs.events import EventKind
-
-_SWAP_IN = int(BusPattern.SWAP_IN)
-_SWAP_IN_WITH_SWAP_OUT = int(BusPattern.SWAP_IN_WITH_SWAP_OUT)
-_WRITE_THROUGH = int(BusPattern.WRITE_THROUGH)
-_INVALIDATION = int(BusPattern.INVALIDATION)
 
 
 def merged_system_stats(parts: Sequence[SystemStats]) -> SystemStats:
@@ -108,7 +103,6 @@ class ClusterCacheSystem(PIMCacheSystem):
     def __init__(
         self, config: SimulationConfig, n_pes: int, cluster_index: int = 0
     ):
-        super().__init__(config, n_pes)
         cluster = config.cluster
         if not 0 <= cluster_index < cluster.n_clusters:
             raise ValueError(
@@ -116,99 +110,12 @@ class ClusterCacheSystem(PIMCacheSystem):
                 f"[0, {cluster.n_clusters})"
             )
         self.cluster_index = cluster_index
+        # Set before the handlers are bound: they and the replay kernel
+        # charge it (repro.core.protocol.codegen).
         self.network = ClusterNetwork(
             cluster, cluster_index, config.cache.block_words
         )
-        if cluster.n_clusters > 1:
-            self._install_network_wrappers()
-
-    def _install_network_wrappers(self) -> None:
-        """Wrap every distinct dispatch handler with the network charge.
-
-        The wrapped table becomes the system's *base* table, so a probe
-        attached later wraps the network-charging handlers (its BUS /
-        TRANSITION events keep their meaning) and detaching restores the
-        network-charging table, never the unclustered one.
-        """
-        home_of = self.config.cluster.home_of
-        my_cluster = self.cluster_index
-        network = self.network
-        stats = self.stats
-        pattern_counts = self.stats.pattern_counts
-        pe_cycles = self._pe_cycles
-        fetch_forward = network.fetch_forward
-        write_forward = network.write_forward
-        inval_forward = network.inval_forward
-        wrappers: Dict[object, object] = {}
-
-        def wrap(handler):
-            wrapped = wrappers.get(handler)
-            if wrapped is None:
-                def wrapped(
-                    pe, sop, area, address, block, value=0, flags=0,
-                    _handler=handler,
-                ):
-                    home = home_of(block)
-                    if home == my_cluster:
-                        return _handler(pe, sop, area, address, block, value, flags)
-                    fetches0 = (
-                        pattern_counts[_SWAP_IN]
-                        + pattern_counts[_SWAP_IN_WITH_SWAP_OUT]
-                    )
-                    writes0 = pattern_counts[_WRITE_THROUGH]
-                    invals0 = pattern_counts[_INVALIDATION]
-                    dir0 = (
-                        stats.directory_forwards
-                        + stats.directory_invalidations
-                    )
-                    result = _handler(pe, sop, area, address, block, value, flags)
-                    if result[0] == BLOCKED:
-                        return result
-                    fetches = (
-                        pattern_counts[_SWAP_IN]
-                        + pattern_counts[_SWAP_IN_WITH_SWAP_OUT]
-                        - fetches0
-                    )
-                    writes = pattern_counts[_WRITE_THROUGH] - writes0
-                    invals = pattern_counts[_INVALIDATION] - invals0
-                    # Each third-party message the home-node directory
-                    # sent for a remote-homed block also crosses the
-                    # ring (zero under the bus backend).
-                    dir_msgs = (
-                        stats.directory_forwards
-                        + stats.directory_invalidations
-                        - dir0
-                    )
-                    if not (fetches or writes or invals or dir_msgs):
-                        return result
-                    now = pe_cycles[pe]
-                    stall = 0
-                    for _ in range(fetches):
-                        stall += fetch_forward(now + stall, home)
-                    for _ in range(writes):
-                        stall += write_forward(now + stall, home)
-                    for _ in range(invals + dir_msgs):
-                        stall += inval_forward(now + stall, home)
-                    pe_cycles[pe] = now + stall
-                    probe = self._probe
-                    if probe is not None:
-                        probe._emit(
-                            EventKind.NETWORK, now + stall, pe, sop, area,
-                            address,
-                            f"forward->c{home} "
-                            f"f={fetches} w={writes} i={invals}"
-                            + (f" d={dir_msgs}" if dir_msgs else ""),
-                            stall,
-                        )
-                    return result
-
-                wrappers[handler] = wrapped
-            return wrapped
-
-        self._op_table = [
-            [wrap(handler) for handler in row] for row in self._base_op_table
-        ]
-        self._base_op_table = self._op_table
+        super().__init__(config, n_pes)
 
 
 class ClusteredSystem:

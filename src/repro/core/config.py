@@ -262,11 +262,17 @@ class ClusterConfig:
                 f"link_width_words must be >= 1, got {self.link_width_words}"
             )
 
+    @property
+    def home_shift(self) -> int:
+        """``home_of(block) == (block >> home_shift) % n_clusters``:
+        ``page_blocks`` is a power of two, so a page is a shift."""
+        if self.interleave == "block":
+            return 0
+        return self.page_blocks.bit_length() - 1
+
     def home_of(self, block: int) -> int:
         """Home cluster of a shared-memory *block*."""
-        if self.interleave == "block":
-            return block % self.n_clusters
-        return (block // self.page_blocks) % self.n_clusters
+        return (block >> self.home_shift) % self.n_clusters
 
     def ring_hops(self, src: int, dst: int) -> int:
         """Hop count between two clusters on a bidirectional ring."""

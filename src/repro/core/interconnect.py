@@ -193,6 +193,12 @@ class DirectoryInterconnect(Interconnect):
     model checker) sees every micro-step as
     ``observer(step, pe, block, entry, rule)`` with ``step`` in
     ``{"issue", "forward", "copyback", "inval", "update", "complete"}``.
+
+    The replay kernel runs this transaction inline while no observer
+    is attached (:mod:`repro.core.protocol.codegen` compiles the rows
+    in per request), so a change to what :meth:`transact` counts or
+    resolves must be made there too; the kernel-versus-per-access
+    tests hold the two to the same counters.
     """
 
     name = "directory"

@@ -65,16 +65,32 @@ with no handler call:
 * a ``UW`` (silent store hit) or ``U`` whose lock has no waiter.
 
 Their counters go into locals of the session's loop, settled by
-:meth:`~KernelSession.fold` as the hit counters are.  A bus transaction
-is inlined too while ``system._bus`` is the plain
-:meth:`SnoopingBus.transact <repro.core.interconnect.SnoopingBus.transact>`;
-any other binding — the directory backend, the speculative recorder —
-is called.  What still dispatches through the table: a reference to a
-block with a locked word (its LH check may inhibit it), a contended
-lock flag, a ``UW``/``U`` that is not the no-waiter shape above (a
-waiter, a lock not held, a ``UW`` whose line is gone or whose spec has
-no silent store), and every cell whose handler is wrapped (a
-:class:`~repro.cluster.system.ClusterCacheSystem`'s network charge).
+:meth:`~KernelSession.fold` as the hit counters are.  The interconnect
+runs inline too:
+
+* a transaction, while ``system._bus`` is the system's own
+  :meth:`SnoopingBus.transact <repro.core.interconnect.SnoopingBus.transact>`,
+  or its own
+  :meth:`DirectoryInterconnect.transact
+  <repro.core.interconnect.DirectoryInterconnect.transact>` with no
+  observer: the directory row for the site's constant request is
+  compiled in per entry state (:func:`_dir_transaction`), and the entry
+  resynchronized from the holders and the residency index.  Any other
+  binding is called: an observer (the model checker), the speculative
+  recorder, and a state with no row, whose call raises
+  ``DirectoryProtocolError``;
+* the network charge of a K ≥ 2
+  :class:`~repro.cluster.system.ClusterCacheSystem`: each transaction
+  the interconnect performed for a block homed in another cluster is
+  counted (``@net_count``: fetches, write-throughs, invalidations and
+  the directory's messages), and the reference's end forwards them
+  from the final PE clock (``_NET_CHARGE``).
+
+What still dispatches through the table: a reference to a block with a
+locked word (its LH check may inhibit it), a contended lock flag, and
+a ``UW``/``U`` that is not the no-waiter shape above (a waiter, a lock
+not held, a ``UW`` whose line is gone or whose spec has no silent
+store).
 
 **One template, two emissions.**  Each miss shape is written once, as
 a template (``_FILL``, ``_READ_MISS``, ``_FETCH_EXCLUSIVE``,
@@ -92,7 +108,11 @@ starting ``?`` (data tracking, the LH check the kernel has already
 ruled out) appears only in the handler; ``@bus``, ``@tick`` and
 ``@return`` expand to a call, the cache's LRU tick and ``return`` in a
 handler, to the inlined transaction, the kernel-wide tick and
-``continue`` in the kernel; ``@name args`` includes another template.
+``continue`` in the kernel, ``@return`` in both after the network
+charge of what the reference counted (in a handler a call of
+``_net_settle``; a handler called by another, an unlock's store, leaves
+it to its caller); ``@name args`` includes another template, or the
+text a function of the arguments returns.
 
 The kernel is a **session** over one position range ``[start, stop)``
 of a buffer.  :func:`open_session` classifies the dispatch cells and
@@ -152,11 +172,14 @@ per advance, so a driver may swap ``_bus`` and ``_dir`` between ranges
 bit-identical to the per-access loop under either backend, which the
 goldens and the differential oracle check.
 
-Kernels and handlers are emitted as Python source (about 1,600 to
-1,900 lines per built-in spec, 20 to 30 ms to emit and compile),
-``compile()``d when a system first uses the spec, and cached by spec
-name
-(:func:`get_kernel`, :func:`bind_handlers`).  A session
+Kernels and handlers are emitted as Python source, ``compile()``d
+when a system first uses them, and cached by spec name and *variant*
+(:func:`get_kernel`, :func:`bind_handlers`): the network charge is
+emitted only for a K ≥ 2 cluster's system, the inline directory
+transaction only for a directory backend's kernel, so a flat bus
+system compiles what it runs and no more (1,580 to 1,930 lines per
+built-in spec, against 2,240 to 2,670 for the full variants; the
+compiler's transient memory grows with the unit).  A session
 does not open (:func:`open_session` returns ``None``) for an empty
 range or when a (system, trace) pair falls outside the kernel's
 envelope (residency keys would exceed :data:`MAX_KEY_BITS`, negative
@@ -167,14 +190,21 @@ runs :func:`repro.core.replay.replay_access_driven` instead.
 from __future__ import annotations
 
 import re
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cache import CacheLine
-from repro.core.interconnect import SnoopingBus
-from repro.core.protocol.directory import DirRequest
+from repro.core.interconnect import DirectoryInterconnect, SnoopingBus
+from repro.core.protocol.directory import (
+    DirAction,
+    DirectoryEntry,
+    DirRequest,
+    DirState,
+    build_directory_spec,
+)
 from repro.core.protocol.spec import RemoteAction
 from repro.core.states import BusCommand, BusPattern, CacheState, LockState
 from repro.trace.events import FLAG_LOCK_CONTENDED, Area, Op
@@ -244,6 +274,10 @@ _DEFERRED = (
     "bus_wait_cycles",
     "purges_dirty",
     "purges_clean",
+    "directory_transactions",
+    "directory_forwards",
+    "directory_invalidations",
+    "directory_indirection_cycles",
 )
 
 #: The deferred counters that count a bus command: name -> command.
@@ -262,9 +296,17 @@ _CONSTANTS = {
     "CONTENDED": str(FLAG_LOCK_CONTENDED),
 }
 
+#: The network traffic a reference counted toward its remote home:
+#: fetches, write-throughs, invalidations, directory messages.
+_NET = ("net_f", "net_w", "net_i", "net_d")
+
 _HANDLER_NAMES = {
     **{name: f"stats.{name}" for name in _DEFERRED},
     **{name: f"stats.command_counts[{c}]" for name, c in _COMMANDS.items()},
+    **{name: f"net_n[{i}]" for i, name in enumerate(_NET)},
+    # A handler a handler calls (an unlock's store) leaves the charge to
+    # its caller, which charges the whole reference at its own end.
+    "net_due": "clustered and not flags & _NESTED and any(net_n)",
     "tick": "cache._tick",
     "data": "data",
     "dir": "system._dir",
@@ -274,6 +316,8 @@ _HANDLER_NAMES = {
 
 _KERNEL_NAMES = {
     **{name: f"n_{name}" for name in _DEFERRED},
+    **{name: name for name in _NET},
+    "net_due": "clustered and (net_f or net_w or net_i or net_d)",
     "tick": "gtick",
     "data": "None",
     "dir": "dir_",
@@ -285,8 +329,21 @@ _KERNEL_NAMES = {
 #: both emissions.  Nothing here is ever replaced on a live system; the
 #: bindings a driver or a restore may swap (``_bus``, ``_dir``,
 #: ``memory``, ``_locked_words``, ``_waiting``) are read at use.
+#: ``network`` is a K ≥ 2 :class:`~repro.cluster.system.ClusterCacheSystem`'s
+#: interface onto the inter-cluster network (see :func:`_is_clustered`);
+#: ``hop`` is both the network's hop and the directory's indirection
+#: per message.
 _BINDINGS = """\
 stats = system.stats
+cost = system._pattern_cost
+hop = system.config.cluster.hop_cycles
+clustered = _is_clustered(system)
+network = system.network if clustered else None
+net_forward = network.charge if clustered else None
+my_home = network.cluster_index if clustered else 0
+n_homes = network.config.n_clusters if clustered else 1
+home_shift = network.config.home_shift if clustered else 0
+net_n = [0, 0, 0, 0]
 caches = system.caches
 sets_of = [cache._sets for cache in caches]
 resident = system._resident
@@ -563,8 +620,8 @@ if address & mask != mask and holder_map.get(block):
     ?value = line.data[address & mask] if track_data else None
     @return (cycles, 0, value)
 # Case (iii): the controller replaces ER with plain R.
-$er_demotions += 1
 @lock_check
+$er_demotions += 1
 @read_miss
 """
 
@@ -705,13 +762,15 @@ if $silent_test:
     @return _HIT
 """
 
-#: ``@bus pattern, block, req, remotes`` in the kernel: the plain
-#: bus's transact inlined, any other binding called.
+#: ``@bus pattern, block, req, remotes`` in the kernel: the snooping
+#: bus's or the directory's transact inlined, any other binding called;
+#: then the transaction counted toward the network charge.
 _BUS_KERNEL = """\
-if inline_bus:
+if inline_ic:
     cycles = cost[$pattern]
     pat_n[$pattern] += 1
     area_cycles[area] += cycles
+    @dir_transaction $pattern, $block, $req, $remotes
     t = pe_cycles[pe] + 1
     if t < free_at:
         $bus_wait_cycles += free_at - t
@@ -720,8 +779,61 @@ if inline_bus:
     pe_cycles[pe] = free_at
 else:
     ic.free_at = free_at
-    bus_fn(pe, $pattern, area, $block, $req, $remotes)
+    cycles = bus_fn(pe, $pattern, area, $block, $req, $remotes)
     free_at = ic.free_at
+@net_count $pattern
+"""
+
+#: The end of a reference whose block is homed in another cluster: its
+#: counted traffic forwarded from the final PE clock (fetches, writes,
+#: then invalidations and directory messages), and the PE stalled for
+#: it.  Inlined in the kernel; a handler calls ``_net_settle``.
+_NET_CHARGE = """\
+home = (block >> home_shift) % n_homes
+now = pe_cycles[pe]
+stall = net_forward(now, home, $net_f, $net_w, $net_i + $net_d)
+pe_cycles[pe] = now + stall
+?probe = system._probe
+?if probe is not None:
+?    probe._emit(
+?        _NETWORK, now + stall, pe, sop, area, address,
+?        f"forward->c{home} f={$net_f} w={$net_w} i={$net_i}"
+?        + (f" d={$net_d}" if $net_d else ""),
+?        stall,
+?    )
+$net_f = $net_w = $net_i = $net_d = 0
+"""
+
+#: The kernel's directory entry for ``$block`` (``entry``, or None)
+#: resynchronized to residency after a transaction: owner and state
+#: from the holders' lines, dropped when no copy is left.
+_DIR_RESYNC = """\
+dheld = holder_map.get($block)
+if dheld:
+    dmask = 0
+    downer = -1
+    dstate = _DIR_S
+    dkey = $block << pe_bits
+    for dpe in dheld:
+        dmask |= 1 << dpe
+        dst = resident[dkey | dpe].state
+        if dst is _EM:
+            dstate = _DIR_M
+            downer = dpe
+        elif dst is _SM:
+            dstate = _DIR_O
+            downer = dpe
+        elif dst is _EC:
+            dstate = _DIR_E
+            downer = dpe
+    if entry is None:
+        dir_entries[$block] = _DirectoryEntry(dstate, downer, dmask)
+    else:
+        entry.state = dstate
+        entry.owner = downer
+        entry.sharers = dmask
+elif entry is not None:
+    del dir_entries[$block]
 """
 
 #: The end of every unlock that held its lock: with a waiter (a
@@ -731,16 +843,17 @@ if prior is _LWAIT or flags & $CONTENDED:
     @release
     stats.unlocks_with_waiter += 1
     stats.command_counts[$CMD_UL] += 1
-    total += system._bus(pe, $P_INVALIDATION, area)
+    @bus $P_INVALIDATION, -1, $REQ_CTRL, _NO_REMOTES
+    total += cycles
     # Busy-waiting PEs will retry; clear their episode markers so the
     # retry performs a fresh (now unobstructed) lock check.
     waiting = system._waiting
     for waiter, waited_block in list(waiting.items()):
         if waited_block == block:
             del waiting[waiter]
-    return (total, $CONTENDED, None)
+    @return (total, $CONTENDED, None)
 @unlock_done
-return (total, 0, None)
+@return (total, 0, None)
 """
 
 #: The kernel's UW shape, past its guards (the lock held, nobody
@@ -764,20 +877,55 @@ _U_SHAPE = """\
 """
 
 
+def _net_count(pattern: str) -> str:
+    """``@net_count pattern``: a transaction of *pattern* (an emitted
+    int, or the name of a block-transfer pattern) counted toward the
+    network charge, when the interconnect performed it (a real one
+    costs a cycle at least; the speculative recorder returns 0) for a
+    block homed in another cluster.  Its directory messages are its
+    indirection cycles over the hop (none on the snooping bus)."""
+    if not pattern.isdigit():
+        kind = [f"if {pattern} <= $P_SWAP_IN:", "    $net_f += 1"]
+    elif int(pattern) <= BusPattern.SWAP_IN:
+        # SWAP_IN_WITH_SWAP_OUT or SWAP_IN: a fetch from memory.
+        kind = ["$net_f += 1"]
+    elif int(pattern) == BusPattern.WRITE_THROUGH:
+        kind = ["$net_w += 1"]
+    elif int(pattern) == BusPattern.INVALIDATION:
+        kind = ["$net_i += 1"]
+    else:
+        kind = []
+    return "\n".join([
+        "if clustered and cycles "
+        "and (block >> home_shift) % n_homes != my_home:",
+        *_indented(kind),
+        f"    $net_d += (cycles - cost[{pattern}]) // hop",
+    ])
+
+
 #: name -> (parameters, text), or (parameters, handler text, kernel
-#: text) where the emissions differ.
+#: text) where the emissions differ, or a function of the arguments
+#: returning the text.
 _TEMPLATES = {
     "tick": ((), "cache = caches[pe]\ncache._tick += 1", "gtick += 1"),
     "bus": (
         ("pattern", "block", "req", "remotes"),
-        "cycles = system._bus(pe, $pattern, area, $block, $req, $remotes)",
+        "cycles = system._bus(pe, $pattern, area, $block, $req, $remotes)\n"
+        "@net_count $pattern",
         _BUS_KERNEL,
     ),
     "return": (
         ("value",),
-        "return $value",
-        "if waiting:\n    waiting.pop(pe, None)\ncontinue",
+        "@net_epilogue\nreturn $value",
+        "@net_epilogue\nif waiting:\n    waiting.pop(pe, None)\ncontinue",
     ),
+    "net_epilogue": ((), "if $net_due:\n    @net_charge"),
+    "net_charge": (
+        (), "_net_settle(pe, sop, area, address, block)", _NET_CHARGE,
+    ),
+    "net_charge_body": ((), _NET_CHARGE),
+    "net_count": _net_count,
+    "dir_resync": (("block",), _DIR_RESYNC),
     "fill": (("state",), _FILL_CALL, _FILL),
     "fill_body": (("state",), _FILL),
     "touch": ((), _TOUCH),
@@ -835,6 +983,9 @@ def _direct_write(pe, sop, area, address, block, value=0, flags=0):
     # boundary or not), not a block boundary (the controller replaces
     # DW with W), or a remote copy exists, violating the software
     # contract ("no remote copy") — demote rather than break coherence.
+    # A demotion the LH check inhibits is counted by the retry that
+    # passes it; a silent store hit makes no bus request to check.
+    @demote_lock_check
     $dw_demotions += 1
     @store
 """
@@ -888,7 +1039,7 @@ def _lock_read(pe, sop, area, address, block, value=0, flags=0):
         # Trace replay: re-enact the LH + busy-wait recorded at
         # generation time (replay order serializes the conflict away).
         stats.lh_responses += 1
-        system._bus(pe, $P_INVALIDATION, area)
+        @bus $P_INVALIDATION, -1, $REQ_CTRL, _NO_REMOTES
         out_flags = $CONTENDED
     value = None
     @lock_read
@@ -905,8 +1056,8 @@ def _unlock_write(pe, sop, area, address, block, value=0, flags=0):
     # silent store hit; a miss (local eviction since the LR) refetches.
     # The write runs while the lock is still held, so a rare conflict
     # with another lock in the same block can be retried without having
-    # dropped this one.
-    result = system._write(pe, sop, area, address, block, value)
+    # dropped this one.  The network charge waits for the unlock's end.
+    result = system._write(pe, sop, area, address, block, value, _NESTED)
     if result[0] == -1:
         return result
     total = result[0]
@@ -935,6 +1086,13 @@ def _fill(pe, block, state, area, data):
     return victim_dirty
 """
 
+_H_NET_SETTLE = """\
+def _net_settle(pe, sop, area, address, block):
+    \"\"\"Forward the traffic the reference counted to its remote
+    home (the kernel inlines the same body).\"\"\"
+    @net_charge_body
+"""
+
 _HANDLERS = (
     ("_read", _H_READ),
     ("_write", _H_WRITE),
@@ -950,6 +1108,11 @@ _HANDLERS = (
 
 
 _NAME = re.compile(r"\$(\w+)")
+
+#: The ``flags`` bit a handler passes to a handler it calls: the
+#: caller charges the reference's network traffic (above any trace
+#: flag).
+_NESTED = 1 << 16
 
 #: name -> (spec object, compiled namespace); identity-checked so a
 #: re-registered or temporarily shadowed spec recompiles.
@@ -1282,9 +1445,12 @@ class KernelSession:
 
 class _Emitter:
     """Expands templates for one spec into one emission: the handler's
-    (``handler=True``) or the kernel's."""
+    (``handler=True``) or the kernel's.  A variant may leave out the
+    network charge (``clustered=False``) and, in the kernel, the inline
+    directory transaction (``directory=False``): a system that cannot
+    use them compiles, and holds in memory, smaller code."""
 
-    def __init__(self, spec, handler: bool):
+    def __init__(self, spec, handler: bool, directory=True, clustered=True):
         self.handler = handler
         silent = spec.silent_store_next()
         silent_states = [s for s in _SILENT_TEST_ORDER if silent[s] is not None]
@@ -1305,7 +1471,14 @@ class _Emitter:
             "rp_copyback": (
                 (), _COPYBACK if spec.fetch_inval_copyback else ""
             ),
+            "demote_lock_check": ((), _demote_lock_check(silent_states)),
+            "dir_transaction": partial(
+                _dir_transaction, build_directory_spec(spec).rows
+            ) if directory else _nothing,
         }
+        if not clustered:
+            self.templates["net_count"] = _nothing
+            self.templates["net_epilogue"] = ((), "")
 
     def emit(self, text: str, indent: int) -> str:
         return "\n".join(self._lines(text, " " * indent, {}))
@@ -1330,13 +1503,135 @@ class _Emitter:
                 yield lead + body if body else ""
                 continue
             macro, _, rest = body[1:].partition(" ")
-            params, *texts = self.templates[macro]
+            template = self.templates[macro]
+            if callable(template):
+                values = [v.strip() for v in rest.split(",")] if rest else []
+                yield from self._lines(template(*values), lead, {})
+                continue
+            params, *texts = template
             text = texts[0] if self.handler or len(texts) == 1 else texts[1]
             if len(params) == 1:
                 values = [rest] if rest else []
             else:
                 values = [v.strip() for v in rest.split(",")] if rest else []
             yield from self._lines(text, lead, dict(zip(params, values)))
+
+
+def _nothing(*args) -> str:
+    """A macro a variant leaves out."""
+    return ""
+
+
+def _demote_lock_check(silent_states) -> str:
+    """The handler's LH check of a demoted ``DW``, skipped for a silent
+    store hit on the probed ``line`` (no bus request)."""
+    silent = " or ".join(f"line.state is _{s.name}" for s in silent_states)
+    hit = f" and (line is None or not ({silent}))" if silent else ""
+    return "\n".join([
+        f"?if $locked{hit} \\",
+        "?        and system._check_locks(pe, area, block):",
+        "?    return _BLOCKED",
+    ])
+
+
+def _dir_actions(actions, remotes: str, owned: bool) -> List[str]:
+    """One directory row's messages as code: ``fwd`` forwards and
+    ``inv`` invalidations or updates, exactly as
+    :meth:`~repro.core.interconnect.DirectoryInterconnect.transact`
+    counts them.  *owned* is False where the entry is absent (no
+    owner, so no owner forward)."""
+    by_owner = (DirAction.FWD_OWNER, DirAction.OWNER_COPYBACK)
+
+    def counts(owner_forwards: bool) -> Tuple[int, str]:
+        fwd = 0
+        forwarded = False
+        inv = []
+        for action in actions:
+            if action in by_owner and owner_forwards \
+                    or action is DirAction.FWD_SHARER:
+                fwd += 1
+                forwarded = True
+            elif action is DirAction.INVAL_SHARERS:
+                # One message per remote sharer but the supplier, which
+                # learns its fate from the forward.
+                inv.append(
+                    f"(len({remotes}) - 1 if {remotes} else 0)"
+                    if forwarded else f"len({remotes})"
+                )
+            elif action is DirAction.UPDATE_SHARERS:
+                inv.append(f"len({remotes})")
+        return fwd, " + ".join(inv) or "0"
+
+    fwd, inv = counts(False)
+    if not owned or not any(action in by_owner for action in actions):
+        return [f"fwd, inv = {fwd}, {inv}"]
+    owner_fwd, owner_inv = counts(True)
+    if owner_inv == inv:
+        return [
+            f"fwd, inv = ({owner_fwd} if owner >= 0 and owner != pe "
+            f"else {fwd}), {inv}"
+        ]
+    return [
+        "if owner >= 0 and owner != pe:",
+        f"    fwd, inv = {owner_fwd}, {owner_inv}",
+        "else:",
+        f"    fwd, inv = {fwd}, {inv}",
+    ]
+
+
+def _dir_transaction(rows, pattern, block, req, remotes) -> str:
+    """``@dir_transaction``, the kernel's inline
+    :meth:`~repro.core.interconnect.DirectoryInterconnect.transact` of
+    a site issuing the constant request *req*: the rows for *req*
+    compiled in, one branch per entry state, the indirection added to
+    ``cycles``, the entry resynchronized to residency.  A state with no
+    row calls the transact, which raises ``DirectoryProtocolError``."""
+    req = int(req)
+    lines = ["if inline_dir:", "    $directory_transactions += 1"]
+    if req == DirRequest.CTRL:
+        # Control-only: no entry changes.
+        return "\n".join(lines)
+    missing = [
+        "# No row: the call raises DirectoryProtocolError.",
+        f"bus_fn(pe, {pattern}, area, {block}, {req}, {remotes})",
+    ]
+
+    def row(state, owned):
+        rule = rows.get((state, req))
+        if rule is None:
+            return missing
+        return _dir_actions(rule.actions, remotes, owned)
+
+    # States whose rows compile to the same code share a branch.
+    branches: Dict[Tuple[str, ...], List[str]] = {}
+    for state in DirState:
+        if (state, req) in rows:
+            branches.setdefault(tuple(row(state, True)), []).append(
+                f"dstate is _DIR_{state.name}"
+            )
+    chain = []
+    for code, tests in branches.items():
+        chain.append(f"{'elif' if chain else 'if'} {' or '.join(tests)}:")
+        chain += _indented(list(code))
+    body = [
+        f"entry = dir_entries.get({block})",
+        "if entry is None:",
+        *_indented(row(DirState.I, False)),
+        "else:",
+        "    owner = entry.owner",
+        "    dstate = entry.state",
+        *_indented(
+            chain + ["else:", *_indented(missing)] if chain else missing
+        ),
+        "if fwd or inv:",
+        "    $directory_forwards += fwd",
+        "    $directory_invalidations += inv",
+        "    extra = hop * (fwd + inv)",
+        "    $directory_indirection_cycles += extra",
+        "    cycles += extra",
+        f"@dir_resync {block}",
+    ]
+    return "\n".join(lines + _indented(body))
 
 
 def _supplier_rows(spec) -> str:
@@ -1543,21 +1838,45 @@ def _indent(text: str, indent: int) -> str:
 
 
 def kernel_source(spec) -> str:
-    """Emit the generated source for *spec*: the replay kernel
-    (``_open``, ``_loop``, ``_kernel``) and the dispatch-table handlers
-    (``_bind``), both expanded from the one set of miss-path templates
-    (see module docstring)."""
-    return "\n\n".join(_source_units(spec))
+    """Emit the generated source for *spec*: the dispatch-table
+    handlers (``_bind``) and the replay kernel (``_open``, ``_loop``),
+    both in their full variant and expanded from the one set of
+    miss-path templates (see module docstring)."""
+    return _bind_source(spec, True) + "\n\n" + _kernel_source(spec, True, True)
 
 
-def _source_units(spec) -> Tuple[str, str]:
-    """The generated source of *spec* as two compile units: the
-    handlers (``_bind``) and the kernel (``_open``, ``_loop``,
-    ``_kernel``).  They are compiled one at a time because the
-    compiler's transient syntax tree, and with it the process's peak
-    memory, grows with the unit."""
-    handler = _Emitter(spec, handler=True)
-    kernel = _Emitter(spec, handler=False)
+def _bind_source(spec, clustered: bool) -> str:
+    """The handlers' compile unit (``_bind``), with or without the
+    network charge.  Handlers and kernel are compiled one at a time
+    because the compiler's transient syntax tree, and with it the
+    process's peak memory, grows with the unit."""
+    handler = _Emitter(spec, True, clustered=clustered)
+    handlers = "\n\n".join(
+        handler.emit(text, 4)
+        for text in ((_H_NET_SETTLE,) if clustered else ())
+        + tuple(text for _, text in _HANDLERS)
+    )
+    returned = ", ".join(f"{name!r}: {name}" for name, _ in _HANDLERS)
+    return f'''\
+def _bind(system):
+    """Bind the {spec.name!r} dispatch-table handlers to system.
+
+    Compiled by repro.core.protocol.codegen, from the same templates as
+    the kernel's miss path.  Returns name -> handler.
+    """
+{_indent(_BINDINGS, 4)}
+
+{handlers}
+
+    return {{{returned}}}
+'''
+
+
+def _kernel_source(spec, directory: bool, clustered: bool) -> str:
+    """The kernel's compile unit (``_open``, ``_loop``) in the variant
+    with or without the inline directory transaction and the network
+    charge."""
+    kernel = _Emitter(spec, False, directory, clustered)
     if spec.has_silent_stores:
         uw_classify = "system._unlock_write"
         w_branch = f"""\
@@ -1584,23 +1903,14 @@ def _source_units(spec) -> Tuple[str, str]:
                 pass
 """
         uw_branch = ""
-    handlers = "\n\n".join(handler.emit(text, 4) for _, text in _HANDLERS)
-    returned = ", ".join(f"{name!r}: {name}" for name, _ in _HANDLERS)
+    if directory:
+        inline_dir = (
+            "own_ic and transact is _DIR_TRANSACT and ic.observer is None"
+        )
+    else:
+        inline_dir = "False"
     counters = ", ".join(f"n_{name}" for name in _DEFERRED)
-    bind = f'''\
-def _bind(system):
-    """Bind the {spec.name!r} dispatch-table handlers to system.
-
-    Compiled by repro.core.protocol.codegen, from the same templates as
-    the kernel's miss path.  Returns name -> handler.
-    """
-{_indent(_BINDINGS, 4)}
-
-{handlers}
-
-    return {{{returned}}}
-'''
-    kernel_unit = f'''\
+    return f'''\
 def _open(system, buffer, start, stop):
     """Open a {spec.name!r} kernel session over [start, stop) of buffer.
 
@@ -1658,7 +1968,7 @@ def _open(system, buffer, start, stop):
         return None
     session = KernelSession(system, buffer, start, stop, table, kinds, prep)
     # A miss runs inline only where its cell holds the system's own
-    # handler (not a network-charging wrapper).
+    # handler.
     session._gen = _loop(
         session, read_h is system._read, write_h is system._write,
         dw_h is system._direct_write, er_h is system._exclusive_read,
@@ -1683,10 +1993,10 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
     pe_col, op_col, area_col, addr_col, flags_col = session._buffer.columns()
     del session
     ic = system.interconnect
-    cost = system._pattern_cost
     area_cycles = stats.bus_cycles_by_area
     {" = ".join(f"n_{name}" for name in _DEFERRED)} = 0
     pat_n = [0] * {N_PATTERNS}
+    {" = ".join(_NET)} = 0
     msg = yield
     while True:
         if msg is None:
@@ -1695,12 +2005,15 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
             pat_n = [0] * {N_PATTERNS}
             continue
         lo, hi, keys, kinds = msg
-        # The bindings a driver may swap between advances.
+        # The bindings a driver may swap between advances.  The
+        # interconnect's own transact runs inline; a directory's only
+        # while no observer watches its micro-steps.
         bus_fn = system._bus
-        inline_bus = (
-            getattr(bus_fn, "__func__", None) is _SNOOP_TRANSACT
-            and bus_fn.__self__ is ic
-        )
+        transact = getattr(bus_fn, "__func__", None)
+        own_ic = getattr(bus_fn, "__self__", None) is ic
+        inline_dir = {inline_dir}
+        inline_ic = inline_dir or own_ic and transact is _SNOOP_TRANSACT
+        dir_entries = ic.entries if inline_dir else None
         dir_ = system._dir
         locked_words = system._locked_words
         waiting = system._waiting
@@ -1801,22 +2114,24 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
             cache._tick = gtick
         ic.free_at = free_at
         msg = yield
-
-
-def _kernel(system, buffer, start, stop):
-    """Replay references [start, stop) of buffer as a one-range
-    session; returns the system's stats, or None when no session opens
-    (see _open) and the caller must run the per-access loop."""
-    session = _open(system, buffer, start, stop)
-    if session is None:
-        return None
-    with session:
-        return session.run(start, stop)
 '''
-    return bind, kernel_unit
+
+
+def _is_clustered(system) -> bool:
+    """Whether *system* charges an inter-cluster network: a
+    :class:`~repro.cluster.system.ClusterCacheSystem` of a K ≥ 2
+    machine, whose ``network`` is set before its handlers are bound."""
+    network = getattr(system, "network", None)
+    return network is not None and network.config.n_clusters > 1
 
 
 def _compile(spec) -> dict:
+    """The namespace *spec*'s generated units run in; each unit
+    variant compiles on first use (:func:`_unit`)."""
+    # Imported here: repro.obs imports the replay drivers, which import
+    # the system, which imports this module.
+    from repro.obs.events import EventKind
+
     namespace = {f"_ST_{s.name}": s for s in CacheState}
     namespace.update({f"_LS_{s.name}": s for s in LockState})
     namespace["_preprocess"] = _preprocess
@@ -1828,13 +2143,19 @@ def _compile(spec) -> dict:
     namespace["_NO_REMOTES"] = ()
     namespace["CacheLine"] = CacheLine
     namespace["_SNOOP_TRANSACT"] = SnoopingBus.transact
-    for unit in _source_units(spec):
-        exec(compile(unit, f"<repro-codegen:{spec.name}>", "exec"), namespace)
+    namespace["_DIR_TRANSACT"] = DirectoryInterconnect.transact
+    namespace.update({f"_DIR_{s.name}": s for s in DirState})
+    namespace["_DirectoryEntry"] = DirectoryEntry
+    namespace["_NETWORK"] = EventKind.NETWORK
+    namespace["_NESTED"] = _NESTED
+    namespace["_is_clustered"] = _is_clustered
+    namespace["_kernel"] = partial(_run_kernel, spec)
+    namespace["_units"] = {}
     return namespace
 
 
 def _compiled(spec) -> dict:
-    """The compiled namespace for *spec*, built once and cached by name.
+    """The namespace for *spec*, built once and cached by name.
 
     The cache is identity-checked against the spec object, so replacing
     a registration (or shadowing one with ``temporarily_register``)
@@ -1848,6 +2169,42 @@ def _compiled(spec) -> dict:
     return namespace
 
 
+def _unit(spec, system, kernel: bool) -> dict:
+    """The namespace of *spec*'s handlers (``_bind``) or kernel
+    (``_open``) in the variant *system* runs: the network charge only
+    for a K ≥ 2 cluster, the inline directory transaction only in the
+    kernel of a directory backend.  Each variant compiles once, into
+    its own copy of the spec's namespace."""
+    namespace = _compiled(spec)
+    clustered = _is_clustered(system)
+    if kernel:
+        directory = isinstance(system.interconnect, DirectoryInterconnect)
+        key = ("kernel", directory, clustered)
+    else:
+        key = ("bind", clustered)
+    unit = namespace["_units"].get(key)
+    if unit is None:
+        source = (
+            _kernel_source(spec, directory, clustered) if kernel
+            else _bind_source(spec, clustered)
+        )
+        unit = dict(namespace)
+        exec(compile(source, f"<repro-codegen:{spec.name}>", "exec"), unit)
+        namespace["_units"][key] = unit
+    return unit
+
+
+def _run_kernel(spec, system, buffer, start, stop):
+    """Replay references ``[start, stop)`` of *buffer* as a one-range
+    session; returns the system's stats, or ``None`` when no session
+    opens and the caller must run the per-access loop."""
+    session = _unit(spec, system, True)["_open"](system, buffer, start, stop)
+    if session is None:
+        return None
+    with session:
+        return session.run(start, stop)
+
+
 def get_kernel(spec) -> Callable:
     """The compiled one-range kernel for *spec*:
     ``kernel(system, buffer, start, stop)`` replays ``[start, stop)``
@@ -1859,7 +2216,7 @@ def bind_handlers(system) -> Dict[str, Callable]:
     """*system*'s generated dispatch-table handlers, by attribute name
     (the names of :data:`_HANDLERS`), compiled from its protocol
     spec."""
-    return _compiled(system.protocol_spec)["_bind"](system)
+    return _unit(system.protocol_spec, system, False)["_bind"](system)
 
 
 def open_session(system, buffer, start: int, stop: int):
@@ -1867,6 +2224,6 @@ def open_session(system, buffer, start: int, stop: int):
     references ``[start, stop)`` of *buffer*, or return ``None`` for an
     empty range or a (system, trace) pair outside the kernel's envelope.
     """
-    return _compiled(system.protocol_spec)["_open"](
+    return _unit(system.protocol_spec, system, True)["_open"](
         system, buffer, start, stop
     )

@@ -198,9 +198,8 @@ def replay(
     :class:`~repro.cluster.system.ClusteredSystem` as *system*, replays
     each cluster's shard of the range into that cluster's bus and
     returns the merged machine-wide stats (docs/CLUSTER.md); a
-    :class:`~repro.cluster.system.ClusterCacheSystem` keeps its
-    network-charging handler wrappers (the kernel only bypasses them
-    for bus-free cache hits, which never cross the network).  Replaying
+    :class:`~repro.cluster.system.ClusterCacheSystem` charges its
+    network from the generated kernel and handlers alike.  Replaying
     ``[0, b)`` then ``[b, n)`` into one system equals replaying
     ``[0, n)`` (under ``"lazypim"``, for ``b`` a batch boundary), and a
     blocked reference is reported with its position and PE in *buffer*.

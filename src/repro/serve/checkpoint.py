@@ -20,7 +20,7 @@ mutates state in place.  That ordering is load-bearing twice over:
 * ``SystemStats`` lists are updated with slice assignment and matrix
   element assignment, never replaced — live systems hold aliases into
   them (``system._pe_cycles``, the interconnect's ``_stats``, and the
-  cluster network wrappers' closed-over ``pattern_counts``).
+  generated handlers' closed-over ``stats`` and ``pe_cycles``).
 * The directory's entry table is restored *exactly as serialized*,
   never recomputed from cache residency: the directory intentionally
   under-promotes (an ``E`` entry over an ``EM`` copy is legal), so a

@@ -168,6 +168,34 @@ class TestConflicts:
         assert system.stats.spurious_unlocks == 1
 
 
+class TestDemotionsUnderLH:
+    """A demoted ``DW`` or ``ER`` that the LH check inhibits busy-waits
+    and retries; its demotion is counted once, by the attempt that
+    passes the check, not once per attempt."""
+
+    def _spin_then_pass(self, op, area, address):
+        system = PIMCacheSystem(SimulationConfig(), 2)
+        system.access(1, Op.LR, area, address)
+        for _ in range(3):
+            cycles, _, _ = system.access(0, op, area, address)
+            assert cycles == BLOCKED
+        system.access(1, Op.UW, area, address)
+        cycles, _, _ = system.access(0, op, area, address)
+        assert cycles != BLOCKED
+        return system.stats
+
+    def test_blocked_dw_demotion_counts_once(self):
+        # Not a block boundary: demoted to W, whose miss meets PE1's lock.
+        stats = self._spin_then_pass(Op.DW, Area.HEAP, HEAP + 1)
+        assert stats.dw_demotions == 1
+
+    def test_blocked_er_demotion_counts_once(self):
+        # The last word of a goal block: demoted to R, inhibited likewise.
+        goal = AREA_BASE[Area.GOAL]
+        stats = self._spin_then_pass(Op.ER, Area.GOAL, goal + 3)
+        assert stats.er_demotions == 1
+
+
 class TestReplayAnnotations:
     def test_contended_flag_reenacts_lh_and_ul(self):
         system = make_system()

@@ -8,6 +8,11 @@ one version of a miss while ``access()``, the oracle and the model
 checker ran another.  This test scans ``core/system.py`` with
 :mod:`ast`, so a handler, or a helper only the handlers used, that
 comes back there fails here.
+
+The same holds for the clustered systems: the network charge is part
+of the generated handlers and kernel, so nothing under ``cluster/``
+may rebuild a dispatch table or wrap a handler — a wrapped cell is one
+the kernel cannot inline, and a second place the charge could drift.
 """
 
 from __future__ import annotations
@@ -20,6 +25,12 @@ from repro.core.protocol import codegen
 from repro.core.system import PIMCacheSystem
 
 SYSTEM = Path(repro.__file__).parent / "core" / "system.py"
+CLUSTER = Path(repro.__file__).parent / "cluster"
+#: The dispatch tables a probe, and nothing else, may replace.
+TABLES = ("_op_table", "_base_op_table")
+#: The handler signature's leading parameters: a function that takes
+#: them is a handler, or a wrapper of one.
+HANDLER_PARAMS = ("pe", "sop", "area", "address", "block")
 #: The handlers codegen emits and binds onto every system.
 GENERATED = tuple(name for name, _ in codegen._HANDLERS)
 #: The helpers the hand-written handlers shared, now template text.
@@ -88,4 +99,73 @@ def test_scan_catches_planted_definitions():
         "planted:5: defines _fetch_exclusive",
         "planted:7: defines _read_purge",
         "planted:9: defines _remote_holders",
+    ]
+
+
+def handler_rewrites(source: str, where: str) -> list:
+    """``where:line: ...`` for each assignment of a dispatch table or
+    of a generated handler's attribute (``setattr`` included) and each
+    function taking the handler signature that *source* holds."""
+    names = set(TABLES) | set(GENERATED)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr in names:
+                        found.append((node.lineno, f"assigns {sub.attr}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "setattr" and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in names:
+            found.append((node.lineno, f"sets {node.args[1].value}"))
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            params = [arg.arg for arg in node.args.args]
+            if params[:1] == ["self"]:
+                params = params[1:]
+            if tuple(params[: len(HANDLER_PARAMS)]) == HANDLER_PARAMS:
+                name = getattr(node, "name", "lambda")
+                found.append((node.lineno, f"defines handler-shaped {name}"))
+    return [f"{where}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_cluster_package_wraps_no_handler():
+    found = []
+    for path in sorted(CLUSTER.rglob("*.py")):
+        found += handler_rewrites(
+            path.read_text(), str(path.relative_to(CLUSTER.parent))
+        )
+    assert not found, (
+        "the cluster package rewrites the dispatch table; charge the "
+        "network in the codegen templates instead:\n" + "\n".join(found)
+    )
+
+
+def test_rewrite_scan_catches_planted_violations():
+    planted = (
+        "class ClusterCacheSystem:\n"
+        "    def access(self, pe, op, area, address):\n"
+        "        self.table = None\n"
+        "    def _install(self):\n"
+        "        def wrapped(pe, sop, area, address, block, value=0):\n"
+        "            pass\n"
+        "        self._op_table = [[wrapped]]\n"
+        "        self._base_op_table: list = self._op_table\n"
+        "        self._read, other = wrapped, None\n"
+        "        setattr(self, '_write', wrapped)\n"
+        "        setattr(self, 'network', None)\n"
+        "        hook = lambda pe, sop, area, address, block: None\n"
+    )
+    assert handler_rewrites(planted, "planted") == [
+        "planted:5: defines handler-shaped wrapped",
+        "planted:7: assigns _op_table",
+        "planted:8: assigns _base_op_table",
+        "planted:9: assigns _read",
+        "planted:10: sets _write",
+        "planted:12: defines handler-shaped lambda",
     ]

@@ -6,12 +6,14 @@ every LR shape, the ER/RP/RI misses, UW/U with no waiter — from the
 same templates the dispatch-table handlers are emitted from.  Here a
 miss-heavy random trace (4 sets, 1 way, a one-entry lock directory)
 replays through both loops under every built-in spec, both
-interconnects and K in {1, 2}, and must give identical counters; the
-counters of every shape must be nonzero, so the trace reaches them; and
-on a flat bus system, spies on the generated handlers show the kernel
-served those shapes without dispatching: a store, a read or an LR
-leaves the loop only for a block with a locked word or a contended
-lock flag.
+interconnects and K in {1, 2}, and must give identical counters and
+identical network counters; the counters of every shape must be
+nonzero, so the trace reaches them; and spies on the generated
+handlers show the kernel served those shapes without dispatching,
+under either interconnect and on every cluster of a K ≥ 2 system (its
+network charge and the directory's transaction run inline too): a
+store, a read or an LR leaves the loop only for a block with a locked
+word or a contended lock flag.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster.replay import replay_clustered
+from repro.cluster.system import ClusteredSystem
 from repro.core.config import CacheConfig, ClusterConfig, SimulationConfig
+from repro.core.interconnect import DirectoryInterconnect
 from repro.core.replay import replay
 from repro.core.states import BusPattern
 from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import FLAG_LOCK_CONTENDED, Op
+from repro.trace.events import AREA_BASE, FLAG_LOCK_CONTENDED, Area, Op
 from repro.trace.synthetic import generate_random_trace
 from tests.replay_loops import route_through
 
@@ -60,9 +65,15 @@ def trace():
     return generate_random_trace(6000, n_pes=4, seed=7, address_pool=96)
 
 
-def _replay(loop, trace, config, monkeypatch):
+def _replay(loop, trace, config, monkeypatch, mode=None):
+    """Merged stats, and per-cluster network counters for K ≥ 2."""
     route_through(loop, monkeypatch)
-    return replay(trace, config).as_dict()
+    if config.cluster.n_clusters == 1:
+        return replay(trace, config, mode=mode).as_dict(), None
+    result = replay_clustered(trace, config, mode=mode)
+    return result.stats.as_dict(), [
+        network.as_dict() for network in result.network_per_cluster
+    ]
 
 
 @pytest.mark.parametrize("clusters", CLUSTERS)
@@ -72,9 +83,15 @@ def test_kernel_matches_per_access(
     trace, protocol, interconnect, clusters, monkeypatch
 ):
     config = _config(protocol, interconnect, clusters)
-    kernel = _replay("generated", trace, config, monkeypatch)
-    per_access = _replay("interpreted", trace, config, monkeypatch)
-    assert kernel == per_access
+    kernel, network = _replay("generated", trace, config, monkeypatch)
+    assert (kernel, network) == _replay(
+        "interpreted", trace, config, monkeypatch
+    )
+    if clusters > 1:
+        assert all(n["fetch_forwards"] for n in network)
+        if interconnect == "directory":
+            # Directory messages cross the ring as invalidate forwards.
+            assert all(n["inval_forwards"] for n in network)
     # Every shape the kernel inlines is reached by the trace.
     assert kernel["dw_allocations"] > 0
     assert kernel["pattern_counts"]["swap_out_only"] > 0
@@ -102,54 +119,140 @@ def test_kernel_matches_per_access(
         assert kernel["swap_outs"] > 0
 
 
-def _spied_system(config, n_pes):
-    """A flat system whose generated handlers count their dispatches
-    (calls from the loop, not one handler's call of another); the
-    dispatch table holds the spies under the same identities the kernel
+def test_directory_messages_cross_the_ring(monkeypatch):
+    # PE0 reads a block homed in the other cluster from memory; PE1, in
+    # PE0's cluster, reads it cache-to-cache.  No invalidation is ever
+    # broadcast, but the directory forwards PE1's request to PE0, and
+    # that message crosses the ring as an invalidate forward.
+    buffer = TraceBuffer(n_pes=4)
+    remote = AREA_BASE[Area.HEAP] + 4  # block 1: homed in cluster 1
+    buffer.append(0, Op.R, Area.HEAP, remote)
+    buffer.append(1, Op.R, Area.HEAP, remote)
+    config = _config("pim", "directory", clusters=2)
+    stats, network = _replay("generated", buffer, config, monkeypatch)
+    assert (stats, network) == _replay(
+        "interpreted", buffer, config, monkeypatch
+    )
+    assert stats["directory_forwards"] == 1
+    assert stats["pattern_counts"]["invalidation"] == 0
+    assert network[0]["fetch_forwards"] == 1
+    assert network[0]["inval_forwards"] == 1
+
+
+@pytest.mark.parametrize("interconnect", INTERCONNECTS)
+def test_lazypim_clustered_matches_per_access(
+    trace, interconnect, monkeypatch
+):
+    # Speculative attempts record their transactions instead of
+    # performing them, so they charge no network; the settlement and
+    # the rolled-back replays charge it exactly as the per-access loop.
+    config = _config("pim", interconnect, clusters=2)
+    kernel = _replay("generated", trace, config, monkeypatch, mode="lazypim")
+    assert kernel == _replay(
+        "interpreted", trace, config, monkeypatch, mode="lazypim"
+    )
+
+
+def _spy(system):
+    """Make *system*'s generated handlers count their dispatches (calls
+    from the loop, not one handler's call of another); the dispatch
+    table holds the spies under the same identities the kernel
     classifies cells by, so the kernel still inlines their shapes.  A
-    dispatch of an :data:`INLINED` handler for a block with no locked
+    cell holding anything else (a wrapper) is counted as ``"other"``.
+    A dispatch of an :data:`INLINED` handler for a block with no locked
     word and no contended flag is listed in ``calls["unforced"]``."""
-    system = PIMCacheSystem(config, n_pes)
     calls = Counter()
     depth = [0]
-    spies = {}
-    for name in GENERATED:
-        handler = getattr(system, name)
 
-        def spy(*args, _handler=handler, _name=name):
+    def make_spy(handler, name):
+        def spy(*args):
             if not depth[0]:
-                calls[_name] += 1
+                calls[name] += 1
                 pe, sop, area, address, block, value, flags = args
-                if _name in INLINED and not flags & FLAG_LOCK_CONTENDED \
+                if name in INLINED and not flags & FLAG_LOCK_CONTENDED \
                         and block not in system._locked_words:
                     calls["unforced"] += 1
             depth[0] += 1
             try:
-                return _handler(*args)
+                return handler(*args)
             finally:
                 depth[0] -= 1
 
-        spies[handler] = spy
-        setattr(system, name, spy)
-    system._op_table = [[spies.get(h, h) for h in row] for row in system._op_table]
+        return spy
+
+    spies = {}
+    for name in GENERATED:
+        handler = getattr(system, name)
+        spies[handler] = make_spy(handler, name)
+        setattr(system, name, spies[handler])
+    for row in system._op_table:
+        for cell in row:
+            if cell not in spies:
+                spies[cell] = make_spy(cell, "other")
+    system._op_table = [[spies[h] for h in row] for row in system._op_table]
     system._base_op_table = system._op_table
-    return system, calls
+    return calls
+
+
+def _spied_system(config, n_pes):
+    """A flat system with spies (see :func:`_spy`) and their counts."""
+    system = PIMCacheSystem(config, n_pes)
+    return system, _spy(system)
 
 
 def _op_refs(stats, op):
     return sum(row[op] for row in stats.refs)
 
 
-@pytest.mark.parametrize("protocol", SPECS)
-def test_misses_run_inline_without_locks(trace, protocol):
+@pytest.mark.parametrize("protocol, interconnect, clusters", [
+    # The flat bus case keeps the spec's name as its id.
+    pytest.param(
+        protocol, interconnect, clusters,
+        id=protocol if (interconnect, clusters) == ("bus", 1)
+        else f"{protocol}-{interconnect}-{clusters}",
+    )
+    for protocol in SPECS
+    for interconnect in INTERCONNECTS
+    for clusters in (1, 2, 4)
+])
+def test_misses_run_inline_without_locks(
+    trace, protocol, interconnect, clusters, monkeypatch
+):
     # No lock op: no block ever has a locked word, so no read, store or
-    # ER/RP/RI reference dispatches at all.
+    # ER/RP/RI reference dispatches at all, on either interconnect and
+    # in any cluster of a K ≥ 2 system; nor does the kernel call the
+    # directory's transaction.
+    resolved = Counter()
+    resolve = DirectoryInterconnect._resolve_request
+
+    def counting_resolve(self, *args):
+        resolved["calls"] += 1
+        return resolve(self, *args)
+
+    monkeypatch.setattr(
+        DirectoryInterconnect, "_resolve_request", counting_resolve
+    )
     plain = TraceBuffer(n_pes=trace.n_pes)
     for pe, op, area, address, flags in trace:
         if op not in (Op.LR, Op.UW, Op.U):
             plain.append(pe, op, area, address, flags)
-    system, calls = _spied_system(_config(protocol), plain.n_pes)
+    system = ClusteredSystem(
+        _config(protocol, interconnect, clusters), plain.n_pes
+    )
+    spies = [_spy(cluster) for cluster in system.systems]
     stats = replay(plain, system=system)
+    calls = sum(spies, Counter())
+    assert not calls, calls
+    assert not resolved, resolved
+    if clusters > 1:
+        # Every cluster charged the network from the kernel.
+        network = system.cluster_stats().network_per_cluster
+        assert all(n.fetch_forwards and n.stall_cycles for n in network)
+    if clusters == 4:
+        # One PE per cluster: no cache-to-cache shape is reachable.
+        return
+    if interconnect == "directory":
+        assert stats.directory_forwards > 0
     assert stats.command_counts[0] > 0 and stats.dw_allocations > 0
     assert stats.dw_demotions > 0 and stats.er_demotions > 0
     assert stats.supplier_invalidations > 0
@@ -160,7 +263,6 @@ def test_misses_run_inline_without_locks(trace, protocol):
         assert stats.command_counts[1] > 0 and stats.command_counts[2] > 0
     else:
         assert stats.pattern_counts[BusPattern.WRITE_THROUGH] > 0
-    assert not calls, calls
 
 
 def test_lock_shapes_run_inline(trace):

@@ -55,6 +55,17 @@ class TestKernelSource:
         source = codegen.kernel_source(get_protocol(protocol))
         compile(source, "<test>", "exec")  # must not raise
 
+    def test_variants_carry_only_what_the_system_uses(self):
+        # A flat bus system compiles neither the inline directory
+        # transaction nor the network charge; the full variant has both.
+        spec = get_protocol("pim")
+        flat = codegen._kernel_source(spec, False, False)
+        assert "dir_entries.get(" not in flat and "net_forward(" not in flat
+        assert "_net_settle" not in codegen._bind_source(spec, False)
+        full = codegen.kernel_source(spec)
+        assert "dir_entries.get(" in full and "net_forward(" in full
+        assert "_net_settle(" in full
+
     def test_kernel_cached_by_spec_identity(self):
         spec = get_protocol("pim")
         kernel = codegen.get_kernel(spec)

@@ -102,26 +102,17 @@ def measure_replay(
     buffer: TraceBuffer,
     config: Optional[SimulationConfig] = None,
     repeats: int = 5,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
 ) -> Tuple[float, SystemStats]:
     """Best-of-*repeats* replay throughput in refs per CPU-second.
 
-    ``mode="lazypim"`` measures the speculative batch-coherence engine
+    A LazyPIM *config* measures the speculative batch-coherence engine
     instead of the per-access path.
     """
     best = float("inf")
     stats = None
     for _ in range(repeats):
         start = time.process_time()
-        stats = replay(
-            buffer,
-            config,
-            mode=mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
+        stats = replay(buffer, config)
         elapsed = time.process_time() - start
         best = min(best, elapsed)
     assert stats is not None
@@ -311,10 +302,7 @@ def run_bench(
     recorded: Optional[dict] = None,
     overhead_bound: float = 0.95,
     clusters: int = 2,
-    interconnect: str = "bus",
-    mode: str = "pessimistic",
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
+    config: Optional[SimulationConfig] = None,
 ) -> dict:
     """Run every benchmark section and return the report dict.
 
@@ -326,13 +314,18 @@ def run_bench(
     this is where that promise is checked (``repro bench
     --assert-overhead``).
 
-    ``mode="lazypim"`` measures the per-workload throughput section
-    through the speculative batch-coherence engine.  The sweep and
-    cluster sections always run pessimistically (their identity
-    cross-checks compare against paths speculation does not share), and
-    the recorded-baseline / no-sink comparisons are suppressed — a
+    *config* (default: the base model) is the config the per-workload
+    throughput section measures; the sweep and cluster sections run on
+    its interconnect.  A LazyPIM config measures that section through
+    the speculative batch-coherence engine.  The sweep and cluster
+    sections always run pessimistically (their identity cross-checks
+    compare against paths speculation does not share), and the
+    recorded-baseline / no-sink comparisons are suppressed — a
     speculative rate is not comparable with a per-access baseline.
     """
+    base_config = config if config is not None else SimulationConfig()
+    interconnect = base_config.interconnect
+    mode = base_config.speculation.mode
     if repeats is None:
         repeats = 3 if quick else 5
     if jobs is None:
@@ -350,7 +343,6 @@ def run_bench(
 
         workloads["tri"] = Workloads(scale="small").trace("tri")
 
-    base_config = SimulationConfig(interconnect=interconnect)
     bench_start = time.perf_counter()
     report: dict = {
         "benchmark": "replay",
@@ -367,14 +359,7 @@ def run_bench(
     }
     for name, buffer in workloads.items():
         logger.info("measuring %s (%d refs, %d repeats)", name, len(buffer), repeats)
-        rate, stats = measure_replay(
-            buffer,
-            base_config,
-            repeats=repeats,
-            mode=None if mode == "pessimistic" else mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
+        rate, stats = measure_replay(buffer, base_config, repeats=repeats)
         total = sum(sum(row) for row in stats.refs)
         hits = sum(sum(row) for row in stats.hits)
         # The recorded baselines were measured on the snooping bus with

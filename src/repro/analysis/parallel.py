@@ -55,7 +55,12 @@ from repro.cluster.replay import (
 )
 from repro.cluster.system import ClusterStats
 from repro.core.config import SimulationConfig
-from repro.core.replay import ReplayBlockedError, replay, replay_ranges
+from repro.core.replay import (
+    ReplayBlockedError,
+    refuse_lazypim,
+    replay,
+    replay_ranges,
+)
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.obs.log import get_logger
@@ -252,7 +257,8 @@ class SweepPool:
         assert).  Between chunks a heartbeat goes to *emit* when the
         telemetry interval has elapsed, plus a final ``done`` record
         when the point completes.  Chunked telemetry drives one flat
-        system, so a clustered config raises ``ValueError``.
+        system, so a clustered config raises ``ValueError``, and the
+        chunks would cut LazyPIM batches, so a LazyPIM config does too.
         """
         trace = self._trace
         if emit is None:
@@ -262,6 +268,7 @@ class SweepPool:
                 f"sweep telemetry replays one bus; point {point} is a "
                 f"{config.cluster.n_clusters}-cluster config"
             )
+        refuse_lazypim(config, f"sweep telemetry (point {point})")
         chunk = self.telemetry.chunk_refs
         interval = self.telemetry.interval_seconds
         worker = os.getpid()

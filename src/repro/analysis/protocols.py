@@ -53,9 +53,6 @@ def protocol_comparison(
     base: Optional[SimulationConfig] = None,
     protocols: Optional[Sequence[str]] = None,
     n_pes: Optional[int] = None,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Replay *buffer* under each protocol (default: the full registry).
 
@@ -64,22 +61,16 @@ def protocol_comparison(
     is the paper's SM ablation.  A *base* config with
     ``cluster.n_clusters > 1`` adds ``network_messages`` /
     ``network_stall_cycles`` per row.
-    ``mode="lazypim"`` routes every replay through the speculative
+    A LazyPIM *base* routes every replay through the speculative
     batch-coherence engine (docs/SPECULATIVE.md) and adds
     ``batch_commits`` / ``batch_rollbacks`` per row.
     """
     if protocols is None:
         protocols = protocol_names()
+    lazypim = base is not None and base.speculation.mode == "lazypim"
     results: Dict[str, Dict[str, float]] = {}
     for name in protocols:
-        result = replay_clustered(
-            buffer,
-            protocol_config(name, base),
-            n_pes,
-            mode=mode,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
+        result = replay_clustered(buffer, protocol_config(name, base), n_pes)
         stats = result.stats
         row = {
             "bus_cycles": stats.bus_cycles_total,
@@ -91,7 +82,7 @@ def protocol_comparison(
         if result.n_clusters > 1:
             row["network_messages"] = result.network.messages
             row["network_stall_cycles"] = result.network.stall_cycles
-        if mode == "lazypim":
+        if lazypim:
             row["batch_commits"] = stats.batch_commits
             row["batch_rollbacks"] = stats.batch_rollbacks
         results[name] = row

@@ -88,16 +88,19 @@ from repro.analysis import figures as figures_module
 from repro.analysis import tables as tables_module
 from repro.analysis.runner import Workloads, run_benchmark
 from repro.core.config import (
+    DEFAULT_BATCH_REFS,
+    DEFAULT_SIGNATURE_BITS,
+    MODES,
     BusConfig,
     CacheConfig,
     MachineConfig,
     OptimizationConfig,
     SimulationConfig,
+    SpeculationConfig,
 )
 from repro.core.interconnect import interconnect_names, is_interconnect_registered
 from repro.core.protocol import get_protocol, is_registered, protocol_names
 from repro.core.replay import replay
-from repro.core.speculative import MODES
 from repro.machine.compiler import compile_program
 from repro.machine.machine import KL1Machine
 from repro.obs.log import configure as configure_logging
@@ -131,9 +134,18 @@ class UsageError(Exception):
     ``error:`` line on stderr and exits 2."""
 
 
+def _speculation(args) -> SpeculationConfig:
+    """The coherence mode the mode options select (the default for a
+    command without them); a refused value raises ``ValueError``."""
+    if not hasattr(args, "mode"):
+        return SpeculationConfig()
+    return SpeculationConfig(args.mode, args.batch_refs, args.signature_bits)
+
+
 def _sim_config(args, n_pes: int) -> SimulationConfig:
-    """The machine the cache, protocol and cluster options describe, on
-    *n_pes* PEs; a value the config refuses is a :class:`UsageError`.
+    """The machine the cache, protocol, cluster and mode options
+    describe, on *n_pes* PEs; a value the config refuses is a
+    :class:`UsageError`.
 
     ``compare`` takes a list of protocols instead of one; its base
     config keeps the default protocol.
@@ -149,6 +161,7 @@ def _sim_config(args, n_pes: int) -> SimulationConfig:
             opts=OptimizationConfig.none() if args.no_opt else OptimizationConfig.all(),
             protocol=getattr(args, "protocol", "pim"),
             interconnect=args.interconnect,
+            speculation=_speculation(args),
         )
         if clusters != 1:
             config = config.with_clusters(clusters, hop_cycles=args.hop_cycles)
@@ -159,15 +172,6 @@ def _sim_config(args, n_pes: int) -> SimulationConfig:
             f"--clusters {clusters} does not divide the {n_pes} PEs evenly"
         )
     return config
-
-
-def _mode_kwargs(args) -> dict:
-    """The replay-mode keyword arguments of the mode options."""
-    return {
-        "mode": args.mode,
-        "batch_refs": args.batch_refs,
-        "signature_bits": args.signature_bits,
-    }
 
 
 def _trace_source(args, load: bool = True):
@@ -254,12 +258,15 @@ def cmd_run(args) -> int:
         n_pes=args.pes, seed=args.seed, gc_threshold_words=args.gc
     )
     config = _sim_config(args, args.pes)
+    # The machine's replay runs per access; a lazypim config replays
+    # the recorded trace below.
+    machine_sim = config.with_mode("pessimistic")
     if args.program in benchmark_names():
         result = run_benchmark(
             args.program,
             scale=args.scale,
             n_pes=args.pes,
-            sim_config=config,
+            sim_config=machine_sim,
             machine_config=machine_config,
         )
         print(f"benchmark {args.program!r} at scale {args.scale!r} "
@@ -271,7 +278,7 @@ def cmd_run(args) -> int:
                              f"({', '.join(benchmark_names())}) nor a file")
         if not args.query:
             raise UsageError("running a source file requires --query")
-        result = KL1Machine(path.read_text(), machine_config, config).run(
+        result = KL1Machine(path.read_text(), machine_config, machine_sim).run(
             args.query
         )
     _print_run_summary(result)
@@ -280,7 +287,7 @@ def cmd_run(args) -> int:
         # the run's own statistics come from a per-access (pessimistic)
         # replay of its trace, then the same trace is replayed
         # speculatively (docs/SPECULATIVE.md).
-        stats = replay(result.trace, config, **_mode_kwargs(args))
+        stats = replay(result.trace, config)
         print(f"speculative replay ({args.mode}) of the recorded trace:")
         print(f"  commits:    {stats.batch_commits:,}   "
               f"rollbacks: {stats.batch_rollbacks:,}")
@@ -317,7 +324,7 @@ def cmd_trace(args) -> int:
               f"{len(result.trace):,} refs -> {args.output}")
         return 0
     buffer = read_trace(args.file)
-    stats = replay(buffer, _sim_config(args, buffer.n_pes), **_mode_kwargs(args))
+    stats = replay(buffer, _sim_config(args, buffer.n_pes))
     print(f"replayed {stats.total_refs:,} refs from {args.file}")
     print(f"miss ratio:  {stats.miss_ratio:.4f}")
     print(f"bus cycles:  {stats.bus_cycles_total:,}")
@@ -380,9 +387,6 @@ def _serve(args, store) -> int:
             checkpoint_every=args.checkpoint_every,
             max_retries=args.max_retries,
             seed=args.seed,
-            mode=None if args.mode == "pessimistic" else args.mode,
-            batch_refs=args.batch_refs,
-            signature_bits=args.signature_bits,
         )
         record = store.job(job_id)
         print(f"submitted: {job_id}")
@@ -491,6 +495,11 @@ def cmd_bench(args) -> int:
     if args.assert_overhead is not None and recorded is None:
         raise UsageError(f"--assert-overhead needs an existing recorded "
                          f"report at {args.output}")
+    try:
+        config = SimulationConfig(interconnect=args.interconnect,
+                                  speculation=_speculation(args))
+    except ValueError as error:
+        raise UsageError(str(error)) from None
     report = bench.run_bench(
         quick=args.quick,
         jobs=args.jobs,
@@ -500,8 +509,7 @@ def cmd_bench(args) -> int:
             args.assert_overhead if args.assert_overhead is not None else 0.95
         ),
         clusters=args.clusters,
-        interconnect=args.interconnect,
-        **_mode_kwargs(args),
+        config=config,
     )
     print(bench.format_report(report))
     path = bench.write_report(report, args.output)
@@ -763,9 +771,7 @@ def cmd_compare(args) -> int:
     protocols = _protocol_list(args.protocols) if args.protocols else None
     buffer, name, pes, cache_key = _trace_source(args)
     base = _sim_config(args, pes)
-    comparison = protocol_comparison(
-        buffer, base, protocols, n_pes=pes, **_mode_kwargs(args)
-    )
+    comparison = protocol_comparison(buffer, base, protocols, n_pes=pes)
     if args.json or args.output:
         report = comparison_report(
             comparison,
@@ -961,10 +967,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coherence execution mode: per-access "
                            "(pessimistic, the default) or speculative "
                            "batch coherence (lazypim; docs/SPECULATIVE.md)")
-    mode.add_argument("--batch-refs", type=int, default=None,
+    mode.add_argument("--batch-refs", type=int, default=DEFAULT_BATCH_REFS,
                       help="lazypim: references per speculative batch "
                            "(default 256)")
-    mode.add_argument("--signature-bits", type=int, default=None,
+    mode.add_argument("--signature-bits", type=int,
+                      default=DEFAULT_SIGNATURE_BITS,
                       help="lazypim: read/write signature width in bits, "
                            "a power of two (default 256)")
 

@@ -57,7 +57,12 @@ import numpy as np
 from repro.cluster.network import NetworkStats
 from repro.cluster.system import ClusterCacheSystem, ClusterStats, ClusteredSystem
 from repro.core.config import SimulationConfig
-from repro.core.replay import ReplayBlockedError, replay, replay_access_driven
+from repro.core.replay import (
+    ReplayBlockedError,
+    refuse_lazypim,
+    replay,
+    replay_access_driven,
+)
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
@@ -146,38 +151,24 @@ def replay_shard(
     config: SimulationConfig,
     pes_per_cluster: int,
     cluster_index: int,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
 ) -> "tuple[SystemStats, NetworkStats]":
     """Replay one cluster's shard through :func:`repro.core.replay.replay`.
 
     Returns ``(stats, network_stats)`` — both picklable: the unit of
     work :func:`repro.analysis.parallel.run_clustered` ships to pool
-    workers.  *mode* selects the coherence execution
-    mode per shard: under ``"lazypim"`` each cluster runs its own
+    workers.  Under a LazyPIM config each cluster runs its own
     independent speculative batch engine over its shard — speculation
     is a per-bus mechanism, so per-cluster batching is the faithful
     clustered composition.
     """
     system = ClusterCacheSystem(config, pes_per_cluster, cluster_index)
-    stats = replay(
-        shard,
-        system=system,
-        mode=mode,
-        batch_refs=batch_refs,
-        signature_bits=signature_bits,
-    )
-    return stats, system.network.stats
+    return replay(shard, system=system), system.network.stats
 
 
 def replay_clustered(
     buffer: TraceBuffer,
     config: Optional[SimulationConfig] = None,
     n_pes: Optional[int] = None,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
 ) -> ClusterStats:
     """:func:`repro.core.replay.replay` of *buffer* into a fresh
     :class:`ClusteredSystem`, returning the per-cluster and network
@@ -191,8 +182,7 @@ def replay_clustered(
         config if config is not None else SimulationConfig(),
         n_pes if n_pes is not None else buffer.n_pes,
     )
-    replay(buffer, system=system, mode=mode, batch_refs=batch_refs,
-           signature_bits=signature_bits)
+    replay(buffer, system=system)
     return system.cluster_stats()
 
 
@@ -215,10 +205,12 @@ def replay_interleaved(
     ``values`` and ``on_result`` are forwarded to
     :func:`repro.core.replay.replay_access_driven`; the differential
     oracle uses them to inject write values and check every read against
-    its per-cluster flat-memory reference model.
+    its per-cluster flat-memory reference model.  It replays per
+    access, so a LazyPIM config raises ``ValueError``.
     """
     if config is None:
         config = SimulationConfig()
+    refuse_lazypim(config, "replay_interleaved")
     pes = n_pes if n_pes is not None else buffer.n_pes
     system = ClusteredSystem(config, pes)
     replay_access_driven(
@@ -253,8 +245,8 @@ def _replay_clustered(
     return its merged stats.
 
     Each cluster's shard of the range replays into that cluster's
-    persistent system with *kwargs* (mode, batching, invariant
-    period); a single cluster replays the range itself, the shard
+    persistent system with *kwargs* (mode, invariant period); a single
+    cluster replays the range itself, the shard
     being the whole of it, so no copy is made and the kernel's
     preprocessing cache keys on the caller's buffer.  A blocked
     reference raises :class:`~repro.core.replay.ReplayBlockedError`
@@ -300,9 +292,12 @@ class MachineReplay:
     system equals replaying ``[0, n)``, so any split of the trace gives
     the same :meth:`result`: :func:`replay_machine` feeds the whole
     trace at once, a :class:`ReplayWorker` feeds it as it is recorded.
+    The feeds are chunk- and GC-sized, so a LazyPIM config, whose
+    batches they would cut, raises ``ValueError``.
     """
 
     def __init__(self, config: SimulationConfig, n_pes: int):
+        refuse_lazypim(config, "the machine's replay")
         self.system = new_system(config, n_pes)
         #: References replayed so far.
         self.done = 0
@@ -503,6 +498,7 @@ class ReplayWorker:
         self._marks = gc_marks
         self._sent = len(trace)
         self._sent_marks = len(gc_marks)
+        refuse_lazypim(config, "the machine's replay")
         self._worker = Worker(functools.partial(_replay_run, trace, gc_marks))
         self._worker.send(config)
 

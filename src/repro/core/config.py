@@ -284,6 +284,46 @@ class ClusterConfig:
         return pe // (n_pes // self.n_clusters)
 
 
+#: Coherence execution modes: the paper's per-access protocol, and
+#: LazyPIM's speculative batches (:mod:`repro.core.speculative`).
+MODES = ("pessimistic", "lazypim")
+
+#: Default batch length, in references across all PEs.
+DEFAULT_BATCH_REFS = 256
+
+#: Default signature width in bits (must be a power of two).
+DEFAULT_SIGNATURE_BITS = 256
+
+
+@dataclass(frozen=True)
+class SpeculationConfig:
+    """How coherence is executed (docs/SPECULATIVE.md).
+
+    ``"pessimistic"`` runs the protocol per access.  ``"lazypim"`` runs
+    speculative batches of ``batch_refs`` references whose per-PE read
+    and write sets are ``signature_bits``-wide signatures, settled in
+    bulk or rolled back; the two knobs are inert under
+    ``"pessimistic"`` but validated all the same.
+    """
+
+    mode: str = "pessimistic"
+    batch_refs: int = DEFAULT_BATCH_REFS
+    signature_bits: int = DEFAULT_SIGNATURE_BITS
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(
+                f"unknown replay mode {self.mode!r}; choose from {MODES}"
+            )
+        if self.batch_refs < 1:
+            raise ValueError(f"batch_refs must be >= 1, got {self.batch_refs}")
+        bits = self.signature_bits
+        if bits < 2 or bits & (bits - 1):
+            raise ValueError(
+                f"signature_bits must be a power of two >= 2, got {bits}"
+            )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything the cache system needs to run."""
@@ -320,6 +360,9 @@ class SimulationConfig:
     #: owner tracking), charging ``cluster.hop_cycles`` of indirection
     #: per third-party message.
     interconnect: str = "bus"
+    #: Coherence execution mode and LazyPIM's batch knobs.  The
+    #: default is the paper's per-access protocol.
+    speculation: SpeculationConfig = field(default_factory=SpeculationConfig)
 
     def __post_init__(self) -> None:
         if not is_registered(self.protocol):
@@ -355,6 +398,11 @@ class SimulationConfig:
     def with_interconnect(self, interconnect: str) -> "SimulationConfig":
         """Copy of this config on a different interconnect backend."""
         return replace(self, interconnect=interconnect)
+
+    def with_mode(self, mode: str) -> "SimulationConfig":
+        """Copy of this config in coherence execution *mode*, with the
+        same batch knobs."""
+        return replace(self, speculation=replace(self.speculation, mode=mode))
 
     def with_clusters(self, n_clusters: int, **kwargs) -> "SimulationConfig":
         """Copy of this config partitioned into *n_clusters* clusters.

@@ -174,7 +174,7 @@ goldens and the differential oracle check.
 
 Kernels and handlers are emitted as Python source, ``compile()``d
 when a system first uses them, and cached by spec name and *variant*
-(:func:`get_kernel`, :func:`bind_handlers`): the network charge is
+(:func:`open_session`, :func:`bind_handlers`): the network charge is
 emitted only for a K ≥ 2 cluster's system, the inline directory
 transaction only for a directory backend's kernel, so a flat bus
 system compiles what it runs and no more (1,580 to 1,930 lines per
@@ -212,7 +212,6 @@ from repro.trace.events import FLAG_LOCK_CONTENDED, Area, Op
 __all__ = [
     "KernelSession",
     "bind_handlers",
-    "get_kernel",
     "kernel_source",
     "open_session",
 ]
@@ -2149,7 +2148,6 @@ def _compile(spec) -> dict:
     namespace["_NETWORK"] = EventKind.NETWORK
     namespace["_NESTED"] = _NESTED
     namespace["_is_clustered"] = _is_clustered
-    namespace["_kernel"] = partial(_run_kernel, spec)
     namespace["_units"] = {}
     return namespace
 
@@ -2192,24 +2190,6 @@ def _unit(spec, system, kernel: bool) -> dict:
         exec(compile(source, f"<repro-codegen:{spec.name}>", "exec"), unit)
         namespace["_units"][key] = unit
     return unit
-
-
-def _run_kernel(spec, system, buffer, start, stop):
-    """Replay references ``[start, stop)`` of *buffer* as a one-range
-    session; returns the system's stats, or ``None`` when no session
-    opens and the caller must run the per-access loop."""
-    session = _unit(spec, system, True)["_open"](system, buffer, start, stop)
-    if session is None:
-        return None
-    with session:
-        return session.run(start, stop)
-
-
-def get_kernel(spec) -> Callable:
-    """The compiled one-range kernel for *spec*:
-    ``kernel(system, buffer, start, stop)`` replays ``[start, stop)``
-    and returns the stats, or ``None`` where no session opens."""
-    return _compiled(spec)["_kernel"]
 
 
 def bind_handlers(system) -> Dict[str, Callable]:

@@ -10,6 +10,13 @@ number of :class:`~repro.core.config.SimulationConfig` variants.
 Lock conflicts cannot re-arise during replay (the captured global order
 already serialized them), so contended operations carry a trace flag and
 the system re-enacts the LH response and UL broadcast from it.
+
+The coherence execution mode is part of the config
+(``SimulationConfig.speculation``): :func:`replay` runs a LazyPIM
+config's speculative batches wherever it is given one.  A driver that
+cuts the trace into ranges of its own (the machine's replay, windowed
+metrics, telemetry chunks) would make its range boundaries batch
+boundaries, so it refuses such a config (:func:`refuse_lazypim`).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Iterator, Optional
 
-from repro.core.config import SimulationConfig
+from repro.core.config import MODES, SimulationConfig
 from repro.core.protocol import codegen
 from repro.core.stats import SystemStats
 from repro.core.system import BLOCKED, N_AREAS, N_OPS, PIMCacheSystem
@@ -94,6 +101,18 @@ def invariant_check_interval(
     return max(1, period)
 
 
+def refuse_lazypim(config: SimulationConfig, driver: str) -> None:
+    """Raise ``ValueError`` if *config* runs LazyPIM: *driver* replays
+    per access or in ranges of its own, whose boundaries would become
+    batch boundaries, so it cannot honour the mode."""
+    if config.speculation.mode == "lazypim":
+        raise ValueError(
+            f"{driver} cannot honour a lazypim config; run it under "
+            "config.with_mode('pessimistic') and replay() the trace "
+            "under the lazypim config"
+        )
+
+
 def replay_access_driven(
     buffer: TraceBuffer,
     system,
@@ -160,8 +179,6 @@ def replay(
     check_invariants_every: Optional[int] = None,
     system: Optional[PIMCacheSystem] = None,
     mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
     start: int = 0,
     stop: Optional[int] = None,
 ) -> SystemStats:
@@ -180,14 +197,16 @@ def replay(
     environment toggle — see :func:`invariant_check_interval`)
     validates the coherence invariants every N references.
 
-    *mode* selects the coherence execution mode: ``"pessimistic"``
-    (default) is the paper's per-access protocol;
+    The coherence execution mode is the config's
+    ``speculation.mode`` (*system*'s config when a system is given):
+    ``"pessimistic"`` is the paper's per-access protocol;
     ``"lazypim"`` delegates to
     :func:`repro.core.speculative.replay_speculative` — speculative
-    batches of *batch_refs* references with *signature_bits*-wide
-    conflict signatures, settled in bulk or rolled back.  The
-    interconnect backends and the invariant toggle behave identically
-    in either mode.
+    batches of ``speculation.batch_refs`` references with
+    ``speculation.signature_bits``-wide conflict signatures, settled in
+    bulk or rolled back.  *mode*, when given, overrides the config's
+    mode and keeps its batch knobs.  The interconnect backends and the
+    invariant toggle behave identically in either mode.
 
     *system* replays into a caller-built system instead of a fresh one
     built from *config*/*n_pes* (which it overrides) — the hook
@@ -204,13 +223,6 @@ def replay(
     ``[0, n)`` (under ``"lazypim"``, for ``b`` a batch boundary), and a
     blocked reference is reported with its position and PE in *buffer*.
     """
-    if mode is not None:
-        from repro.core.speculative import MODES
-
-        if mode not in MODES:
-            raise ValueError(
-                f"unknown replay mode {mode!r}; choose from {MODES}"
-            )
     if system is None:
         if config is None:
             config = SimulationConfig()
@@ -219,36 +231,23 @@ def replay(
         from repro.cluster.system import ClusteredSystem
 
         clustered = isinstance(system, ClusteredSystem)
+    if mode is None:
+        mode = (config if system is None else system.config).speculation.mode
+    elif mode not in MODES:
+        raise ValueError(f"unknown replay mode {mode!r}; choose from {MODES}")
     if clustered:
         from repro.cluster.replay import _replay_clustered
 
         return _replay_clustered(
             buffer, config, n_pes, system, start, stop,
             check_invariants_every=check_invariants_every, mode=mode,
-            batch_refs=batch_refs, signature_bits=signature_bits,
         )
     if mode == "lazypim":
-        from repro.core.speculative import (
-            DEFAULT_BATCH_REFS,
-            DEFAULT_SIGNATURE_BITS,
-            replay_speculative,
-        )
+        from repro.core.speculative import replay_speculative
 
         return replay_speculative(
-            buffer,
-            config=config,
-            n_pes=n_pes,
-            check_invariants_every=check_invariants_every,
-            system=system,
-            batch_refs=(
-                batch_refs if batch_refs is not None else DEFAULT_BATCH_REFS
-            ),
-            signature_bits=(
-                signature_bits if signature_bits is not None
-                else DEFAULT_SIGNATURE_BITS
-            ),
-            start=start,
-            stop=stop,
+            buffer, config, n_pes, check_invariants_every, system,
+            start=start, stop=stop,
         )
     if system is None:
         system = PIMCacheSystem(

@@ -76,6 +76,13 @@ Clustered replay composes per cluster: each cluster's shard runs its own
 independent batch engine (speculation is a per-bus mechanism), so the
 ``split_trace`` determinism argument of :mod:`repro.cluster.replay`
 carries over unchanged.
+
+The mode is selected by configuration: a config whose ``speculation``
+(:class:`~repro.core.config.SpeculationConfig`) has mode ``"lazypim"``
+makes :func:`repro.core.replay.replay` call :func:`replay_speculative`,
+which reads ``batch_refs`` and ``signature_bits`` from the system's
+config.  ``MODES`` and the two defaults live in
+:mod:`repro.core.config` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -84,7 +91,12 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
+from repro.core.config import (
+    DEFAULT_BATCH_REFS,
+    DEFAULT_SIGNATURE_BITS,
+    MODES,
+    SimulationConfig,
+)
 from repro.core.replay import (
     invariant_check_interval,
     replay,
@@ -102,38 +114,10 @@ __all__ = [
     "DEFAULT_SIGNATURE_BITS",
     "MODES",
     "batch_signatures",
-    "check_batch_knobs",
     "plan_batches",
     "replay_speculative",
     "signatures_conflict",
 ]
-
-#: Execution modes accepted by the replay entry points and the CLI.
-MODES = ("pessimistic", "lazypim")
-
-#: Default batch length, in references across all PEs.
-DEFAULT_BATCH_REFS = 256
-
-#: Default signature width in bits (must be a power of two).
-DEFAULT_SIGNATURE_BITS = 256
-
-
-def check_batch_knobs(
-    batch_refs: Optional[int], signature_bits: Optional[int]
-) -> None:
-    """Raise ``ValueError`` unless *batch_refs* is at least 1 and
-    *signature_bits* is a power of two of at least 2 (``None`` stands
-    for the default and passes)."""
-    if batch_refs is not None and batch_refs < 1:
-        raise ValueError(f"batch_refs must be >= 1, got {batch_refs}")
-    if signature_bits is not None and (
-        signature_bits < 2 or signature_bits & (signature_bits - 1)
-    ):
-        raise ValueError(
-            f"signature_bits must be a power of two >= 2, "
-            f"got {signature_bits}"
-        )
-
 
 _INVALIDATION = int(BusPattern.INVALIDATION)
 _BARRIER_OPS = frozenset(int(op) for op in LOCK_OPS)
@@ -406,8 +390,6 @@ def replay_speculative(
     n_pes: Optional[int] = None,
     check_invariants_every: Optional[int] = None,
     system: Optional[PIMCacheSystem] = None,
-    batch_refs: int = DEFAULT_BATCH_REFS,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     values: Optional[Callable[[int], int]] = None,
     on_result: Optional[Callable] = None,
     force_speculation: bool = False,
@@ -419,8 +401,10 @@ def replay_speculative(
 
     Mirrors :func:`repro.core.replay.replay` (same config/system
     seams, position range and invariant toggle) plus the oracle hooks
-    of :func:`~repro.core.replay.replay_access_driven` and the two
-    batch knobs.  The range runs as the batches of
+    of :func:`~repro.core.replay.replay_access_driven`.  The batch
+    knobs are the system's ``config.speculation`` (its ``mode`` is not
+    consulted: this driver is the speculative mode).  The range runs
+    as the batches of
     :func:`plan_batches`, so replaying ``[0, b)`` and then ``[b, n)``
     into one system, with ``b`` a batch boundary of ``[0, n)``, equals
     replaying ``[0, n)``.  Each clean batch, and each maximal stretch
@@ -435,12 +419,12 @@ def replay_speculative(
     to pin deferral + immediate settlement counter-identical to live
     charging.
     """
-    check_batch_knobs(batch_refs, signature_bits)
     if system is None:
         if config is None:
             config = SimulationConfig()
         pes = n_pes if n_pes is not None else buffer.n_pes
         system = PIMCacheSystem(config, pes)
+    batch_refs = system.config.speculation.batch_refs
     if check_invariants_every is None:
         check_invariants_every = invariant_check_interval()
     if stop is None:
@@ -453,20 +437,21 @@ def replay_speculative(
                 start=start, stop=stop,
             )
         return replay(
-            buffer, system=system,
+            buffer, system=system, mode="pessimistic",
             check_invariants_every=check_invariants_every or 0,
             start=start, stop=stop,
         )
     if not hasattr(system, "_bus"):
         raise TypeError(
             "speculative replay needs a single-bus system (flat, or a "
-            "per-cluster shard system); drive a clustered run through "
-            "replay_clustered(mode='lazypim') instead"
+            "per-cluster shard system); replay a clustered machine's "
+            "lazypim config through replay() instead"
         )
     stats = system.stats
     every = check_invariants_every
     spans, rollbacks = _plan(
-        buffer, batch_refs, signature_bits, system._block_shift, start, stop
+        buffer, batch_refs, system.config.speculation.signature_bits,
+        system._block_shift, start, stop,
     )
     # One kernel session (or per-access loop) for every span.  Its own
     # invariant checks stay off: the directory's entry table is

@@ -43,6 +43,7 @@ from repro.cluster.replay import (
     replay_worker_available,
 )
 from repro.core.config import MachineConfig, SimulationConfig
+from repro.core.replay import refuse_lazypim
 from repro.core.stats import SystemStats
 from repro.machine import builtins as builtin_module
 from repro.machine.compiler import Program, compile_program
@@ -170,7 +171,9 @@ class KL1Machine:
         ``sim_config`` is the cache system the run's trace is replayed
         under for :attr:`MachineResult.stats`; its cluster count also
         steers goal scheduling (cluster affinity).  None records the
-        trace and reports no cache statistics.
+        trace and reports no cache statistics.  The run's replay cannot
+        honour a LazyPIM config, which raises ``ValueError`` here,
+        before anything is emulated.
         """
         self.config = config
         self.n_pes = config.n_pes
@@ -178,6 +181,8 @@ class KL1Machine:
             program = compile_program(program, max_goal_args=config.max_goal_args)
         self.program = program
         self.symbols = program.symbols
+        if sim_config is not None:
+            refuse_lazypim(sim_config, "the machine's replay")
         self.sim_config = sim_config
         self.n_clusters = (
             sim_config.cluster.n_clusters if sim_config is not None else 1

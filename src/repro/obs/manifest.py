@@ -36,13 +36,16 @@ def config_from_dict(data: dict) -> SimulationConfig:
     output (e.g. the ``config`` entry of a manifest or checkpoint).
 
     The round trip is exact: every field of the dataclass tree is a
-    plain scalar, so ``config_from_dict(config_to_dict(c)) == c``.
+    plain scalar, so ``config_from_dict(config_to_dict(c)) == c``.  A
+    nested config missing from *data* (a record older than the field)
+    takes its default.
     """
     from repro.core.config import (
         BusConfig,
         CacheConfig,
         ClusterConfig,
         OptimizationConfig,
+        SpeculationConfig,
     )
 
     kwargs = dict(data)
@@ -51,6 +54,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
         ("bus", BusConfig),
         ("opts", OptimizationConfig),
         ("cluster", ClusterConfig),
+        ("speculation", SpeculationConfig),
     ):
         if key in kwargs and isinstance(kwargs[key], dict):
             kwargs[key] = cls(**kwargs[key])

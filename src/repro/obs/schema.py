@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from repro.core.speculative import MODES
 from repro.obs.events import EVENT_KIND_NAMES
 from repro.obs.export import HOTNESS_SCHEMA, TRACE_SCHEMA
 from repro.obs.manifest import MANIFEST_SCHEMA
@@ -313,10 +312,15 @@ JOB = obj({
     "state": Field("str", one_of=JOB_STATES), "trace": STR,
     **each("n_pes chunk_refs checkpoint_every max_retries", POSITIVE),
     "retries": COUNT,
-    # Optional speculative-mode fields (absent in pre-mode ledgers).
-    # Older ledgers also carry a ``kernel`` field, which is ignored.
-    "mode": maybe(Field("str", one_of=MODES)),
-    "batch_refs": maybe(POSITIVE), "signature_bits": maybe(POSITIVE),
+    # The coherence mode is the manifest config's.  Ledgers from before
+    # that carry ``mode``/``batch_refs``/``signature_bits`` fields,
+    # ignored (like an older ``kernel`` field) unless ``mode`` names
+    # LazyPIM: their config lacks it and would replay pessimistically.
+    "mode": maybe(Field("str", rule=(
+        lambda mode: mode == "pessimistic",
+        "a lazypim job recorded before the mode moved into the "
+        "config; resubmit it",
+    ))),
     "error": obj({"kind": STR, "detail": STR}, null=True),
     "manifest": MANIFEST,
 }, rule=(

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.replay import replay_ranges
+from repro.core.replay import refuse_lazypim, replay_ranges
 from repro.core.stats import SystemStats
 from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
@@ -149,9 +149,12 @@ def windowed_replay(
 
     A blocked reference raises
     :class:`~repro.core.replay.ReplayBlockedError` with its trace index.
+    The windows would cut LazyPIM batches, so a LazyPIM config raises
+    ``ValueError``.
     """
     if config is None:
         config = SimulationConfig()
+    refuse_lazypim(config, "windowed_replay")
     system = PIMCacheSystem(config, n_pes if n_pes is not None else buffer.n_pes)
     if probe is not None:
         system.attach_probe(probe)

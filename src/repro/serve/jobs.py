@@ -1,7 +1,10 @@
 """The simulation job service: a persistent ledger plus worker monitor.
 
-A *job* is one simulation — config + trace + replay options — owned by
-a :class:`JobStore` directory:
+A *job* is one simulation — config + trace + chunking options — owned
+by a :class:`JobStore` directory.  The coherence mode and its batch
+knobs are part of the config (``SimulationConfig.speculation``), so
+the manifest's config and every checkpoint's carry them to each
+retried worker:
 
 .. code-block:: text
 
@@ -43,7 +46,6 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.config import SimulationConfig
-from repro.core.speculative import MODES, check_batch_knobs
 from repro.obs.manifest import build_manifest, config_from_dict
 from repro.obs.schema import (
     JOB_SCHEMA,
@@ -132,27 +134,16 @@ class JobStore:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         max_retries: int = DEFAULT_MAX_RETRIES,
         seed: Optional[int] = None,
-        mode: Optional[str] = None,
-        batch_refs: Optional[int] = None,
-        signature_bits: Optional[int] = None,
     ) -> str:
         """Enqueue one simulation; returns its job id.
 
-        *mode*, *batch_refs* and *signature_bits* select the coherence
-        execution mode (see :func:`repro.core.replay.replay`); they are
-        recorded in the ledger so retried workers replay under exactly
-        the submitted mode.
+        The job replays in *config*'s coherence mode (see
+        :func:`repro.core.replay.replay`), which its manifest records.
         """
         if chunk_refs < 1 or checkpoint_every < 1 or max_retries < 1:
             raise JobError(
                 "chunk_refs, checkpoint_every and max_retries must be >= 1"
             )
-        if mode is not None and mode not in MODES:
-            raise JobError(f"unknown replay mode {mode!r}")
-        try:
-            check_batch_knobs(batch_refs, signature_bits)
-        except ValueError as error:
-            raise JobError(str(error)) from None
         trace_key = self.store_trace(trace)
         if n_pes is None:
             n_pes = trace_header(self.trace_path(trace_key)).n_pes
@@ -168,9 +159,6 @@ class JobStore:
             "checkpoint_every": checkpoint_every,
             "retries": 0,
             "max_retries": max_retries,
-            "mode": mode,
-            "batch_refs": batch_refs,
-            "signature_bits": signature_bits,
             "error": None,
             "manifest": build_manifest(
                 config=config,
@@ -352,9 +340,6 @@ def _job_worker(root: str, job_id: str) -> None:
         chunk_refs=record["chunk_refs"],
         system=system,
         on_chunk=on_chunk,
-        mode=record.get("mode"),
-        batch_refs=record.get("batch_refs"),
-        signature_bits=record.get("signature_bits"),
         start=start_chunk * record["chunk_refs"],
     )
     stats_dict = result.as_dict()

@@ -10,7 +10,10 @@ clustered systems the ``split_trace`` determinism argument
 (docs/CLUSTER.md) composes with chunking: splitting each chunk and
 replaying every shard into its cluster's persistent system is the same
 per-cluster subsequence an interleaved run would produce, so
-cluster-parallel streaming merges deterministically too.
+cluster-parallel streaming merges deterministically too.  The
+coherence mode travels in the system's config, so a LazyPIM config
+streams each chunk as a closed run of speculative batches, and a
+system restored from a checkpoint resumes in the mode it ran in.
 
 A trace file is read one ``chunk_refs`` range at a time
 (:func:`repro.trace.io.iter_trace_chunks`), so peak memory is bounded
@@ -61,9 +64,6 @@ def replay_stream(
     chunk_refs: int = DEFAULT_CHUNK_REFS,
     system=None,
     on_chunk: Optional[Callable[[int, int, object], None]] = None,
-    mode: Optional[str] = None,
-    batch_refs: Optional[int] = None,
-    signature_bits: Optional[int] = None,
     start: int = 0,
 ):
     """Replay references ``[start, n)`` of *source* — a trace file or
@@ -82,32 +82,25 @@ def replay_stream(
     reference raises :class:`~repro.core.replay.ReplayBlockedError`
     with its index and PE in the whole trace, flat or clustered.
 
-    ``mode="lazypim"`` streams speculatively: each chunk runs as a
-    closed sequence of speculative batches (chunk boundaries force a
-    batch commit), so every ``on_chunk`` — and therefore every job
-    checkpoint — lands on fully-settled state, and a resume from a
-    chunk-boundary checkpoint is bit-identical to the undisturbed
+    A LazyPIM config (the system's, when *system* is given) streams
+    speculatively: each chunk runs as a closed sequence of speculative
+    batches (chunk boundaries force a batch commit), so every
+    ``on_chunk`` — and therefore every job checkpoint — lands on
+    fully-settled state, and a resume from a chunk-boundary checkpoint,
+    whose config carries the mode, is bit-identical to the undisturbed
     streamed run.  Streamed speculative counters are a deterministic
-    function of ``(trace, config, chunk_refs, batch_refs)``; they equal
-    the monolithic :func:`~repro.core.speculative.replay_speculative`
-    run exactly when ``chunk_refs`` is a multiple of *batch_refs* and
-    the stream carries no lock/flagged references (each of which resets
-    the batch phase).
+    function of ``(trace, config, chunk_refs)``; they equal the
+    monolithic :func:`~repro.core.speculative.replay_speculative` run
+    exactly when ``chunk_refs`` is a multiple of
+    ``config.speculation.batch_refs`` and the stream carries no
+    lock/flagged references (each of which resets the batch phase).
     """
     source_pes, segments = _segments(source, chunk_refs, start)
     if system is None:
         system = new_system(config or SimulationConfig(), n_pes or source_pes)
     for index, (buffer, base, lo, hi) in enumerate(segments):
         try:
-            replay(
-                buffer,
-                system=system,
-                mode=mode,
-                batch_refs=batch_refs,
-                signature_bits=signature_bits,
-                start=lo,
-                stop=hi,
-            )
+            replay(buffer, system=system, start=lo, stop=hi)
         except ReplayBlockedError as error:
             raise error.at(base) from None
         if on_chunk is not None:

@@ -201,7 +201,7 @@ def generate_false_sharing_trace(
     pattern (word-disjoint, block-overlapping).  A sprinkle of private
     per-PE references (*p_private*) keeps caches realistically mixed.
 
-    Under ``mode="lazypim"`` (:mod:`repro.core.speculative`) every
+    Under a LazyPIM config (:mod:`repro.core.speculative`) every
     speculative batch long enough to contain one full round holds a
     write and a concurrent remote read of the same block, so its
     signatures conflict and the batch rolls back: this generator

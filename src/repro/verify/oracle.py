@@ -35,12 +35,7 @@ from repro.core.config import (
 )
 from repro.core.protocol import protocol_names
 from repro.core.replay import ReplayBlockedError, replay, replay_access_driven
-from repro.core.speculative import (
-    DEFAULT_BATCH_REFS,
-    DEFAULT_SIGNATURE_BITS,
-    plan_batches,
-    replay_speculative,
-)
+from repro.core.speculative import plan_batches, replay_speculative
 from repro.core.system import PIMCacheSystem
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import AREA_NAMES, OP_NAMES
@@ -273,13 +268,12 @@ def run_lazypim_case(
     n_pes: int,
     cluster_counts: Sequence[int] = (1, 2),
     check_every: int = _CHECK_EVERY,
-    batch_refs: int = DEFAULT_BATCH_REFS,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     require_rollback: bool = False,
 ) -> int:
     """Run one trace through every speculative path; raise on divergence.
 
-    The ``mode="lazypim"`` counterpart of :func:`run_case`.  Paths
+    The LazyPIM counterpart of :func:`run_case`: *config* runs as the
+    LazyPIM config with its batch knobs, whatever its mode.  Paths
     exercised: (1) the per-access speculative driver with data tracking
     and the flat-memory value check — every read inside every batch
     (including a rolled-back batch's pessimistic re-execution) must
@@ -299,6 +293,7 @@ def run_lazypim_case(
     rotation uses it so a silently-too-weak conflict generator cannot
     pass.  Returns the number of references replayed, summed over paths.
     """
+    config = config.with_mode("lazypim")
     base = replace(config, track_data=False)
     data_config = replace(config, track_data=True)
     refs = 0
@@ -308,8 +303,6 @@ def run_lazypim_case(
     flat_stats = replay_speculative(
         trace,
         system=system,
-        batch_refs=batch_refs,
-        signature_bits=signature_bits,
         values=value_for,
         on_result=_flat_checker({}, n_pes),
     )
@@ -340,14 +333,7 @@ def run_lazypim_case(
 
     # (2) Generated kernel driving the batches: counters must be
     # identical to the per-access driver.
-    generated = replay(
-        trace,
-        base,
-        n_pes=n_pes,
-        mode="lazypim",
-        batch_refs=batch_refs,
-        signature_bits=signature_bits,
-    ).as_dict()
+    generated = replay(trace, base, n_pes=n_pes).as_dict()
     refs += len(trace)
     if generated != flat:
         raise Divergence(
@@ -362,18 +348,13 @@ def run_lazypim_case(
     # monolithic run (the property a streamed or checkpointed
     # speculative job leans on when its chunks end on batch
     # boundaries).
-    spans = plan_batches(trace, batch_refs)
+    spans = plan_batches(trace, config.speculation.batch_refs)
     if len(spans) >= 2:
         split = spans[len(spans) // 2][0]
         ranged_system = PIMCacheSystem(base, n_pes)
         for lo, hi in ((0, split), (split, len(trace))):
             replay_speculative(
-                trace,
-                system=ranged_system,
-                batch_refs=batch_refs,
-                signature_bits=signature_bits,
-                start=lo,
-                stop=hi,
+                trace, system=ranged_system, start=lo, stop=hi
             )
         ranged = ranged_system.stats.as_dict()
         refs += len(trace)
@@ -392,8 +373,6 @@ def run_lazypim_case(
             base,
             n_pes=n_pes,
             check_invariants_every=check_every,
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
         ).as_dict()
     except AssertionError as error:
         raise Divergence("invariant", str(error)) from error
@@ -410,14 +389,7 @@ def run_lazypim_case(
         if n_pes % n_clusters:
             continue
         clustered_config = base.with_clusters(n_clusters)
-        sharded = replay_clustered(
-            trace,
-            clustered_config,
-            n_pes=n_pes,
-            mode="lazypim",
-            batch_refs=batch_refs,
-            signature_bits=signature_bits,
-        )
+        sharded = replay_clustered(trace, clustered_config, n_pes=n_pes)
         refs += len(trace)
         if n_clusters == 1 and sharded.stats.as_dict() != flat:
             raise Divergence(
@@ -442,8 +414,6 @@ def run_lazypim_case(
                 replay_speculative(
                     shard,
                     system=shard_system,
-                    batch_refs=batch_refs,
-                    signature_bits=signature_bits,
                     values=value_for,
                     on_result=_flat_checker({}, pes_per_cluster),
                 )
@@ -563,13 +533,12 @@ def _reproduces(
     config: SimulationConfig,
     n_pes: int,
     cluster_counts: Sequence[int],
-    mode: str = "pessimistic",
 ):
     """Shrinking predicate: does the candidate still diverge the same way?"""
 
     def predicate(candidate: TraceBuffer) -> bool:
         try:
-            if mode == "lazypim":
+            if config.speculation.mode == "lazypim":
                 run_lazypim_case(candidate, config, n_pes, cluster_counts)
             else:
                 run_case(candidate, config, n_pes, cluster_counts)
@@ -619,18 +588,17 @@ def run_fuzz(
     if "lazypim" in modes:
         # Conflict cases first: any budget covers at least one rollback.
         for protocol in names:
-            base = SimulationConfig(protocol=protocol)
-            combos.append((protocol, "conflict", base, "lazypim"))
+            base = SimulationConfig(protocol=protocol).with_mode("lazypim")
+            combos.append((protocol, "conflict", base))
         for protocol in names:
-            base = SimulationConfig(protocol=protocol)
-            combos.append((protocol, "base", base, "lazypim"))
+            base = SimulationConfig(protocol=protocol).with_mode("lazypim")
+            combos.append((protocol, "base", base))
             combos.append(
-                (protocol, "directory",
-                 base.with_interconnect("directory"), "lazypim")
+                (protocol, "directory", base.with_interconnect("directory"))
             )
     if "pessimistic" in modes:
         combos.extend(
-            (protocol, variant, config, "pessimistic")
+            (protocol, variant, config)
             for protocol in names
             for variant, config in _variants(protocol).items()
         )
@@ -641,8 +609,8 @@ def run_fuzz(
         # ``--interconnect``); the dedicated "directory" variant is
         # dropped since it would duplicate a forced base.
         combos = [
-            (protocol, variant, config.with_interconnect(interconnect), mode)
-            for protocol, variant, config, mode in combos
+            (protocol, variant, config.with_interconnect(interconnect))
+            for protocol, variant, config in combos
             if variant != "directory"
         ]
     report = FuzzReport(
@@ -653,7 +621,8 @@ def run_fuzz(
     )
     case_number = 0
     while report.refs_total < budget:
-        protocol, variant, config, mode = combos[case_number % len(combos)]
+        protocol, variant, config = combos[case_number % len(combos)]
+        mode = config.speculation.mode
         case_seed = seed + 7919 * case_number  # distinct, reproducible
         forced_conflict = mode == "lazypim" and variant == "conflict"
         if forced_conflict:
@@ -687,8 +656,7 @@ def run_fuzz(
                 reduced = shrink_trace(
                     trace,
                     _reproduces(
-                        divergence.kind, config, n_pes, cluster_counts,
-                        mode=mode,
+                        divergence.kind, config, n_pes, cluster_counts
                     ),
                     max_evals=max_shrink_evals,
                 )

@@ -365,6 +365,21 @@ def test_compare_json_is_schema_valid(capsys):
     assert {row["protocol"] for row in report["rows"]} == {"pim", "illinois"}
 
 
+def test_compare_json_config_hash_names_the_mode(pe_traces, capsys):
+    import json
+
+    manifests = {}
+    for mode in ("pessimistic", "lazypim"):
+        assert main([
+            "compare", "--trace", str(pe_traces[4]), "--protocol", "pim",
+            "--mode", mode, "--json",
+        ]) == 0
+        manifests[mode] = json.loads(capsys.readouterr().out)["manifest"]
+    assert (manifests["pessimistic"]["config_hash"]
+            != manifests["lazypim"]["config_hash"])
+    assert manifests["lazypim"]["config"]["speculation"]["mode"] == "lazypim"
+
+
 def test_verify_single_protocol(capsys):
     assert main(["verify", "--protocol", "pim"]) == 0
     out = capsys.readouterr().out
@@ -713,25 +728,73 @@ def test_missing_trace_file_is_a_one_line_error(
     assert str(missing) in err and "No such file" in err
 
 
+#: The commands that take the mode options; ``TRACE`` stands for a
+#: recorded trace file.
+MODE_COMMANDS = {
+    "run": ["run", "pascal", "--scale", "tiny", "--pes", "2"],
+    "trace-replay": ["trace", "replay", "TRACE"],
+    "compare": ["compare", "--trace", "TRACE"],
+    "bench": ["bench", "--quick"],
+    "submit": ["serve", "--store", "unused", "submit", "--trace", "TRACE"],
+}
+
+#: Batch knobs the config refuses, in either mode.
+BAD_KNOBS = {
+    "batch-refs-0": (["--mode", "lazypim", "--batch-refs", "0"],
+                     "batch_refs must be >= 1"),
+    "batch-refs-negative": (["--mode", "lazypim", "--batch-refs", "-1"],
+                            "batch_refs must be >= 1"),
+    "signature-bits-3": (["--mode", "lazypim", "--signature-bits", "3"],
+                         "signature_bits must be a power of two >= 2"),
+    "pessimistic": (["--batch-refs", "0", "--signature-bits", "3"],
+                    "batch_refs must be >= 1"),
+}
+
+_METRICS = ["metrics", "--benchmark", "pascal", "--scale", "tiny"]
+
+
 @pytest.mark.parametrize(
-    "options,message",
+    "command,options,message",
     [
-        (["--capacity", "-5"], "capacity_words must be a positive power of two"),
-        (["--block-words", "3"], "block_words must be a positive power of two"),
-        (["--ways", "3"], "n_sets must be a positive power of two"),
-        (["--ways", "0"], "associativity must be >= 1"),
-        (["--bus-width", "-1"], "width_words must be >= 1"),
-        (["--clusters", "3"], "--clusters 3 does not divide the 8 PEs"),
-        (["--clusters", "2", "--hop-cycles", "-2"], "hop_cycles must be >= 1"),
+        (_METRICS, ["--capacity", "-5"],
+         "capacity_words must be a positive power of two"),
+        (_METRICS, ["--block-words", "3"],
+         "block_words must be a positive power of two"),
+        (_METRICS, ["--ways", "3"], "n_sets must be a positive power of two"),
+        (_METRICS, ["--ways", "0"], "associativity must be >= 1"),
+        (_METRICS, ["--bus-width", "-1"], "width_words must be >= 1"),
+        (_METRICS, ["--clusters", "3"],
+         "--clusters 3 does not divide the 8 PEs"),
+        (_METRICS, ["--clusters", "2", "--hop-cycles", "-2"],
+         "hop_cycles must be >= 1"),
+        *(
+            (MODE_COMMANDS[name], *BAD_KNOBS[knobs])
+            for name in MODE_COMMANDS for knobs in BAD_KNOBS
+        ),
     ],
     ids=["capacity", "block-words", "ways", "zero-ways", "bus-width",
-         "clusters", "hop-cycles"],
+         "clusters", "hop-cycles",
+         *(f"{name}-{knobs}"
+           for name in MODE_COMMANDS for knobs in BAD_KNOBS)],
 )
 def test_bad_cache_or_cluster_option_is_a_one_line_error(
-    options, message, capsys
+    command, options, message, capsys, monkeypatch, tmp_path, pe_traces
 ):
-    command = ["metrics", "--benchmark", "pascal", "--scale", "tiny"]
-    assert main([*command, *options]) == 2
+    from repro.analysis import bench
+    from repro.machine.machine import KL1Machine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused option ran the simulation")
+
+    if command is not _METRICS:
+        # A refused knob comes first: nothing is emulated or measured.
+        # (``metrics --benchmark`` may emulate its trace on a cold cache.)
+        monkeypatch.setattr(KL1Machine, "run", refuse)
+        monkeypatch.setattr(bench, "run_bench", refuse)
+    monkeypatch.chdir(tmp_path)  # serve's store is made in the cwd
+    trace = str(pe_traces[4])
+    argv = [trace if part == "TRACE" else part for part in command]
+    assert main([*argv, *options]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err

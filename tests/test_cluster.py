@@ -47,6 +47,7 @@ from repro.core.config import (
     ClusterConfig,
     OptimizationConfig,
     SimulationConfig,
+    SpeculationConfig,
 )
 from repro.core.protocol import protocol_names
 from repro.core.replay import ReplayBlockedError, replay
@@ -605,10 +606,10 @@ class TestOneEntryPoint:
     def test_replay_honours_the_cluster_topology(
         self, interconnect, mode, n_clusters, tiny_workloads
     ):
-        config = SimulationConfig(interconnect=interconnect).with_clusters(
-            n_clusters
-        )
-        kwargs = dict(mode=mode, batch_refs=self.BATCH_REFS)
+        config = SimulationConfig(
+            interconnect=interconnect,
+            speculation=SpeculationConfig(mode, batch_refs=self.BATCH_REFS),
+        ).with_clusters(n_clusters)
         # A lock-free round-robin head gives every cluster a multiple of
         # BATCH_REFS references, so its end is a batch boundary in
         # every shard; the random tail brings locks.
@@ -620,12 +621,12 @@ class TestOneEntryPoint:
             )
         boundary = len(trace)
         trace.extend(generate_random_trace(3_000, n_pes=8, seed=61))
-        want = replay_clustered(trace, config, **kwargs).stats.as_dict()
+        want = replay_clustered(trace, config).stats.as_dict()
 
-        assert replay(trace, config, **kwargs).as_dict() == want
+        assert replay(trace, config).as_dict() == want
         system = ClusteredSystem(config, 8)
-        replay(trace, system=system, stop=boundary, **kwargs)
-        ranged = replay(trace, system=system, start=boundary, **kwargs)
+        replay(trace, system=system, stop=boundary)
+        ranged = replay(trace, system=system, start=boundary)
         assert ranged.as_dict() == want
 
         tri = tiny_workloads.trace("tri", 4)

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.config import MachineConfig, SimulationConfig
+from repro.core.config import (
+    MachineConfig,
+    SimulationConfig,
+    SpeculationConfig,
+)
 from repro.core.replay import replay
 from repro.core.speculative import plan_batches
 from repro.core.system import PIMCacheSystem
@@ -47,13 +51,14 @@ def test_ranges_compose_into_the_whole_run(loop):
     batch boundary, so every loop splits at one."""
     trace = generate_contract_trace(2_000, n_pes=4, seed=21)
     config = SimulationConfig()
+    if loop == "lazypim":
+        config = SimulationConfig(speculation=SpeculationConfig(
+            "lazypim", batch_refs=64
+        ))
 
     def run(system, start=0, stop=None):
         if loop == "lazypim":
-            return replay(
-                trace, system=system, mode="lazypim", batch_refs=64,
-                start=start, stop=stop,
-            )
+            return replay(trace, system=system, start=start, stop=stop)
         return replay_through(loop, trace, system=system, start=start, stop=stop)
 
     whole = run(PIMCacheSystem(config, 4)).as_dict()

@@ -65,12 +65,12 @@ def trace():
     return generate_random_trace(6000, n_pes=4, seed=7, address_pool=96)
 
 
-def _replay(loop, trace, config, monkeypatch, mode=None):
+def _replay(loop, trace, config, monkeypatch):
     """Merged stats, and per-cluster network counters for K ≥ 2."""
     route_through(loop, monkeypatch)
     if config.cluster.n_clusters == 1:
-        return replay(trace, config, mode=mode).as_dict(), None
-    result = replay_clustered(trace, config, mode=mode)
+        return replay(trace, config).as_dict(), None
+    result = replay_clustered(trace, config)
     return result.stats.as_dict(), [
         network.as_dict() for network in result.network_per_cluster
     ]
@@ -146,11 +146,9 @@ def test_lazypim_clustered_matches_per_access(
     # Speculative attempts record their transactions instead of
     # performing them, so they charge no network; the settlement and
     # the rolled-back replays charge it exactly as the per-access loop.
-    config = _config("pim", interconnect, clusters=2)
-    kernel = _replay("generated", trace, config, monkeypatch, mode="lazypim")
-    assert kernel == _replay(
-        "interpreted", trace, config, monkeypatch, mode="lazypim"
-    )
+    config = _config("pim", interconnect, clusters=2).with_mode("lazypim")
+    kernel = _replay("generated", trace, config, monkeypatch)
+    assert kernel == _replay("interpreted", trace, config, monkeypatch)
 
 
 def _spy(system):

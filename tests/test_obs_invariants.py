@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.parallel import SweepPool, run_clustered
 from repro.cluster.replay import replay_clustered
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, SpeculationConfig
 from repro.core.replay import (
     DEFAULT_INVARIANT_INTERVAL,
     ReplayBlockedError,
@@ -146,9 +146,9 @@ CLUSTERED = SimulationConfig().with_clusters(2)
         "windowed": lambda trace: windowed_replay(
             trace, SimulationConfig(), window=64
         ),
-        "lazypim": lambda trace: replay(
-            trace, SimulationConfig(), mode="lazypim", batch_refs=16
-        ),
+        "lazypim": lambda trace: replay(trace, SimulationConfig(
+            speculation=SpeculationConfig("lazypim", batch_refs=16)
+        )),
         "sweep_pool": sweep_pool_map,
         "replay_clustered": lambda trace: replay_clustered(trace, CLUSTERED),
         "run_clustered_serial": lambda trace: run_clustered(

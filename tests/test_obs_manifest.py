@@ -4,10 +4,17 @@ import json
 
 import pytest
 
-from repro.core.config import CacheConfig, OptimizationConfig, SimulationConfig
+from repro.core.config import (
+    CacheConfig,
+    OptimizationConfig,
+    SimulationConfig,
+    SpeculationConfig,
+)
 from repro.obs.manifest import (
     build_manifest,
+    config_from_dict,
     config_fingerprint,
+    config_to_dict,
     git_sha,
     write_manifest,
 )
@@ -33,6 +40,33 @@ def test_fingerprint_distinguishes_configs():
     assert config_fingerprint(
         SimulationConfig(protocol="illinois")
     ) != base
+    # The coherence mode and each batch knob are part of the config.
+    lazypim = SimulationConfig().with_mode("lazypim")
+    prints = {
+        config_fingerprint(config)
+        for config in (
+            SimulationConfig(),
+            lazypim,
+            SimulationConfig(speculation=SpeculationConfig(
+                "lazypim", batch_refs=64
+            )),
+            SimulationConfig(speculation=SpeculationConfig(
+                "lazypim", signature_bits=64
+            )),
+        )
+    }
+    assert len(prints) == 4
+
+
+def test_speculation_round_trips_and_defaults_when_absent():
+    config = SimulationConfig(speculation=SpeculationConfig(
+        "lazypim", batch_refs=64, signature_bits=128
+    ))
+    assert config_from_dict(config_to_dict(config)) == config
+    # A record written before the field existed gets the default.
+    old = config_to_dict(SimulationConfig())
+    del old["speculation"]
+    assert config_from_dict(old) == SimulationConfig()
 
 
 def test_build_manifest_is_schema_valid():

@@ -68,12 +68,12 @@ class TestKernelSource:
 
     def test_kernel_cached_by_spec_identity(self):
         spec = get_protocol("pim")
-        kernel = codegen.get_kernel(spec)
-        assert codegen.get_kernel(spec) is kernel
+        namespace = codegen._compiled(spec)
+        assert codegen._compiled(spec) is namespace
         # A structurally equal but distinct spec object (a re-registered
         # or temporarily shadowed protocol) must recompile, not reuse.
         clone = dataclasses.replace(spec)
-        assert codegen.get_kernel(clone) is not kernel
+        assert codegen._compiled(clone) is not namespace
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +85,8 @@ class TestEnvelope:
     def test_track_data_declines(self):
         config = SimulationConfig(track_data=True)
         system = PIMCacheSystem(config, 2)
-        kernel = codegen.get_kernel(system.protocol_spec)
         buffer = generate_random_trace(50, n_pes=2, seed=1)
-        assert kernel(system, buffer, 0, len(buffer)) is None
+        assert codegen.open_session(system, buffer, 0, len(buffer)) is None
 
     def test_track_data_replay_falls_back_and_matches(self):
         buffer = generate_random_trace(800, n_pes=2, seed=2)
@@ -101,8 +100,7 @@ class TestEnvelope:
         buffer = generate_random_trace(400, n_pes=2, seed=3)
         buffer._addr[7] = -buffer._addr[7]
         system = PIMCacheSystem(SimulationConfig(), 2)
-        kernel = codegen.get_kernel(system.protocol_spec)
-        assert kernel(system, buffer, 0, len(buffer)) is None
+        assert codegen.open_session(system, buffer, 0, len(buffer)) is None
         generated = replay(buffer, SimulationConfig(), n_pes=2)
         interpreted = replay_through(
             "interpreted", buffer, SimulationConfig(), n_pes=2
@@ -127,8 +125,7 @@ class TestEnvelope:
         pe_bits = (n_pes - 1).bit_length()
         assert (far >> system._block_shift).bit_length() + pe_bits \
             > codegen.MAX_KEY_BITS
-        kernel = codegen.get_kernel(system.protocol_spec)
-        assert kernel(system, buffer, 0, len(buffer)) is None
+        assert codegen.open_session(system, buffer, 0, len(buffer)) is None
         generated = replay(buffer, config, n_pes=n_pes)
         interpreted = replay_through(
             "interpreted", buffer, config, n_pes=n_pes

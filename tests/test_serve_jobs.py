@@ -28,7 +28,7 @@ from repro.analysis.runner import (
     trace_cache_limit_bytes,
     trace_cache_stats,
 )
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, SpeculationConfig
 from repro.core.replay import replay
 from repro.obs.schema import SchemaError, validate_job
 from repro.obs.telemetry import HEARTBEAT_SCHEMA
@@ -53,10 +53,10 @@ def reference_stats(job_trace):
     return replay(job_trace, SimulationConfig(), n_pes=4).as_dict()
 
 
-def _submit(store, trace, **kwargs):
+def _submit(store, trace, config=None, **kwargs):
     kwargs.setdefault("chunk_refs", 500)
     kwargs.setdefault("checkpoint_every", 2)
-    return store.submit(SimulationConfig(), trace, **kwargs)
+    return store.submit(config or SimulationConfig(), trace, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,36 +282,53 @@ def test_killed_worker_resumes_lazypim_to_identical_result(
     from repro.trace.synthetic import generate_false_sharing_trace
 
     trace = generate_false_sharing_trace(6_000, n_pes=4, seed=8)
-    undisturbed = replay_stream(
-        trace,
-        SimulationConfig(),
-        chunk_refs=500,
-        mode="lazypim",
-        batch_refs=100,
-    ).as_dict()
+    config = SimulationConfig(
+        speculation=SpeculationConfig("lazypim", batch_refs=100)
+    )
+    undisturbed = replay_stream(trace, config, chunk_refs=500).as_dict()
     assert undisturbed["batch_rollbacks"] > 0
 
     store = JobStore(tmp_path / "store")
-    job_id = store.submit(
-        SimulationConfig(),
-        trace,
-        chunk_refs=500,
-        checkpoint_every=2,
-        mode="lazypim",
-        batch_refs=100,
-    )
+    job_id = store.submit(config, trace, chunk_refs=500, checkpoint_every=2)
     monkeypatch.setenv(FAULT_KILL_ENV, "5")
     record = JobServer(store).run_job(job_id)
     assert record["state"] == "done"
     assert record["retries"] == 1
-    assert record["mode"] == "lazypim"
-    assert store.result(job_id)["stats"] == undisturbed
+    # The mode reaches the resumed worker through the checkpoint's
+    # config, and the result's manifest names it.
+    assert "mode" not in record
+    result = store.result(job_id)
+    assert result["stats"] == undisturbed
+    assert result["manifest"]["config"]["speculation"] == {
+        "mode": "lazypim", "batch_refs": 100, "signature_bits": 256,
+    }
+
+
+def test_ledger_record_from_before_the_config_mode(tmp_path, job_trace):
+    """A record written while the mode was a record field: a pessimistic
+    one runs as before; a lazypim one, whose config would replay it
+    pessimistically, is refused naming the field."""
+    store = JobStore(tmp_path / "store")
+    job_id = _submit(store, job_trace)
+    path = store._job_file(job_id)
+    record = json.loads(path.read_text())
+    del record["manifest"]["config"]["speculation"]
+    path.write_text(json.dumps(
+        dict(record, mode=None, batch_refs=64, signature_bits=None)
+    ))
+    assert JobServer(store).run_job(job_id)["state"] == "done"
+    path.write_text(json.dumps(dict(record, mode="lazypim", batch_refs=64)))
+    with pytest.raises(SchemaError, match=r"job\.mode: a lazypim job"):
+        store.job(job_id)
 
 
 def test_submit_rejects_unknown_mode(tmp_path, job_trace):
+    # The mode is the config's, which refuses an unknown one before a
+    # job can be submitted: nothing reaches the ledger.
     store = JobStore(tmp_path / "store")
-    with pytest.raises(JobError):
-        _submit(store, job_trace, mode="eager")
+    with pytest.raises(ValueError, match="unknown replay mode"):
+        _submit(store, job_trace, SimulationConfig().with_mode("eager"))
+    assert list(store.jobs_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -323,10 +340,20 @@ def test_submit_rejects_unknown_mode(tmp_path, job_trace):
     ],
     ids=["zero-batch", "negative-batch", "odd-signature"],
 )
-def test_submit_rejects_bad_batch_knobs(tmp_path, job_trace, knobs):
+def test_submit_rejects_bad_batch_knobs(tmp_path, job_trace, knobs, capsys):
+    from repro.cli import main
+
+    trace_path = tmp_path / "t.trace"
+    write_trace(job_trace, trace_path)
     store = JobStore(tmp_path / "store")
-    with pytest.raises(JobError, match="batch_refs|signature_bits"):
-        _submit(store, job_trace, mode="lazypim", **knobs)
+    argv = ["serve", "--store", str(store.root), "submit",
+            "--trace", str(trace_path), "--mode", "lazypim"]
+    for key, value in knobs.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "batch_refs" in err or "signature_bits" in err
     assert list(store.jobs_dir.iterdir()) == []
 
 

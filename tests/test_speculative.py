@@ -27,11 +27,17 @@ from __future__ import annotations
 import json
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import OptimizationConfig, SimulationConfig
+from repro.core.config import (
+    MODES,
+    OptimizationConfig,
+    SimulationConfig,
+    SpeculationConfig,
+)
 from repro.core import speculative
 from repro.core.protocol import codegen, protocol_names
 from repro.core.replay import ReplayBlockedError, replay
@@ -54,6 +60,12 @@ from repro.trace.synthetic import (
 from tests.replay_loops import LOOPS
 
 HEAP = AREA_BASE[Area.HEAP]
+
+
+def _lazy(config=None, **knobs) -> SimulationConfig:
+    """*config* (default: the base model) in LazyPIM mode with *knobs*."""
+    config = config if config is not None else SimulationConfig()
+    return replace(config, speculation=SpeculationConfig("lazypim", **knobs))
 
 SPECULATIVE_COUNTERS = {
     "batch_commits",
@@ -262,7 +274,7 @@ def test_lazypim_runs_each_span_once_and_folds_once(monkeypatch):
             yield Counting(session)
 
     monkeypatch.setattr(speculative, "replay_ranges", spy)
-    stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=64)
+    stats = replay(trace, _lazy(batch_refs=64))
     commits = sum(commit for _, _, commit in spans)
     assert 0 < commits < len(spans)
     assert (stats.batch_commits, stats.batch_rollbacks) == (commits, rollbacks)
@@ -283,7 +295,7 @@ def test_batch_one_counter_identical_per_protocol(protocol):
     trace = generate_contract_trace(2_500, n_pes=4, seed=11)
     config = SimulationConfig(protocol=protocol)
     base = replay(trace, config).as_dict()
-    lazy = replay(trace, config, mode="lazypim", batch_refs=1).as_dict()
+    lazy = replay(trace, _lazy(config, batch_refs=1)).as_dict()
     assert lazy == base  # speculative counters included: all zero
 
 
@@ -294,7 +306,7 @@ def test_forced_batch_one_differs_only_in_speculative_counters():
     trace = generate_contract_trace(2_000, n_pes=4, seed=3)
     base = replay(trace, SimulationConfig()).as_dict()
     forced = replay_speculative(
-        trace, SimulationConfig(), batch_refs=1, force_speculation=True
+        trace, _lazy(batch_refs=1), force_speculation=True
     ).as_dict()
     assert _strip(forced) == _strip(base)
     assert forced["batch_rollbacks"] == 0
@@ -309,11 +321,10 @@ def _lazypim(loop, trace, config, **knobs):
     """LazyPIM replay with *loop* (see ``tests/replay_loops.py``)
     driving the batches: an ``on_result`` observer makes the driver run
     the per-access loop."""
+    config = _lazy(config, **knobs)
     if loop == "generated":
-        return replay(trace, config, mode="lazypim", **knobs)
-    return replay_speculative(
-        trace, config, on_result=lambda *_: None, **knobs
-    )
+        return replay(trace, config)
+    return replay_speculative(trace, config, on_result=lambda *_: None)
 
 
 @settings(max_examples=6, deadline=None)
@@ -336,7 +347,7 @@ def test_lazypim_traffic_between_unoptimized_and_commands(tiny_workloads):
     unoptimized = SimulationConfig(opts=OptimizationConfig.none())
     unopt = replay(trace, unoptimized)
     commands = replay(trace, SimulationConfig())
-    lazy = replay(trace, unoptimized, mode="lazypim")
+    lazy = replay(trace, _lazy(unoptimized))
     assert lazy.batch_commits > 0
     assert commands.bus_cycles_total < unopt.bus_cycles_total
     assert lazy.bus_cycles_total <= unopt.bus_cycles_total
@@ -344,7 +355,7 @@ def test_lazypim_traffic_between_unoptimized_and_commands(tiny_workloads):
 
 def test_lazypim_rolls_back_on_false_sharing():
     trace = generate_false_sharing_trace(2_000, n_pes=4, seed=2)
-    stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=64)
+    stats = replay(trace, _lazy(batch_refs=64))
     assert stats.batch_rollbacks > 0
     assert stats.total_refs == len(trace)
 
@@ -367,7 +378,7 @@ def test_cycle_ledger_exact_under_lazypim(kernel, interconnect):
 
 def test_cycle_ledger_exact_under_rollback_storm():
     trace = generate_false_sharing_trace(2_000, n_pes=4, seed=5)
-    stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=64)
+    stats = replay(trace, _lazy(batch_refs=64))
     assert stats.batch_rollbacks > 0
     cycle_ledger(stats)
     # A conflicting batch skips its attempt and runs pessimistically,
@@ -390,7 +401,7 @@ def test_lock_access_forces_early_batch_commit():
     for i in range(6):
         pe = i % 2
         trace.append(pe, Op.W, Area.HEAP, HEAP + 512 + pe * 64 + 4 * (i // 2))
-    stats = replay(trace, SimulationConfig(), mode="lazypim", batch_refs=256)
+    stats = replay(trace, _lazy(batch_refs=256))
     # 14 references fit one batch, but the adjacent LH/UL pair splits
     # the stream into two speculative spans around two pessimistic
     # singletons — one commit more than the lock-free stream.
@@ -402,9 +413,7 @@ def test_lock_access_forces_early_batch_commit():
     for pe, op, area, addr, flags in trace:
         if op not in (Op.LR, Op.UW):
             lock_free.append(pe, op, area, addr, flags)
-    baseline = replay(
-        lock_free, SimulationConfig(), mode="lazypim", batch_refs=256
-    )
+    baseline = replay(lock_free, _lazy(batch_refs=256))
     assert baseline.batch_commits == 1
 
 
@@ -415,8 +424,8 @@ def test_lock_access_forces_early_batch_commit():
 def test_rollbacks_invisible_in_final_memory():
     trace = generate_false_sharing_trace(2_000, n_pes=4, seed=2)
     config = SimulationConfig(track_data=True)
-    speculative = PIMCacheSystem(config, 4)
-    stats = replay_speculative(trace, system=speculative, batch_refs=64)
+    speculative = PIMCacheSystem(_lazy(config, batch_refs=64), 4)
+    stats = replay_speculative(trace, system=speculative)
     assert stats.batch_rollbacks > 0
     pessimistic = PIMCacheSystem(config, 4)
     replay(trace, system=pessimistic)
@@ -432,16 +441,17 @@ def test_rollback_spans_checkpoint_boundary():
     trace = generate_false_sharing_trace(1_600, n_pes=4, seed=4)
     spans = plan_batches(trace, 64)
     boundary = spans[len(spans) // 2][0]
-    live = PIMCacheSystem(SimulationConfig(), 4)
-    replay_speculative(trace, system=live, batch_refs=64, stop=boundary)
+    live = PIMCacheSystem(_lazy(batch_refs=64), 4)
+    replay_speculative(trace, system=live, stop=boundary)
     checkpoint = json.loads(json.dumps(snapshot(live)))
     reference = replay_speculative(
-        trace, system=live, batch_refs=64, start=boundary
+        trace, system=live, start=boundary
     ).as_dict()
     assert reference["batch_rollbacks"] > 0
 
+    # The checkpoint's config carries the batch knobs.
     resumed = replay_speculative(
-        trace, system=restore(checkpoint), batch_refs=64, start=boundary
+        trace, system=restore(checkpoint), start=boundary
     )
     assert resumed.as_dict() == reference
 
@@ -469,11 +479,9 @@ def test_replay_stream_lazypim_matches_monolithic_when_aligned():
     # chunk_refs a multiple of batch_refs and a barrier-free trace:
     # the documented condition for streamed == monolithic counters.
     trace = generate_false_sharing_trace(1_024, n_pes=4, seed=9)
-    config = SimulationConfig()
-    streamed = replay_stream(
-        trace, config, chunk_refs=256, mode="lazypim", batch_refs=64
-    ).as_dict()
-    mono = replay(trace, config, mode="lazypim", batch_refs=64).as_dict()
+    config = _lazy(batch_refs=64)
+    streamed = replay_stream(trace, config, chunk_refs=256).as_dict()
+    mono = replay(trace, config).as_dict()
     assert streamed == mono
     assert streamed["batch_rollbacks"] > 0
 
@@ -482,8 +490,7 @@ def test_invariants_checked_at_batch_boundaries_on_directory():
     trace = generate_false_sharing_trace(1_500, n_pes=4, seed=3)
     stats = replay_speculative(
         trace,
-        SimulationConfig(interconnect="directory"),
-        batch_refs=64,
+        _lazy(SimulationConfig(interconnect="directory"), batch_refs=64),
         check_invariants_every=128,
     )
     assert stats.batch_rollbacks > 0
@@ -562,10 +569,10 @@ def test_blocked_reference_mid_session_leaves_caches_consistent():
     trace.append(0, Op.LR, Area.HEAP, address)
     trace.append(1, Op.R, Area.HEAP, address)
     trace.append(1, Op.R, Area.HEAP, HEAP)
-    system = PIMCacheSystem(SimulationConfig(), 2)
+    system = PIMCacheSystem(_lazy(batch_refs=64), 2)
     bus = system._bus
     with pytest.raises(ReplayBlockedError) as info:
-        replay(trace, system=system, mode="lazypim", batch_refs=64)
+        replay(trace, system=system)
     assert info.value.index == 601
     assert system.stats.batch_commits > 0
     assert system._bus == bus
@@ -583,23 +590,19 @@ def test_unknown_mode_rejected():
 
 
 def test_driver_rejects_bad_knobs():
-    trace = generate_false_sharing_trace(16, n_pes=2, seed=0)
-    system = PIMCacheSystem(SimulationConfig(), 2)
-    with pytest.raises(ValueError, match="batch_refs"):
-        replay_speculative(
-            trace, system=system, batch_refs=0, force_speculation=True
-        )
-    with pytest.raises(ValueError, match="signature_bits"):
-        replay_speculative(trace, system=system, signature_bits=3)
-    # The public entry point validates before its batch-of-one
-    # short-circuit, so no bad knob silently runs pessimistically.
+    # The knobs are validated where they live, in the config, in either
+    # mode: no bad knob reaches a driver or silently runs pessimistically.
     for knobs, match in (
         ({"batch_refs": 0}, "batch_refs"),
         ({"batch_refs": -5}, "batch_refs"),
         ({"batch_refs": 1, "signature_bits": 3}, "signature_bits"),
+        ({"signature_bits": 1}, "signature_bits"),
     ):
-        with pytest.raises(ValueError, match=match):
-            replay(trace, SimulationConfig(), mode="lazypim", **knobs)
+        for mode in MODES:
+            with pytest.raises(ValueError, match=match):
+                SpeculationConfig(mode, **knobs)
+    with pytest.raises(ValueError, match="unknown replay mode"):
+        SpeculationConfig("eager")
 
 
 def test_driver_rejects_clustered_systems():
@@ -607,5 +610,5 @@ def test_driver_rejects_clustered_systems():
 
     trace = generate_false_sharing_trace(16, n_pes=4, seed=0)
     clustered = ClusteredSystem(SimulationConfig().with_clusters(2), 4)
-    with pytest.raises(TypeError, match="replay_clustered"):
+    with pytest.raises(TypeError, match="single-bus system"):
         replay_speculative(trace, system=clustered)

@@ -5,8 +5,9 @@ that feeds memory references to the cache simulator.  This package is
 that emulator, rebuilt from the paper's description of the architecture
 (Section 2): Flat Guarded Horn Clauses are parsed
 (:mod:`repro.machine.parser`), compiled to an abstract instruction set
-(:mod:`repro.machine.compiler`), and reduced by one engine per PE
-(:mod:`repro.machine.engine`) over five shared storage areas — heap,
+(:mod:`repro.machine.compiler`) and from there to one Python function
+per procedure (:mod:`repro.machine.codegen`), and reduced by one engine
+per PE (:mod:`repro.machine.engine`) over five shared storage areas — heap,
 instruction, goal, suspension and communication — with an on-demand
 work-stealing scheduler (:mod:`repro.machine.scheduler`).
 

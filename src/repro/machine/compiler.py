@@ -22,7 +22,7 @@ clause variables and temporaries are allocated from ``X[arity]`` up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.machine.errors import CompileError
 from repro.machine.instructions import CompiledClause, Instr, Procedure
@@ -64,7 +64,9 @@ class Program:
         self.builtin_stubs: Dict[int, int] = {}
         self.code_words = 0
         self.source_lines = 0
-        self.max_registers = 8
+        #: functor id -> the procedure's generated function, built on
+        #: first use (:func:`repro.machine.codegen.reducers`).
+        self.code: Optional[Dict[int, Callable]] = None
 
     def procedure(self, name: str, arity: int) -> Procedure:
         functor_id = self.symbols.functor(name, arity)
@@ -346,8 +348,8 @@ class _ClauseCompiler:
 
 def compile_clause(
     clause: Clause, symbols: SymbolTable, max_goal_args: int = 5
-) -> Tuple[CompiledClause, int]:
-    """Compile one clause; returns it and the number of registers used."""
+) -> CompiledClause:
+    """Compile one clause."""
     if len(clause.head.args) > max_goal_args:
         raise CompileError(
             f"head {clause.head.name}/{len(clause.head.args)} exceeds the "
@@ -359,8 +361,7 @@ def compile_clause(
         compiler.compile_guard(guard)
     compiler.passive.append(Instr("commit"))
     compiler.compile_body(clause.body)
-    compiled = CompiledClause(compiler.passive, compiler.body, source=str(clause))
-    return compiled, compiler.next_register
+    return CompiledClause(compiler.passive, compiler.body, source=str(clause))
 
 
 def compile_program(
@@ -379,7 +380,6 @@ def compile_program(
         program.builtins[functor_id] = name
         program.builtin_stubs[functor_id] = cursor
         cursor += BUILTIN_STUB_WORDS
-    max_registers = 8
     for clause in parse_program(source):
         functor_id = symbols.functor(clause.head.name, len(clause.head.args))
         if functor_id in program.builtins:
@@ -390,14 +390,11 @@ def compile_program(
         if proc is None:
             proc = Procedure(functor_id, clause.head.name, len(clause.head.args))
             program.procedures[functor_id] = proc
-        compiled, used = compile_clause(clause, symbols, max_goal_args)
+        compiled = compile_clause(clause, symbols, max_goal_args)
         compiled.passive_base = cursor
         cursor += len(compiled.passive)
         compiled.body_base = cursor
         cursor += len(compiled.body)
         proc.clauses.append(compiled)
-        if used > max_registers:
-            max_registers = used
     program.code_words = cursor - INSTR_BASE
-    program.max_registers = max_registers
     return program

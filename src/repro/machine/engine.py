@@ -1,20 +1,27 @@
-"""The per-PE reduction engine.
+"""The per-PE reduction engine and the run-time helpers of compiled code.
 
-Each engine owns a register file and a goal list (a deque of goal-record
-addresses; the list pointers themselves are processor registers and cost
-no memory references, per the paper's accounting).  One call to
+Each engine owns a goal list (a deque of goal-record addresses; the
+list pointers themselves are processor registers and cost no memory
+references, per the paper's accounting).  One call to
 :meth:`Engine.step` performs one scheduler turn: answer any pending work
 request, then either reduce one goal or run the idle (work-stealing)
 protocol.
 
 Reduction of a goal (Section 2.2): dequeue the record — reading it with
-``ER``/``RP`` since a dequeued record is dead — try each clause's
-passive part, commit to the first that succeeds, and run its body.  A
-clause try *fails* on a mismatch and *suspend-candidates* on an unbound
-variable; if no clause commits but candidates exist, the goal is written
-back as a floating record and hooked to each variable through
-suspension records.  Binding a hooked variable resumes the floating
-goals onto the binder's goal list.
+``ER``/``RP`` since a dequeued record is dead — and call its
+procedure's generated function (:mod:`repro.machine.codegen`), which
+tries each clause's passive part, commits to the first that succeeds
+and runs its body.  A clause try *fails* on a mismatch and
+*suspend-candidates* on an unbound variable; if no clause commits but
+candidates exist, the goal is written back as a floating record and
+hooked to each variable through suspension records.  Binding a hooked
+variable resumes the floating goals onto the binder's goal list.
+
+The functions below are what generated code and the builtins call:
+dereferencing a ``REF`` word, passive and active unification, and
+suspension.  They take the machine and the engine as arguments; an
+engine holds no reference to its machine, so a finished machine is
+freed when its last reference goes, without waiting for a collection.
 
 Variable bindings use the hardware lock (``LR`` … ``UW``); new
 structures are pushed on the heap top with ``DW``.
@@ -25,35 +32,28 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Tuple
 
-from repro.machine.errors import MachineError, ProgramFailure, UnificationFailure
+from repro.machine.errors import ProgramFailure, UnificationFailure
 from repro.machine import scheduler
-from repro.machine.store import owner_of
-from repro.machine.terms import ATOM, FUNCTOR, HOOK, INT, LIST, REF, STR, Word
+from repro.machine.port import code
+from repro.machine.store import SEGMENT_MASK, owner_of
+from repro.machine.terms import ATOM, HOOK, INT, LIST, REF, STR, Word
+from repro.trace.events import Area, Op
 
 #: Goal-record status word values.
 STATUS_RUNNABLE = 0
 STATUS_FLOATING = 1
 
+#: :func:`passive_unify`'s result for terms that cannot match.
+FAIL = -1
 
-class _ClauseFail(Exception):
-    """Internal: the current clause's passive part failed."""
-
-
-class _ClauseSuspend(Exception):
-    """Internal: the current clause needs the value of an unbound
-    variable (a suspension candidate)."""
-
-    def __init__(self, address: int):
-        self.address = address
+_R_HEAP = code(Op.R, Area.HEAP)
 
 
 class Engine:
     """One processing element's reduction engine."""
 
     __slots__ = (
-        "machine",
         "pe",
-        "X",
         "goal_list",
         "reductions",
         "suspensions",
@@ -65,16 +65,14 @@ class Engine:
         "advertising",
     )
 
-    def __init__(self, machine, pe: int, n_registers: int):
-        self.machine = machine
+    def __init__(self, pe: int, n_pes: int, n_clusters: int = 1):
         self.pe = pe
-        self.X: List[Optional[Word]] = [None] * n_registers
         self.goal_list: deque = deque()
         self.reductions = 0
         self.suspensions = 0
         #: PE we posted a work request to, awaiting its reply.
         self.awaiting: Optional[int] = None
-        self._victim_order = self._build_victim_order()
+        self._victim_order = self._build_victim_order(n_pes, n_clusters)
         self._victim_idx = -1  # cursor into the victim order
         #: Turns to stay quiet after an unsuccessful steal round.
         self.idle_backoff = 0
@@ -86,16 +84,15 @@ class Engine:
     # Scheduler turn
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
+    def step(self, machine) -> None:
         """One scheduler turn: serve requests, then reduce or steal."""
-        scheduler.poll_requests(self)
+        scheduler.poll_requests(machine, self)
         if self.goal_list:
-            self.reduce_one()
+            self.reduce_one(machine)
         else:
-            scheduler.idle_step(self)
+            scheduler.idle_step(machine, self)
 
-    def reduce_one(self) -> None:
-        machine = self.machine
+    def reduce_one(self, machine) -> None:
         pe = self.pe
         record = self.goal_list.popleft()
         machine.runnable -= 1
@@ -105,9 +102,9 @@ class Engine:
         functor_id = words[1]
         args = words[3:]
         machine.goal_area.release(record)
-        procedure = machine.program.procedures.get(functor_id)
-        if procedure is not None:
-            suspend_vars = self.try_clauses(procedure, args)
+        reduce = machine.reducers.get(functor_id)
+        if reduce is not None:
+            suspend_vars = reduce(machine, self, args)
         else:
             name = machine.program.builtins.get(functor_id)
             if name is None:
@@ -117,444 +114,15 @@ class Engine:
             stub = machine.program.builtin_stubs[functor_id]
             machine.fetch(pe, stub)
             machine.fetch(pe, stub + 1)
-            suspend_vars = machine.builtin_handlers[name](self, list(args))
+            suspend_vars = machine.builtin_handlers[name](machine, self, args)
         if suspend_vars:
-            self.suspend_goal(functor_id, args, suspend_vars)
+            suspend_goal(machine, self, functor_id, args, suspend_vars)
         self.reductions += 1
         machine.total_reductions += 1
 
     # ------------------------------------------------------------------
-    # Clause selection
-    # ------------------------------------------------------------------
 
-    def try_clauses(self, procedure, args) -> Optional[List[int]]:
-        """Try each clause; commit and run the first whose passive part
-        succeeds.  Returns None on commit, or the distinct variable
-        addresses to suspend on."""
-        X = self.X
-        for index, word in enumerate(args):
-            X[index] = word
-        suspend_on: List[int] = []
-        for clause in procedure.clauses:
-            try:
-                self.run_passive(clause)
-            except _ClauseFail:
-                continue
-            except _ClauseSuspend as candidate:
-                if candidate.address not in suspend_on:
-                    suspend_on.append(candidate.address)
-                continue
-            self.run_body(clause)
-            return None
-        if suspend_on:
-            return suspend_on
-        raise ProgramFailure(
-            f"{procedure.name}/{procedure.arity} failed on "
-            f"({', '.join(self.machine.format_word(w) for w in args)})"
-        )
-
-    # ------------------------------------------------------------------
-    # Passive part
-    # ------------------------------------------------------------------
-
-    def run_passive(self, clause) -> None:
-        machine = self.machine
-        pe = self.pe
-        X = self.X
-        fetch = machine.fetch
-        base = clause.passive_base
-        structure_pointer = 0  # the WAM "S" register (processor state)
-        for offset, instr in enumerate(clause.passive):
-            fetch(pe, base + offset)
-            op = instr.op
-            if op == "head_var":
-                X[instr.b] = X[instr.a]
-            elif op == "wait_list":
-                tag, value = self.deref(X[instr.a])
-                if tag == REF:
-                    raise _ClauseSuspend(value)
-                if tag != LIST:
-                    raise _ClauseFail
-                structure_pointer = value
-            elif op == "read_var":
-                X[instr.a] = machine.heap_read_i(pe, structure_pointer)
-                structure_pointer += 1
-            elif op == "read_val":
-                word = machine.heap_read_i(pe, structure_pointer)
-                structure_pointer += 1
-                self.passive_unify(word, X[instr.a])
-            elif op == "read_const":
-                word = machine.heap_read_i(pe, structure_pointer)
-                structure_pointer += 1
-                tag, value = self.deref(word)
-                if tag == REF:
-                    raise _ClauseSuspend(value)
-                if (tag, value) != instr.a:
-                    raise _ClauseFail
-            elif op == "wait_const":
-                tag, value = self.deref(X[instr.a])
-                if tag == REF:
-                    raise _ClauseSuspend(value)
-                if (tag, value) != instr.b:
-                    raise _ClauseFail
-            elif op == "wait_struct":
-                tag, value = self.deref(X[instr.a])
-                if tag == REF:
-                    raise _ClauseSuspend(value)
-                if tag != STR:
-                    raise _ClauseFail
-                _, functor_id = machine.heap_read_i(pe, value)
-                if functor_id != instr.b:
-                    raise _ClauseFail
-                structure_pointer = value + 1
-            elif op == "head_val":
-                self.passive_unify(X[instr.a], X[instr.b])
-            elif op == "guard_cmp":
-                self.guard_compare(instr.a, instr.b, instr.c)
-            elif op == "guard_integer":
-                tag, value = self.deref(X[instr.a])
-                if tag == REF:
-                    raise _ClauseSuspend(value)
-                if tag != INT:
-                    raise _ClauseFail
-            elif op == "guard_wait":
-                tag, value = self.deref(X[instr.a])
-                if tag == REF:
-                    raise _ClauseSuspend(value)
-            elif op == "commit":
-                return
-            else:  # pragma: no cover
-                raise MachineError(f"unknown passive instruction {instr}")
-        raise MachineError(  # pragma: no cover
-            "passive part fell off the end without committing"
-        )
-
-    def deref(self, word: Word) -> Word:
-        """Follow REF chains (reading each cell).  Returns ``(REF, a)``
-        for an unbound (possibly hooked) variable at address *a*, or the
-        bound value."""
-        tag, value = word
-        machine = self.machine
-        pe = self.pe
-        while tag == REF:
-            cell_tag, cell_value = machine.heap_read_i(pe, value)
-            if cell_tag == REF:
-                if cell_value == value:
-                    return (REF, value)
-                value = cell_value
-            elif cell_tag == HOOK:
-                return (REF, value)
-            else:
-                return (cell_tag, cell_value)
-        return (tag, value)
-
-    def passive_unify(self, word_a: Word, word_b: Word) -> None:
-        """Input-only unification: never binds; suspends when a binding
-        would be needed, fails on a mismatch."""
-        machine = self.machine
-        pe = self.pe
-        stack = [(word_a, word_b)]
-        while stack:
-            wa, wb = stack.pop()
-            a_tag, a_value = self.deref(wa)
-            b_tag, b_value = self.deref(wb)
-            if a_tag == REF or b_tag == REF:
-                if a_tag == REF and b_tag == REF and a_value == b_value:
-                    continue
-                raise _ClauseSuspend(a_value if a_tag == REF else b_value)
-            if a_tag != b_tag:
-                raise _ClauseFail
-            if a_tag == INT or a_tag == ATOM:
-                if a_value != b_value:
-                    raise _ClauseFail
-            elif a_tag == LIST:
-                car_a = machine.heap_read_i(pe, a_value)
-                car_b = machine.heap_read_i(pe, b_value)
-                cdr_a = machine.heap_read_i(pe, a_value + 1)
-                cdr_b = machine.heap_read_i(pe, b_value + 1)
-                stack.append((cdr_a, cdr_b))
-                stack.append((car_a, car_b))
-            elif a_tag == STR:
-                _, functor_a = machine.heap_read_i(pe, a_value)
-                _, functor_b = machine.heap_read_i(pe, b_value)
-                if functor_a != functor_b:
-                    raise _ClauseFail
-                arity = machine.symbols.functor_name(functor_a)[1]
-                for index in range(arity, 0, -1):
-                    stack.append(
-                        (
-                            machine.heap_read_i(pe, a_value + index),
-                            machine.heap_read_i(pe, b_value + index),
-                        )
-                    )
-            else:  # pragma: no cover
-                raise _ClauseFail
-
-    def guard_compare(self, operator: str, left, right) -> None:
-        a_tag, a_value = self.eval_guard(left)
-        b_tag, b_value = self.eval_guard(right)
-        if operator == "==":
-            if (a_tag, a_value) != (b_tag, b_value):
-                raise _ClauseFail
-            return
-        if operator == "\\==":
-            if (a_tag, a_value) == (b_tag, b_value):
-                raise _ClauseFail
-            return
-        if a_tag != INT or b_tag != INT:
-            raise _ClauseFail
-        if operator == "<":
-            ok = a_value < b_value
-        elif operator == "=<":
-            ok = a_value <= b_value
-        elif operator == ">":
-            ok = a_value > b_value
-        elif operator == ">=":
-            ok = a_value >= b_value
-        elif operator == "=:=":
-            ok = a_value == b_value
-        elif operator == "=\\=":
-            ok = a_value != b_value
-        else:  # pragma: no cover
-            raise MachineError(f"unknown comparison {operator}")
-        if not ok:
-            raise _ClauseFail
-
-    def eval_guard(self, expression) -> Word:
-        """Evaluate a guard expression tree to a tagged immediate,
-        suspending on unbound variables."""
-        kind = expression[0]
-        if kind == "reg":
-            tag, value = self.deref(self.X[expression[1]])
-            if tag == REF:
-                raise _ClauseSuspend(value)
-            if tag == LIST or tag == STR:
-                raise _ClauseFail
-            return (tag, value)
-        if kind == "int":
-            return (INT, expression[1])
-        if kind == "atom":
-            return (ATOM, expression[1])
-        a_tag, a_value = self.eval_guard(expression[1])
-        b_tag, b_value = self.eval_guard(expression[2])
-        if a_tag != INT or b_tag != INT:
-            raise _ClauseFail
-        if kind == "+":
-            return (INT, a_value + b_value)
-        if kind == "-":
-            return (INT, a_value - b_value)
-        if kind == "*":
-            return (INT, a_value * b_value)
-        if kind == "/":
-            if b_value == 0:
-                raise _ClauseFail
-            return (INT, int(a_value / b_value))
-        if kind == "mod":
-            if b_value == 0:
-                raise _ClauseFail
-            return (INT, a_value - b_value * int(a_value / b_value))
-        raise MachineError(f"unknown guard expression {expression}")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Active part
-    # ------------------------------------------------------------------
-
-    def run_body(self, clause) -> None:
-        machine = self.machine
-        pe = self.pe
-        X = self.X
-        fetch = machine.fetch
-        base = clause.body_base
-        spawned: List[int] = []
-        for offset, instr in enumerate(clause.body):
-            fetch(pe, base + offset)
-            op = instr.op
-            if op == "put_int":
-                X[instr.a] = (INT, instr.b)
-            elif op == "put_atom":
-                X[instr.a] = (ATOM, instr.b)
-            elif op == "put_var":
-                X[instr.a] = (REF, machine.heap_alloc_unbound_i(pe))
-            elif op == "put_list":
-                address = machine.heap_alloc_i(pe, X[instr.b])
-                machine.heap_alloc_i(pe, X[instr.c])
-                X[instr.a] = (LIST, address)
-            elif op == "put_struct":
-                address = machine.heap_alloc_i(pe, (FUNCTOR, instr.b))
-                for register in instr.c:
-                    machine.heap_alloc_i(pe, X[register])
-                X[instr.a] = (STR, address)
-            elif op == "body_unify":
-                self.unify_words(X[instr.a], X[instr.b])
-            elif op == "spawn":
-                arguments = tuple(X[register] for register in instr.b)
-                spawned.append(machine.create_goal(pe, instr.a, arguments))
-            elif op == "proceed":
-                break
-            else:  # pragma: no cover
-                raise MachineError(f"unknown body instruction {instr}")
-        # Push in reverse so the first body goal is dequeued first
-        # (depth-first, left-to-right).
-        for record in reversed(spawned):
-            self.goal_list.appendleft(record)
-            machine.runnable += 1
-
-    def unify_words(self, word_a: Word, word_b: Word) -> None:
-        """Active (output) unification with hardware-locked bindings."""
-        machine = self.machine
-        pe = self.pe
-        stack: List[Tuple[Word, Word]] = [(word_a, word_b)]
-        while stack:
-            wa, wb = stack.pop()
-            a_tag, a_value = self.deref(wa)
-            b_tag, b_value = self.deref(wb)
-            if a_tag == REF and b_tag == REF:
-                if a_value == b_value:
-                    continue
-                # Bind the higher address to the lower for stable chains.
-                if a_value < b_value:
-                    target, other = b_value, (REF, a_value)
-                else:
-                    target, other = a_value, (REF, b_value)
-                found = self.bind(target, other)
-                if found is not None:
-                    stack.append((found, other))
-            elif a_tag == REF:
-                found = self.bind(a_value, (b_tag, b_value))
-                if found is not None:
-                    stack.append((found, (b_tag, b_value)))
-            elif b_tag == REF:
-                found = self.bind(b_value, (a_tag, a_value))
-                if found is not None:
-                    stack.append(((a_tag, a_value), found))
-            elif a_tag != b_tag:
-                raise UnificationFailure(
-                    f"cannot unify {machine.format_word((a_tag, a_value))} "
-                    f"with {machine.format_word((b_tag, b_value))}"
-                )
-            elif a_tag == INT or a_tag == ATOM:
-                if a_value != b_value:
-                    raise UnificationFailure(
-                        f"cannot unify {machine.format_word((a_tag, a_value))} "
-                        f"with {machine.format_word((b_tag, b_value))}"
-                    )
-            elif a_tag == LIST:
-                stack.append(
-                    (
-                        machine.heap_read_i(pe, a_value + 1),
-                        machine.heap_read_i(pe, b_value + 1),
-                    )
-                )
-                stack.append(
-                    (
-                        machine.heap_read_i(pe, a_value),
-                        machine.heap_read_i(pe, b_value),
-                    )
-                )
-            else:  # STR
-                _, functor_a = machine.heap_read_i(pe, a_value)
-                _, functor_b = machine.heap_read_i(pe, b_value)
-                if functor_a != functor_b:
-                    raise UnificationFailure(
-                        f"functor clash {machine.symbols.functor_str(functor_a)} "
-                        f"vs {machine.symbols.functor_str(functor_b)}"
-                    )
-                arity = machine.symbols.functor_name(functor_a)[1]
-                for index in range(arity, 0, -1):
-                    stack.append(
-                        (
-                            machine.heap_read_i(pe, a_value + index),
-                            machine.heap_read_i(pe, b_value + index),
-                        )
-                    )
-
-    def bind(self, address: int, word: Word) -> Optional[Word]:
-        """Bind the variable at *address* to *word* under the hardware
-        lock.  Returns None on success (resuming any hooked goals), or
-        the value found if the variable was concurrently bound."""
-        machine = self.machine
-        pe = self.pe
-        flags = machine.port.roll_conflict(owner_of(address) != pe)
-        tag, value = machine.heap_lock_read_i(pe, address, flags)
-        if tag == REF and value == address:
-            machine.heap_unlock_write_i(pe, address, word, flags)
-            return None
-        if tag == HOOK:
-            machine.heap_unlock_write_i(pe, address, word, flags)
-            self.resume_chain(value)
-            return None
-        machine.heap_unlock_i(pe, address, flags)
-        return (tag, value)
-
-    # ------------------------------------------------------------------
-    # Suspension and resumption
-    # ------------------------------------------------------------------
-
-    def suspend_goal(self, functor_id: int, args, var_addresses: List[int]) -> None:
-        """Write the goal back as a floating record and hook it to each
-        variable through a suspension record."""
-        machine = self.machine
-        pe = self.pe
-        record = machine.goal_area.allocate(pe)
-        machine.goal_write_i(pe, record, STATUS_FLOATING)
-        machine.goal_write_i(pe, record + 1, functor_id)
-        machine.goal_write_i(pe, record + 2, len(args))
-        for index, word in enumerate(args):
-            machine.goal_write_i(pe, record + 3 + index, word)
-        machine.floating += 1
-        for address in var_addresses:
-            suspension = machine.susp_area.allocate(pe)
-            flags = machine.port.roll_conflict(owner_of(address) != pe)
-            tag, value = machine.heap_lock_read_i(pe, address, flags)
-            if tag == REF and value == address:
-                chain = 0
-            elif tag == HOOK:
-                chain = value
-            else:
-                # Bound between the passive read and the hook (cannot
-                # happen at reduction granularity; kept for robustness):
-                # resume the floating record immediately and stop hooking.
-                machine.heap_unlock_i(pe, address, flags)
-                machine.susp_area.release(suspension)
-                self._resume_record(record)
-                break
-            machine.susp_write_i(pe, suspension, chain)
-            machine.susp_write_i(pe, suspension + 1, record)
-            machine.susp_write_i(pe, suspension + 2, address)
-            machine.heap_unlock_write_i(pe, address, (HOOK, suspension), flags)
-        self.suspensions += 1
-        machine.total_suspensions += 1
-
-    def resume_chain(self, chain: int) -> None:
-        """Walk a suspension chain after binding its variable, relinking
-        each still-floating goal to this PE's goal list."""
-        machine = self.machine
-        pe = self.pe
-        while chain:
-            next_record = machine.susp_read_i(pe, chain)
-            goal = machine.susp_read_i(pe, chain + 1)
-            self._resume_record(goal)
-            machine.susp_area.release(chain)
-            chain = next_record
-
-    def _resume_record(self, record: int) -> None:
-        """Relink *record* to this PE's goal list unless another variable's
-        binding already resumed it (the status word is checked under lock)."""
-        machine = self.machine
-        pe = self.pe
-        flags = machine.port.roll_conflict(owner_of(record) != pe)
-        status = machine.goal_lock_read_i(pe, record, flags)
-        if status == STATUS_FLOATING:
-            machine.goal_unlock_write_i(pe, record, STATUS_RUNNABLE, flags)
-            self.goal_list.appendleft(record)
-            machine.floating -= 1
-            machine.runnable += 1
-        else:
-            machine.goal_unlock_i(pe, record, flags)
-
-    # ------------------------------------------------------------------
-
-    def _build_victim_order(self) -> "list[int]":
+    def _build_victim_order(self, n_pes: int, clusters: int) -> "list[int]":
         """Cyclic victim order for work-requesting, with cluster affinity.
 
         On a flat machine (one cluster) this is plain round-robin over
@@ -566,10 +134,7 @@ class Engine:
         migrate across the network — the cluster-affinity distribution
         that makes clustered benchmark traces cross-cluster-realistic.
         """
-        machine = self.machine
-        n_pes = machine.n_pes
         ring = [(self.pe + step) % n_pes for step in range(1, n_pes)]
-        clusters = getattr(machine, "n_clusters", 1)
         if clusters <= 1:
             return ring
         pes_per_cluster = n_pes // clusters
@@ -597,3 +162,207 @@ class Engine:
             f"Engine(pe={self.pe}, goals={len(self.goal_list)}, "
             f"reductions={self.reductions})"
         )
+
+
+# ----------------------------------------------------------------------
+# Dereferencing and unification
+# ----------------------------------------------------------------------
+
+
+def deref(machine, pe: int, address: int) -> Word:
+    """Follow the ``REF`` chain from the cell at *address*, reading each
+    cell.  Returns ``(REF, a)`` for an unbound (possibly hooked)
+    variable at address *a*, or the bound value.  Callers test the tag
+    first: a word that is not a ``REF`` is its own value, read-free."""
+    cells = machine.heap.cells
+    record = machine._record
+    kind = pe << 16 | _R_HEAP
+    while True:
+        record(address << 24 | kind)
+        cell = cells[(address >> 24) & 0xF][address & SEGMENT_MASK]
+        tag = cell[0]
+        if tag == REF:
+            if cell[1] == address:
+                return cell
+            address = cell[1]
+        elif tag == HOOK:
+            return (REF, address)
+        else:
+            return cell
+
+
+def passive_unify(machine, pe: int, word_a: Word, word_b: Word) -> int:
+    """Input-only unification: never binds.  Returns 0 if the words
+    unify, the address of a variable a binding would need (a suspension
+    candidate), or :data:`FAIL` on a mismatch."""
+    read = machine.heap_read_i
+    stack = [(word_a, word_b)]
+    while stack:
+        (a_tag, a_value), (b_tag, b_value) = stack.pop()
+        if a_tag == REF:
+            a_tag, a_value = deref(machine, pe, a_value)
+        if b_tag == REF:
+            b_tag, b_value = deref(machine, pe, b_value)
+        if a_tag == REF or b_tag == REF:
+            if a_tag == REF and b_tag == REF and a_value == b_value:
+                continue
+            return a_value if a_tag == REF else b_value
+        if a_tag != b_tag or (a_tag == INT or a_tag == ATOM) and a_value != b_value:
+            return FAIL
+        if a_tag == LIST:
+            car = (read(pe, a_value), read(pe, b_value))
+            stack.append((read(pe, a_value + 1), read(pe, b_value + 1)))
+            stack.append(car)
+        elif a_tag == STR and _push_arguments(machine, pe, a_value, b_value, stack):
+            return FAIL
+    return 0
+
+
+def unify_words(machine, engine: Engine, word_a: Word, word_b: Word) -> None:
+    """Active (output) unification with hardware-locked bindings."""
+    pe = engine.pe
+    read = machine.heap_read_i
+    stack: List[Tuple[Word, Word]] = [(word_a, word_b)]
+    while stack:
+        (a_tag, a_value), (b_tag, b_value) = stack.pop()
+        if a_tag == REF:
+            a_tag, a_value = deref(machine, pe, a_value)
+        if b_tag == REF:
+            b_tag, b_value = deref(machine, pe, b_value)
+        if a_tag == REF and b_tag == REF:
+            if a_value == b_value:
+                continue
+            # Bind the higher address to the lower for stable chains.
+            if a_value < b_value:
+                target, other = b_value, (REF, a_value)
+            else:
+                target, other = a_value, (REF, b_value)
+            found = bind(machine, engine, target, other)
+            if found is not None:
+                stack.append((found, other))
+        elif a_tag == REF:
+            found = bind(machine, engine, a_value, (b_tag, b_value))
+            if found is not None:
+                stack.append((found, (b_tag, b_value)))
+        elif b_tag == REF:
+            found = bind(machine, engine, b_value, (a_tag, a_value))
+            if found is not None:
+                stack.append(((a_tag, a_value), found))
+        elif a_tag != b_tag or (a_tag == INT or a_tag == ATOM) and a_value != b_value:
+            raise UnificationFailure(
+                f"cannot unify {machine.format_word((a_tag, a_value))} "
+                f"with {machine.format_word((b_tag, b_value))}"
+            )
+        elif a_tag == LIST:
+            stack.append((read(pe, a_value + 1), read(pe, b_value + 1)))
+            stack.append((read(pe, a_value), read(pe, b_value)))
+        elif a_tag == STR:
+            clash = _push_arguments(machine, pe, a_value, b_value, stack)
+            if clash:
+                raise UnificationFailure(
+                    f"functor clash {machine.symbols.functor_str(clash[0])} "
+                    f"vs {machine.symbols.functor_str(clash[1])}"
+                )
+
+
+def _push_arguments(machine, pe: int, a: int, b: int, stack) -> Optional[Tuple[int, int]]:
+    """Read the functors of the structures at *a* and *b*; if they
+    match, push the argument pairs (last first, as both unifications
+    read them) and return None, else return the two functors."""
+    read = machine.heap_read_i
+    functor_a, functor_b = read(pe, a)[1], read(pe, b)[1]
+    if functor_a != functor_b:
+        return functor_a, functor_b
+    for index in range(machine.symbols.functor_name(functor_a)[1], 0, -1):
+        stack.append((read(pe, a + index), read(pe, b + index)))
+    return None
+
+
+def bind(machine, engine: Engine, address: int, word: Word) -> Optional[Word]:
+    """Bind the variable at *address* to *word* under the hardware
+    lock.  Returns None on success (resuming any hooked goals), or
+    the value found if the variable was concurrently bound."""
+    pe = engine.pe
+    flags = machine.port.roll_conflict(owner_of(address) != pe)
+    tag, value = machine.heap_lock_read_i(pe, address, flags)
+    if tag == REF and value == address:
+        machine.heap_unlock_write_i(pe, address, word, flags)
+        return None
+    if tag == HOOK:
+        machine.heap_unlock_write_i(pe, address, word, flags)
+        resume_chain(machine, engine, value)
+        return None
+    machine.heap_unlock_i(pe, address, flags)
+    return (tag, value)
+
+
+def no_clause(machine, procedure: str, args) -> None:
+    """Raise the failure of a goal no clause of *procedure* accepts."""
+    raise ProgramFailure(
+        f"{procedure} failed on "
+        f"({', '.join(machine.format_word(w) for w in args)})"
+    )
+
+
+# ----------------------------------------------------------------------
+# Suspension and resumption
+# ----------------------------------------------------------------------
+
+
+def suspend_goal(
+    machine, engine: Engine, functor_id: int, args, var_addresses: List[int]
+) -> None:
+    """Write the goal back as a floating record and hook it to each
+    variable through a suspension record."""
+    pe = engine.pe
+    record = machine.create_goal(pe, functor_id, args, STATUS_FLOATING)
+    machine.floating += 1
+    for address in var_addresses:
+        suspension = machine.susp_area.allocate(pe)
+        flags = machine.port.roll_conflict(owner_of(address) != pe)
+        tag, value = machine.heap_lock_read_i(pe, address, flags)
+        if tag == REF and value == address:
+            chain = 0
+        elif tag == HOOK:
+            chain = value
+        else:
+            # Bound between the passive read and the hook (cannot
+            # happen at reduction granularity; kept for robustness):
+            # resume the floating record immediately and stop hooking.
+            machine.heap_unlock_i(pe, address, flags)
+            machine.susp_area.release(suspension)
+            _resume_record(machine, engine, record)
+            break
+        machine.susp_write_i(pe, suspension, chain)
+        machine.susp_write_i(pe, suspension + 1, record)
+        machine.susp_write_i(pe, suspension + 2, address)
+        machine.heap_unlock_write_i(pe, address, (HOOK, suspension), flags)
+    engine.suspensions += 1
+    machine.total_suspensions += 1
+
+
+def resume_chain(machine, engine: Engine, chain: int) -> None:
+    """Walk a suspension chain after binding its variable, relinking
+    each still-floating goal to this PE's goal list."""
+    pe = engine.pe
+    while chain:
+        next_record = machine.susp_read_i(pe, chain)
+        goal = machine.susp_read_i(pe, chain + 1)
+        _resume_record(machine, engine, goal)
+        machine.susp_area.release(chain)
+        chain = next_record
+
+
+def _resume_record(machine, engine: Engine, record: int) -> None:
+    """Relink *record* to this PE's goal list unless another variable's
+    binding already resumed it (the status word is checked under lock)."""
+    pe = engine.pe
+    flags = machine.port.roll_conflict(owner_of(record) != pe)
+    status = machine.goal_lock_read_i(pe, record, flags)
+    if status == STATUS_FLOATING:
+        machine.goal_unlock_write_i(pe, record, STATUS_RUNNABLE, flags)
+        engine.goal_list.appendleft(record)
+        machine.floating -= 1
+        machine.runnable += 1
+    else:
+        machine.goal_unlock_i(pe, record, flags)

@@ -7,8 +7,9 @@ unbound variable it would need (*suspend candidate*); only after
 ``commit`` does the active part run.
 
 Instructions are generic triples ``Instr(op, a, b, c)``; the operand
-meaning per opcode is documented in :mod:`repro.machine.engine`, which
-also implements the semantics.  Guard expressions are nested tuples with
+meaning per opcode is documented beside the opcode sets below, and
+:mod:`repro.machine.codegen` compiles each procedure's instructions
+into one Python function.  Guard expressions are nested tuples with
 ``("reg", i)`` / ``("int", n)`` / ``("atom", id)`` leaves and
 ``("+", ea, eb)``-style interior nodes.
 """

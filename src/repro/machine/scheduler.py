@@ -33,10 +33,9 @@ NO_GOAL = -1
 MAX_STEAL_BATCH = 8
 
 
-def poll_requests(engine) -> None:
+def poll_requests(machine, engine) -> None:
     """Serve one pending work request, and keep the advertised-load
     hint current (runs every turn)."""
-    machine = engine.machine
     if machine.n_pes == 1:
         return  # nobody to request work
     pe = engine.pe
@@ -76,9 +75,8 @@ def poll_requests(engine) -> None:
     machine.comm_write_i(pe, flag_address, 0)
 
 
-def idle_step(engine) -> None:
+def idle_step(machine, engine) -> None:
     """One turn of the idle protocol: poll for a reply or post a request."""
-    machine = engine.machine
     pe = engine.pe
     if machine.n_pes == 1:
         return

@@ -214,11 +214,11 @@ def test_keyboard_interrupt_stops_the_worker(streamed, monkeypatch):
     steps = []
     original = Engine.step
 
-    def step(self):
+    def step(self, machine):
         steps.append(1)
         if len(steps) == 4000:
             raise KeyboardInterrupt
-        original(self)
+        original(self, machine)
 
     monkeypatch.setattr(Engine, "step", step)
     machine = _machine(COUNT + "main :- count(5000).")

@@ -1,17 +1,23 @@
 """One-shot report generator: every table, figure and ablation in a
-single markdown document.
+single markdown document, ending with the paper's claims checked
+against those results (:mod:`repro.analysis.claims`).
 
-Used by ``python -m repro report`` and by EXPERIMENTS.md regeneration::
+Used by ``python -m repro report`` (exit 1 if a claim fails) and by
+EXPERIMENTS.md regeneration::
 
     from repro.analysis.report import generate_report
-    text = generate_report(scale="small")
+    report = generate_report(scale="small")
+    report.text, report.failed
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
+from repro.analysis import claims as claims_module
 from repro.analysis import figures as figures_module
+from repro.analysis import studies
 from repro.analysis import tables as tables_module
 from repro.analysis.formatting import format_table
 from repro.analysis.protocols import (
@@ -20,44 +26,7 @@ from repro.analysis.protocols import (
 )
 from repro.analysis.runner import Workloads
 from repro.cluster.replay import replay_clustered
-from repro.core.config import OptimizationConfig, SimulationConfig
-
-#: The experiments in presentation order: (title, builder taking Workloads).
-_SECTIONS = (
-    ("Table 1 — benchmark summary", tables_module.table1),
-    ("Table 2 — references and bus cycles by area", tables_module.table2),
-    ("Table 3 — references by operation", tables_module.table3),
-    ("Table 4 — effect of the optimized commands", tables_module.table4),
-    ("Table 5 — lock-protocol hit ratios", tables_module.table5),
-    ("Figure 1 — block size sweep", figures_module.figure1),
-    ("Figure 2 — capacity sweep", figures_module.figure2),
-    ("Figure 3 — PE count sweep", figures_module.figure3),
-    ("Associativity sweep", figures_module.associativity_sweep),
-    ("Bus width study", figures_module.bus_width_study),
-    ("Per-mechanism effects (Section 4.6)", figures_module.optimization_details),
-)
-
-
-def _sm_ablation_section(workloads: Workloads) -> str:
-    rows = []
-    for name in tables_module.BENCH_ORDER:
-        comparison = protocol_comparison(
-            workloads.trace(name), protocols=("pim", "illinois")
-        )
-        pim, illinois = comparison["pim"], comparison["illinois"]
-        rows.append(
-            (
-                name,
-                pim["memory_busy_cycles"],
-                illinois["memory_busy_cycles"],
-                f"{illinois['memory_busy_cycles'] / max(pim['memory_busy_cycles'], 1):.2f}x",
-            )
-        )
-    return format_table(
-        ("bench", "PIM mem busy", "Illinois mem busy", "penalty"),
-        rows,
-        title="SM-state ablation: shared-memory pressure without SM",
-    )
+from repro.core.config import SimulationConfig
 
 
 def _protocol_matrix_section(workloads: Workloads) -> str:
@@ -128,39 +97,61 @@ def _cluster_traffic_section(workloads: Workloads, n_clusters: int = 2) -> str:
     )
 
 
-def _write_policy_section(workloads: Workloads) -> str:
-    rows = []
-    for name in tables_module.BENCH_ORDER:
-        copyback = workloads.replay(
-            name, SimulationConfig(opts=OptimizationConfig.none())
-        )
-        through = workloads.replay(
-            name,
-            SimulationConfig(
-                protocol="write_through", opts=OptimizationConfig.none()
-            ),
-        )
-        rows.append(
-            (
-                name,
-                copyback.bus_cycles_total,
-                through.bus_cycles_total,
-                f"{through.bus_cycles_total / max(copyback.bus_cycles_total, 1):.2f}x",
-            )
-        )
-    return format_table(
-        ("bench", "copy-back bus", "write-through bus", "penalty"),
-        rows,
-        title="Write-policy ablation: the copy-back choice (Section 3)",
-    )
+#: The experiments in presentation order: (result key, heading, builder
+#: taking Workloads and returning a result with ``render()``, or text).
+#: A claim's id starts with the key of the result it reads.
+SECTIONS = (
+    ("table1", "Table 1 — benchmark summary", tables_module.table1),
+    ("table2", "Table 2 — references and bus cycles by area",
+     tables_module.table2),
+    ("table3", "Table 3 — references by operation", tables_module.table3),
+    ("table4", "Table 4 — effect of the optimized commands",
+     tables_module.table4),
+    ("table5", "Table 5 — lock-protocol hit ratios", tables_module.table5),
+    ("figure1", "Figure 1 — block size sweep", figures_module.figure1),
+    ("figure2", "Figure 2 — capacity sweep", figures_module.figure2),
+    ("figure3", "Figure 3 — PE count sweep", figures_module.figure3),
+    ("associativity", "Associativity sweep",
+     figures_module.associativity_sweep),
+    ("bus_width", "Bus width study", figures_module.bus_width_study),
+    ("opt_details", "Per-mechanism effects (Section 4.6)",
+     figures_module.optimization_details),
+    ("sm_ablation", "SM-state ablation", studies.sm_ablation),
+    ("write_policy", "Write-policy ablation", studies.write_policy),
+    ("memory_latency", "Memory-latency sensitivity (Section 4.2)",
+     studies.memory_latency),
+    ("lock_capacity", "Lock-directory capacity (Section 3.1)",
+     studies.lock_capacity),
+    ("aurora", "Aurora transfer (Sections 1 and 5)", studies.aurora_transfer),
+    ("protocol_matrix", "Protocol matrix", _protocol_matrix_section),
+    ("cluster_traffic", "Cluster traffic", _cluster_traffic_section),
+)
+
+
+@dataclass
+class Report:
+    """The rendered report, each section's result by key, and the
+    verdict on each claim (none unless the workloads run at
+    :data:`~repro.analysis.claims.CLAIMS_SCALE`)."""
+
+    text: str
+    results: Dict[str, object]
+    verdicts: List[claims_module.Verdict]
+
+    @property
+    def failed(self) -> List[str]:
+        """The ids of the claims that do not hold."""
+        return [v.claim.id for v in self.verdicts if not v.holds]
 
 
 def generate_report(
     scale: str = "small", workloads: Optional[Workloads] = None
-) -> str:
-    """Build the full experiment report as markdown-flavoured text."""
+) -> Report:
+    """Build every section as markdown-flavoured text, then check the
+    paper's claims against the sections' results."""
     if workloads is None:
         workloads = Workloads(scale=scale)
+    scale = workloads.scale
     parts = [
         "# PIM cache reproduction — full experiment report",
         "",
@@ -168,35 +159,20 @@ def generate_report(
         "paper-vs-measured commentary lives in EXPERIMENTS.md.",
         "",
     ]
-    for title, builder in _SECTIONS:
-        parts.append(f"## {title}")
-        parts.append("")
-        parts.append("```")
-        parts.append(builder(workloads).render())
-        parts.append("```")
-        parts.append("")
-    parts.append("## SM-state ablation")
+    results: Dict[str, object] = {}
+    for key, heading, build in SECTIONS:
+        result = results[key] = build(workloads)
+        body = result if isinstance(result, str) else result.render()
+        parts += [f"## {heading}", "", "```", body, "```", ""]
+    parts += ["## Claims", ""]
+    verdicts: List[claims_module.Verdict] = []
+    if scale == claims_module.CLAIMS_SCALE:
+        verdicts = claims_module.evaluate(results, claims_module.CLAIMS)
+        parts.append(claims_module.render(verdicts))
+    else:
+        parts.append(
+            f"Not evaluated: the bounds are calibrated at "
+            f"`{claims_module.CLAIMS_SCALE}`."
+        )
     parts.append("")
-    parts.append("```")
-    parts.append(_sm_ablation_section(workloads))
-    parts.append("```")
-    parts.append("")
-    parts.append("## Write-policy ablation")
-    parts.append("")
-    parts.append("```")
-    parts.append(_write_policy_section(workloads))
-    parts.append("```")
-    parts.append("")
-    parts.append("## Protocol matrix")
-    parts.append("")
-    parts.append("```")
-    parts.append(_protocol_matrix_section(workloads))
-    parts.append("```")
-    parts.append("")
-    parts.append("## Cluster traffic")
-    parts.append("")
-    parts.append("```")
-    parts.append(_cluster_traffic_section(workloads))
-    parts.append("```")
-    parts.append("")
-    return "\n".join(parts)
+    return Report("\n".join(parts), results, verdicts)

@@ -463,12 +463,16 @@ def cmd_listing(args) -> int:
 def cmd_report(args) -> int:
     from repro.analysis.report import generate_report
 
-    text = generate_report(scale=args.scale)
+    report = generate_report(scale=args.scale)
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(report.text)
         print(f"report written: {args.output}")
     else:
-        print(text)
+        print(report.text)
+    if report.failed:
+        print(f"error: claims failed: {', '.join(report.failed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -1063,7 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
              ).add_argument("program")
 
     _command(commands, "report", cmd_report, scale,
-             help="regenerate the full experiment report",
+             help="regenerate the full experiment report and check the "
+                  "paper's claims (exit 1 if one fails)",
              ).add_argument("--output", "-o",
                             help="write to a file instead of stdout")
 

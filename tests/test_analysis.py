@@ -2,7 +2,7 @@
 
 These check the *machinery* (tables assemble, figures sweep, numbers are
 internally consistent); the paper-shape assertions on realistic scales
-live in benchmarks/.
+are the report's claims (``repro.analysis.claims``).
 """
 
 import pytest
@@ -105,6 +105,8 @@ class TestFigures:
         sweep = figures.associativity_sweep(tiny_workloads, ways=(1, 4))
         for series in sweep.series["bus cycles"].values():
             assert series[0] >= series[1]
+        for series in sweep.series["relative to 4-way"].values():
+            assert series[1] == 1.0
 
     def test_render_formats_each_series_by_its_kind(self):
         # A ratio or share is never rounded to an integer, whatever its

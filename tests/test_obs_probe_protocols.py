@@ -93,3 +93,6 @@ def test_bench_records_carry_protocol():
         assert entry["protocol"] == "pim"
     assert report["manifest"]["protocol"] == "pim"
     assert len(hot_trace(1000)) == 1000
+    hot = report["workloads"]["hot"]
+    assert hot["refs"] == 200_000 and hot["hit_ratio"] > 0.97
+    assert hot["speedup"] is not None

@@ -94,7 +94,7 @@ class TestPuzzle:
 
     def test_heap_heavy_signature(self):
         # The full heap-dominance claim (81 % of bus cycles in the paper,
-        # ~89 % here) is asserted at realistic scale in benchmarks/; the
+        # ~88 % here) is the report's claim table2.puzzle_heap_bus; the
         # tiny board still shows substantial structure-copy traffic.
         _, result = run_tiny("puzzle")
         shares = result.stats.area_ref_percentages()

@@ -125,14 +125,21 @@ hits, refs, hit service, DW demotions, purges, the miss path's) of
 every position advanced since the last fold;
 :meth:`~KernelSession.run` is the two in turn, so the system is fully
 settled after it; and :meth:`~KernelSession.close` ends the session.
-Segment drivers — speculative batches, windows, telemetry chunks — pay
-the set-up once per replay instead of once per range, and a plain
-replay is a session with one range.  The speculative driver advances
-every span but folds once per replay: before each batch settlement it
-only credits every PE's deferred hit cycles up to the batch end
-(:meth:`~KernelSession.plan_credits` / :meth:`~KernelSession.credit`),
-because the settlement reads the clocks and the bus timeline, which
-every advance leaves live.
+Segment drivers — windows, telemetry chunks — pay the set-up once per
+replay instead of once per range, and a plain replay is a session with
+one range.  The speculative driver hands the session its whole plan in
+one advance: the clean batches' bounds and, per batch end, every PE's
+fast-kind reference count (:meth:`~KernelSession.advance`).  The loop
+walks the range in one ``zip`` and handles each boundary itself: at a
+batch's start it installs the speculative recorders as ``system._bus``
+and ``system._dir``; at its end it restores them, credits every PE's
+deferred hit cycles up to the end (the settlement reads the clocks and
+the bus timeline) and charges the recorded transactions inline
+(``_BOUNDARIES``, ``_SETTLE``).  Cache states never change at a
+boundary, so read hits and run tails may pass one; the slow path
+handles every boundary passed before it serves its reference, and under
+a directory a purge or store hit that passes one takes the slow path
+(its note, or the line state it changes, is read by the settlement).
 Every position of the range must pass through the session, in order: an
 ``advance`` that does not continue where the last one stopped raises
 instead of mis-crediting clocks.  A blocked reference is
@@ -766,21 +773,92 @@ if $silent_test:
 #: then the transaction counted toward the network charge.
 _BUS_KERNEL = """\
 if inline_ic:
-    cycles = cost[$pattern]
-    pat_n[$pattern] += 1
-    area_cycles[area] += cycles
+    @charge $pattern
     @dir_transaction $pattern, $block, $req, $remotes
-    t = pe_cycles[pe] + 1
-    if t < free_at:
-        $bus_wait_cycles += free_at - t
-        t = free_at
-    free_at = t + cycles
-    pe_cycles[pe] = free_at
+    @clock
 else:
     ic.free_at = free_at
     cycles = bus_fn(pe, $pattern, area, $block, $req, $remotes)
     free_at = ic.free_at
 @net_count $pattern
+"""
+
+#: The kernel's count of one transaction of ``$pattern`` by ``pe`` in
+#: ``area``: its cycles (``cycles``) before any indirection.
+_CHARGE = """\
+cycles = cost[$pattern]
+pat_n[$pattern] += 1
+area_cycles[area] += cycles
+"""
+
+#: The kernel's bus timeline: the transaction of ``cycles`` starts when
+#: both ``pe`` and the interconnect are free.
+_CLOCK = """\
+t = pe_cycles[pe] + 1
+if t < free_at:
+    $bus_wait_cycles += free_at - t
+    t = free_at
+free_at = t + cycles
+pe_cycles[pe] = free_at
+"""
+
+#: The kernel's handling of every speculative batch boundary at or
+#: before position ``$at`` (``bounds[bx]`` is the next one; even
+#: entries open a clean batch, odd ones end it).  Cache states never
+#: change at a boundary, so hits that change nothing the boundary reads
+#: may run past one before it is handled.
+_BOUNDARIES = """\
+while nb <= $at:
+    if deferral is None:
+        # A clean batch opens: its coherence is deferred to a recorder
+        # that the table's handlers see too.
+        deferral = _DeferredBus()
+        bus_fn = system._bus = deferral
+        inline_ic = False
+        if own_dir is not None:
+            dir_ = system._dir = _DeferredNotes(own_dir, deferral.touched)
+    else:
+        # The clean batch ends: every PE's deferred hit cycles up to
+        # its end are credited (the settlement reads the clocks), then
+        # its transactions settle.
+        bus_fn = system._bus = own_bus
+        dir_ = system._dir = own_dir
+        inline_ic = own_inline
+        for p, before in enumerate(credits[bx >> 1]):
+            if before != done[p]:
+                pe_cycles[p] += before - done[p]
+                done[p] = before
+        @settle
+        deferral = None
+    bx += 1
+    nb = bounds[bx]
+"""
+
+#: A clean batch's settlement: its deferred transactions charged in
+#: recorded order, as the interconnect's control-only transact would
+#: (no directory resolution).  Per-block invalidations coalesce into the
+#: batch's one signature broadcast: the first is charged (it *is* the
+#: broadcast), the rest ride it.  Block-less rounds (lock-spin episode
+#: charges) never coalesce.  The directory then resynchronizes every
+#: touched entry from residency.
+_SETTLE = """\
+broadcast = False
+settles = elided = 0
+for pe, pattern, area, block in deferral.log:
+    if pattern == $P_INVALIDATION and block >= 0:
+        if broadcast:
+            elided += 1
+            continue
+        broadcast = True
+    @charge pattern
+    @dir_count
+    @clock
+    settles += 1
+stats.signature_settles += settles
+stats.batch_elided_invalidations += elided
+stats.batch_commits += 1
+if own_dir is not None:
+    _resync(own_dir, deferral.touched)
 """
 
 #: The end of a reference whose block is homed in another cluster: its
@@ -924,6 +1002,10 @@ _TEMPLATES = {
     ),
     "net_charge_body": ((), _NET_CHARGE),
     "net_count": _net_count,
+    "charge": (("pattern",), _CHARGE),
+    "clock": ((), _CLOCK),
+    "boundaries": (("at",), _BOUNDARIES),
+    "settle": ((), _SETTLE),
     "dir_resync": (("block",), _DIR_RESYNC),
     "fill": (("state",), _FILL_CALL, _FILL),
     "fill_body": (("state",), _FILL),
@@ -1259,8 +1341,8 @@ class KernelSession:
 
     __slots__ = (
         "system", "_buffer", "_start", "_stop", "_pos", "_folded", "_kinds",
-        "_prep", "_table", "_done", "_fast_done", "_fallbacks", "_credits",
-        "_credited", "_gen",
+        "_prep", "_table", "_done", "_fast_done", "_fallbacks", "_fast_at",
+        "_gen",
     )
 
     def __init__(self, system, buffer, start, stop, table, kinds, prep):
@@ -1282,8 +1364,9 @@ class KernelSession:
         self._done = [0] * n_pes
         # Unfolded fallbacks per dispatch cell (the loop holds the list).
         self._fallbacks = [0] * N_CELLS
-        self._credits = None
-        self._credited = 0
+        # Per PE: fast-kind references before a position, for the batch
+        # ends' clock credits (see _credits).
+        self._fast_at = (start, np.zeros(n_pes, np.int64))
         self._gen = None
 
     def __enter__(self) -> "KernelSession":
@@ -1337,12 +1420,48 @@ class KernelSession:
             ) + kinds[1:]
         return keys, kinds
 
-    def advance(self, lo: int, hi: int) -> None:
+    def advance(self, lo: int, hi: int, batches=()) -> None:
         """Replay references ``[lo, hi)``, continuing where the last
-        advance stopped; the counters stay deferred to the fold."""
+        advance stopped; the counters stay deferred to the fold.
+
+        *batches* are the clean batches of a speculative plan,
+        ``(lo, hi)`` pairs ascending within the range
+        (:mod:`repro.core.speculative`).  The loop walks the range in
+        one pass: inside each batch the system's ``_bus`` and ``_dir``
+        are the speculative recorders, and at the batch's end every
+        PE's clock is credited up to it and the recorded transactions
+        settle inline.  The two bindings are restored however the walk
+        ends.
+        """
         keys, kinds = self._refs(lo, hi)
-        self._gen.send((lo, hi, keys, kinds))
+        bounds = [pos for batch in batches for pos in batch]
+        credits = self._credits(hi, bounds[1::2]) if bounds else ()
+        bounds.append(hi + 1)
+        system = self.system
+        bus, notes = system._bus, system._dir
+        try:
+            self._gen.send((lo, hi, keys, kinds, bounds, credits))
+        finally:
+            system._bus, system._dir = bus, notes
         self._pos = hi
+
+    def _credits(self, hi: int, ends) -> List[List[int]]:
+        """Every PE's fast-kind references before each of *ends*
+        (ascending, at most *hi*), counted from the session's start: the
+        clock credits of the batch ends, a row per end, counted in one
+        numpy pass from where the last call stopped."""
+        n_pes = self.system.n_pes
+        at, base = self._fast_at
+        _, fast, pe8 = _fast_refs(self._buffer, at, hi, self._kinds)
+        position = np.flatnonzero(fast)
+        # Row r counts the references before ends[r], so a reference
+        # lands in the row of the first end past it.
+        row = np.searchsorted(np.asarray(ends) - at, position, "right")
+        table = np.bincount(
+            row * n_pes + pe8[position], minlength=(len(ends) + 1) * n_pes
+        ).reshape(-1, n_pes).cumsum(axis=0) + base
+        self._fast_at = (hi, table[-1])
+        return table[:-1].tolist()
 
     def run(self, lo: int, hi: int):
         """Replay references ``[lo, hi)``, continuing where the last
@@ -1408,39 +1527,6 @@ class KernelSession:
         self._folded = hi
         return stats
 
-    def plan_credits(self, ends) -> None:
-        """Plan the positions :meth:`credit` credits the clocks up to:
-        *ends*, ascending, within ``(start, stop]``.
-
-        One numpy pass counts every PE's fast-kind references before
-        each end (a ``len(ends)`` x ``n_pes`` table), so a credit costs
-        one row, not a pass over its range.
-        """
-        n_pes = self.system.n_pes
-        start = self._start
-        _, fast, pe8 = _fast_refs(self._buffer, start, self._stop, self._kinds)
-        position = np.flatnonzero(fast)
-        # Row r counts the references before ends[r], so a reference
-        # lands in the row of the first end past it.
-        row = np.searchsorted(np.asarray(ends) - start, position, "right")
-        table = np.bincount(
-            row * n_pes + pe8[position], minlength=(len(ends) + 1) * n_pes
-        ).reshape(-1, n_pes)
-        self._credits = np.cumsum(table[:-1], axis=0)
-        self._credited = 0
-
-    def credit(self) -> None:
-        """Credit every PE's deferred hit cycles up to the next planned
-        end (see :meth:`plan_credits`), which the last advance must have
-        reached; the rest of the counters stay deferred to the fold."""
-        pe_cycles = self.system._pe_cycles
-        done = self._done
-        for p, before in enumerate(self._credits[self._credited].tolist()):
-            if before != done[p]:
-                pe_cycles[p] += before - done[p]
-                done[p] = before
-        self._credited += 1
-
 
 class _Emitter:
     """Expands templates for one spec into one emission: the handler's
@@ -1473,6 +1559,9 @@ class _Emitter:
             "demote_lock_check": ((), _demote_lock_check(silent_states)),
             "dir_transaction": partial(
                 _dir_transaction, build_directory_spec(spec).rows
+            ) if directory else _nothing,
+            "dir_count": (
+                (), "$directory_transactions += 1"
             ) if directory else _nothing,
         }
         if not clustered:
@@ -1906,6 +1995,15 @@ def _kernel_source(spec, directory: bool, clustered: bool) -> str:
         inline_dir = (
             "own_ic and transact is _DIR_TRANSACT and ic.observer is None"
         )
+        # A purge hit notes its drop to the directory, and a silent
+        # store changes a line state that the settlement's resync reads:
+        # with a boundary pending, the slow path handles it first.
+        w_branch = """\
+            elif nb <= i:
+                # A batch boundary is pending: the slow path handles it,
+                # then dispatches this hit through the table.
+                kind = -1
+""" + w_branch
     else:
         inline_dir = "False"
     counters = ", ".join(f"n_{name}" for name in _DEFERRED)
@@ -1979,8 +2077,10 @@ def _open(system, buffer, start, stop):
 
 def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
     """The {spec.name!r} replay loop of one session, its locals bound
-    once: each send((lo, hi, keys, kinds)) replays [lo, hi); a send of
-    None yields the deferred counters and zeroes them."""
+    once: each send((lo, hi, keys, kinds, bounds, credits)) replays
+    [lo, hi), deferring and settling the clean batches that bounds
+    delimits; a send of None yields the deferred counters and zeroes
+    them."""
     system = session.system
 {_indent(_BINDINGS, 4)}
     probe = resident.get
@@ -2003,7 +2103,7 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
             {" = ".join(f"n_{name}" for name in _DEFERRED)} = 0
             pat_n = [0] * {N_PATTERNS}
             continue
-        lo, hi, keys, kinds = msg
+        lo, hi, keys, kinds, bounds, credits = msg
         # The bindings a driver may swap between advances.  The
         # interconnect's own transact runs inline; a directory's only
         # while no observer watches its micro-steps.
@@ -2014,6 +2114,10 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
         inline_ic = inline_dir or own_ic and transact is _SNOOP_TRANSACT
         dir_entries = ic.entries if inline_dir else None
         dir_ = system._dir
+        own_bus, own_dir, own_inline = bus_fn, dir_, inline_ic
+        deferral = None
+        bx = 0
+        nb = bounds[0]
         locked_words = system._locked_words
         waiting = system._waiting
         free_at = ic.free_at
@@ -2045,10 +2149,12 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
             elif kind == {KIND_DUP}:
                 # Collapsed tail of a conflict-free same-PE run.
                 continue
-            # Slow path: credit the requester's unaccounted hit cycles,
-            # then run its miss shape inline or dispatch through the
-            # table exactly as access() does.  No shape runs inline on a
-            # block with a locked word: its LH check may inhibit it.
+            # Slow path: handle the batch boundaries passed, credit the
+            # requester's unaccounted hit cycles, then run its miss shape
+            # inline or dispatch through the table exactly as access()
+            # does.  No shape runs inline on a block with a locked word:
+            # its LH check may inhibit it.
+{kernel.emit("@boundaries i", 12)}
             pe = pe_col[i]
             op = op_col[i]
             area = area_col[i]
@@ -2109,6 +2215,7 @@ def _loop(session, own_read, own_write, own_dw, own_er, own_ri, own_rp):
                 raise ReplayBlockedError(i, pe, op, area, address)
             if waiting:
                 waiting.pop(pe, None)
+{kernel.emit("@boundaries hi", 8)}
         for cache in caches:
             cache._tick = gtick
         ic.free_at = free_at
@@ -2127,8 +2234,10 @@ def _is_clustered(system) -> bool:
 def _compile(spec) -> dict:
     """The namespace *spec*'s generated units run in; each unit
     variant compiles on first use (:func:`_unit`)."""
-    # Imported here: repro.obs imports the replay drivers, which import
-    # the system, which imports this module.
+    # Imported here: repro.obs and the speculative driver import the
+    # replay drivers, which import the system, which imports this
+    # module.
+    from repro.core.speculative import _DeferredBus, _DeferredNotes, _resync
     from repro.obs.events import EventKind
 
     namespace = {f"_ST_{s.name}": s for s in CacheState}
@@ -2148,6 +2257,9 @@ def _compile(spec) -> dict:
     namespace["_NETWORK"] = EventKind.NETWORK
     namespace["_NESTED"] = _NESTED
     namespace["_is_clustered"] = _is_clustered
+    namespace["_DeferredBus"] = _DeferredBus
+    namespace["_DeferredNotes"] = _DeferredNotes
+    namespace["_resync"] = _resync
     namespace["_units"] = {}
     return namespace
 

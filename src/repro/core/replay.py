@@ -263,9 +263,9 @@ def replay(
 
 class _AccessDriven:
     """:func:`replay_ranges`' stand-in for a kernel session where the
-    kernel does not apply: each advance is a
-    :func:`replay_access_driven` call, which settles every counter as
-    it goes, so the credits and the fold have nothing to do."""
+    kernel does not apply: each advance is a run of
+    :func:`replay_access_driven` calls, which settle every counter as
+    they go, so the fold has nothing to do."""
 
     def __init__(self, buffer, system, check_invariants_every, values,
                  on_result):
@@ -276,8 +276,24 @@ class _AccessDriven:
             check_invariants_every=check_invariants_every,
         )
 
-    def advance(self, lo: int, hi: int) -> None:
+    def _range(self, lo: int, hi: int) -> None:
         self._replay(start=lo, stop=hi)
+
+    def advance(self, lo: int, hi: int, batches=()) -> None:
+        """Replay ``[lo, hi)``, one call per span: each clean batch of
+        *batches* with its coherence deferred and then settled
+        (:mod:`repro.core.speculative`), the stretches between them
+        pessimistically."""
+        from repro.core.speculative import _attempt, _settle
+
+        system = self.system
+        for start, stop in batches:
+            if lo < start:
+                self._range(lo, start)
+            _settle(system, _attempt(system, self._range, start, stop))
+            lo = stop
+        if lo < hi:
+            self._range(lo, hi)
 
     def fold(self) -> SystemStats:
         return self.system.stats
@@ -285,12 +301,6 @@ class _AccessDriven:
     def run(self, lo: int, hi: int) -> SystemStats:
         self.advance(lo, hi)
         return self.fold()
-
-    def plan_credits(self, ends) -> None:
-        pass
-
-    def credit(self) -> None:
-        pass
 
 
 @contextmanager
@@ -309,13 +319,13 @@ def replay_ranges(
     The segment drivers' one entry point.  ``session.run(lo, hi)``
     replays ``[lo, hi)`` and returns the settled stats;
     ``session.advance(lo, hi)`` replays it with the counters deferred
-    until ``session.fold()``, and ``session.plan_credits(ends)`` /
-    ``session.credit()`` settle only the PE clocks at planned positions
-    (see :class:`~repro.core.protocol.codegen.KernelSession`).  Where
-    the generated kernel applies — no invariant checks, no probe, no
-    oracle hooks, and a (system, trace) pair inside its envelope — this
-    is one kernel session for the whole span, so the kernel prepares
-    once.  Otherwise every advance runs :func:`replay_access_driven`
+    until ``session.fold()``, and ``session.advance(lo, hi, batches)``
+    also defers and settles the coherence of a speculative plan's clean
+    batches (see :class:`~repro.core.protocol.codegen.KernelSession`).
+    Where the generated kernel applies — no invariant checks, no probe,
+    no oracle hooks, and a (system, trace) pair inside its envelope —
+    this is one kernel session for the whole span, so the kernel
+    prepares once.  Otherwise every advance runs :func:`replay_access_driven`
     with the given invariant period (``None`` reads the
     ``REPRO_CHECK_INVARIANTS`` toggle) and hooks, and nothing is
     deferred.

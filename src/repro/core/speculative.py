@@ -19,7 +19,11 @@ only the *pricing*:
   full, so cache states, lock directories and data values evolve exactly
   as they would pessimistically — speculation changes *when coherence is
   paid for*, never what the protocol does.  Bus-free work (hit service,
-  lock spins, shared-memory busy time) is charged live as always.
+  lock spins, shared-memory busy time) is charged live as always.  The
+  generated kernel walks a whole plan in one pass and swaps the
+  bindings itself at each batch boundary
+  (:meth:`~repro.core.protocol.codegen.KernelSession.advance`); the
+  per-access loop runs each batch as one :func:`_attempt`.
 * **Signatures.**  Per-PE read and write sets are compressed into
   ``signature_bits``-wide masks, one bit per block hashed by its low
   ``log2(signature_bits)`` bits.  Signatures are a pure function of the
@@ -29,11 +33,14 @@ only the *pricing*:
   narrower one, so any two blocks that collide at width ``2w`` also
   collide at width ``w`` — the false-positive rate is monotone
   non-increasing in the width, a property the test-suite checks.
-* **Commit.**  A conflict-free batch replays its deferred transactions
-  through the real ``interconnect.transact`` in recorded order — the
-  bulk settlement round, priced through the existing seam so the
-  cycle-ledger identity of :mod:`repro.obs.metrics` holds by
-  construction.  Per-block invalidation rounds are coalesced: the
+* **Commit.**  A conflict-free batch charges its deferred transactions
+  in recorded order, each as the interconnect's control-only
+  ``transact`` would (no directory resolution) — the bulk settlement
+  round, priced on the same clocks and counters, so the cycle-ledger
+  identity of :mod:`repro.obs.metrics` holds by construction.  The
+  generated kernel charges it inline, from its own transaction code,
+  when it meets the batch's end; the per-access loop calls
+  :func:`_settle`.  Per-block invalidation rounds are coalesced: the
   batch's write signature is broadcast once at commit and every cache
   derives all of its invalidations from it, so the first deferred
   block-invalidation is charged (it *is* the signature broadcast) and
@@ -211,13 +218,13 @@ def _plan(
     start: int,
     stop: int,
 ) -> Tuple[List[Tuple[int, int, bool]], int]:
-    """The speculative driver's spans of ``[start, stop)``, planned in
+    """The speculative driver's plan of ``[start, stop)``, computed in
     one numpy pass.
 
-    Returns ``(spans, rollbacks)``.  ``spans`` lists ``(lo, hi,
-    commit)``: every conflict-free batch of :func:`plan_batches` is a
-    commit span, and every maximal stretch of the rest — lock and
-    flagged singletons, conflicting batches — is one pessimistic span.
+    Returns ``(batches, rollbacks)``.  ``batches`` lists the ``(lo,
+    hi)`` of every conflict-free batch of :func:`plan_batches`, the
+    clean batches; everything between them — lock and flagged
+    singletons, conflicting batches — runs pessimistically.
     ``rollbacks`` counts the conflicting batches.  A batch conflicts iff
     some signature bit has a writer and at least two distinct accessing
     PEs, which is ``signatures_conflict(*batch_signatures(...))``.
@@ -263,14 +270,11 @@ def _plan(
     conflict = np.zeros(len(heads), bool)
     conflict[key[group[shared]] // width] = True
     commit = ~(barrier[heads] | conflict)
-    # A span opens at every commit and at the first batch after one.
-    opens = commit.copy()
-    opens[0] = True
-    opens[1:] |= commit[:-1]
-    los = heads[opens] + start
-    his = np.append(los[1:], stop)
-    spans = list(zip(los.tolist(), his.tolist(), commit[opens].tolist()))
-    return spans, int(np.count_nonzero(conflict))
+    ends = np.append(heads[1:], n)
+    batches = list(zip(
+        (heads[commit] + start).tolist(), (ends[commit] + start).tolist()
+    ))
+    return batches, int(np.count_nonzero(conflict))
 
 
 class _DeferredBus:
@@ -359,6 +363,7 @@ def _settle(system, recorder: _DeferredBus) -> None:
         settles += 1
     stats.signature_settles += settles
     stats.batch_elided_invalidations += elided
+    stats.batch_commits += 1
     if system._dir is not None:
         _resync(system._dir, recorder.touched)
 
@@ -384,6 +389,27 @@ def _resync(backend, touched) -> None:
             entries.pop(block, None)
 
 
+def _periods(batches, start: int, stop: int, every: int):
+    """Cut ``[start, stop)`` and its clean *batches* where the invariant
+    checks run: after every multiple of *every*, or, for a multiple
+    inside a clean batch, after that batch; and at *stop*.  Yields
+    ``(lo, hi, batches of [lo, hi))``."""
+    lo = start
+    first = 0
+    for cut in range(start - start % every + every, stop, every):
+        if cut <= lo:
+            continue  # the last period ran past it, to its batch's end
+        last = first
+        while last < len(batches) and batches[last][0] < cut:
+            last += 1
+        if last > first:
+            cut = max(cut, batches[last - 1][1])
+        yield lo, cut, batches[first:last]
+        lo, first = cut, last
+    if lo < stop:
+        yield lo, stop, batches[first:]
+
+
 def replay_speculative(
     buffer: TraceBuffer,
     config: Optional[SimulationConfig] = None,
@@ -407,9 +433,9 @@ def replay_speculative(
     as the batches of
     :func:`plan_batches`, so replaying ``[0, b)`` and then ``[b, n)``
     into one system, with ``b`` a batch boundary of ``[0, n)``, equals
-    replaying ``[0, n)``.  Each clean batch, and each maximal stretch
-    of pessimistic work (see :func:`_plan`), is one advance of one
-    kernel session, whose deferred counters fold once, at the end.
+    replaying ``[0, n)``.  One kernel session walks the whole plan (see
+    :func:`_plan`) in one advance, or one per invariant period when the
+    checks are on (see :func:`_periods`), and folds once, at the end.
     ``batch_refs == 1`` short-circuits to the
     pessimistic path outright — a one-reference batch settles before
     any concurrent conflict can arise, so the degenerate mode *is* the
@@ -449,38 +475,23 @@ def replay_speculative(
         )
     stats = system.stats
     every = check_invariants_every
-    spans, rollbacks = _plan(
+    batches, rollbacks = _plan(
         buffer, batch_refs, system.config.speculation.signature_bits,
         system._block_shift, start, stop,
     )
-    # One kernel session (or per-access loop) for every span.  Its own
-    # invariant checks stay off: the directory's entry table is
-    # resynchronized at settlement, so checks run between spans.
+    # One kernel session (or per-access loop) walks the whole plan.  Its
+    # own invariant checks stay off: the directory's entry table is
+    # resynchronized at settlement, so checks run between walks.
     with replay_ranges(
         buffer, system, start, stop, check_invariants_every=0,
         values=values, on_result=on_result,
     ) as session:
-        session.plan_credits([hi for _, hi, commit in spans if commit])
-        for lo, hi, commit in spans:
-            if commit:
-                recorder = _attempt(system, session.advance, lo, hi)
-                # The settlement prices from the PE clocks: bring them
-                # up to the batch end first.
-                session.credit()
-                _settle(system, recorder)
-                stats.batch_commits += 1
-            else:
-                if every:
-                    # A merged stretch keeps the invariant period.
-                    for cut in range(lo - lo % every + every, hi, every):
-                        session.advance(lo, cut)
-                        system.check_invariants()
-                        lo = cut
-                session.advance(lo, hi)
-            if every and hi // every > lo // every:
+        if every:
+            for lo, hi, part in _periods(batches, start, stop, every):
+                session.advance(lo, hi, part)
                 system.check_invariants()
+        else:
+            session.advance(start, stop, batches)
         session.fold()
     stats.batch_rollbacks += rollbacks
-    if every and stop > start:
-        system.check_invariants()
     return stats

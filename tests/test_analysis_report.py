@@ -142,3 +142,21 @@ def test_run_stats_are_the_base_config_replay(tmp_path, monkeypatch):
         assert calls == []
         fresh = replay(result.trace, SimulationConfig())
         assert stats.as_dict() == fresh.as_dict()
+
+
+def test_aurora_study_replays_once_per_process(monkeypatch):
+    from repro.analysis import studies
+
+    first = studies.aurora_transfer()
+
+    def replayed(*args, **kwargs):
+        raise AssertionError("the Aurora trace was built or replayed again")
+
+    monkeypatch.setattr(studies, "generate_aurora_trace", replayed)
+    monkeypatch.setattr(studies, "replay", replayed)
+    second = studies.aurora_transfer()
+    assert second.title == first.title
+    assert second.rows == first.rows
+    # Each call's rows are its own: the cache does not leak edits.
+    second.rows["all"]["bus"] = -1
+    assert studies.aurora_transfer().rows == first.rows

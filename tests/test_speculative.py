@@ -5,8 +5,9 @@ The engine's contract (docs/SPECULATIVE.md) is tested from four sides:
 * **planning** — lock operations and contended references force early
   batch commits (they run as non-speculative singletons), everything
   else chops into ``batch_refs``-sized spans, and the driver's one-pass
-  numpy plan matches the per-batch reference verdicts (hypothesis) and
-  runs each commit or pessimistic stretch once, folding once;
+  numpy plan matches the per-batch reference verdicts (hypothesis), and
+  one kernel session walks it, one send per invariant period, folding
+  once;
 * **signatures** — the commit test fires exactly on cross-PE write
   intersections, and its false-positive rate is monotone in the
   signature width (hypothesis);
@@ -182,10 +183,10 @@ def test_conflict_verdict_monotone_in_signature_width(refs):
 
 
 def _reference_plan(trace, batch_refs, signature_bits, start, stop):
-    """The driver's spans from the per-batch definitions: each batch of
-    ``plan_batches`` commits unless it is a barrier or its signatures
-    conflict, and adjacent non-commit spans merge."""
-    spans, rollbacks = [], 0
+    """The driver's plan from the per-batch definitions: each batch of
+    ``plan_batches`` is clean unless it is a barrier or its signatures
+    conflict."""
+    clean, rollbacks = [], 0
     for lo, hi, speculative_span in plan_batches(
         trace, batch_refs, start, stop
     ):
@@ -193,11 +194,9 @@ def _reference_plan(trace, batch_refs, signature_bits, start, stop):
             *batch_signatures(trace, lo, hi, trace.n_pes, 2, signature_bits)
         )
         rollbacks += speculative_span and not commit
-        if not commit and spans and not spans[-1][2]:
-            spans[-1] = (spans[-1][0], hi, False)
-        else:
-            spans.append((lo, hi, commit))
-    return spans, rollbacks
+        if commit:
+            clean.append((lo, hi))
+    return clean, rollbacks
 
 
 _PLAN_OPS = [Op.R, Op.R, Op.W, Op.DW, Op.ER, Op.RP, Op.RI, Op.LR, Op.UW, Op.U]
@@ -239,17 +238,23 @@ def test_one_pass_plan_with_signatures_wider_than_a_word(signature_bits):
     for i in range(600):
         op = Op.LR if i % 50 == 0 else (Op.R, Op.W)[i * 7 % 3 == 0]
         trace.append(i % 4, op, Area.INSTRUCTION, i * 37 % 101)
-    spans, rollbacks = _reference_plan(trace, 16, signature_bits, 0, 600)
-    assert rollbacks and any(commit for _, _, commit in spans)
+    clean, rollbacks = _reference_plan(trace, 16, signature_bits, 0, 600)
+    assert rollbacks and clean
     assert speculative._plan(trace, 16, signature_bits, 2, 0, 600) == (
-        spans, rollbacks
+        clean, rollbacks
     )
 
 
 def test_lazypim_runs_each_span_once_and_folds_once(monkeypatch):
+    # One kernel session walks the whole plan: one send per invariant
+    # period (one in all with the checks off), carrying that period's
+    # clean batches, and one fold.  The kernel defers and settles the
+    # batches itself: the per-span driver functions never run.
     trace = generate_contract_trace(3_000, n_pes=4, seed=7)
-    spans, rollbacks = _reference_plan(trace, 64, 256, 0, len(trace))
+    clean, rollbacks = _reference_plan(trace, 64, 256, 0, len(trace))
+    assert clean and rollbacks
     calls = Counter()
+    sent = []
     opened = []
 
     class Counting:
@@ -261,6 +266,8 @@ def test_lazypim_runs_each_span_once_and_folds_once(monkeypatch):
 
             def counted(*args):
                 calls[name] += 1
+                if name == "advance":
+                    sent.append(args)
                 return method(*args)
 
             return counted
@@ -273,17 +280,32 @@ def test_lazypim_runs_each_span_once_and_folds_once(monkeypatch):
             opened.append(session)
             yield Counting(session)
 
+    def per_span(*args):
+        raise AssertionError("a per-span driver function ran")
+
     monkeypatch.setattr(speculative, "replay_ranges", spy)
-    stats = replay(trace, _lazy(batch_refs=64))
-    commits = sum(commit for _, _, commit in spans)
-    assert 0 < commits < len(spans)
-    assert (stats.batch_commits, stats.batch_rollbacks) == (commits, rollbacks)
-    assert len(opened) == 1
-    assert isinstance(opened[0], codegen.KernelSession)
-    assert calls == {
-        "plan_credits": 1, "advance": len(spans), "credit": commits,
-        "fold": 1,
-    }
+    monkeypatch.setattr(speculative, "_attempt", per_span)
+    monkeypatch.setattr(speculative, "_settle", per_span)
+    # Batches of 64 never hold two multiples of 512, so every multiple
+    # ends a period.
+    for every, periods in ((0, 1), (512, len(trace) // 512 + 1)):
+        calls.clear()
+        sent.clear()
+        opened.clear()
+        stats = replay_speculative(
+            trace, _lazy(batch_refs=64), check_invariants_every=every
+        )
+        assert (stats.batch_commits, stats.batch_rollbacks) == (
+            len(clean), rollbacks
+        )
+        assert len(opened) == 1
+        assert isinstance(opened[0], codegen.KernelSession)
+        assert calls == {"advance": periods, "fold": 1}
+        # The sends cover the range in order and carry every clean batch.
+        bounds = [lo for lo, _, _ in sent] + [sent[-1][1]]
+        assert bounds == [0] + [hi for _, hi, _ in sent]
+        assert bounds[-1] == len(trace)
+        assert [batch for _, _, part in sent for batch in part] == clean
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +561,97 @@ def test_contract_trace_singletons_match_per_access_loop(interconnect):
         for loop in ("generated", "interpreted")
     )
     assert generated == interpreted
+
+
+def test_boundaries_passed_by_hits_are_handled_at_one_slow_reference():
+    # Batches of 8 on disjoint blocks.  The first ends with hits after
+    # each PE's misses, so its settlement needs the clocks credited up
+    # to its end; the second only re-reads (hits: the kernel meets no
+    # slow reference in it); the third opens with a miss.  The kernel
+    # handles the ends of the first two batches together, at that miss,
+    # and must price them as if each had been handled on time.
+    a0, a1, b0 = HEAP, HEAP + 16, HEAP + 1024
+    trace = TraceBuffer(n_pes=2)
+    for pe, address in (
+        (0, a0), (0, a1), (0, a0), (0, a1), (1, b0), (0, a0), (0, a1),
+        (1, b0),
+        (0, a0), (0, a1), (0, a0), (0, a1), (0, a0), (0, a1), (0, a0),
+        (0, a1),
+        (1, b0 + 16), (0, a0 + 32), (1, b0), (0, a1),
+    ):
+        trace.append(pe, Op.R, Area.HEAP, address)
+    generated, interpreted = (
+        _lazypim(loop, trace, SimulationConfig(), batch_refs=8).as_dict()
+        for loop in ("generated", "interpreted")
+    )
+    assert generated == interpreted
+    assert generated["batch_commits"] == 3
+    assert generated["hits"]["heap"]["R"] == 5 + 8 + 2
+    assert generated["bus_wait_cycles"] > 0
+
+
+def test_hits_that_pass_a_pending_boundary_on_the_directory():
+    # Directory backend, batches of 8.  A purge hit (it notes its drop to
+    # the directory) is the first reference after the first clean batch
+    # ends, and a silent store hit (it changes a line state the
+    # settlement's resync reads) the first after the second; then a
+    # batch conflicts on another block.  The directory entries, not only
+    # the counters, must agree with the per-access loop's.
+    goal = AREA_BASE[Area.GOAL]
+    block_x, block_y = HEAP + 64, HEAP + 512
+    trace = TraceBuffer(n_pes=2)
+    refs = [(0, Op.R, Area.GOAL, goal), (1, Op.R, Area.HEAP, block_x)]
+    refs += [(i % 2, Op.R, Area.HEAP, HEAP + 256 + 16 * i) for i in range(6)]
+    refs += [(0, Op.RP, Area.GOAL, goal)] + refs[1:]
+    refs += [(1, Op.W, Area.HEAP, block_x), (0, Op.R, Area.HEAP, block_y)]
+    refs += [(1, Op.R, Area.HEAP, block_y), (0, Op.W, Area.HEAP, block_y)]
+    refs += [(i % 2, Op.R, Area.HEAP, HEAP + 1024 + 16 * i) for i in range(4)]
+    for pe, op, area, address in refs:
+        trace.append(pe, op, area, address)
+    config = _lazy(SimulationConfig(interconnect="directory"), batch_refs=8)
+    # The premises: the first two batches commit, the stored line was
+    # exclusive-clean, and the third batch conflicts.
+    assert speculative._plan(trace, 8, 256, 2, 0, 16)[0] == [(0, 8), (8, 16)]
+    probe = PIMCacheSystem(config.with_mode("pessimistic"), 2)
+    replay(trace, system=probe, stop=16)
+    line = probe.caches[1].lookup(block_x >> 2)
+    assert line.state.name == "EC"
+    results = {}
+    for loop in ("generated", "interpreted"):
+        system = PIMCacheSystem(config, 2)
+        if loop == "generated":
+            replay(trace, system=system)
+        else:
+            replay_speculative(
+                trace, system=system, on_result=lambda *_: None
+            )
+        system.interconnect.check()
+        entries = system.interconnect.entries
+        results[loop] = system.stats.as_dict(), {
+            block: (entry.state, entry.owner, entry.sharers)
+            for block, entry in entries.items()
+        }
+    assert results["generated"] == results["interpreted"]
+    results = {loop: stats for loop, (stats, _) in results.items()}
+    assert results["generated"]["batch_commits"] == 2
+    assert results["generated"]["batch_rollbacks"] == 1
+    assert results["generated"]["purges_clean"] == 1
+
+
+@pytest.mark.parametrize("interconnect", ["bus", "directory"])
+def test_lazypim_counters_unchanged_by_invariant_checks(
+    monkeypatch, interconnect
+):
+    # With the checks on, the kernel walks the plan one invariant period
+    # per send; the counters must not notice.
+    trace = generate_contract_trace(9_000, n_pes=4, seed=5)
+    config = _lazy(SimulationConfig(interconnect=interconnect), batch_refs=64)
+    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+    plain = replay(trace, config).as_dict()
+    assert plain["batch_commits"] and plain["batch_rollbacks"]
+    for toggle in ("1", "777"):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", toggle)
+        assert replay(trace, config).as_dict() == plain
 
 
 def test_conflict_free_run_across_a_batch_boundary_matches():
